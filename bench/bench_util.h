@@ -24,6 +24,7 @@
 /// here; one clock path keeps bench numbers, STATS fields, and METRICS
 /// series directly comparable.
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -43,23 +44,45 @@ struct BenchArgs {
   uint64_t seed = 42;
   std::string corpus;  // empty = all
 
+  /// Parses the flags above. `--help` prints the usage line and exits
+  /// 0; an unknown flag or a malformed value (`--scale=abc`,
+  /// `--scale=0`, `--seed=x`) prints it to stderr and exits 2.
   static BenchArgs Parse(int argc, char** argv) {
     BenchArgs args;
+    const auto usage = [&](std::FILE* out, int code) {
+      std::fprintf(out, "usage: %s [--scale=F] [--seed=N] [--corpus=NAME]\n",
+                   argv[0]);
+      std::exit(code);
+    };
     for (int i = 1; i < argc; ++i) {
       const std::string_view arg = argv[i];
       if (arg.rfind("--scale=", 0) == 0) {
-        args.scale = std::atof(arg.substr(8).data());
+        const char* value = argv[i] + 8;
+        char* end = nullptr;
+        args.scale = std::strtod(value, &end);
+        if (end == value || *end != '\0' || !std::isfinite(args.scale) ||
+            args.scale <= 0) {
+          std::fprintf(stderr, "bad --scale: %s\n", argv[i]);
+          usage(stderr, 2);
+        }
       } else if (arg.rfind("--seed=", 0) == 0) {
-        args.seed = std::strtoull(arg.substr(7).data(), nullptr, 10);
+        const std::string_view value = arg.substr(7);
+        const auto [end, ec] = std::from_chars(
+            value.data(), value.data() + value.size(), args.seed);
+        if (value.empty() || ec != std::errc() ||
+            end != value.data() + value.size()) {
+          std::fprintf(stderr, "bad --seed: %s\n", argv[i]);
+          usage(stderr, 2);
+        }
       } else if (arg.rfind("--corpus=", 0) == 0) {
         args.corpus = std::string(arg.substr(9));
       } else if (arg == "--help" || arg == "-h") {
-        std::printf(
-            "usage: %s [--scale=F] [--seed=N] [--corpus=NAME]\n", argv[0]);
-        std::exit(0);
+        usage(stdout, 0);
+      } else {
+        std::fprintf(stderr, "unknown option: %s\n", argv[i]);
+        usage(stderr, 2);
       }
     }
-    if (args.scale <= 0) args.scale = 1.0;
     return args;
   }
 

@@ -6,14 +6,8 @@
 // Options:
 //   --port=N            port to bind on 127.0.0.1 (default 7878; 0 =
 //                       ephemeral, printed on startup)
-//   --threads=N         evaluation worker pool size (default 4);
-//                       parallelism *across* documents
-//   --engine-threads=N  lanes per evaluation *inside* one document:
-//                       sharded compression and partitioned axis sweeps
-//                       (default 1 — the sequential engine; answers are
-//                       identical for every value; see
-//                       docs/PARALLELISM.md). Peak lanes are
-//                       threads x engine-threads.
+//   --threads=N         evaluation worker pool size (default 4); each
+//                       request runs on one worker, single-threaded
 //   --capacity-mb=N     document store budget; past it the least-
 //                       recently-used document is evicted (default
 //                       unlimited)
@@ -81,11 +75,17 @@
 //   EVICT bib
 //   QUIT
 //
+// Numeric options take a whole decimal integer within the option's
+// range; anything else (`--queue-depth=1k`, `--port=70000`) prints
+// `bad --<option>: ...` and exits 2.
+//
 // See docs/SERVER.md for the full protocol and threading model.
 
 #include <unistd.h>
 
+#include <charconv>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -102,7 +102,7 @@ void HandleSignal(int) { g_stop = 1; }
 
 int Usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s [--port=N] [--threads=N] [--engine-threads=N] "
+               "usage: %s [--port=N] [--threads=N] "
                "[--capacity-mb=N] [--preload=NAME=PATH]... "
                "[--minimize[=off|full|incremental]] "
                "[--prune=on|off|verify] [--trace=off|slow:<ms>|all] "
@@ -114,6 +114,31 @@ int Usage(const char* argv0) {
   return 2;
 }
 
+/// True when `arg` is `--<flag>=...`.
+bool HasFlag(std::string_view arg, std::string_view flag) {
+  return arg.size() > flag.size() + 2 && arg.substr(0, 2) == "--" &&
+         arg.substr(2, flag.size()) == flag && arg[flag.size() + 2] == '=';
+}
+
+/// The value of `--<flag>=<value>` as a decimal integer in [min, max].
+/// The whole value must parse; on an empty value, a sign, trailing
+/// characters, overflow or a value out of range this prints
+/// `bad --<flag>: <arg>` and exits 2.
+uint64_t ParseCount(std::string_view arg, std::string_view flag,
+                    uint64_t min, uint64_t max) {
+  const std::string_view value = arg.substr(flag.size() + 3);
+  uint64_t n = 0;
+  const auto [end, ec] =
+      std::from_chars(value.data(), value.data() + value.size(), n);
+  if (value.empty() || ec != std::errc() ||
+      end != value.data() + value.size() || n < min || n > max) {
+    std::fprintf(stderr, "bad --%.*s: %.*s\n", static_cast<int>(flag.size()),
+                 flag.data(), static_cast<int>(arg.size()), arg.data());
+    std::exit(2);
+  }
+  return n;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -122,24 +147,17 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
-    if (arg.rfind("--port=", 0) == 0) {
-      options.port = static_cast<uint16_t>(
-          std::strtoul(arg.substr(7).data(), nullptr, 10));
-    } else if (arg.rfind("--engine-threads=", 0) == 0) {
-      options.session.engine_threads =
-          std::strtoull(arg.substr(17).data(), nullptr, 10);
-      if (options.session.engine_threads < 1) {
-        options.session.engine_threads = 1;
-      }
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      options.worker_threads =
-          std::strtoull(arg.substr(10).data(), nullptr, 10);
-    } else if (arg.rfind("--capacity-mb=", 0) == 0) {
+    if (HasFlag(arg, "port")) {
+      options.port =
+          static_cast<uint16_t>(ParseCount(arg, "port", 0, UINT16_MAX));
+    } else if (HasFlag(arg, "threads")) {
+      options.worker_threads = ParseCount(arg, "threads", 1, 1024);
+    } else if (HasFlag(arg, "capacity-mb")) {
       options.capacity_bytes =
-          std::strtoull(arg.substr(14).data(), nullptr, 10) * 1024 * 1024;
-    } else if (arg.rfind("--max-connections=", 0) == 0) {
+          ParseCount(arg, "capacity-mb", 0, SIZE_MAX >> 20) << 20;
+    } else if (HasFlag(arg, "max-connections")) {
       options.max_connections =
-          std::strtoull(arg.substr(18).data(), nullptr, 10);
+          ParseCount(arg, "max-connections", 0, SIZE_MAX);
     } else if (arg.rfind("--idle-timeout=", 0) == 0) {
       char* end = nullptr;
       options.idle_timeout_s = std::strtod(arg.substr(15).data(), &end);
@@ -154,18 +172,14 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "bad --write-timeout: %s\n", argv[i]);
         return 2;
       }
-    } else if (arg.rfind("--queue-depth=", 0) == 0) {
-      options.queue_depth =
-          std::strtoull(arg.substr(14).data(), nullptr, 10);
-    } else if (arg.rfind("--default-deadline-ms=", 0) == 0) {
+    } else if (HasFlag(arg, "queue-depth")) {
+      options.queue_depth = ParseCount(arg, "queue-depth", 0, SIZE_MAX);
+    } else if (HasFlag(arg, "default-deadline-ms")) {
+      // Same one-hour cap as a request's TIMEOUT clause.
       options.default_deadline_ms =
-          std::strtoull(arg.substr(22).data(), nullptr, 10);
-    } else if (arg.rfind("--max-batch=", 0) == 0) {
-      options.max_batch = std::strtoull(arg.substr(12).data(), nullptr, 10);
-      if (options.max_batch < 1) {
-        std::fprintf(stderr, "bad --max-batch: %s\n", argv[i]);
-        return 2;
-      }
+          ParseCount(arg, "default-deadline-ms", 0, 3600000);
+    } else if (HasFlag(arg, "max-batch")) {
+      options.max_batch = ParseCount(arg, "max-batch", 1, SIZE_MAX);
     } else if (arg.rfind("--data-dir=", 0) == 0) {
       options.data_dir = std::string(arg.substr(11));
       if (options.data_dir.empty()) {
@@ -260,11 +274,9 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "start failed: %s\n", started.ToString().c_str());
     return 1;
   }
-  std::printf("xcq_serverd listening on 127.0.0.1:%u (%zu workers, "
-              "%zu engine thread(s)%s)\n",
+  std::printf("xcq_serverd listening on 127.0.0.1:%u (%zu workers%s)\n",
               static_cast<unsigned>(server.port()),
               server.service().worker_count(),
-              options.session.engine_threads,
               options.capacity_bytes == 0
                   ? ""
                   : xcq::StrFormat(", capacity %s",

@@ -1,13 +1,10 @@
 #include "xcq/compress/compressor.h"
 
 #include <algorithm>
-#include <memory>
 #include <optional>
 #include <unordered_map>
 
 #include "xcq/compress/dag_builder.h"
-#include "xcq/compress/shard_outline.h"
-#include "xcq/parallel/task_pool.h"
 #include "xcq/tree/tree_skeleton.h"
 #include "xcq/util/timer.h"
 #include "xcq/xml/sax_parser.h"
@@ -16,10 +13,6 @@
 namespace xcq {
 
 namespace {
-
-/// Documents below this size never shard — the slices would not repay
-/// the per-shard parser setup and the merge.
-constexpr size_t kShardMinBytes = 64 * 1024;
 
 /// DagBuilder reservation heuristic: an element costs at least a few
 /// dozen bytes of markup, and distinct DAG vertices never exceed
@@ -34,21 +27,16 @@ size_t ReserveHintForBytes(size_t bytes) {
                                                    : hint);
 }
 
-/// Tag-name → relation-id interning shared by the sequential handler,
-/// the per-shard handlers, and the shard merge. Ids are assigned in
-/// resolution order, which every caller keeps equal to document
-/// open-tag order — the property that makes shard merges reproduce the
-/// sequential schema exactly.
+/// Tag-name → relation-id interning. Ids are assigned in resolution
+/// order, i.e. document open-tag order.
 class TagInterner {
  public:
   /// Pattern relations take ids [0, P); tag relations follow so that tag
   /// discovery during the scan can append names freely.
-  TagInterner(const CompressOptions& options, bool with_patterns)
+  explicit TagInterner(const CompressOptions& options)
       : mode_(options.mode) {
-    if (with_patterns) {
-      for (const std::string& pattern : options.patterns) {
-        relation_names_.push_back(Schema::StringRelationName(pattern));
-      }
+    for (const std::string& pattern : options.patterns) {
+      relation_names_.push_back(Schema::StringRelationName(pattern));
     }
     if (mode_ == LabelMode::kSchema) {
       for (const std::string& tag : options.tags) {
@@ -99,7 +87,7 @@ class CompressorHandler : public xml::SaxHandler {
       : matcher_(matcher),
         stats_(stats),
         builder_(reserve_hint),
-        tags_(options, /*with_patterns=*/true) {}
+        tags_(options) {}
 
   Status OnStartDocument() override {
     PushFrame(kDocumentTag);
@@ -209,193 +197,6 @@ class CompressorHandler : public xml::SaxHandler {
   VertexId root_ = kNoVertex;
 };
 
-/// Per-shard handler for one top-level slice of the document, parsed in
-/// fragment mode: like CompressorHandler without the #doc frame, the
-/// matcher (patterns force the sequential path), and with the roots of
-/// the slice's top-level subtrees collected as an RLE run list for the
-/// merge to splice into the document element's child sequence.
-class FragmentCompressor : public xml::SaxHandler {
- public:
-  FragmentCompressor(const CompressOptions& options, size_t reserve_hint)
-      : builder_(reserve_hint), tags_(options, /*with_patterns=*/false) {}
-
-  Status OnStartElement(std::string_view name,
-                        const std::vector<xml::Attribute>&) override {
-    ++tree_nodes_;
-    Frame frame;
-    frame.tag_label = tags_.Resolve(name);
-    if (!spare_edge_lists_.empty()) {
-      frame.edges = std::move(spare_edge_lists_.back());
-      spare_edge_lists_.pop_back();
-      frame.edges.clear();
-    }
-    stack_.push_back(std::move(frame));
-    return Status::OK();
-  }
-
-  Status OnCharacters(std::string_view text) override {
-    text_bytes_ += text.size();
-    return Status::OK();
-  }
-
-  Status OnEndElement(std::string_view) override {
-    Frame& frame = stack_.back();
-    labels_scratch_.clear();
-    if (frame.tag_label != kNoRelation) {
-      labels_scratch_.push_back(frame.tag_label);
-    }
-    const VertexId id = builder_.Intern(labels_scratch_, frame.edges);
-    spare_edge_lists_.push_back(std::move(frame.edges));
-    stack_.pop_back();
-    if (!stack_.empty()) {
-      AppendEdgeRle(&stack_.back().edges, Edge{id, 1});
-    } else {
-      AppendEdgeRle(&top_runs_, Edge{id, 1});
-    }
-    return Status::OK();
-  }
-
-  Status OnEndDocument() override {
-    return stack_.empty()
-               ? Status::OK()
-               : Status::Internal("fragment compressor stack not empty");
-  }
-
-  const DagBuilder& builder() const { return builder_; }
-  const std::vector<Edge>& top_runs() const { return top_runs_; }
-  const std::vector<std::string>& names() const { return tags_.names(); }
-  uint64_t tree_nodes() const { return tree_nodes_; }
-  uint64_t text_bytes() const { return text_bytes_; }
-
- private:
-  struct Frame {
-    RelationId tag_label;
-    std::vector<Edge> edges;
-  };
-
-  DagBuilder builder_;
-  TagInterner tags_;
-  std::vector<Frame> stack_;
-  std::vector<std::vector<Edge>> spare_edge_lists_;
-  std::vector<RelationId> labels_scratch_;
-  std::vector<Edge> top_runs_;
-  uint64_t tree_nodes_ = 0;
-  uint64_t text_bytes_ = 0;
-};
-
-/// Sharded compression (docs/PARALLELISM.md §3): parse the outlined
-/// slices concurrently into thread-local builders, then replay the
-/// shard DAGs into one global builder in document order. Interning in
-/// shard order reproduces the sequential pass's first-close order
-/// exactly — same vertex ids, same relation ids, same edges — so the
-/// result is bit-identical to CompressorHandler's.
-///
-/// Returns nullopt when any shard fails to parse; the caller then runs
-/// the sequential path, which reports the canonical error (with
-/// whole-document line numbers) or succeeds where the outline was
-/// wrong.
-std::optional<Result<Instance>> CompressSharded(
-    std::string_view xml, const CompressOptions& options,
-    const DocumentOutline& outline, CompressRunStats* stats) {
-  // Group consecutive top-level subtrees into byte-balanced slices —
-  // at most one per (hardware-clamped) lane, so a wild thread request
-  // cannot explode into per-subtree shards.
-  const size_t lanes = parallel::ClampLanes(options.threads);
-  std::vector<std::pair<size_t, size_t>> slices;
-  {
-    const size_t total = outline.content_end - outline.content_begin;
-    const size_t target = total / lanes + 1;
-    size_t begin = outline.content_begin;
-    for (const size_t cut : outline.cuts) {
-      if (cut - begin >= target) {
-        slices.emplace_back(begin, cut);
-        begin = cut;
-      }
-    }
-    if (begin < outline.content_end || slices.empty()) {
-      slices.emplace_back(begin, outline.content_end);
-    }
-  }
-  if (stats != nullptr) stats->shards = slices.size();
-  if (slices.size() < 2) return std::nullopt;  // nothing to parallelize
-
-  std::vector<std::unique_ptr<FragmentCompressor>> shards(slices.size());
-  std::vector<Status> statuses(slices.size(), Status::OK());
-  for (size_t s = 0; s < slices.size(); ++s) {
-    shards[s] = std::make_unique<FragmentCompressor>(
-        options, ReserveHintForBytes(slices[s].second - slices[s].first));
-  }
-  parallel::TaskPool& pool = parallel::SharedPool(options.threads);
-  pool.Run(slices.size(), [&](size_t s) {
-    xml::SaxParser::Options popts;
-    popts.fragment = true;
-    xml::SaxParser parser(popts);
-    statuses[s] = parser.Parse(
-        xml.substr(slices[s].first, slices[s].second - slices[s].first),
-        shards[s].get());
-  });
-  for (const Status& status : statuses) {
-    if (!status.ok()) return std::nullopt;  // sequential reports it
-  }
-
-  // Merge, in document order. The global builder's capacity is known
-  // exactly: no shard contributes more vertices than it interned.
-  size_t upper = 2;  // the document element and #doc
-  for (const auto& shard : shards) upper += shard->builder().vertex_count();
-  if (stats != nullptr) stats->dag_reserve = upper;
-  DagBuilder global(upper);
-  TagInterner global_tags(options, /*with_patterns=*/false);
-  // The sequential pass resolves #doc (OnStartDocument) and the
-  // document element's tag before any content tag; match its id order.
-  const RelationId doc_relation = global_tags.Resolve(kDocumentTag);
-  const RelationId root_relation = global_tags.Resolve(outline.root_tag);
-
-  std::vector<Edge> root_edges;
-  std::vector<RelationId> label_map;
-  std::vector<VertexId> vertex_map;
-  std::vector<RelationId> labels_scratch;
-  std::vector<Edge> edges_scratch;
-  for (const auto& shard : shards) {
-    const DagBuilder& local = shard->builder();
-    label_map.clear();
-    for (const std::string& name : shard->names()) {
-      label_map.push_back(global_tags.Resolve(name));
-    }
-    vertex_map.assign(local.vertex_count(), kNoVertex);
-    for (VertexId v = 0; v < local.vertex_count(); ++v) {
-      labels_scratch.clear();
-      for (const RelationId label : local.Labels(v)) {
-        labels_scratch.push_back(label_map[label]);
-      }
-      std::sort(labels_scratch.begin(), labels_scratch.end());
-      edges_scratch.clear();
-      for (const Edge& e : local.Edges(v)) {
-        // Children intern before parents, so the map entry is final.
-        edges_scratch.push_back(Edge{vertex_map[e.child], e.count});
-      }
-      vertex_map[v] = global.Intern(labels_scratch, edges_scratch);
-    }
-    for (const Edge& e : shard->top_runs()) {
-      AppendEdgeRle(&root_edges, Edge{vertex_map[e.child], e.count});
-    }
-    if (stats != nullptr) {
-      stats->tree_nodes += shard->tree_nodes();
-      stats->text_bytes += shard->text_bytes();
-    }
-  }
-
-  labels_scratch.clear();
-  if (root_relation != kNoRelation) labels_scratch.push_back(root_relation);
-  const VertexId doc_element = global.Intern(labels_scratch, root_edges);
-  labels_scratch.clear();
-  if (doc_relation != kNoRelation) labels_scratch.push_back(doc_relation);
-  const Edge doc_edge{doc_element, 1};
-  const VertexId root = global.Intern(labels_scratch, {&doc_edge, 1});
-  if (stats != nullptr) stats->tree_nodes += 2;  // doc element + #doc
-
-  return global.Finish(root, global_tags.names());
-}
-
 }  // namespace
 
 Result<Instance> CompressXmlWithStats(std::string_view xml,
@@ -411,27 +212,6 @@ Result<Instance> CompressXmlWithStats(std::string_view xml,
   }
   Timer timer;
   const size_t reserve_hint = ReserveHintForBytes(xml.size());
-
-  if (options.threads > 1 && options.patterns.empty() &&
-      xml.size() >= kShardMinBytes) {
-    const DocumentOutline outline = ScanDocumentOutline(xml);
-    if (outline.eligible && outline.cuts.size() >= 2) {
-      std::optional<Result<Instance>> sharded =
-          CompressSharded(xml, options, outline, stats);
-      if (sharded.has_value()) {
-        if (stats != nullptr) stats->parse_seconds = timer.Seconds();
-        return *std::move(sharded);
-      }
-      // A shard failed (or degenerated to one slice): start over on the
-      // sequential path, which reports the canonical error.
-      if (stats != nullptr) {
-        stats->tree_nodes = 0;
-        stats->text_bytes = 0;
-        stats->shards = 1;
-      }
-    }
-  }
-
   std::optional<xml::StringMatcher> matcher;
   if (!options.patterns.empty()) {
     XCQ_ASSIGN_OR_RETURN(matcher,

@@ -45,17 +45,6 @@ struct CompressOptions {
   /// String constraints to match (<= 64). The resulting relations are
   /// named `Schema::StringRelationName(pattern)`.
   std::vector<std::string> patterns;
-  /// Lanes for sharded compression (docs/PARALLELISM.md §3): the
-  /// document is split at top-level subtree boundaries, each slice is
-  /// parsed and hash-consed against a thread-local DagBuilder, and the
-  /// shard DAGs are merged in document order — producing an instance
-  /// *bit-identical* (vertex ids, relation ids, edges) to the
-  /// sequential pass. 1 = the single-pass compressor. Sharding is
-  /// skipped (sequential fallback, same output) for small documents,
-  /// documents whose top level does not split, and whenever string
-  /// `patterns` are requested — pattern matches may span subtree
-  /// boundaries, which only the sequential matcher can observe.
-  size_t threads = 1;
 };
 
 /// \brief Parses `xml` and returns its minimal compressed instance.
@@ -73,13 +62,9 @@ struct CompressRunStats {
   uint64_t text_bytes = 0;     ///< Character-data bytes fed to matching.
   uint64_t pattern_hits = 0;   ///< Pattern occurrences reported.
   double parse_seconds = 0.0;  ///< Wall time of the parse+compress pass.
-  /// Parallel shards the pass actually used (1 = sequential, whether by
-  /// request or by fallback — see CompressOptions::threads).
-  uint64_t shards = 1;
-  /// Vertex-count hint the pass's main DagBuilder hash-cons table was
-  /// reserved for: derived from the input byte count on a sequential
-  /// pass, from the exact summed shard vertex counts for a sharded
-  /// pass's merge builder (0 = default small table).
+  /// Vertex-count hint the pass's DagBuilder hash-cons table was
+  /// reserved for, derived from the input byte count (0 = default small
+  /// table).
   uint64_t dag_reserve = 0;
 };
 

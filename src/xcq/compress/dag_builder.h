@@ -29,11 +29,10 @@ class DagBuilder {
   /// `expected_vertices` pre-sizes the hash-cons table (in full — a
   /// rehash re-buckets everything) and a fraction of the record / label
   /// / edge arenas (amortized doubling covers the rest, so a hint that
-  /// overshoots on text-heavy documents wastes little). Callers size it
-  /// from what they know — the compressor from the input byte count (a
-  /// markup element costs tens of bytes of text, and distinct vertices
-  /// never exceed elements), the shard merge from the exact per-shard
-  /// vertex totals. 0 keeps the small default.
+  /// overshoots on text-heavy documents wastes little). The compressor
+  /// sizes it from the input byte count (a markup element costs tens of
+  /// bytes of text, and distinct vertices never exceed elements). 0
+  /// keeps the small default.
   explicit DagBuilder(size_t expected_vertices = 0);
 
   // The hash-table functors capture `this`; the builder must stay put.
@@ -55,14 +54,6 @@ class DagBuilder {
 
   /// Total RLE edges over all interned vertices.
   uint64_t rle_edge_count() const { return edges_.size(); }
-
-  /// The labels / child runs of an interned vertex (views valid until
-  /// the next Intern). Used by the sharded compressor's merge, which
-  /// replays one builder's vertices into another under an id remap.
-  std::span<const RelationId> Labels(VertexId v) const {
-    return LabelsOf(v);
-  }
-  std::span<const Edge> Edges(VertexId v) const { return EdgesOf(v); }
 
   /// Moves the built DAG into an `Instance`. `relation_names[i]` names
   /// the relation whose id `i` was used in `Intern` label lists. The

@@ -24,23 +24,19 @@ struct AxisStats {
   uint64_t splits = 0;   ///< Vertices cloned (partial decompression).
 };
 
-/// Each operator takes a `threads` hint: with `threads > 1` (and an
-/// instance large enough to amortize the barriers) the sweep runs on
-/// the shared `xcq::parallel` pool, partitioned into height-band /
-/// subtree shards. `threads = 1` is the sequential oracle. Parallel
-/// sweeps select exactly the same tree nodes and perform the same
-/// splits as the sequential kernels; only the id↔variant association
-/// after a split may differ (isomorphic DAGs, identical once
-/// re-minimized). See docs/PARALLELISM.md.
-///
-/// An optional `region` (from engine/prune.h) restricts the sweep to
-/// the vertices whose summary paths can contribute: downward/upward
-/// kernels only decide vertices inside the region, the sibling kernel
-/// only walks the child lists of region vertices. A non-null region
-/// selects the deterministic banded/phased form at any thread count
-/// (those forms admit region filtering without changing split order);
-/// the caller guarantees the region is closed per docs/INTERNALS.md §9,
-/// which makes the pruned sweep bit-identical to the unpruned one.
+/// Each operator has two single-threaded forms, selected by `region`.
+/// With `region = nullptr` it runs the depth-first Fig. 4 procedure —
+/// the unpruned reference form, also used when the path summary
+/// saturates. A non-null `region` (from engine/prune.h) selects the
+/// band/phase form, which admits region filtering without changing
+/// split order: downward/upward kernels only decide vertices inside the
+/// region, the sibling kernel only walks the child lists of region
+/// vertices. The caller guarantees the region is closed per
+/// docs/INTERNALS.md §9, which makes the pruned sweep select exactly
+/// the same tree nodes and perform the same splits as the unpruned one.
+/// The two forms agree on answers and split counts; only which variant
+/// keeps the original id after a split may differ (isomorphic DAGs,
+/// identical once re-minimized).
 ///
 /// An optional `guard` (engine/guard.h) is charged with the sweep's
 /// visit/split counts at band, phase, and stride boundaries — never
@@ -52,28 +48,27 @@ struct AxisStats {
 /// the shared-batch optimistic abort).
 
 /// \brief child / descendant / descendant-or-self — the Fig. 4 algorithm,
-/// implemented iteratively (sequential) or as a root-first height-band
-/// sweep (parallel).
+/// implemented iteratively, or as a root-first height-band sweep when
+/// given a region.
 Status ApplyDownwardAxis(Instance* instance, xpath::Axis axis,
                          RelationId src, RelationId dst,
-                         AxisStats* stats = nullptr, size_t threads = 1,
+                         AxisStats* stats = nullptr,
                          const DynamicBitset* region = nullptr,
                          EvalGuard* guard = nullptr);
 
 /// \brief self / parent / ancestor / ancestor-or-self — single bottom-up
-/// pass (leaf-first bands in parallel), never splits.
+/// pass (leaf-first bands when given a region), never splits.
 Status ApplyUpwardAxis(Instance* instance, xpath::Axis axis, RelationId src,
                        RelationId dst, AxisStats* stats = nullptr,
-                       size_t threads = 1,
                        const DynamicBitset* region = nullptr,
                        EvalGuard* guard = nullptr);
 
 /// \brief following-sibling / preceding-sibling — one pass over child
 /// lists, multiplicity-aware run splitting (demand/resolve/rewrite
-/// phases in parallel).
+/// phases when given a region).
 Status ApplySiblingAxis(Instance* instance, xpath::Axis axis,
                         RelationId src, RelationId dst,
-                        AxisStats* stats = nullptr, size_t threads = 1,
+                        AxisStats* stats = nullptr,
                         const DynamicBitset* region = nullptr,
                         EvalGuard* guard = nullptr);
 

@@ -2,15 +2,12 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cstddef>
 #include <limits>
 #include <span>
 #include <vector>
 
 #include "xcq/engine/prune.h"
-#include "xcq/engine/sweep.h"
-#include "xcq/parallel/task_pool.h"
 #include "xcq/util/timer.h"
 
 namespace xcq::engine {
@@ -272,35 +269,21 @@ class SharedBatchRunner {
   // --- Shared sweeps -------------------------------------------------------
 
   /// Per-vertex mask of queries whose `src` selection contains v,
-  /// computed once per sweep (flat shards; each id is written by
-  /// exactly one shard).
+  /// computed once per sweep.
   std::vector<uint64_t> SourceMasks(std::span<const AxisEntry> chunk,
-                                    const std::vector<VertexId>& order,
-                                    size_t threads) {
+                                    const std::vector<VertexId>& order) {
     std::vector<uint64_t> src_mask(instance_->vertex_count(), 0);
     std::vector<const DynamicBitset*> src_bits;
     src_bits.reserve(chunk.size());
     for (const AxisEntry& e : chunk) {
       src_bits.push_back(&instance_->RelationBits(e.src));
     }
-    const auto fill = [&](size_t begin, size_t end) {
-      for (size_t i = begin; i < end; ++i) {
-        const VertexId v = order[i];
-        uint64_t m = 0;
-        for (size_t q = 0; q < src_bits.size(); ++q) {
-          if (src_bits[q]->Test(v)) m |= uint64_t{1} << q;
-        }
-        src_mask[v] = m;
+    for (const VertexId v : order) {
+      uint64_t m = 0;
+      for (size_t q = 0; q < src_bits.size(); ++q) {
+        if (src_bits[q]->Test(v)) m |= uint64_t{1} << q;
       }
-    };
-    const size_t shards = SweepShardCount(order.size(), threads);
-    if (shards <= 1) {
-      fill(0, order.size());
-    } else {
-      const auto ranges = parallel::SplitRange(order.size(), shards);
-      parallel::SharedPool(threads).Run(ranges.size(), [&](size_t s) {
-        fill(ranges[s].first, ranges[s].second);
-      });
+      src_mask[v] = m;
     }
     return src_mask;
   }
@@ -459,56 +442,23 @@ class SharedBatchRunner {
                     int stage = -1) {
     const bool ancestor =
         axis == Axis::kAncestor || axis == Axis::kAncestorOrSelf;
-    const TraversalCache& t = instance_->EnsureTraversal(ancestor);
+    const TraversalCache& t = instance_->EnsureTraversal();
     const PruneGate gate = ChunkGate(SweepKind::kUpward, chunk, stage);
     CountSweep(gate, t.order.size());
     if (gate.skip) return;  // dst scratch columns stay all-zero
     const DynamicBitset* const region = gate.region;
-    const size_t threads = options_.threads;
-    const std::vector<uint64_t> src_mask =
-        SourceMasks(chunk, t.order, threads);
+    const std::vector<uint64_t> src_mask = SourceMasks(chunk, t.order);
     std::vector<uint64_t> up_mask(instance_->vertex_count(), 0);
 
-    const auto sweep_slice = [&](const std::vector<VertexId>& vertices,
-                                 size_t begin, size_t end) {
-      for (size_t i = begin; i < end; ++i) {
-        const VertexId v = vertices[i];
-        if (region != nullptr && !region->Test(v)) continue;
-        uint64_t m = 0;
-        for (const Edge& e : instance_->Children(v)) {
-          m |= src_mask[e.child];
-          if (ancestor) m |= up_mask[e.child];
-        }
-        up_mask[v] = m;
+    // Children-first over the cached order covers both axes.
+    for (const VertexId v : t.order) {
+      if (region != nullptr && !region->Test(v)) continue;
+      uint64_t m = 0;
+      for (const Edge& e : instance_->Children(v)) {
+        m |= src_mask[e.child];
+        if (ancestor) m |= up_mask[e.child];
       }
-    };
-
-    const size_t shards = SweepShardCount(t.order.size(), threads);
-    if (shards <= 1) {
-      // Children-first over the cached order covers both axes.
-      sweep_slice(t.order, 0, t.order.size());
-    } else if (!ancestor) {
-      // kParent reads only src masks: one flat parallel pass.
-      const auto ranges = parallel::SplitRange(t.order.size(), shards);
-      parallel::SharedPool(threads).Run(ranges.size(), [&](size_t s) {
-        sweep_slice(t.order, ranges[s].first, ranges[s].second);
-      });
-    } else {
-      // kAncestor: leaf-first bands; a band reads only masks of
-      // strictly lower bands, finalized at the previous barrier.
-      parallel::TaskPool& pool = parallel::SharedPool(threads);
-      for (const std::vector<VertexId>& band : t.bands) {
-        if (band.empty()) continue;
-        const size_t band_shards = SweepShardCount(band.size(), threads);
-        if (band_shards <= 1) {
-          sweep_slice(band, 0, band.size());
-          continue;
-        }
-        const auto ranges = parallel::SplitRange(band.size(), band_shards);
-        pool.Run(ranges.size(), [&](size_t s) {
-          sweep_slice(band, ranges[s].first, ranges[s].second);
-        });
-      }
+      up_mask[v] = m;
     }
 
     if (axis == Axis::kAncestorOrSelf) {
@@ -520,12 +470,7 @@ class SharedBatchRunner {
   /// child / descendant / descendant-or-self: root-first band sweep
   /// accumulating per-query demand masks. A vertex demanded with both
   /// bits by one query (and not folded by or-self) is a split the
-  /// sequential kernel would perform — the abort condition.
-  ///
-  /// Demand pushes are commutative ORs; inside a parallel band they go
-  /// through std::atomic_ref, while single-shard stretches use plain
-  /// ORs (an uncontended lock-prefixed RMW per edge would cost more
-  /// than the sharing saves on small batches).
+  /// per-query kernel would perform — the abort condition.
   bool SharedDownward(Axis axis, std::span<const AxisEntry> chunk,
                       int stage = -1) {
     const bool inherit = axis != Axis::kChild;
@@ -535,28 +480,23 @@ class SharedBatchRunner {
     CountSweep(gate, t.order.size());
     if (gate.skip) return true;  // selects nothing, demands nothing
     const DynamicBitset* const region = gate.region;
-    const size_t threads = options_.threads;
     const size_t n = instance_->vertex_count();
     const uint64_t full =
         chunk.size() == kMaskWidth
             ? ~uint64_t{0}
             : (uint64_t{1} << chunk.size()) - 1;
-    const std::vector<uint64_t> src_mask =
-        SourceMasks(chunk, t.order, threads);
+    const std::vector<uint64_t> src_mask = SourceMasks(chunk, t.order);
 
     // demand1[w] / demand0[w]: queries with an occurrence of w that
-    // must be selected / unselected. Commutative ORs, hence order-free.
+    // must be selected / unselected. ORs, hence order-free.
     std::vector<uint64_t> demand1(n, 0);
     std::vector<uint64_t> demand0(n, 0);
     std::vector<uint64_t> dst_mask(n, 0);
-    std::atomic<uint64_t> conflicts{0};
+    uint64_t conflicts = 0;
     const VertexId root = instance_->root();
 
-    const auto decide_slice = [&](const std::vector<VertexId>& band,
-                                  size_t begin, size_t end,
-                                  bool concurrent) {
-      for (size_t i = begin; i < end; ++i) {
-        const VertexId w = band[i];
+    for (size_t h = t.bands.size(); h-- > 0;) {
+      for (const VertexId w : t.bands[h]) {
         // Outside the region nothing can be demanded selected: any d1
         // receiver is in V(dst) and every parent of such a receiver is
         // in the trie-parent closure, so all clash-relevant pushes come
@@ -568,9 +508,7 @@ class SharedBatchRunner {
         const uint64_t os = or_self ? src_mask[w] : 0;
         const uint64_t clash = d1 & d0 & ~os;
         if (clash != 0) {
-          conflicts.fetch_add(static_cast<uint64_t>(
-                                  __builtin_popcountll(clash)),
-                              std::memory_order_relaxed);
+          conflicts += static_cast<uint64_t>(__builtin_popcountll(clash));
           continue;
         }
         const uint64_t mine = os | d1;
@@ -578,40 +516,13 @@ class SharedBatchRunner {
         const uint64_t out1 =
             src_mask[w] | (inherit ? mine : uint64_t{0});
         const uint64_t out0 = full & ~out1;
-        if (concurrent) {
-          for (const Edge& e : instance_->Children(w)) {
-            std::atomic_ref<uint64_t>(demand1[e.child])
-                .fetch_or(out1, std::memory_order_relaxed);
-            std::atomic_ref<uint64_t>(demand0[e.child])
-                .fetch_or(out0, std::memory_order_relaxed);
-          }
-        } else {
-          for (const Edge& e : instance_->Children(w)) {
-            demand1[e.child] |= out1;
-            demand0[e.child] |= out0;
-          }
+        for (const Edge& e : instance_->Children(w)) {
+          demand1[e.child] |= out1;
+          demand0[e.child] |= out0;
         }
       }
-    };
-
-    parallel::TaskPool& pool = parallel::SharedPool(threads);
-    for (size_t h = t.bands.size(); h-- > 0;) {
-      const std::vector<VertexId>& band = t.bands[h];
-      if (band.empty()) continue;
-      const size_t shards = SweepShardCount(band.size(), threads);
-      if (shards <= 1) {
-        decide_slice(band, 0, band.size(), /*concurrent=*/false);
-      } else {
-        const auto ranges = parallel::SplitRange(band.size(), shards);
-        pool.Run(ranges.size(), [&](size_t s) {
-          decide_slice(band, ranges[s].first, ranges[s].second,
-                       /*concurrent=*/true);
-        });
-      }
-      if (conflicts.load(std::memory_order_relaxed) != 0) {
-        if (stats_ != nullptr) {
-          stats_->conflicts += conflicts.load(std::memory_order_relaxed);
-        }
+      if (conflicts != 0) {
+        if (stats_ != nullptr) stats_->conflicts += conflicts;
         return false;
       }
     }
@@ -621,7 +532,7 @@ class SharedBatchRunner {
 
   /// following-sibling / preceding-sibling: one demand pass over every
   /// reachable child list. A run straddling a per-query selection
-  /// boundary demands both bits of its child — the split the sequential
+  /// boundary demands both bits of its child — the split the per-query
   /// kernel performs, hence the abort condition. Conflict-free demand
   /// masks ARE the answer: the rewritten lists would equal the
   /// originals run for run.
@@ -633,23 +544,18 @@ class SharedBatchRunner {
     CountSweep(gate, t.order.size());
     if (gate.skip) return true;  // no list can demand a selection
     const DynamicBitset* const region = gate.region;
-    const size_t threads = options_.threads;
     const size_t n = instance_->vertex_count();
     const uint64_t full =
         chunk.size() == kMaskWidth
             ? ~uint64_t{0}
             : (uint64_t{1} << chunk.size()) - 1;
-    const std::vector<uint64_t> src_mask =
-        SourceMasks(chunk, t.order, threads);
+    const std::vector<uint64_t> src_mask = SourceMasks(chunk, t.order);
 
-    // Plain ORs on the single-shard path, atomic_ref inside parallel
-    // shards (different vertices' lists push to shared children).
     std::vector<uint64_t> demand1(n, 0);
     std::vector<uint64_t> demand0(n, 0);
 
     const auto demand_run = [&](VertexId child, uint64_t count,
-                                uint64_t seen, uint64_t in_src,
-                                bool concurrent) {
+                                uint64_t seen, uint64_t in_src) {
       // First (forward) / last (backward) occurrence of the run takes
       // the `seen` history; the remaining count-1 follow (precede) a
       // same-vertex occurrence, so their history also includes in_src.
@@ -660,52 +566,29 @@ class SharedBatchRunner {
         d1 |= bulk;
         d0 |= full & ~bulk;
       }
-      if (concurrent) {
-        std::atomic_ref<uint64_t>(demand1[child])
-            .fetch_or(d1, std::memory_order_relaxed);
-        std::atomic_ref<uint64_t>(demand0[child])
-            .fetch_or(d0, std::memory_order_relaxed);
-      } else {
-        demand1[child] |= d1;
-        demand0[child] |= d0;
-      }
+      demand1[child] |= d1;
+      demand0[child] |= d0;
     };
-    const auto walk_slice = [&](size_t begin, size_t end,
-                                bool concurrent) {
-      for (size_t i = begin; i < end; ++i) {
-        // The region is the set of sibling lists that can contain a
-        // source child or a receiver; any other list's demands are
-        // all-zero history over non-source runs — nothing to push.
-        if (region != nullptr && !region->Test(t.order[i])) continue;
-        const std::span<const Edge> runs =
-            instance_->Children(t.order[i]);
-        uint64_t seen = 0;
-        if (forward) {
-          for (const Edge& run : runs) {
-            const uint64_t in_src = src_mask[run.child];
-            demand_run(run.child, run.count, seen, in_src, concurrent);
-            seen |= in_src;
-          }
-        } else {
-          for (size_t r = runs.size(); r-- > 0;) {
-            const uint64_t in_src = src_mask[runs[r].child];
-            demand_run(runs[r].child, runs[r].count, seen, in_src,
-                       concurrent);
-            seen |= in_src;
-          }
+    for (const VertexId v : t.order) {
+      // The region is the set of sibling lists that can contain a
+      // source child or a receiver; any other list's demands are
+      // all-zero history over non-source runs — nothing to push.
+      if (region != nullptr && !region->Test(v)) continue;
+      const std::span<const Edge> runs = instance_->Children(v);
+      uint64_t seen = 0;
+      if (forward) {
+        for (const Edge& run : runs) {
+          const uint64_t in_src = src_mask[run.child];
+          demand_run(run.child, run.count, seen, in_src);
+          seen |= in_src;
+        }
+      } else {
+        for (size_t r = runs.size(); r-- > 0;) {
+          const uint64_t in_src = src_mask[runs[r].child];
+          demand_run(runs[r].child, runs[r].count, seen, in_src);
+          seen |= in_src;
         }
       }
-    };
-
-    const size_t shards = SweepShardCount(t.order.size(), threads);
-    if (shards <= 1) {
-      walk_slice(0, t.order.size(), /*concurrent=*/false);
-    } else {
-      const auto ranges = parallel::SplitRange(t.order.size(), shards);
-      parallel::SharedPool(threads).Run(ranges.size(), [&](size_t s) {
-        walk_slice(ranges[s].first, ranges[s].second,
-                   /*concurrent=*/true);
-      });
     }
     demand0[instance_->root()] |= full;
 

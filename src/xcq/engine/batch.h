@@ -18,7 +18,7 @@
 /// between queries and lockstep does not. Every splitting axis is
 /// therefore evaluated in a conflict-detecting form — demands are
 /// accumulated per vertex and a vertex demanded with both selection
-/// bits by the same query is exactly a split the sequential kernel
+/// bits by the same query is exactly a split the per-query kernel
 /// would perform. On the first such conflict the whole shared attempt
 /// aborts *before any mutation*: scratch columns are returned, the
 /// instance is untouched, and the caller falls back to the per-query
@@ -66,8 +66,7 @@ struct SharedBatchResult {
 /// any input the shared path cannot handle (empty plans, missing
 /// context relation, a split demand) simply reports `engaged = false`
 /// so the caller can fall back to per-query evaluation — which will
-/// also surface any real error. `options.threads` shards the shared
-/// sweeps exactly like the per-query kernels.
+/// also surface any real error.
 SharedBatchResult EvaluateBatchShared(
     Instance* instance, const std::vector<algebra::QueryPlan>& plans,
     const EvalOptions& options, SharedBatchStats* stats = nullptr);

@@ -1,12 +1,9 @@
-#include <atomic>
 #include <cassert>
 #include <span>
 #include <utility>
 #include <vector>
 
 #include "xcq/engine/axes.h"
-#include "xcq/engine/sweep.h"
-#include "xcq/parallel/task_pool.h"
 
 namespace xcq::engine {
 
@@ -27,9 +24,9 @@ namespace {
 ///    DFS over a DAG any repeated child of an ancestor frame is reached
 ///    again only after its subtree completed — hence clones always copy
 ///    final, rewritten child lists.
-Status ApplyDownwardAxisSequential(Instance* instance, Axis axis,
-                                   RelationId src, RelationId dst,
-                                   AxisStats* stats, EvalGuard* guard) {
+Status ApplyDownwardAxisDfs(Instance* instance, Axis axis, RelationId src,
+                            RelationId dst, AxisStats* stats,
+                            EvalGuard* guard) {
   const bool inherit = axis != Axis::kChild;          // descendant / d-o-s
   const bool or_self = axis == Axis::kDescendantOrSelf;
 
@@ -115,15 +112,16 @@ Status ApplyDownwardAxisSequential(Instance* instance, Axis axis,
   return Status::OK();
 }
 
-/// Height-band reformulation of Fig. 4 (docs/PARALLELISM.md §2.2).
+/// Height-band reformulation of Fig. 4 (docs/INTERNALS.md §9.5).
 ///
-/// Bands are processed root-first. When band h starts, every vertex of
-/// height > h carries its final `dst` bit and has *pushed* what each of
-/// its edges demands of its child — src(p) ∨ inherit·dst(p) — into the
-/// child's demand flags (a commutative atomic OR, hence order-free).
-/// A band vertex folds its flags with or-self·src(w): one demanded bit
-/// → take it and push onward; both → split, the original keeping 0 and
-/// the clone (which pushes with bit 1) taking 1.
+/// `height(v)` (longest path to a leaf) strictly decreases along every
+/// edge, so bands are processed root-first: when band h starts, every
+/// vertex of height > h carries its final `dst` bit and has *pushed*
+/// what each of its edges demands of its child — src(p) ∨ inherit·dst(p)
+/// — into the child's demand flags (an OR, hence order-free). A band
+/// vertex folds its flags with or-self·src(w): one demanded bit → take
+/// it and push onward; both → split, the original keeping 0 and the
+/// clone (which pushes with bit 1) taking 1.
 ///
 /// Edges are re-pointed to the right variant in ONE deferred pass at
 /// the end — every edge's demand is recomputable from its (by then
@@ -135,24 +133,19 @@ Status ApplyDownwardAxisSequential(Instance* instance, Axis axis,
 /// The per-occurrence selections this computes are precisely Fig. 4's
 /// (each edge stands for a set of tree-node occurrences that share a
 /// parent variant, hence share a demanded bit), so answers match the
-/// sequential kernel; only which variant keeps the original id may
-/// differ (isomorphic DAGs, identical once re-minimized).
+/// DFS kernel; only which variant keeps the original id may differ
+/// (isomorphic DAGs, identical once re-minimized).
 ///
-/// Thread discipline: parallel phases write only atomic demand flags,
-/// per-vertex decision bytes, and per-shard buffers; all Instance
-/// mutation (clones, edge re-points, relation bits) happens on the
-/// calling thread between barriers.
-///
-/// With a `region` (engine/prune.h) only region vertices are decided.
-/// The region contains V(src ∪ dst) closed with every reachable parent
-/// of those vertices, so demand-1 receivers see their complete demand
-/// pair (split parity) while skipped vertices would — in the unpruned
-/// sweep — decide dst=0 and push demand-0, which region fringe vertices
-/// (no demands, no src bit) reproduce exactly.
+/// Only region vertices are decided. The region contains V(src ∪ dst)
+/// closed with every reachable parent of those vertices, so demand-1
+/// receivers see their complete demand pair (split parity) while
+/// skipped vertices would — in an unpruned sweep — decide dst=0 and
+/// push demand-0, which region fringe vertices (no demands, no src bit)
+/// reproduce exactly.
 Status ApplyDownwardAxisBanded(Instance* instance, Axis axis,
                                RelationId src, RelationId dst,
-                               AxisStats* stats, size_t threads,
-                               const DynamicBitset* region,
+                               AxisStats* stats,
+                               const DynamicBitset& region,
                                EvalGuard* guard) {
   const bool inherit = axis != Axis::kChild;
   const bool or_self = axis == Axis::kDescendantOrSelf;
@@ -160,15 +153,16 @@ Status ApplyDownwardAxisBanded(Instance* instance, Axis axis,
   // A reference into the traversal cache: the splits below invalidate
   // the cache for *later* readers, but no rebuild can happen while this
   // kernel runs (nothing here re-reads the cache), so the snapshot
-  // stays intact exactly like the by-value plan it replaces.
-  const SweepPlan& plan = BuildSweepPlan(*instance, /*need_heights=*/true);
+  // stays intact.
+  const TraversalCache& plan =
+      instance->EnsureTraversal(/*need_heights=*/true);
   const size_t n0 = instance->vertex_count();
   const DynamicBitset& src_bits = instance->RelationBits(src);
 
   // Demand flags per original vertex: bit 0 = some occurrence needs
   // dst=0, bit 1 = needs dst=1. Clones are born resolved and edges are
   // re-pointed only at the very end, so no clone ever receives flags.
-  std::vector<std::atomic<uint8_t>> demand(n0);
+  std::vector<uint8_t> demand(n0, 0);
   // dst bit per vertex, grown as clones are allocated; counterpart[w]
   // is w's bit-1 clone when w split.
   std::vector<uint8_t> dst_bit(n0, 0);
@@ -176,17 +170,10 @@ Status ApplyDownwardAxisBanded(Instance* instance, Axis axis,
   uint64_t split_count = 0;
   uint64_t charged_splits = 0;
 
-  parallel::TaskPool& pool = parallel::SharedPool(threads);
-  std::vector<std::pair<size_t, size_t>> ranges;
-  std::vector<std::vector<VertexId>> split_candidates;
-
-  // Finalize the bit of one band vertex from its flags and push its
-  // out-edge demands. Split candidates are deferred to the caller.
+  // Push a decided vertex's out-edge demands.
   const auto push_from = [&](VertexId v, bool bit) {
     const uint8_t out = src_bits.Test(v) || (inherit && bit) ? 2 : 1;
-    for (const Edge& e : instance->Children(v)) {
-      demand[e.child].fetch_or(out, std::memory_order_relaxed);
-    }
+    for (const Edge& e : instance->Children(v)) demand[e.child] |= out;
   };
 
   const VertexId root = instance->root();
@@ -200,56 +187,32 @@ Status ApplyDownwardAxisBanded(Instance* instance, Axis axis,
     // abort here leaves the instance representing the same tree, at
     // worst with unreachable clone leftovers.
     if (guard != nullptr) {
-      const uint64_t before = split_count;
-      XCQ_RETURN_IF_ERROR(guard->Charge(band.size(), before - charged_splits));
-      charged_splits = before;
+      XCQ_RETURN_IF_ERROR(
+          guard->Charge(band.size(), split_count - charged_splits));
+      charged_splits = split_count;
     }
 
-    // Decide-and-push phase. Decisions depend only on flags accumulated
-    // by (finalized) higher bands, so they are independent of sharding;
-    // candidate lists concatenated in shard order reproduce band order
-    // for every thread count.
-    const size_t shards = SweepShardCount(band.size(), threads);
-    ranges = parallel::SplitRange(band.size(), shards);
-    split_candidates.assign(ranges.size(), {});
-    const auto decide_range = [&](size_t s) {
-      for (size_t i = ranges[s].first; i < ranges[s].second; ++i) {
-        const VertexId w = band[i];
-        if (region != nullptr && !region->Test(w)) continue;
-        const bool os = or_self && src_bits.Test(w);
-        uint8_t d = demand[w].load(std::memory_order_relaxed);
-        if (d == 0) {
-          // Only the root receives no demands (every other reachable
-          // vertex is entered by a reachable parent's edge).
-          d = w == root ? 1 : d;
-        }
-        if (os) d = 2;  // or-self folds every occurrence to selected
-        if (d == 3) {
-          dst_bit[w] = 0;  // the original keeps 0; the clone takes 1
-          split_candidates[s].push_back(w);
-          push_from(w, false);
-        } else {
-          dst_bit[w] = d == 2 ? 1 : 0;
-          push_from(w, dst_bit[w] != 0);
-        }
-      }
-    };
-    if (ranges.size() == 1) {
-      decide_range(0);
-    } else {
-      pool.Run(ranges.size(), decide_range);
-    }
-
-    // Split phase (sequential): allocate clones in band order; each
-    // clone pushes with bit 1 (its child list equals the original's).
-    for (const std::vector<VertexId>& candidates : split_candidates) {
-      for (const VertexId w : candidates) {
+    // Decisions depend only on flags pushed by (finalized) higher
+    // bands, so clones are allocated in band order.
+    for (const VertexId w : band) {
+      if (!region.Test(w)) continue;
+      uint8_t d = demand[w];
+      // Only the root receives no demands (every other reachable
+      // vertex is entered by a reachable parent's edge).
+      if (d == 0 && w == root) d = 1;
+      if (or_self && src_bits.Test(w)) d = 2;  // every occurrence selected
+      if (d == 3) {
+        // The original keeps 0; the clone (same child list) takes 1.
+        push_from(w, false);
         const VertexId clone = instance->CloneVertex(w);
         counterpart[w] = clone;
         dst_bit.push_back(1);  // dst_bit[clone]
         ++split_count;
         if (stats != nullptr) ++stats->splits;
         push_from(clone, true);
+      } else {
+        dst_bit[w] = d == 2 ? 1 : 0;
+        push_from(w, dst_bit[w] != 0);
       }
     }
   }
@@ -261,71 +224,45 @@ Status ApplyDownwardAxisBanded(Instance* instance, Axis axis,
   }
 
   // Deferred re-point pass, skipped when nothing split: every edge to a
-  // split vertex goes to the variant its own demand selects. Parallel
-  // shards only fill buffers; the commit (which touches the edge arena
-  // and dirty tracking) stays on the calling thread, in shard order.
+  // split vertex goes to the variant its own demand selects. Edges are
+  // committed in plan order, then clone order.
   if (split_count > 0) {
-    const size_t total = plan.order.size();
-    const size_t clones = instance->vertex_count() - n0;
-    struct Repoint {
-      VertexId parent;
-      uint32_t run;
-      VertexId variant;
-    };
-    const size_t shards = SweepShardCount(total + clones, threads);
-    ranges = parallel::SplitRange(total + clones, shards);
-    std::vector<std::vector<Repoint>> repoints(ranges.size());
-    const auto scan_range = [&](size_t s) {
-      for (size_t i = ranges[s].first; i < ranges[s].second; ++i) {
-        const VertexId v = i < total
-                               ? plan.order[i]
-                               : static_cast<VertexId>(n0 + (i - total));
-        // Reachable parents of split vertices are always in the region
-        // (split vertices sit in its base), so skipped vertices have no
-        // edges to re-point.
-        if (region != nullptr && i < total && !region->Test(v)) continue;
-        const bool demands =
-            src_bits.Test(v) || (inherit && dst_bit[v] != 0);
-        const std::span<const Edge> children = instance->Children(v);
-        for (uint32_t j = 0; j < children.size(); ++j) {
-          const VertexId w = children[j].child;
-          if (counterpart[w] == kNoVertex) continue;
-          // A split child never has or-self·src(w) (that forces every
-          // occurrence selected, i.e. no split), so the edge's variant
-          // depends on the parent's demand alone.
-          assert(!(or_self && src_bits.Test(w)));
-          if (demands) {
-            repoints[s].push_back(Repoint{v, j, counterpart[w]});
-          }
-        }
+    const auto repoint = [&](VertexId v) {
+      if (!src_bits.Test(v) && !(inherit && dst_bit[v] != 0)) return;
+      const std::span<const Edge> children = instance->Children(v);
+      for (uint32_t j = 0; j < children.size(); ++j) {
+        const VertexId w = children[j].child;
+        if (counterpart[w] == kNoVertex) continue;
+        // A split child never has or-self·src(w) (that forces every
+        // occurrence selected, i.e. no split), so the edge's variant
+        // depends on the parent's demand alone.
+        assert(!(or_self && src_bits.Test(w)));
+        instance->MutableChildren(v)[j].child = counterpart[w];
       }
     };
-    if (ranges.size() == 1) {
-      scan_range(0);
-    } else {
-      pool.Run(ranges.size(), scan_range);
+    // Reachable parents of split vertices are always in the region
+    // (split vertices sit in its base), so skipped vertices have no
+    // edges to re-point.
+    for (const VertexId v : plan.order) {
+      if (region.Test(v)) repoint(v);
     }
-    for (const std::vector<Repoint>& batch : repoints) {
-      for (const Repoint& r : batch) {
-        instance->MutableChildren(r.parent)[r.run].child = r.variant;
-      }
+    for (VertexId v = static_cast<VertexId>(n0);
+         v < instance->vertex_count(); ++v) {
+      repoint(v);
     }
   }
 
   // Skipped vertices keep their (zeroed) dst bit: the destination is a
   // zeroed column by the operator contract.
   for (const VertexId v : plan.order) {
-    if (region != nullptr && !region->Test(v)) continue;
-    instance->AssignBit(dst, v, dst_bit[v] != 0);
+    if (region.Test(v)) instance->AssignBit(dst, v, dst_bit[v] != 0);
   }
   for (VertexId v = static_cast<VertexId>(n0);
        v < instance->vertex_count(); ++v) {
     instance->AssignBit(dst, v, dst_bit[v] != 0);
   }
   if (stats != nullptr) {
-    stats->visited +=
-        (region != nullptr ? region->Count() : plan.order.size()) +
-        (instance->vertex_count() - n0);
+    stats->visited += region.Count() + (instance->vertex_count() - n0);
   }
   return Status::OK();
 }
@@ -334,8 +271,7 @@ Status ApplyDownwardAxisBanded(Instance* instance, Axis axis,
 
 Status ApplyDownwardAxis(Instance* instance, Axis axis, RelationId src,
                          RelationId dst, AxisStats* stats,
-                         size_t threads, const DynamicBitset* region,
-                         EvalGuard* guard) {
+                         const DynamicBitset* region, EvalGuard* guard) {
   if (axis != Axis::kChild && axis != Axis::kDescendant &&
       axis != Axis::kDescendantOrSelf) {
     return Status::InvalidArgument("ApplyDownwardAxis: not a downward axis");
@@ -343,14 +279,13 @@ Status ApplyDownwardAxis(Instance* instance, Axis axis, RelationId src,
   if (instance->root() == kNoVertex) {
     return Status::InvalidArgument("ApplyDownwardAxis: empty instance");
   }
-  // A region selects the banded form at any thread count: band/phase
-  // iteration admits region filtering without changing split order.
-  if (region != nullptr ||
-      (threads > 1 && instance->vertex_count() >= 2 * kSweepGrain)) {
-    return ApplyDownwardAxisBanded(instance, axis, src, dst, stats,
-                                   threads, region, guard);
+  // A region selects the banded form: band iteration admits region
+  // filtering without changing split order.
+  if (region != nullptr) {
+    return ApplyDownwardAxisBanded(instance, axis, src, dst, stats, *region,
+                                   guard);
   }
-  return ApplyDownwardAxisSequential(instance, axis, src, dst, stats, guard);
+  return ApplyDownwardAxisDfs(instance, axis, src, dst, stats, guard);
 }
 
 }  // namespace xcq::engine

@@ -248,18 +248,18 @@ class PlanRunner {
         case Axis::kAncestor:
         case Axis::kAncestorOrSelf:
           status = ApplyUpwardAxis(instance_, axis, s, d, &sweep_stats,
-                                   options_.threads, gate.region, &guard_);
+                                   gate.region, &guard_);
           break;
         case Axis::kChild:
         case Axis::kDescendant:
         case Axis::kDescendantOrSelf:
           status = ApplyDownwardAxis(instance_, axis, s, d, &sweep_stats,
-                                     options_.threads, gate.region, &guard_);
+                                     gate.region, &guard_);
           break;
         case Axis::kFollowingSibling:
         case Axis::kPrecedingSibling:
           status = ApplySiblingAxis(instance_, axis, s, d, &sweep_stats,
-                                    options_.threads, gate.region, &guard_);
+                                    gate.region, &guard_);
           break;
         default:
           status = Status::Internal("Sweep: unexpected axis");
@@ -289,8 +289,7 @@ class PlanRunner {
       case Axis::kSelf:
         // A plain column copy — nothing to prune.
         dst = NewTemporary();
-        XCQ_RETURN_IF_ERROR(ApplyUpwardAxis(instance_, axis, src, dst,
-                                            nullptr, options_.threads));
+        XCQ_RETURN_IF_ERROR(ApplyUpwardAxis(instance_, axis, src, dst));
         break;
       case Axis::kParent:
       case Axis::kAncestor:

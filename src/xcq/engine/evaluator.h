@@ -39,10 +39,6 @@ struct EvalOptions {
   /// the result (mirrors the paper's note that intermediate selections
   /// "can be removed from an instance").
   bool remove_temporaries = true;
-  /// Lanes for the axis sweeps (docs/PARALLELISM.md). 1 = the sequential
-  /// oracle; more lanes shard each sweep over the process-wide task
-  /// pool. Answers are independent of the value.
-  size_t threads = 1;
   /// Restrict axis sweeps to the vertices whose path-summary paths can
   /// contribute (docs/INTERNALS.md §9). Answers, splits, and the
   /// resulting instance are independent of the value; `false` is the

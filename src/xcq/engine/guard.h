@@ -8,8 +8,8 @@
 /// One `EvalGuard` is shared by every sweep of one plan evaluation. The
 /// kernels call `Charge(visits, splits)` at their structural
 /// checkpoints — band boundaries, phase boundaries, stride-counted DFS
-/// batches — never from inner hot loops, and only from the
-/// coordinating thread, so the accumulators are plain integers. A
+/// batches — never from inner hot loops. A sweep runs on one thread,
+/// so the accumulators are plain integers. A
 /// charge that pushes an accumulator past its cap converts a cost
 /// blow-up (the paper's Sec. 5 worst case: a split cascade that
 /// balloons the DAG) into a clean `kResourceExhausted`; the token poll

@@ -1,11 +1,8 @@
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <vector>
 
 #include "xcq/engine/axes.h"
-#include "xcq/engine/sweep.h"
-#include "xcq/parallel/task_pool.h"
 
 namespace xcq::engine {
 
@@ -84,10 +81,10 @@ class VariantResolver {
 };
 
 /// Walks one child list and reports the `dst` bit each emitted run
-/// requires of its child — the shared core of both the sequential
-/// rewrite and the parallel kernel's two passes. `emit(child, count,
-/// bit)` receives the runs of the rewritten list in assembly order
-/// (left-to-right for following-sibling, right-to-left for preceding).
+/// requires of its child — the shared core of the DFS-form rewrite and
+/// the phased form's two passes. `emit(child, count, bit)` receives the
+/// runs of the rewritten list in assembly order (left-to-right for
+/// following-sibling, right-to-left for preceding).
 template <typename Emit>
 void WalkSiblingRuns(std::span<const Edge> runs, bool forward,
                      const DynamicBitset& src_bits, const Emit& emit) {
@@ -121,9 +118,9 @@ void WalkSiblingRuns(std::span<const Edge> runs, bool forward,
 }
 
 /// Backward lists are assembled right-to-left: restore document order
-/// and re-merge runs the reversal made adjacent. Shared by the
-/// sequential kernel and the phased rewrite so the canonical form can
-/// never diverge between the two.
+/// and re-merge runs the reversal made adjacent. Shared by the DFS-form
+/// kernel and the phased rewrite so the canonical form can never
+/// diverge between the two.
 void FinishBackwardList(std::vector<Edge>* rewritten) {
   std::reverse(rewritten->begin(), rewritten->end());
   std::vector<Edge> canonical;
@@ -132,9 +129,9 @@ void FinishBackwardList(std::vector<Edge>* rewritten) {
   rewritten->swap(canonical);
 }
 
-Status ApplySiblingAxisSequential(Instance* instance, Axis axis,
-                                  RelationId src, RelationId dst,
-                                  AxisStats* stats, EvalGuard* guard) {
+Status ApplySiblingAxisDfs(Instance* instance, Axis axis, RelationId src,
+                           RelationId dst, AxisStats* stats,
+                           EvalGuard* guard) {
   const bool forward = axis == Axis::kFollowingSibling;
   const DynamicBitset& src_bits = instance->RelationBits(src);
 
@@ -173,56 +170,46 @@ Status ApplySiblingAxisSequential(Instance* instance, Axis axis,
   return Status::OK();
 }
 
-/// Parallel sibling rewrite (docs/PARALLELISM.md §2.3).
+/// Phased sibling rewrite (docs/INTERNALS.md §9.5).
 ///
 /// A sibling selection does not propagate into subtrees, so each child
 /// list can be rewritten from `src` bits alone — the only coupling
 /// between vertices is *which variants of each child exist*. Three
 /// phases:
-///  1. demand   (parallel): every reachable list is walked; the bit each
-///     emitted run requires of its child is OR-ed into the child's
-///     demand flags. Commutative, hence deterministic.
-///  2. resolve  (sequential): vertices demanded with both bits split.
+///  1. demand:  every region list is walked; the bit each emitted run
+///     requires of its child is OR-ed into the child's demand flags.
+///  2. resolve: vertices demanded with both bits split, in plan order.
 ///     The original keeps the *lower* demanded bit, the clone the other
 ///     — a rule independent of discovery order.
-///  3. rewrite  (parallel): lists are walked again, now mapping each
-///     run to its child's variant, into per-shard buffers; the calling
-///     thread commits them (SetEdges, relation bits) in plan order, so
-///     the edge arena layout is identical for every thread count.
-/// With a `region` (engine/prune.h) only region-owned child lists are
-/// walked. The region covers every list containing a potential source
-/// or receiver, so demand-1 flags and split decisions are exactly the
-/// unpruned ones; children of skipped lists are never demanded with
-/// bit 1, which makes those lists' rewrites equal-content no-ops — so
-/// skipping them leaves the instance bit-identical.
+///  3. rewrite: lists are walked again, now mapping each run to its
+///     child's variant, and committed (SetEdges) in plan order.
+/// Only region-owned child lists are walked. The region covers every
+/// list containing a potential source or receiver, so demand-1 flags
+/// and split decisions are exactly the unpruned ones; children of
+/// skipped lists are never demanded with bit 1, which makes those
+/// lists' rewrites equal-content no-ops — so skipping them leaves the
+/// instance bit-identical.
 Status ApplySiblingAxisPhased(Instance* instance, Axis axis,
                               RelationId src, RelationId dst,
-                              AxisStats* stats, size_t threads,
-                              const DynamicBitset* region,
+                              AxisStats* stats, const DynamicBitset& region,
                               EvalGuard* guard) {
   const bool forward = axis == Axis::kFollowingSibling;
   // Cache reference; safe across the mutations below for the same
   // reason as in downward.cc (no mid-sweep cache re-read).
-  const SweepPlan& plan = BuildSweepPlan(*instance, /*need_heights=*/false);
+  const TraversalCache& plan = instance->EnsureTraversal();
   const size_t n0 = instance->vertex_count();
   const DynamicBitset& src_bits = instance->RelationBits(src);
-  parallel::TaskPool& pool = parallel::SharedPool(threads);
-  const size_t shards = SweepShardCount(plan.order.size(), threads);
-  const auto ranges = parallel::SplitRange(plan.order.size(), shards);
 
   // Demand phase. Bit 0: some occurrence needs dst=0; bit 1: dst=1.
-  std::vector<std::atomic<uint8_t>> demand(n0);
-  pool.Run(ranges.size(), [&](size_t s) {
-    for (size_t i = ranges[s].first; i < ranges[s].second; ++i) {
-      if (region != nullptr && !region->Test(plan.order[i])) continue;
-      WalkSiblingRuns(instance->Children(plan.order[i]), forward, src_bits,
-                      [&](VertexId w, uint64_t, bool bit) {
-                        demand[w].fetch_or(bit ? 2 : 1,
-                                           std::memory_order_relaxed);
-                      });
-    }
-  });
-  demand[instance->root()].fetch_or(1, std::memory_order_relaxed);
+  std::vector<uint8_t> demand(n0, 0);
+  for (const VertexId v : plan.order) {
+    if (!region.Test(v)) continue;
+    WalkSiblingRuns(instance->Children(v), forward, src_bits,
+                    [&](VertexId w, uint64_t, bool bit) {
+                      demand[w] |= bit ? 2 : 1;
+                    });
+  }
+  demand[instance->root()] |= 1;
 
   // Guard checkpoint between demand and resolve: nothing has mutated
   // yet (demand writes only the side flags), so an abort here leaves
@@ -235,69 +222,40 @@ Status ApplySiblingAxisPhased(Instance* instance, Axis axis,
   std::vector<uint8_t> dst_bit(n0, 0);
   std::vector<VertexId> counterpart(n0, kNoVertex);
   for (const VertexId v : plan.order) {
-    const uint8_t d = demand[v].load(std::memory_order_relaxed);
-    dst_bit[v] = d == 2 ? 1 : 0;  // both demanded: original keeps 0
-    if (d == 3) {
+    dst_bit[v] = demand[v] == 2 ? 1 : 0;  // both demanded: original keeps 0
+    if (demand[v] == 3) {
       counterpart[v] = instance->CloneVertex(v);
       if (stats != nullptr) ++stats->splits;
     }
   }
 
   // Guard checkpoint between resolve and rewrite: the clones allocated
-  // above are unreachable until the commit phase re-points parents at
-  // them, so an abort here leaves only clone leftovers. Past this
-  // point the sweep runs to completion.
+  // above are unreachable until the rewrite re-points parents at them,
+  // so an abort here leaves only clone leftovers. Past this point the
+  // sweep runs to completion.
   if (guard != nullptr) {
     XCQ_RETURN_IF_ERROR(guard->Charge(0, instance->vertex_count() - n0));
   }
 
-  // Rewrite phase: per-shard buffers, no Instance mutation.
-  struct ShardLists {
-    std::vector<Edge> edges;
-    std::vector<uint32_t> lengths;  // one per vertex of the shard slice
-  };
-  std::vector<ShardLists> shard_lists(ranges.size());
-  pool.Run(ranges.size(), [&](size_t s) {
-    ShardLists& out = shard_lists[s];
-    std::vector<Edge> rewritten;
-    for (size_t i = ranges[s].first; i < ranges[s].second; ++i) {
-      if (region != nullptr && !region->Test(plan.order[i])) continue;
-      rewritten.clear();
-      WalkSiblingRuns(
-          instance->Children(plan.order[i]), forward, src_bits,
-          [&](VertexId w, uint64_t count, bool bit) {
-            const VertexId variant =
-                dst_bit[w] == (bit ? 1 : 0) ? w : counterpart[w];
-            assert(variant != kNoVertex);
-            AppendEdgeRle(&rewritten, Edge{variant, count});
-          });
-      if (!forward) FinishBackwardList(&rewritten);
-      out.lengths.push_back(static_cast<uint32_t>(rewritten.size()));
-      out.edges.insert(out.edges.end(), rewritten.begin(),
-                       rewritten.end());
-    }
-  });
-
-  // Commit phase (sequential, plan order): rewritten lists — a clone
-  // shares its original's list, differing only in the dst bit — then
-  // the relation column.
-  // Skipped lists need no commit: their rewrite is a no-op, and a
-  // skipped vertex's clone (split as a *child* elsewhere) was born with
-  // a copy of the identical list.
-  for (size_t s = 0; s < ranges.size(); ++s) {
-    const ShardLists& out = shard_lists[s];
-    size_t offset = 0;
-    size_t emitted = 0;
-    for (size_t i = ranges[s].first; i < ranges[s].second; ++i) {
-      const VertexId v = plan.order[i];
-      if (region != nullptr && !region->Test(v)) continue;
-      const uint32_t length = out.lengths[emitted++];
-      const std::span<const Edge> list{out.edges.data() + offset, length};
-      offset += length;
-      instance->SetEdges(v, list);
-      if (counterpart[v] != kNoVertex) {
-        instance->SetEdges(counterpart[v], list);
-      }
+  // Rewrite phase, in plan order. A clone shares its original's list,
+  // differing only in the dst bit. Skipped lists need no commit: their
+  // rewrite is a no-op, and a skipped vertex's clone (split as a
+  // *child* elsewhere) was born with a copy of the identical list.
+  std::vector<Edge> rewritten;
+  for (const VertexId v : plan.order) {
+    if (!region.Test(v)) continue;
+    rewritten.clear();
+    WalkSiblingRuns(instance->Children(v), forward, src_bits,
+                    [&](VertexId w, uint64_t count, bool bit) {
+                      const VertexId variant =
+                          dst_bit[w] == (bit ? 1 : 0) ? w : counterpart[w];
+                      assert(variant != kNoVertex);
+                      AppendEdgeRle(&rewritten, Edge{variant, count});
+                    });
+    if (!forward) FinishBackwardList(&rewritten);
+    instance->SetEdges(v, rewritten);
+    if (counterpart[v] != kNoVertex) {
+      instance->SetEdges(counterpart[v], rewritten);
     }
   }
   for (const VertexId v : plan.order) {
@@ -307,9 +265,7 @@ Status ApplySiblingAxisPhased(Instance* instance, Axis axis,
     }
   }
   if (stats != nullptr) {
-    stats->visited +=
-        (region != nullptr ? region->Count() : plan.order.size()) +
-        (instance->vertex_count() - n0);
+    stats->visited += region.Count() + (instance->vertex_count() - n0);
   }
   return Status::OK();
 }
@@ -324,21 +280,19 @@ Status ApplySiblingAxisPhased(Instance* instance, Axis axis,
 /// mentions under Prop. 3.4).
 Status ApplySiblingAxis(Instance* instance, Axis axis, RelationId src,
                         RelationId dst, AxisStats* stats,
-                        size_t threads, const DynamicBitset* region,
-                        EvalGuard* guard) {
+                        const DynamicBitset* region, EvalGuard* guard) {
   if (axis != Axis::kFollowingSibling && axis != Axis::kPrecedingSibling) {
     return Status::InvalidArgument("ApplySiblingAxis: not a sibling axis");
   }
   if (instance->root() == kNoVertex) {
     return Status::InvalidArgument("ApplySiblingAxis: empty instance");
   }
-  // A region selects the phased form at any thread count.
-  if (region != nullptr ||
-      (threads > 1 && instance->vertex_count() >= 2 * kSweepGrain)) {
-    return ApplySiblingAxisPhased(instance, axis, src, dst, stats,
-                                  threads, region, guard);
+  // A region selects the phased form.
+  if (region != nullptr) {
+    return ApplySiblingAxisPhased(instance, axis, src, dst, stats, *region,
+                                  guard);
   }
-  return ApplySiblingAxisSequential(instance, axis, src, dst, stats, guard);
+  return ApplySiblingAxisDfs(instance, axis, src, dst, stats, guard);
 }
 
 }  // namespace xcq::engine

@@ -1,8 +1,6 @@
 #include <vector>
 
 #include "xcq/engine/axes.h"
-#include "xcq/engine/sweep.h"
-#include "xcq/parallel/task_pool.h"
 
 namespace xcq::engine {
 
@@ -10,37 +8,32 @@ using xpath::Axis;
 
 namespace {
 
-/// Parallel kParent / kAncestor(-OrSelf) (docs/PARALLELISM.md §2.1).
+/// Region form of kParent / kAncestor(-OrSelf) (docs/INTERNALS.md
+/// §9.5). Upward axes never split (Prop. 3.3) and only *read* the DAG:
+/// kParent is one flat pass over the cached order, kAncestor a
+/// leaf-first band sweep in which a band reads only bits of strictly
+/// lower, already final bands. Each vertex's bit lands in its own byte
+/// of `up_bit`; the bits enter the relation column in one pass at the
+/// end, which also keeps unreachable split leftovers silent, exactly
+/// like the unpruned loop over the post-order.
 ///
-/// Upward axes never split (Prop. 3.3) and only *read* the DAG, so the
-/// parallel form is a leaf-first band sweep: all vertices of height h
-/// are independent given finalized lower bands (kParent reads only
-/// `src`, so it is even a single flat sweep — every band at once).
-/// Each vertex's bit lands in its own byte of `up_bit`; the bits enter
-/// the relation column in one sequential pass at the end, which also
-/// keeps unreachable split leftovers silent, exactly like the
-/// sequential loop over PostOrder().
-/// With a `region` (engine/prune.h) only region vertices are decided.
-/// The region is V(dst): a vertex outside it can neither be selected
-/// nor (being unselected) influence an ancestor's decision, so skipped
-/// children are read as up_bit = 0, which is their unpruned value.
+/// Only region vertices are decided. The region is V(dst): a vertex
+/// outside it can neither be selected nor (being unselected) influence
+/// an ancestor's decision, so skipped children are read as up_bit = 0,
+/// which is their unpruned value.
 Status ApplyUpwardAxisBanded(Instance* instance, Axis axis, RelationId src,
                              RelationId dst, AxisStats* stats,
-                             size_t threads, const DynamicBitset* region,
-                             EvalGuard* guard) {
+                             const DynamicBitset& region, EvalGuard* guard) {
   const bool ancestor =
       axis == Axis::kAncestor || axis == Axis::kAncestorOrSelf;
-  const SweepPlan& plan =
-      BuildSweepPlan(*instance, /*need_heights=*/ancestor);
+  const TraversalCache& plan =
+      instance->EnsureTraversal(/*need_heights=*/ancestor);
   const DynamicBitset& src_bits = instance->RelationBits(src);
   std::vector<uint8_t> up_bit(instance->vertex_count(), 0);
-  parallel::TaskPool& pool = parallel::SharedPool(threads);
 
-  const auto sweep_slice = [&](const std::vector<VertexId>& vertices,
-                               size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      const VertexId v = vertices[i];
-      if (region != nullptr && !region->Test(v)) continue;
+  const auto sweep = [&](const std::vector<VertexId>& vertices) {
+    for (const VertexId v : vertices) {
+      if (!region.Test(v)) continue;
       for (const Edge& e : instance->Children(v)) {
         if (src_bits.Test(e.child) ||
             (ancestor && up_bit[e.child] != 0)) {
@@ -52,35 +45,22 @@ Status ApplyUpwardAxisBanded(Instance* instance, Axis axis, RelationId src,
   };
 
   if (!ancestor) {
-    // kParent: no cross-vertex dependency at all. Upward sweeps never
-    // mutate, so a single guard charge up front suffices — an abort
-    // here costs at most one flat pass of overshoot.
+    // kParent reads only `src`. Upward sweeps never mutate, so a single
+    // guard charge up front suffices — an abort here costs at most one
+    // flat pass of overshoot.
     if (guard != nullptr) {
       XCQ_RETURN_IF_ERROR(guard->Charge(plan.order.size(), 0));
     }
-    const size_t shards = SweepShardCount(plan.order.size(), threads);
-    const auto ranges = parallel::SplitRange(plan.order.size(), shards);
-    pool.Run(ranges.size(), [&](size_t s) {
-      sweep_slice(plan.order, ranges[s].first, ranges[s].second);
-    });
+    sweep(plan.order);
   } else {
-    // kAncestor: leaf-first bands; a band only reads bits of strictly
-    // lower bands, finalized before the previous barrier. Read-only,
-    // so the between-band checkpoint may abort anywhere.
+    // kAncestor: leaf-first bands. Read-only, so the between-band
+    // checkpoint may abort anywhere.
     for (const std::vector<VertexId>& band : plan.bands) {
       if (band.empty()) continue;
       if (guard != nullptr) {
         XCQ_RETURN_IF_ERROR(guard->Charge(band.size(), 0));
       }
-      const size_t shards = SweepShardCount(band.size(), threads);
-      if (shards == 1) {
-        sweep_slice(band, 0, band.size());
-        continue;
-      }
-      const auto ranges = parallel::SplitRange(band.size(), shards);
-      pool.Run(ranges.size(), [&](size_t s) {
-        sweep_slice(band, ranges[s].first, ranges[s].second);
-      });
+      sweep(band);
     }
   }
 
@@ -90,10 +70,7 @@ Status ApplyUpwardAxisBanded(Instance* instance, Axis axis, RelationId src,
   if (axis == Axis::kAncestorOrSelf) {
     instance->MutableRelationBits(dst) |= src_bits;
   }
-  if (stats != nullptr) {
-    stats->visited +=
-        region != nullptr ? region->Count() : plan.order.size();
-  }
+  if (stats != nullptr) stats->visited += region.Count();
   return Status::OK();
 }
 
@@ -105,7 +82,7 @@ Status ApplyUpwardAxisBanded(Instance* instance, Axis axis, RelationId src,
 /// vertex is the same for all of its occurrences), so one bottom-up pass
 /// suffices.
 Status ApplyUpwardAxis(Instance* instance, Axis axis, RelationId src,
-                       RelationId dst, AxisStats* stats, size_t threads,
+                       RelationId dst, AxisStats* stats,
                        const DynamicBitset* region, EvalGuard* guard) {
   if (!xpath::IsUpwardAxis(axis)) {
     return Status::InvalidArgument("ApplyUpwardAxis: not an upward axis");
@@ -114,16 +91,14 @@ Status ApplyUpwardAxis(Instance* instance, Axis axis, RelationId src,
     return Status::InvalidArgument("ApplyUpwardAxis: empty instance");
   }
 
-  // A region selects the banded form at any thread count (kSelf is a
-  // plain column copy and is never gated).
-  if (axis != Axis::kSelf &&
-      (region != nullptr ||
-       (threads > 1 && instance->vertex_count() >= 2 * kSweepGrain))) {
-    return ApplyUpwardAxisBanded(instance, axis, src, dst, stats, threads,
-                                 region, guard);
+  // A region selects the banded form (kSelf is a plain column copy and
+  // is never gated).
+  if (axis != Axis::kSelf && region != nullptr) {
+    return ApplyUpwardAxisBanded(instance, axis, src, dst, stats, *region,
+                                 guard);
   }
 
-  // Sequential upward sweeps only read the DAG and set bits of the
+  // Unpruned upward sweeps only read the DAG and set bits of the
   // zeroed dst column, so any stride boundary is a safe abort point.
   constexpr uint64_t kGuardStride = 4096;
   uint64_t since_charge = 0;

@@ -100,7 +100,7 @@ struct Edge {
 /// `EnsureTraversal` are stable until the next rebuild — callers that
 /// mutate the instance while iterating must copy first (the kernels
 /// snapshot by holding the reference across a generation they know is
-/// stale only for *later* readers; see docs/PARALLELISM.md §2).
+/// stale only for *later* readers; see docs/INTERNALS.md §9.5).
 struct TraversalCache {
   static constexpr uint32_t kNoHeight = UINT32_MAX;
 

@@ -123,7 +123,6 @@ Status QuerySession::EnsureLabels(const std::vector<std::string>& tags,
 
   CompressOptions copts;
   copts.mode = LabelMode::kSchema;
-  copts.threads = options_.engine_threads;
   if (fresh) {
     // First query (or per-query mode): one scan with the full label set.
     copts.tags = tags;
@@ -163,7 +162,6 @@ Status QuerySession::EnsureLabels(const std::vector<std::string>& tags,
 engine::EvalOptions QuerySession::MakeEvalOptions(
     const QueryControl& control) const {
   engine::EvalOptions eval_options;
-  eval_options.threads = options_.engine_threads;
   eval_options.prune_sweeps = options_.prune_sweeps;
   eval_options.cancel = control.cancel;
   eval_options.max_sweep_visits = control.max_sweep_visits != 0
@@ -360,7 +358,6 @@ Status QuerySession::VerifyPrunedSweeps(Instance snapshot,
                                         const QueryOutcome& outcome,
                                         RelationId result) const {
   engine::EvalOptions oracle_options;
-  oracle_options.threads = options_.engine_threads;
   oracle_options.prune_sweeps = false;
   engine::EvalStats oracle_stats;
   XCQ_ASSIGN_OR_RETURN(

@@ -78,13 +78,6 @@ struct SessionOptions {
   /// the resulting reachable sizes. Expensive — it re-introduces the
   /// full-sweep cost pruning avoids; for tests and bring-up only.
   bool verify_pruned_sweeps = false;
-  /// Lanes for the *intra-document* parallelism of docs/PARALLELISM.md:
-  /// sharded compression of this document's instance and partitioned
-  /// axis sweeps during evaluation. 1 (the default) is the sequential
-  /// oracle; answers are identical for every value. Distinct from the
-  /// server's worker pool, which parallelizes *across* documents —
-  /// worker_threads × engine_threads is the daemon's peak lane count.
-  size_t engine_threads = 1;
   /// Default per-query work budgets (engine/guard.h); 0 = unlimited.
   /// Applied to every evaluation unless the per-request `QueryControl`
   /// overrides them. Blow-ups convert to `kResourceExhausted` instead
@@ -218,8 +211,8 @@ class QuerySession {
                                     obs::QueryTrace* trace,
                                     const QueryControl& control);
 
-  /// Engine options for one evaluation under `control`: session threads
-  /// and pruning, plus cancellation and the resolved work budgets
+  /// Engine options for one evaluation under `control`: session
+  /// pruning, plus cancellation and the resolved work budgets
   /// (per-request override wins over the session default).
   engine::EvalOptions MakeEvalOptions(const QueryControl& control) const;
 

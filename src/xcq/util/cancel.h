@@ -18,7 +18,7 @@
 /// docs/INTERNALS.md §10).
 ///
 /// Tokens are written from one thread (cancel) and read from many
-/// (worker lanes); all members are atomics with relaxed ordering —
+/// (worker threads); all members are atomics with relaxed ordering —
 /// cancellation is a latency hint, not a synchronization edge, and a
 /// poll that misses a just-set flag simply catches it next checkpoint.
 

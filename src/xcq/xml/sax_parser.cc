@@ -115,7 +115,7 @@ class ParserImpl {
           open_tags_.size(), static_cast<int>(open_tags_.back().size()),
           open_tags_.back().data()));
     }
-    if (!seen_root_ && !options_.fragment) {
+    if (!seen_root_) {
       return cursor_.Error("document has no root element");
     }
     return handler_->OnEndDocument();
@@ -164,7 +164,7 @@ class ParserImpl {
 
   Status ParseCdata() {
     const size_t begin_offset = cursor_.pos();
-    if (open_tags_.empty() && !options_.fragment) {
+    if (open_tags_.empty()) {
       return cursor_.Error("CDATA section outside of root element");
     }
     const size_t begin = cursor_.pos();
@@ -181,7 +181,7 @@ class ParserImpl {
     if (name.empty()) {
       return cursor_.ErrorAt(name_offset, "expected element name after '<'");
     }
-    if (open_tags_.empty() && seen_root_ && !options_.fragment) {
+    if (open_tags_.empty() && seen_root_) {
       return cursor_.ErrorAt(name_offset,
                              "document has more than one root element");
     }
@@ -282,7 +282,7 @@ class ParserImpl {
     while (!cursor_.AtEnd() && cursor_.Peek() != '<') cursor_.Advance();
     const std::string_view raw = cursor_.Slice(begin, cursor_.pos());
     const bool whitespace_only = Trim(raw).empty();
-    if (open_tags_.empty() && !options_.fragment) {
+    if (open_tags_.empty()) {
       if (!whitespace_only) {
         return cursor_.ErrorAt(begin, "character data outside root element");
       }

@@ -60,12 +60,6 @@ class SaxParser {
     bool report_whitespace = false;
     /// Maximum element nesting depth (guards the event consumers' stacks).
     size_t max_depth = 100000;
-    /// Parse a *document fragment*: any number of top-level elements
-    /// (including zero), with character data and CDATA sections allowed
-    /// between them (reported by the usual rules). Used by the sharded
-    /// compressor, which slices one document at top-level subtree
-    /// boundaries (docs/PARALLELISM.md §3).
-    bool fragment = false;
   };
 
   SaxParser() = default;

@@ -21,10 +21,9 @@
 namespace xcq {
 namespace {
 
-SessionOptions ServingOptions(size_t threads) {
-  SessionOptions options;  // reuse_instance on, minimize off: the
-  options.engine_threads = threads;  // daemon's serving defaults
-  return options;
+SessionOptions ServingOptions() {
+  return SessionOptions{};  // reuse_instance on, minimize off: the
+                            // daemon's serving defaults
 }
 
 /// Runs `queries` through a fresh batched session and a fresh
@@ -42,16 +41,16 @@ SessionOptions ServingOptions(size_t threads) {
 /// server_test's BATCH-vs-sequential check).
 void ExpectBatchMatchesSequential(const std::string& xml,
                                   const std::vector<std::string>& queries,
-                                  size_t threads, int warmup_rounds,
+                                  int warmup_rounds,
                                   uint64_t* shared_count = nullptr,
                                   uint64_t* fallback_count = nullptr) {
   const bool strict = warmup_rounds > 0;
   XCQ_ASSERT_OK_AND_ASSIGN(
       QuerySession batched,
-      QuerySession::Open(xml, ServingOptions(threads)));
+      QuerySession::Open(xml, ServingOptions()));
   XCQ_ASSERT_OK_AND_ASSIGN(
       QuerySession sequential,
-      QuerySession::Open(xml, ServingOptions(threads)));
+      QuerySession::Open(xml, ServingOptions()));
 
   for (int r = 0; r < warmup_rounds; ++r) {
     for (const std::string& query : queries) {
@@ -107,16 +106,12 @@ TEST(BatchSweepTest, UpwardOnlyBatchSharesEvenCold) {
       "//book[author]",
       "//*[author]",
   };
-  for (const size_t threads : {size_t{1}, size_t{4}}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    uint64_t shared = 0;
-    uint64_t fallback = 0;
-    ExpectBatchMatchesSequential(testing::BibExampleXml(), queries,
-                                 threads, /*warmup_rounds=*/0, &shared,
-                                 &fallback);
-    EXPECT_EQ(shared, 1u);
-    EXPECT_EQ(fallback, 0u);
-  }
+  uint64_t shared = 0;
+  uint64_t fallback = 0;
+  ExpectBatchMatchesSequential(testing::BibExampleXml(), queries,
+                               /*warmup_rounds=*/0, &shared, &fallback);
+  EXPECT_EQ(shared, 1u);
+  EXPECT_EQ(fallback, 0u);
 }
 
 TEST(BatchSweepTest, ColdSplittingBatchFallsBackAndMatches) {
@@ -131,7 +126,7 @@ TEST(BatchSweepTest, ColdSplittingBatchFallsBackAndMatches) {
       "<r><a><b/><b/><b/></a><a><b/><b/><b/></a><a><c/><b/></a></r>";
   uint64_t shared = 0;
   uint64_t fallback = 0;
-  ExpectBatchMatchesSequential(xml, queries, /*threads=*/1,
+  ExpectBatchMatchesSequential(xml, queries,
                                /*warmup_rounds=*/0, &shared, &fallback);
   EXPECT_EQ(shared, 0u);
   EXPECT_EQ(fallback, 1u);
@@ -148,19 +143,16 @@ TEST(BatchSweepTest, WarmedSplittingBatchEngagesSharing) {
   };
   const std::string xml =
       "<r><a><b/><b/><b/></a><a><b/><b/><b/></a><a><c/><b/></a></r>";
-  for (const size_t threads : {size_t{1}, size_t{4}}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    uint64_t shared = 0;
-    uint64_t fallback = 0;
-    ExpectBatchMatchesSequential(xml, queries, threads,
-                                 /*warmup_rounds=*/2, &shared, &fallback);
-    EXPECT_EQ(shared, 1u);
-    EXPECT_EQ(fallback, 0u);
-  }
+  uint64_t shared = 0;
+  uint64_t fallback = 0;
+  ExpectBatchMatchesSequential(xml, queries,
+                               /*warmup_rounds=*/2, &shared, &fallback);
+  EXPECT_EQ(shared, 1u);
+  EXPECT_EQ(fallback, 0u);
 }
 
 TEST(BatchSweepTest, OptionOffDisablesSharing) {
-  SessionOptions options = ServingOptions(1);
+  SessionOptions options = ServingOptions();
   options.shared_batch_sweeps = false;
   XCQ_ASSERT_OK_AND_ASSIGN(
       QuerySession session,
@@ -175,7 +167,7 @@ TEST(BatchSweepTest, MinimizeAfterQueryDisablesSharing) {
   // Per-query re-minimization between batch members re-orders
   // mutations; sharing must stand down and results still match the
   // sequential minimizing session.
-  SessionOptions options = ServingOptions(1);
+  SessionOptions options = ServingOptions();
   options.minimize_after_query = true;
   XCQ_ASSERT_OK_AND_ASSIGN(
       QuerySession batched,
@@ -197,7 +189,7 @@ TEST(BatchSweepTest, MinimizeAfterQueryDisablesSharing) {
 TEST(BatchSweepTest, SingleQueryBatchTakesThePerQueryPath) {
   XCQ_ASSERT_OK_AND_ASSIGN(
       QuerySession session,
-      QuerySession::Open(testing::BibExampleXml(), ServingOptions(1)));
+      QuerySession::Open(testing::BibExampleXml(), ServingOptions()));
   XCQ_ASSERT_OK_AND_ASSIGN(const std::vector<QueryOutcome> outcomes,
                            session.RunBatch({"//author"}));
   EXPECT_EQ(outcomes.size(), 1u);
@@ -220,19 +212,16 @@ TEST(BatchSweepTest, MixedLengthPlansShareInLockstep) {
   gen.target_nodes = 1500;
   gen.seed = 11;
   const std::string xml = corpus::Shakespeare().Generate(gen);
-  for (const size_t threads : {size_t{1}, size_t{4}}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    uint64_t shared = 0;
-    ExpectBatchMatchesSequential(xml, queries, threads,
-                                 /*warmup_rounds=*/2, &shared, nullptr);
-    EXPECT_EQ(shared, 1u);
-  }
+  uint64_t shared = 0;
+  ExpectBatchMatchesSequential(xml, queries,
+                               /*warmup_rounds=*/2, &shared, nullptr);
+  EXPECT_EQ(shared, 1u);
 }
 
 TEST(BatchSweepEquivalenceTest, WarmedBatchesOverEveryCorpus) {
   // The full acceptance property: for every corpus, a warmed serving
   // mix (Appendix-A queries plus generic axes) batched with shared
-  // sweeps answers exactly like per-query evaluation, at 1 and 4 lanes.
+  // sweeps answers exactly like per-query evaluation.
   size_t corpus_index = 0;
   for (const corpus::CorpusGenerator* generator : corpus::AllCorpora()) {
     SCOPED_TRACE(std::string(generator->name()));
@@ -248,18 +237,14 @@ TEST(BatchSweepEquivalenceTest, WarmedBatchesOverEveryCorpus) {
       for (const std::string_view q : set->queries) queries.emplace_back(q);
     }
 
-    for (const size_t threads : {size_t{1}, size_t{4}}) {
-      SCOPED_TRACE("threads=" + std::to_string(threads));
-      // Warmed: sharing must both engage and agree. (Engagement is
-      // asserted via the counter; equality via every outcome.)
-      uint64_t shared = 0;
-      ExpectBatchMatchesSequential(xml, queries, threads,
-                                   /*warmup_rounds=*/2, &shared, nullptr);
-      EXPECT_EQ(shared, 1u) << "sharing did not engage after warmup";
-      // Cold: whatever the attempt decides, answers must match.
-      ExpectBatchMatchesSequential(xml, queries, threads,
-                                   /*warmup_rounds=*/0);
-    }
+    // Warmed: sharing must both engage and agree. (Engagement is
+    // asserted via the counter; equality via every outcome.)
+    uint64_t shared = 0;
+    ExpectBatchMatchesSequential(xml, queries,
+                                 /*warmup_rounds=*/2, &shared, nullptr);
+    EXPECT_EQ(shared, 1u) << "sharing did not engage after warmup";
+    // Cold: whatever the attempt decides, answers must match.
+    ExpectBatchMatchesSequential(xml, queries, /*warmup_rounds=*/0);
     ++corpus_index;
   }
 }
@@ -280,39 +265,36 @@ TEST(BatchSweepPruningTest, PrunedSharedBatchMatchesUnprunedSharedBatch) {
   gen.seed = 23;
   const std::string xml = corpus::Shakespeare().Generate(gen);
 
-  for (const size_t threads : {size_t{1}, size_t{4}}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    SessionOptions with = ServingOptions(threads);
-    SessionOptions without = ServingOptions(threads);
-    without.prune_sweeps = false;
-    XCQ_ASSERT_OK_AND_ASSIGN(QuerySession pruned,
-                             QuerySession::Open(xml, with));
-    XCQ_ASSERT_OK_AND_ASSIGN(QuerySession full,
-                             QuerySession::Open(xml, without));
-    for (int r = 0; r < 2; ++r) {  // warm both to the split fixpoint
-      for (const std::string& query : queries) {
-        XCQ_ASSERT_OK(pruned.Run(query).status());
-        XCQ_ASSERT_OK(full.Run(query).status());
-      }
+  SessionOptions with = ServingOptions();
+  SessionOptions without = ServingOptions();
+  without.prune_sweeps = false;
+  XCQ_ASSERT_OK_AND_ASSIGN(QuerySession pruned,
+                           QuerySession::Open(xml, with));
+  XCQ_ASSERT_OK_AND_ASSIGN(QuerySession full,
+                           QuerySession::Open(xml, without));
+  for (int r = 0; r < 2; ++r) {  // warm both to the split fixpoint
+    for (const std::string& query : queries) {
+      XCQ_ASSERT_OK(pruned.Run(query).status());
+      XCQ_ASSERT_OK(full.Run(query).status());
     }
-    XCQ_ASSERT_OK_AND_ASSIGN(const std::vector<QueryOutcome> a,
-                             pruned.RunBatch(queries));
-    XCQ_ASSERT_OK_AND_ASSIGN(const std::vector<QueryOutcome> b,
-                             full.RunBatch(queries));
-    EXPECT_EQ(pruned.shared_batch_count(), 1u);
-    EXPECT_EQ(full.shared_batch_count(), 1u);
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t i = 0; i < a.size(); ++i) {
-      SCOPED_TRACE(queries[i]);
-      EXPECT_EQ(a[i].selected_tree_nodes, b[i].selected_tree_nodes);
-      EXPECT_EQ(a[i].selected_dag_nodes, b[i].selected_dag_nodes);
-    }
-    EXPECT_GT(a.front().stats.pruned_sweeps + a.front().stats.skipped_sweeps,
-              0u);
-    EXPECT_LE(a.front().stats.sweep_visited, a.front().stats.sweep_full);
-    EXPECT_EQ(b.front().stats.pruned_sweeps, 0u);
-    EXPECT_EQ(b.front().stats.skipped_sweeps, 0u);
   }
+  XCQ_ASSERT_OK_AND_ASSIGN(const std::vector<QueryOutcome> a,
+                           pruned.RunBatch(queries));
+  XCQ_ASSERT_OK_AND_ASSIGN(const std::vector<QueryOutcome> b,
+                           full.RunBatch(queries));
+  EXPECT_EQ(pruned.shared_batch_count(), 1u);
+  EXPECT_EQ(full.shared_batch_count(), 1u);
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    SCOPED_TRACE(queries[i]);
+    EXPECT_EQ(a[i].selected_tree_nodes, b[i].selected_tree_nodes);
+    EXPECT_EQ(a[i].selected_dag_nodes, b[i].selected_dag_nodes);
+  }
+  EXPECT_GT(a.front().stats.pruned_sweeps + a.front().stats.skipped_sweeps,
+            0u);
+  EXPECT_LE(a.front().stats.sweep_visited, a.front().stats.sweep_full);
+  EXPECT_EQ(b.front().stats.pruned_sweeps, 0u);
+  EXPECT_EQ(b.front().stats.skipped_sweeps, 0u);
 }
 
 TEST(BatchSweepServerTest, StoredDocumentReportsSharedBatches) {

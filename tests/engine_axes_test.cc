@@ -1,3 +1,6 @@
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "test_util.h"
@@ -332,6 +335,107 @@ TEST(FollowingAxisTest, MatchesCompositionDefinition) {
   // after first title: everything except bib, book, title1 -> 9 nodes
   // (others are subsets). 9 it is.
   EXPECT_EQ(f.DstTreeCount(), 9u);
+}
+
+// --- region form vs. the Fig. 4 DFS form ----------------------------------
+
+struct SweepOutcome {
+  uint64_t selected_dag = 0;
+  uint64_t selected_tree = 0;
+  uint64_t splits = 0;
+  uint64_t reachable_vertices = 0;
+  uint64_t reachable_edges = 0;
+  uint64_t min_vertices = 0;
+  uint64_t min_edges = 0;
+};
+
+/// Runs one kernel on a copy of `base`. Without `region_form` the kernel
+/// takes its Fig. 4 DFS form (`region = nullptr`); with it, an all-ones
+/// region selects the band/phase form while pruning nothing.
+SweepOutcome RunAxisSweep(const Instance& base, xpath::Axis axis,
+                          RelationId src, bool region_form) {
+  Instance instance = base;
+  const RelationId dst = instance.AddRelation("test:dst");
+  const DynamicBitset all(instance.vertex_count(), true);
+  const DynamicBitset* region = region_form ? &all : nullptr;
+  AxisStats stats;
+  Status status;
+  if (xpath::IsUpwardAxis(axis)) {
+    status = ApplyUpwardAxis(&instance, axis, src, dst, &stats, region);
+  } else if (axis == xpath::Axis::kFollowingSibling ||
+             axis == xpath::Axis::kPrecedingSibling) {
+    status = ApplySiblingAxis(&instance, axis, src, dst, &stats, region);
+  } else {
+    status = ApplyDownwardAxis(&instance, axis, src, dst, &stats, region);
+  }
+  SweepOutcome outcome;
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  if (!status.ok()) return outcome;
+  EXPECT_TRUE(instance.Validate().ok()) << instance.Validate().ToString();
+  outcome.selected_dag = SelectedDagNodeCount(instance, dst);
+  outcome.selected_tree = SelectedTreeNodeCount(instance, dst);
+  outcome.splits = stats.splits;
+  outcome.reachable_vertices = instance.ReachableCount();
+  outcome.reachable_edges = instance.ReachableEdgeCount();
+  const Result<Instance> minimal = Minimize(instance);
+  EXPECT_TRUE(minimal.ok());
+  if (minimal.ok()) {
+    outcome.min_vertices = minimal.Value().vertex_count();
+    outcome.min_edges = minimal.Value().rle_edge_count();
+  }
+  return outcome;
+}
+
+TEST(RegionFormTest, EveryAxisMatchesDfsForm) {
+  // TreeBank compresses worst (deep, irregular), so its sweeps split
+  // plenty and the two forms' split handling is really compared.
+  XCQ_ASSERT_OK_AND_ASSIGN(const corpus::CorpusGenerator* generator,
+                           corpus::FindCorpus("TreeBank"));
+  corpus::GenerateOptions gen;
+  gen.target_nodes = 25000;
+  gen.seed = 3;
+  const std::string xml = generator->Generate(gen);
+  XCQ_ASSERT_OK_AND_ASSIGN(const Instance base, CompressXml(xml, {}));
+
+  // Sweep from relations of very different densities.
+  std::vector<RelationId> sources;
+  size_t best_count = 0;
+  RelationId densest = kNoRelation;
+  for (const RelationId r : base.LiveRelations()) {
+    const size_t count = base.RelationBits(r).Count();
+    if (count > best_count) {
+      densest = r;
+      best_count = count;
+    }
+    if (count > 0 && sources.size() < 2) sources.push_back(r);
+  }
+  ASSERT_NE(densest, kNoRelation);
+  sources.push_back(densest);
+
+  const xpath::Axis kAxes[] = {
+      xpath::Axis::kChild,            xpath::Axis::kDescendant,
+      xpath::Axis::kDescendantOrSelf, xpath::Axis::kParent,
+      xpath::Axis::kAncestor,         xpath::Axis::kAncestorOrSelf,
+      xpath::Axis::kFollowingSibling, xpath::Axis::kPrecedingSibling};
+  uint64_t total_splits = 0;
+  for (const RelationId src : sources) {
+    for (const xpath::Axis axis : kAxes) {
+      SCOPED_TRACE(std::string("axis ") + std::string(xpath::AxisName(axis)) +
+                   " src " + std::string(base.schema().Name(src)));
+      const SweepOutcome dfs = RunAxisSweep(base, axis, src, false);
+      const SweepOutcome banded = RunAxisSweep(base, axis, src, true);
+      EXPECT_EQ(dfs.selected_dag, banded.selected_dag);
+      EXPECT_EQ(dfs.selected_tree, banded.selected_tree);
+      EXPECT_EQ(dfs.splits, banded.splits);
+      EXPECT_EQ(dfs.reachable_vertices, banded.reachable_vertices);
+      EXPECT_EQ(dfs.reachable_edges, banded.reachable_edges);
+      EXPECT_EQ(dfs.min_vertices, banded.min_vertices);
+      EXPECT_EQ(dfs.min_edges, banded.min_edges);
+      total_splits += dfs.splits;
+    }
+  }
+  EXPECT_GT(total_splits, 0u) << "no sweep split; the split paths went "
+                                 "unexercised";
 }
 
 }  // namespace

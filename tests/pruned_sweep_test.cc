@@ -102,9 +102,8 @@ void ExpectSummaryMatchesOracle(const Instance& instance) {
   }
 }
 
-SessionOptions PruningOptions(size_t threads, bool prune, bool minimize) {
+SessionOptions PruningOptions(bool prune, bool minimize) {
   SessionOptions options;
-  options.engine_threads = threads;
   options.prune_sweeps = prune;
   options.minimize_after_query = minimize;
   options.incremental_minimize = minimize;
@@ -119,14 +118,14 @@ SessionOptions PruningOptions(size_t threads, bool prune, bool minimize) {
 /// prunes, the pruned run never visits more than the full sweep would.
 void ExpectPrunedMatchesUnpruned(const std::string& xml,
                                  const std::vector<std::string>& queries,
-                                 size_t threads, bool minimize,
+                                 bool minimize,
                                  uint64_t* pruned_or_skipped = nullptr) {
   XCQ_ASSERT_OK_AND_ASSIGN(
       QuerySession pruned,
-      QuerySession::Open(xml, PruningOptions(threads, true, minimize)));
+      QuerySession::Open(xml, PruningOptions(true, minimize)));
   XCQ_ASSERT_OK_AND_ASSIGN(
       QuerySession oracle,
-      QuerySession::Open(xml, PruningOptions(threads, false, minimize)));
+      QuerySession::Open(xml, PruningOptions(false, minimize)));
 
   uint64_t restricted = 0;
   for (const std::string& query : queries) {
@@ -196,19 +195,12 @@ TEST(PrunedSweepEquivalenceTest, RandomizedSequencesOverEveryCorpus) {
     std::vector<std::string> sequence;
     for (int i = 0; i < 6; ++i) sequence.push_back(rng.Pick(pool));
 
-    uint64_t restricted_total = 0;
-    for (const size_t threads : {size_t{1}, size_t{4}}) {
-      SCOPED_TRACE("threads=" + std::to_string(threads));
-      uint64_t restricted = 0;
-      ExpectPrunedMatchesUnpruned(xml, sequence, threads,
-                                  /*minimize=*/false, &restricted);
-      restricted_total += restricted;
-      ExpectPrunedMatchesUnpruned(xml, sequence, threads,
-                                  /*minimize=*/true);
-    }
+    uint64_t restricted = 0;
+    ExpectPrunedMatchesUnpruned(xml, sequence, /*minimize=*/false, &restricted);
+    ExpectPrunedMatchesUnpruned(xml, sequence, /*minimize=*/true);
     // The corpora are small enough that the summary never saturates:
     // pruning must actually have engaged somewhere in the sequence.
-    EXPECT_GT(restricted_total, 0u) << "pruning never engaged";
+    EXPECT_GT(restricted, 0u) << "pruning never engaged";
     ++corpus_index;
   }
 }
@@ -228,17 +220,14 @@ TEST(PrunedSweepEquivalenceTest, SessionVerifyOracleHoldsOverEveryCorpus) {
 
     const std::vector<std::string> pool = QueryPool(generator->name());
     Rng rng(99 + corpus_index);
-    for (const size_t threads : {size_t{1}, size_t{4}}) {
-      SCOPED_TRACE("threads=" + std::to_string(threads));
-      SessionOptions options = PruningOptions(threads, true, false);
-      options.verify_pruned_sweeps = true;
-      XCQ_ASSERT_OK_AND_ASSIGN(QuerySession session,
-                               QuerySession::Open(xml, options));
-      for (int i = 0; i < 4; ++i) {
-        const std::string query = rng.Pick(pool);
-        SCOPED_TRACE(query);
-        XCQ_ASSERT_OK(session.Run(query).status());
-      }
+    SessionOptions options = PruningOptions(true, false);
+    options.verify_pruned_sweeps = true;
+    XCQ_ASSERT_OK_AND_ASSIGN(QuerySession session,
+                             QuerySession::Open(xml, options));
+    for (int i = 0; i < 8; ++i) {
+      const std::string query = rng.Pick(pool);
+      SCOPED_TRACE(query);
+      XCQ_ASSERT_OK(session.Run(query).status());
     }
     ++corpus_index;
   }
@@ -342,7 +331,7 @@ TEST(PathSummaryTest, InvalidatedByInPlaceMinimizeThatChangesStructure) {
   // with the oracle.
   const std::string xml =
       "<r><a><b/><b/><b/></a><a><b/><b/><b/></a><a><c/><b/></a></r>";
-  SessionOptions options = PruningOptions(1, true, true);
+  SessionOptions options = PruningOptions(true, true);
   options.verify_pruned_sweeps = true;
   XCQ_ASSERT_OK_AND_ASSIGN(QuerySession session,
                            QuerySession::Open(xml, options));
@@ -366,7 +355,7 @@ TEST(PrunedSweepStatsTest, RecursiveDescentVisitsLessThanFullSweep) {
   gen.target_nodes = 2000;
   gen.seed = 7;
   const std::string xml = corpus::Shakespeare().Generate(gen);
-  SessionOptions options = PruningOptions(1, true, false);
+  SessionOptions options = PruningOptions(true, false);
   XCQ_ASSERT_OK_AND_ASSIGN(QuerySession session,
                            QuerySession::Open(xml, options));
   XCQ_ASSERT_OK_AND_ASSIGN(const QueryOutcome outcome,

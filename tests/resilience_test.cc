@@ -4,7 +4,7 @@
 //  * cooperative cancellation can land at ANY checkpoint of an
 //    evaluation and the session stays semantically intact — re-running
 //    the query answers exactly what a never-cancelled oracle answers,
-//    on all 8 paper corpora, sequential and with 4 engine lanes;
+//    on all 8 paper corpora;
 //  * the service never runs a dead request: expired work is shed at
 //    dequeue (and displaced from a full queue) while in-deadline
 //    requests keep answering correctly;
@@ -57,10 +57,9 @@ const std::string& HeavyXml() {
   return xml;
 }
 
-SessionOptions TortureOptions(size_t threads) {
+SessionOptions TortureOptions() {
   SessionOptions options;
   options.minimize_after_query = true;  // exercises the minimize phase
-  options.engine_threads = threads;
   return options;
 }
 
@@ -84,14 +83,14 @@ TEST(CancellationTest, EveryCheckpointLeavesSessionCorrect) {
 
   // Oracle: never-cancelled evaluation of the same query sequence.
   XCQ_ASSERT_OK_AND_ASSIGN(QuerySession oracle,
-                           QuerySession::Open(xml, TortureOptions(1)));
+                           QuerySession::Open(xml, TortureOptions()));
   XCQ_ASSERT_OK_AND_ASSIGN(const QueryOutcome expected, oracle.Run(query));
 
   // Calibration: how many polls does a clean run make?
   uint64_t total_checks = 0;
   {
     XCQ_ASSERT_OK_AND_ASSIGN(QuerySession session,
-                             QuerySession::Open(xml, TortureOptions(1)));
+                             QuerySession::Open(xml, TortureOptions()));
     CancelToken token;
     QueryControl control;
     control.cancel = &token;
@@ -109,7 +108,7 @@ TEST(CancellationTest, EveryCheckpointLeavesSessionCorrect) {
   }
   for (const uint64_t trip : trip_points) {
     XCQ_ASSERT_OK_AND_ASSIGN(QuerySession session,
-                             QuerySession::Open(xml, TortureOptions(1)));
+                             QuerySession::Open(xml, TortureOptions()));
     CancelToken token;
     token.CancelAfterChecks(trip);
     QueryControl control;
@@ -145,38 +144,35 @@ TEST(CancellationTest, RequeryMatchesOracleOnAllCorpora) {
        xcq::corpus::AllCorpora()) {
     const std::string xml = corpus->Generate(gen);
     const std::vector<std::string> queries = CorpusQueries(corpus->name());
-    for (const size_t threads : {size_t{1}, size_t{4}}) {
-      SCOPED_TRACE(std::string(corpus->name()) + " threads=" +
-                   std::to_string(threads));
-      XCQ_ASSERT_OK_AND_ASSIGN(
-          QuerySession oracle,
-          QuerySession::Open(xml, TortureOptions(threads)));
-      XCQ_ASSERT_OK_AND_ASSIGN(
-          QuerySession session,
-          QuerySession::Open(xml, TortureOptions(threads)));
-      for (size_t i = 0; i < queries.size(); ++i) {
-        SCOPED_TRACE(queries[i]);
-        XCQ_ASSERT_OK_AND_ASSIGN(const QueryOutcome expected,
-                                 oracle.Run(queries[i]));
-        // Cancel somewhere early-to-mid-run (varying per query). When
-        // the run finishes before the trip lands, that is fine too —
-        // the result must then already be correct.
-        CancelToken token;
-        token.CancelAfterChecks(1 + 4 * i);
-        QueryControl control;
-        control.cancel = &token;
-        const Result<QueryOutcome> attempt = session.Run(queries[i], control);
-        if (attempt.ok()) {
-          EXPECT_EQ(attempt->selected_tree_nodes,
-                    expected.selected_tree_nodes);
-        } else {
-          EXPECT_EQ(attempt.status().code(), StatusCode::kCancelled)
-              << attempt.status().ToString();
-        }
-        XCQ_ASSERT_OK_AND_ASSIGN(const QueryOutcome requery,
-                                 session.Run(queries[i]));
-        EXPECT_EQ(requery.selected_tree_nodes, expected.selected_tree_nodes);
+    SCOPED_TRACE(std::string(corpus->name()));
+    XCQ_ASSERT_OK_AND_ASSIGN(
+        QuerySession oracle,
+        QuerySession::Open(xml, TortureOptions()));
+    XCQ_ASSERT_OK_AND_ASSIGN(
+        QuerySession session,
+        QuerySession::Open(xml, TortureOptions()));
+    for (size_t i = 0; i < queries.size(); ++i) {
+      SCOPED_TRACE(queries[i]);
+      XCQ_ASSERT_OK_AND_ASSIGN(const QueryOutcome expected,
+                               oracle.Run(queries[i]));
+      // Cancel somewhere early-to-mid-run (varying per query). When
+      // the run finishes before the trip lands, that is fine too —
+      // the result must then already be correct.
+      CancelToken token;
+      token.CancelAfterChecks(1 + 4 * i);
+      QueryControl control;
+      control.cancel = &token;
+      const Result<QueryOutcome> attempt = session.Run(queries[i], control);
+      if (attempt.ok()) {
+        EXPECT_EQ(attempt->selected_tree_nodes,
+                  expected.selected_tree_nodes);
+      } else {
+        EXPECT_EQ(attempt.status().code(), StatusCode::kCancelled)
+            << attempt.status().ToString();
       }
+      XCQ_ASSERT_OK_AND_ASSIGN(const QueryOutcome requery,
+                               session.Run(queries[i]));
+      EXPECT_EQ(requery.selected_tree_nodes, expected.selected_tree_nodes);
     }
   }
 }
@@ -185,7 +181,7 @@ TEST(CancellationTest, RequeryMatchesOracleOnAllCorpora) {
 
 TEST(DeadlineTest, ExpiredDeadlineFailsFastAndSessionStaysUsable) {
   XCQ_ASSERT_OK_AND_ASSIGN(QuerySession session,
-                           QuerySession::Open(SmallXml(), TortureOptions(1)));
+                           QuerySession::Open(SmallXml(), TortureOptions()));
   CancelToken token;
   ArmExpiredDeadline(&token);
   QueryControl control;
@@ -196,7 +192,7 @@ TEST(DeadlineTest, ExpiredDeadlineFailsFastAndSessionStaysUsable) {
       << expired.status().ToString();
 
   XCQ_ASSERT_OK_AND_ASSIGN(QuerySession oracle,
-                           QuerySession::Open(SmallXml(), TortureOptions(1)));
+                           QuerySession::Open(SmallXml(), TortureOptions()));
   XCQ_ASSERT_OK_AND_ASSIGN(const QueryOutcome expected, oracle.Run("//t0"));
   XCQ_ASSERT_OK_AND_ASSIGN(const QueryOutcome requery, session.Run("//t0"));
   EXPECT_EQ(requery.selected_tree_nodes, expected.selected_tree_nodes);
@@ -204,7 +200,7 @@ TEST(DeadlineTest, ExpiredDeadlineFailsFastAndSessionStaysUsable) {
 
 TEST(DeadlineTest, MidFlightDeadlineUnwindsHeavyEvaluation) {
   XCQ_ASSERT_OK_AND_ASSIGN(QuerySession session,
-                           QuerySession::Open(HeavyXml(), TortureOptions(1)));
+                           QuerySession::Open(HeavyXml(), TortureOptions()));
   CancelToken token;
   token.SetTimeout(std::chrono::milliseconds(1));
   QueryControl control;
@@ -223,7 +219,7 @@ TEST(DeadlineTest, MidFlightDeadlineUnwindsHeavyEvaluation) {
 // --- Work budgets -----------------------------------------------------------
 
 TEST(BudgetTest, SweepVisitBudgetIsDeterministic) {
-  SessionOptions options = TortureOptions(1);
+  SessionOptions options = TortureOptions();
   options.max_sweep_visits = 16;  // far below any real sweep on 1500 nodes
 
   Status first;
@@ -244,7 +240,7 @@ TEST(BudgetTest, SweepVisitBudgetIsDeterministic) {
 }
 
 TEST(BudgetTest, PerRequestBudgetOverridesSessionDefault) {
-  SessionOptions options = TortureOptions(1);
+  SessionOptions options = TortureOptions();
   options.max_sweep_visits = 16;
   XCQ_ASSERT_OK_AND_ASSIGN(QuerySession session,
                            QuerySession::Open(SmallXml(), options));
@@ -255,7 +251,7 @@ TEST(BudgetTest, PerRequestBudgetOverridesSessionDefault) {
                            session.Run("//t0/descendant::t2", control));
 
   XCQ_ASSERT_OK_AND_ASSIGN(QuerySession oracle,
-                           QuerySession::Open(SmallXml(), TortureOptions(1)));
+                           QuerySession::Open(SmallXml(), TortureOptions()));
   XCQ_ASSERT_OK_AND_ASSIGN(const QueryOutcome expected,
                            oracle.Run("//t0/descendant::t2"));
   EXPECT_EQ(outcome.selected_tree_nodes, expected.selected_tree_nodes);

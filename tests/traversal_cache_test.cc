@@ -244,14 +244,13 @@ TEST(ScratchPoolTest, EvaluatorStopsChurningSchema) {
 /// Drives a randomized query sequence through a session and checks the
 /// cache-vs-oracle property after every query. `minimize` additionally
 /// exercises MinimizeInPlace (with its compaction fallback) between
-/// queries; `threads` the parallel kernels.
+/// queries.
 void RunOracleSequence(const std::string& xml,
                        const std::vector<std::string>& queries,
-                       bool minimize, size_t threads) {
+                       bool minimize) {
   SessionOptions options;
   options.minimize_after_query = minimize;
   options.incremental_minimize = minimize;
-  options.engine_threads = threads;
   XCQ_ASSERT_OK_AND_ASSIGN(QuerySession session,
                            QuerySession::Open(xml, options));
   for (const std::string& query : queries) {
@@ -287,11 +286,8 @@ TEST(TraversalCacheOracleTest, RandomizedSequencesOverEveryCorpus) {
     std::vector<std::string> sequence;
     for (int i = 0; i < 6; ++i) sequence.push_back(rng.Pick(pool));
 
-    for (const size_t threads : {size_t{1}, size_t{4}}) {
-      SCOPED_TRACE("threads=" + std::to_string(threads));
-      RunOracleSequence(xml, sequence, /*minimize=*/false, threads);
-      RunOracleSequence(xml, sequence, /*minimize=*/true, threads);
-    }
+    RunOracleSequence(xml, sequence, /*minimize=*/false);
+    RunOracleSequence(xml, sequence, /*minimize=*/true);
     ++corpus_index;
   }
 }
