@@ -24,10 +24,8 @@
 //   --prune=MODE        path-summary sweep pruning (docs/INTERNALS.md
 //                       §9): on (default) restricts every axis sweep to
 //                       the provably contributing region, off sweeps
-//                       the whole DAG, verify additionally re-runs each
-//                       query unpruned on a copy and fails the query on
-//                       any divergence (debug oracle — slow). Answers
-//                       are identical in all three modes.
+//                       the whole DAG. Answers are identical in both
+//                       modes.
 //   --trace=MODE        per-query phase-trace logging to stderr, one
 //                       JSON line per traced query
 //                       (docs/OBSERVABILITY.md): off (default), all
@@ -77,13 +75,17 @@
 //
 // Numeric options take a whole decimal integer within the option's
 // range; anything else (`--queue-depth=1k`, `--port=70000`) prints
-// `bad --<option>: ...` and exits 2.
+// `bad --<option>: ...` and exits 2. The seconds options
+// (`--idle-timeout`, `--write-timeout`) and the `--trace=slow:`
+// threshold take a whole finite decimal number >= 0 under the same
+// rule (`nan`, `inf` and `5x` are refused).
 //
 // See docs/SERVER.md for the full protocol and threading model.
 
 #include <unistd.h>
 
 #include <charconv>
+#include <cmath>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
@@ -105,7 +107,7 @@ int Usage(const char* argv0) {
                "usage: %s [--port=N] [--threads=N] "
                "[--capacity-mb=N] [--preload=NAME=PATH]... "
                "[--minimize[=off|full|incremental]] "
-               "[--prune=on|off|verify] [--trace=off|slow:<ms>|all] "
+               "[--prune=on|off] [--trace=off|slow:<ms>|all] "
                "[--max-connections=N] [--idle-timeout=SEC] "
                "[--write-timeout=SEC] [--queue-depth=N] "
                "[--default-deadline-ms=N] [--max-batch=N] "
@@ -139,6 +141,25 @@ uint64_t ParseCount(std::string_view arg, std::string_view flag,
   return n;
 }
 
+/// `value` (the part of `arg` after the flag's prefix) as a finite
+/// decimal number >= 0: seconds for the timeouts, milliseconds for
+/// `--trace=slow:`. The whole value must parse; on an empty value,
+/// trailing characters, `nan`, `inf` or a negative value this prints
+/// `bad --<flag>: <arg>` and exits 2.
+double ParseSeconds(std::string_view arg, std::string_view flag,
+                    std::string_view value) {
+  double x = 0.0;
+  const auto [end, ec] =
+      std::from_chars(value.data(), value.data() + value.size(), x);
+  if (value.empty() || ec != std::errc() ||
+      end != value.data() + value.size() || !std::isfinite(x) || x < 0) {
+    std::fprintf(stderr, "bad --%.*s: %.*s\n", static_cast<int>(flag.size()),
+                 flag.data(), static_cast<int>(arg.size()), arg.data());
+    std::exit(2);
+  }
+  return x;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -159,19 +180,11 @@ int main(int argc, char** argv) {
       options.max_connections =
           ParseCount(arg, "max-connections", 0, SIZE_MAX);
     } else if (arg.rfind("--idle-timeout=", 0) == 0) {
-      char* end = nullptr;
-      options.idle_timeout_s = std::strtod(arg.substr(15).data(), &end);
-      if (end == arg.substr(15).data() || options.idle_timeout_s < 0) {
-        std::fprintf(stderr, "bad --idle-timeout: %s\n", argv[i]);
-        return 2;
-      }
+      options.idle_timeout_s =
+          ParseSeconds(arg, "idle-timeout", arg.substr(15));
     } else if (arg.rfind("--write-timeout=", 0) == 0) {
-      char* end = nullptr;
-      options.write_timeout_s = std::strtod(arg.substr(16).data(), &end);
-      if (end == arg.substr(16).data() || options.write_timeout_s < 0) {
-        std::fprintf(stderr, "bad --write-timeout: %s\n", argv[i]);
-        return 2;
-      }
+      options.write_timeout_s =
+          ParseSeconds(arg, "write-timeout", arg.substr(16));
     } else if (HasFlag(arg, "queue-depth")) {
       options.queue_depth = ParseCount(arg, "queue-depth", 0, SIZE_MAX);
     } else if (HasFlag(arg, "default-deadline-ms")) {
@@ -210,24 +223,14 @@ int main(int argc, char** argv) {
       options.session.minimize_after_query = false;
     } else if (arg == "--prune=on") {
       options.session.prune_sweeps = true;
-      options.session.verify_pruned_sweeps = false;
     } else if (arg == "--prune=off") {
       options.session.prune_sweeps = false;
-      options.session.verify_pruned_sweeps = false;
-    } else if (arg == "--prune=verify") {
-      options.session.prune_sweeps = true;
-      options.session.verify_pruned_sweeps = true;
     } else if (arg == "--trace=off") {
       options.trace.mode = xcq::server::TraceOptions::Mode::kOff;
     } else if (arg == "--trace=all") {
       options.trace.mode = xcq::server::TraceOptions::Mode::kAll;
     } else if (arg.rfind("--trace=slow:", 0) == 0) {
-      char* end = nullptr;
-      const double ms = std::strtod(arg.substr(13).data(), &end);
-      if (end == arg.substr(13).data() || ms < 0) {
-        std::fprintf(stderr, "bad --trace spec: %s\n", argv[i]);
-        return 2;
-      }
+      const double ms = ParseSeconds(arg, "trace", arg.substr(13));
       options.trace.mode = xcq::server::TraceOptions::Mode::kSlow;
       options.trace.slow_threshold_s = ms / 1e3;
     } else if (arg == "--help" || arg == "-h") {

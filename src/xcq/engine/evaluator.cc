@@ -86,23 +86,14 @@ class PlanRunner {
   }
 
  private:
-  /// Checks out the temporary relation backing one op's node set. On
-  /// the default path (`remove_temporaries`) this is a zeroed column
-  /// from the instance's resident scratch pool — anonymous, returned
-  /// after the run, no schema churn. With `remove_temporaries = false`
-  /// the caller wants the per-op selections to outlive the evaluation,
-  /// so they are materialized as named `xcq:tmp<serial>` relations
-  /// instead; the column is zeroed even if a relation of the same name
-  /// survived an earlier evaluation.
+  /// Checks out the temporary relation backing one op's node set: a
+  /// zeroed column from the instance's resident scratch pool —
+  /// anonymous, returned after the run (the paper's note that
+  /// intermediate selections "can be removed from an instance"), no
+  /// schema churn.
   RelationId NewTemporary() {
-    if (options_.remove_temporaries) {
-      const RelationId id = instance_->AcquireScratchRelation();
-      scratch_.push_back(id);
-      return id;
-    }
-    std::string name = StrFormat("xcq:tmp%zu", named_serial_++);
-    const RelationId id = instance_->AddRelation(name);
-    instance_->MutableRelationBits(id).ResetAll();
+    const RelationId id = instance_->AcquireScratchRelation();
+    scratch_.push_back(id);
     return id;
   }
 
@@ -187,8 +178,9 @@ class PlanRunner {
     // selects the whole reachable set (minus the root itself for the
     // proper-descendant axis), no demand can clash, and no sweep is
     // needed. This removes the one inherently unprunable sweep from the
-    // paper's `//tag` navigation shape. Gated on prune_sweeps so the
-    // verify oracle still exercises the real kernels.
+    // paper's `//tag` navigation shape. Gated on prune_sweeps: the
+    // unpruned reference runs the real kernels for every axis, so the
+    // tests that compare against it also cover this closed form.
     if (options_.prune_sweeps &&
         (axis == Axis::kDescendant || axis == Axis::kDescendantOrSelf)) {
       const VertexId root = instance_->root();
@@ -330,8 +322,6 @@ class PlanRunner {
   std::vector<RelationId> op_relation_;
   /// Scratch columns checked out for this run (released in Run()).
   std::vector<RelationId> scratch_;
-  /// Serial for named temporaries on the remove_temporaries=false path.
-  size_t named_serial_ = 0;
 };
 
 }  // namespace

@@ -35,14 +35,10 @@ struct EvalOptions {
   /// Relation holding the query context (the paper's user-defined initial
   /// selection); empty means {root}.
   std::string context_relation;
-  /// Drop the temporary per-op selections after evaluation, keeping only
-  /// the result (mirrors the paper's note that intermediate selections
-  /// "can be removed from an instance").
-  bool remove_temporaries = true;
   /// Restrict axis sweeps to the vertices whose path-summary paths can
   /// contribute (docs/INTERNALS.md §9). Answers, splits, and the
-  /// resulting instance are independent of the value; `false` is the
-  /// full-sweep oracle.
+  /// resulting instance are independent of the value; `false` sweeps
+  /// the whole reachable DAG with the unrestricted kernels.
   bool prune_sweeps = true;
   /// Cooperative cancellation (docs/INTERNALS.md §10). Polled between
   /// ops and between kernel mutation phases; a tripped token aborts the
@@ -113,10 +109,10 @@ struct EvalStats {
   double seconds = 0.0;
 };
 
-/// \brief Evaluates `plan` on `*instance` (mutating it: the result and —
-/// if requested — intermediate selections are added; splitting axes may
-/// partially decompress). Returns the id of the result relation
-/// (`kResultRelation`).
+/// \brief Evaluates `plan` on `*instance` (mutating it: the result is
+/// added, intermediate selections live in scratch columns returned
+/// afterwards; splitting axes may partially decompress). Returns the id
+/// of the result relation (`kResultRelation`).
 Result<RelationId> Evaluate(Instance* instance,
                             const algebra::QueryPlan& plan,
                             const EvalOptions& options = {},

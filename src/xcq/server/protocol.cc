@@ -1,8 +1,9 @@
 #include "xcq/server/protocol.h"
 
+#include <charconv>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 #include <utility>
 
 #include "xcq/util/string_util.h"
@@ -27,20 +28,31 @@ std::string_view NextToken(std::string_view* rest) {
   return token;
 }
 
+/// Parses `token` as a whole unsigned decimal in [1, max]: digits only,
+/// so a sign, whitespace or trailing characters are refused.
+std::optional<uint64_t> ParseBoundedCount(std::string_view token,
+                                          uint64_t max) {
+  uint64_t n = 0;
+  const auto [end, ec] =
+      std::from_chars(token.data(), token.data() + token.size(), n);
+  if (token.empty() || ec != std::errc() ||
+      end != token.data() + token.size() || n == 0 || n > max) {
+    return std::nullopt;
+  }
+  return n;
+}
+
 /// Parses the `<ms>` value of a `TIMEOUT` clause: all digits, 1 ms to
 /// one hour. The cap keeps a typo ("TIMEOUT 50000000000") from quietly
 /// meaning "no deadline at all".
 Result<uint64_t> ParseTimeoutMs(std::string_view token) {
-  const std::string str(token);
-  char* end = nullptr;
-  const unsigned long long n = std::strtoull(str.c_str(), &end, 10);
-  if (str.empty() || end != str.c_str() + str.size() || n == 0 ||
-      n > 3600000ULL) {
+  const std::optional<uint64_t> ms = ParseBoundedCount(token, 3600000);
+  if (!ms.has_value()) {
     return Status::InvalidArgument(
         "TIMEOUT must be an integer number of milliseconds between 1 and "
         "3600000");
   }
-  return static_cast<uint64_t>(n);
+  return *ms;
 }
 
 /// Appends the serialize span to `outcome`'s trace and emits the
@@ -140,17 +152,14 @@ Result<Request> ParseRequest(std::string_view line) {
             "usage: BATCH <name> <count> [TIMEOUT <ms>]");
       }
     }
-    const std::string count_str(count);
-    char* end = nullptr;
-    const unsigned long long n = std::strtoull(count_str.c_str(), &end, 10);
     // The whole token must be digits: "12x" desynchronizes the body
     // framing if accepted as 12.
-    if (end != count_str.c_str() + count_str.size() || n == 0 ||
-        n > 100000) {
+    const std::optional<uint64_t> n = ParseBoundedCount(count, 100000);
+    if (!n.has_value()) {
       return Status::InvalidArgument(
           "BATCH count must be an integer between 1 and 100000");
     }
-    request.batch_size = static_cast<size_t>(n);
+    request.batch_size = static_cast<size_t>(*n);
   } else if (verb == "STATS") {
     request.kind = Request::Kind::kStats;
     if (!rest.empty()) {
@@ -420,95 +429,6 @@ std::vector<std::string> BuildForgetReply(DocumentStore* store,
       StrFormat("no document named '%s' is loaded", name.c_str())))};
 }
 
-bool RequestHandler::Handle(
-    std::string_view line,
-    const std::function<bool(std::string*)>& read_line,
-    const std::function<void(std::string_view)>& write_line) {
-  // Blank keep-alive lines between requests are skipped, not answered —
-  // the one defined behavior for both front ends (see the header).
-  if (Trim(line).empty()) return true;
-  const Result<Request> parsed = ParseRequest(line);
-  if (!parsed.ok()) {
-    write_line(FormatError(parsed.status()));
-    return true;
-  }
-  const Request& request = *parsed;
-
-  if (request.kind == Request::Kind::kBatch &&
-      request.batch_size > options_.max_batch) {
-    write_line(FormatBatchLimitError(request.batch_size, options_.max_batch));
-    return true;
-  }
-
-  std::vector<std::string> reply;
-  switch (request.kind) {
-    case Request::Kind::kQuit:
-      write_line("OK bye");
-      return false;
-
-    case Request::Kind::kLoad:
-      reply = BuildLoadReply(store_, request.name, request.path);
-      break;
-
-    case Request::Kind::kQuery: {
-      QueryJob job;
-      job.document = request.name;
-      job.queries.push_back(request.query);
-      job.token = MakeDeadlineToken(request.timeout_ms,
-                                    options_.default_deadline_ms);
-      const QueryResponse response = service_->Submit(std::move(job)).get();
-      reply = BuildQueryReply(store_, request.name, request.query, response);
-      break;
-    }
-
-    case Request::Kind::kBatch: {
-      QueryJob job;
-      job.document = request.name;
-      job.queries.reserve(request.batch_size);
-      for (size_t i = 0; i < request.batch_size; ++i) {
-        std::string query;
-        if (!read_line(&query)) {
-          write_line(FormatError(Status::InvalidArgument(StrFormat(
-              "input ended after %zu of %zu batch queries", i,
-              request.batch_size))));
-          return false;  // the stream is out of sync; close
-        }
-        job.queries.push_back(std::move(query));
-      }
-      job.token = MakeDeadlineToken(request.timeout_ms,
-                                    options_.default_deadline_ms);
-      const std::vector<std::string> queries = job.queries;
-      const QueryResponse response = service_->Submit(std::move(job)).get();
-      reply = BuildBatchReply(store_, request.name, queries, response);
-      break;
-    }
-
-    case Request::Kind::kStats:
-      reply = BuildStatsReply(store_, service_);
-      break;
-
-    case Request::Kind::kMetrics:
-      reply = BuildMetricsReply(store_);
-      break;
-
-    case Request::Kind::kEvict:
-      reply = BuildEvictReply(store_, request.name);
-      break;
-
-    case Request::Kind::kPersist:
-      reply = BuildPersistReply(store_, request.name);
-      break;
-
-    case Request::Kind::kForget:
-      reply = BuildForgetReply(store_, request.name);
-      break;
-  }
-  for (const std::string& reply_line : reply) {
-    write_line(reply_line);
-  }
-  return true;
-}
-
 PipelinedHandler::PipelinedHandler(DocumentStore* store, QueryService* service,
                                    ReplySink sink, Limits limits, Hooks hooks,
                                    HandlerOptions options)
@@ -571,7 +491,7 @@ PipelinedHandler::FeedResult PipelinedHandler::Feed(const std::string& line) {
     return Dispatch(std::move(request), std::move(batch_body_), nullptr);
   }
 
-  // Blank keep-alive lines: same skip as RequestHandler (see header).
+  // Blank keep-alive lines are skipped, not answered (see the header).
   if (Trim(line).empty()) return FeedResult::kOk;
 
   Result<Request> parsed = ParseRequest(line);
@@ -735,7 +655,8 @@ void PipelinedHandler::OnInputClosed() {
   if (closed_) return;
   closed_ = true;
   if (collecting_.has_value()) {
-    // The blocking handler's early-EOF contract: answer ERR, close.
+    // The batch can never complete and the stream is out of sync:
+    // answer ERR and close.
     EmitNow({FormatError(Status::InvalidArgument(
                 StrFormat("input ended after %zu of %zu batch queries",
                           batch_body_.size(), collecting_->batch_size)))},

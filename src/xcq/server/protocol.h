@@ -35,7 +35,7 @@
 ///   QUIT                    close the conversation
 ///
 /// Blank (or whitespace-only) lines *between* requests are keep-alive
-/// no-ops: both front ends skip them without answering. Inside a BATCH
+/// no-ops: the handler skips them without answering. Inside a BATCH
 /// body a blank line still counts as one (empty) query. A request line
 /// that is non-blank but has no parseable verb answers `ERR`.
 ///
@@ -50,18 +50,18 @@
 /// fields are appended, existing ones never move or disappear —
 /// scripts may parse by position or by key.
 ///
-/// Three layers, outermost first:
+/// Three layers, innermost first:
 ///
 ///  * `LineFramer` — incremental byte→line framing with a bounded line
 ///    length, shared by the epoll front end and the fuzzer.
-///  * `Build*Reply` — pure request→response-lines functions; every
-///    front end (blocking or pipelined) formats replies through these,
-///    so both speak byte-identical protocol.
-///  * `RequestHandler` (blocking, one request at a time over abstract
-///    line I/O — the unit-test surface) and `PipelinedHandler` (the
-///    event loop's per-connection state machine: many requests in
-///    flight, replies reassembled by sequence number, admission
-///    control + per-connection in-flight limits).
+///  * `Build*Reply` — pure request→response-lines functions; the single
+///    source of response bytes.
+///  * `PipelinedHandler` — the per-connection state machine: many
+///    requests in flight, replies reassembled by sequence number,
+///    admission control + per-connection in-flight limits. It is the
+///    one request path: `Feed` → `QueryService::TrySubmitWork` → a
+///    worker runs `QueryService::Execute` and a `Build*Reply`. Tests
+///    drive it over strings; the event loop drives it over sockets.
 
 #include <atomic>
 #include <cstdint>
@@ -103,7 +103,7 @@ struct Request {
                             ///  (the handler's default deadline applies).
 };
 
-/// \brief Conversation-level knobs shared by both front ends.
+/// \brief Conversation-level knobs of a `PipelinedHandler`.
 struct HandlerOptions {
   /// Deadline applied to QUERY/BATCH requests that carry no `TIMEOUT`
   /// clause (daemon `--default-deadline-ms`); 0 = no default deadline.
@@ -182,10 +182,10 @@ void StripTrailingCr(std::string* line);
 
 /// \name Reply builders
 /// Each returns the complete response as lines (no terminators). They
-/// are the single source of truth for response bytes: the blocking
-/// `RequestHandler` and the event loop's `PipelinedHandler` both format
-/// through them, from whatever thread runs the work. Trace emission
-/// (`StoreOptions::trace`) happens inside the query/batch builders.
+/// are the single source of truth for response bytes: `PipelinedHandler`
+/// formats every reply through them, from whatever worker thread ran
+/// the request. Trace emission (`StoreOptions::trace`) happens inside
+/// the query/batch builders.
 /// @{
 
 /// Performs the load and formats its reply.
@@ -226,31 +226,6 @@ std::vector<std::string> BuildForgetReply(DocumentStore* store,
                                           const std::string& name);
 
 /// @}
-
-/// \brief Drives one client conversation over abstract line I/O.
-///
-/// Blocking, one request at a time; tests run it over string vectors.
-/// `read_line` must yield the next input line (without the newline) and
-/// return false at end of input; `write_line` receives response lines
-/// (also without newlines).
-class RequestHandler {
- public:
-  RequestHandler(DocumentStore* store, QueryService* service,
-                 HandlerOptions options = {})
-      : store_(store), service_(service), options_(options) {}
-
-  /// Handles the single request starting at `line` (consuming further
-  /// input lines only for BATCH bodies). Writes the complete response.
-  /// Returns false when the conversation should end (QUIT).
-  bool Handle(std::string_view line,
-              const std::function<bool(std::string*)>& read_line,
-              const std::function<void(std::string_view)>& write_line);
-
- private:
-  DocumentStore* store_;
-  QueryService* service_;
-  HandlerOptions options_;
-};
 
 /// \brief Per-connection protocol state machine for the epoll front end:
 /// pipelined requests, in-order replies, admission control.
@@ -325,8 +300,10 @@ class PipelinedHandler
   /// still no room.
   FeedResult ResumeDeferred();
 
-  /// End of input. Emits the truncated-BATCH error if a batch body was
-  /// being collected (the blocking handler's behavior on early EOF).
+  /// End of input. A batch body still being collected answers one
+  /// `ERR InvalidArgument` ("input ended after k of n batch queries")
+  /// and the connection closes; otherwise the close is queued behind
+  /// every reply still in flight.
   void OnInputClosed();
 
   /// The framer overflowed: emit the canonical oversized-line `ERR`

@@ -54,36 +54,6 @@ void QueryService::EnqueueLocked(Task task) {
   queue_depth_gauge_->Set(static_cast<double>(queue_.size()));
 }
 
-std::future<QueryResponse> QueryService::Submit(QueryJob job) {
-  std::string document = job.document;
-  auto task = std::make_shared<std::packaged_task<QueryResponse()>>(
-      [this, job = std::move(job)] { return Execute(job); });
-  std::future<QueryResponse> future = task->get_future();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_) {
-      // Resolve immediately instead of leaving a never-ready future.
-      std::packaged_task<QueryResponse()> rejected(
-          [] { return QueryResponse(Status::Internal("service stopped")); });
-      future = rejected.get_future();
-      rejected();
-      return future;
-    }
-    EnqueueLocked(
-        Task{std::move(document), [task = std::move(task)] { (*task)(); }});
-  }
-  cv_.notify_one();
-  return future;
-}
-
-bool QueryService::TrySubmitWork(std::string document,
-                                 std::function<void()> work) {
-  WorkItem item;
-  item.document = std::move(document);
-  item.run = std::move(work);
-  return TrySubmitWork(std::move(item));
-}
-
 bool QueryService::TrySubmitWork(WorkItem item) {
   Task displaced;
   Status displaced_status;

@@ -10,16 +10,13 @@
 /// Every QUERY / BATCH / LOAD / STATS request becomes a task executed
 /// on one of `worker_threads` pool threads, so the number of concurrent
 /// evaluations — and therefore peak split-growth memory — is bounded no
-/// matter how many clients connect. Two submission paths exist:
-///
-///  * `Submit(job)` — the embedder API: always enqueues (unbounded) and
-///    returns a future. Tests and simple callers block on it.
-///  * `TrySubmitWork(document, work)` — the front-end API: refuses
-///    (returns false, nothing enqueued) when the bounded queue
-///    (`ServiceOptions::queue_depth`) is full. The event loop reacts by
-///    *pausing the connection's socket reads* — natural TCP
-///    backpressure — and retrying when a completion frees a slot, so
-///    overload stalls clients instead of dropping or reordering work.
+/// matter how many clients connect. Submission is admission-controlled:
+/// `TrySubmitWork` refuses (returns false, nothing enqueued) when the
+/// bounded queue (`ServiceOptions::queue_depth`) is full. The event
+/// loop reacts by *pausing the connection's socket reads* — natural TCP
+/// backpressure — and retrying when a completion frees a slot, so
+/// overload stalls clients instead of dropping or reordering work.
+/// A task that evaluates calls `Execute` on its worker thread.
 ///
 /// Completions are plain callbacks run on the worker thread that
 /// executed the task; the async front end's callbacks format the
@@ -55,7 +52,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -72,9 +68,8 @@ namespace xcq::server {
 struct ServiceOptions {
   /// Worker pool size; clamped to at least 1.
   size_t worker_threads = 4;
-  /// Bound on tasks waiting in the queue for the admission-controlled
-  /// `TrySubmitWork` path; 0 = unbounded. The blocking `Submit` path
-  /// always enqueues regardless (embedders manage their own pressure).
+  /// Bound on tasks waiting in the queue; a `TrySubmitWork` past it is
+  /// refused. 0 = unbounded.
   size_t queue_depth = 0;
 };
 
@@ -115,21 +110,15 @@ class QueryService {
   QueryService(const QueryService&) = delete;
   QueryService& operator=(const QueryService&) = delete;
 
-  /// Enqueues `job` for the pool; the future resolves when a worker has
-  /// evaluated it. Never refused (the embedder path).
-  std::future<QueryResponse> Submit(QueryJob job);
-
-  /// Admission-controlled enqueue: runs `work` on a worker thread, or
-  /// returns false *without enqueueing* when the bounded queue is full.
-  /// `document` attributes the task in the per-document queue counts
-  /// (STATS `queued=`/`inflight=`); pass "" for store-wide work.
-  /// `work` owns its own completion delivery.
-  bool TrySubmitWork(std::string document, std::function<void()> work);
-
-  /// As above with cancellation state: a dead item is shed instead of
-  /// run, and a full queue sheds one already-dead queued task to admit
-  /// this one before refusing. The shed callback of a displaced task
-  /// runs on the submitting thread, after the queue lock is released.
+  /// Admission-controlled enqueue: runs `item.run` on a worker thread,
+  /// or returns false *without enqueueing* when the bounded queue is
+  /// full. `item.document` attributes the task in the per-document
+  /// queue counts (STATS `queued=`/`inflight=`). A dead item (expired
+  /// or cancelled token) is shed instead of run, and a full queue sheds
+  /// one already-dead queued task to admit this one before refusing.
+  /// The shed callback of a displaced task runs on the submitting
+  /// thread, after the queue lock is released. `run` owns its own
+  /// completion delivery.
   bool TrySubmitWork(WorkItem item);
 
   /// Records a request that *executed* and failed with `kCancelled`
@@ -139,8 +128,8 @@ class QueryService {
   /// codes are ignored, so handlers can call this on every error.
   void NoteRequestError(const std::string& document, StatusCode code);
 
-  /// Evaluates `job` on the calling thread (the worker path, also
-  /// useful for tests and simple embedders).
+  /// Evaluates `job` on the calling thread: what a submitted task runs
+  /// on its worker, and the direct call for tests and embedders.
   QueryResponse Execute(const QueryJob& job);
 
   /// Jobs accepted so far (served + queued).

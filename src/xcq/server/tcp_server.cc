@@ -436,8 +436,8 @@ void TcpServer::HandleEof(Conn* conn) {
   conn->read_closed = true;
   std::string residual;
   if (conn->framer.TakeResidual(&residual) && !Trim(residual).empty()) {
-    // A final unterminated line is a line (matches the blocking front
-    // end): feed it; if it parks, remember the EOF for after it runs.
+    // A final unterminated line is a line: feed it; if it parks,
+    // remember the EOF for after it runs.
     const PipelinedHandler::FeedResult result = conn->handler->Feed(residual);
     if (result == PipelinedHandler::FeedResult::kStalled) {
       conn->stalled_queue = true;

@@ -4,7 +4,6 @@
 
 #include "xcq/algebra/compiler.h"
 #include "xcq/compress/common_extension.h"
-#include "xcq/compress/decompress.h"
 #include "xcq/compress/minimize.h"
 #include "xcq/engine/batch.h"
 #include "xcq/instance/stats.h"
@@ -149,9 +148,6 @@ Status QuerySession::EnsureLabels(const std::vector<std::string>& tags,
   XCQ_ASSIGN_OR_RETURN(const Instance addition, CompressXml(xml_, copts));
   XCQ_ASSIGN_OR_RETURN(Instance merged,
                        CommonExtension(*instance_, addition));
-  if (options_.minimize_after_merge) {
-    XCQ_ASSIGN_OR_RETURN(merged, Minimize(merged));
-  }
   instance_ = std::move(merged);
   tags_.insert(missing_tags.begin(), missing_tags.end());
   patterns_.insert(missing_patterns.begin(), missing_patterns.end());
@@ -195,13 +191,6 @@ Result<QueryOutcome> QuerySession::EvaluatePlan(
     }
   }
 
-  // The pruning oracle needs the exact pre-query instance; copy it
-  // before the pruned evaluation mutates anything.
-  std::optional<Instance> snapshot;
-  if (options_.verify_pruned_sweeps && options_.prune_sweeps) {
-    snapshot = *instance_;
-  }
-
   const engine::EvalOptions eval_options = MakeEvalOptions(control);
   RelationId result = kNoRelation;
   {
@@ -222,10 +211,6 @@ Result<QueryOutcome> QuerySession::EvaluatePlan(
   }
   outcome.selected_dag_nodes = SelectedDagNodeCount(*instance_, result);
   outcome.selected_tree_nodes = SelectedTreeNodeCount(*instance_, result);
-  if (snapshot.has_value()) {
-    XCQ_RETURN_IF_ERROR(
-        VerifyPrunedSweeps(std::move(*snapshot), plan, outcome, result));
-  }
   if (options_.minimize_after_query) {
     // Counts were taken above; the result relation survives minimization
     // (vertices differing on it are not bisimilar), so enumeration over
@@ -242,9 +227,6 @@ Result<QueryOutcome> QuerySession::EvaluatePlan(
       XCQ_RETURN_IF_ERROR(MinimizeInPlace(&*instance_, mopts, &mstats));
       instance_->SetDirtyTracking(false);
       outcome.minimize_seconds = mstats.seconds;
-      if (options_.verify_incremental_minimize) {
-        XCQ_RETURN_IF_ERROR(VerifyIncrementalMinimize());
-      }
     } else {
       // The full pass rebuilds into a fresh instance, so mid-pass
       // cancellation points are unnecessary for consistency; one poll
@@ -289,39 +271,6 @@ void QuerySession::MarkResultFlips(const DynamicBitset& previous,
   }
 }
 
-Status QuerySession::VerifyIncrementalMinimize() const {
-  XCQ_ASSIGN_OR_RETURN(Instance full, Minimize(*instance_));
-  const uint64_t vertices = instance_->ReachableCount();
-  const uint64_t edges = instance_->ReachableEdgeCount();
-  if (vertices != full.vertex_count() ||
-      edges != full.rle_edge_count()) {
-    return Status::Internal(StrFormat(
-        "incremental minimize diverged from the full pass: "
-        "%llu vertices / %llu edges (incremental, reachable) vs "
-        "%llu / %llu (full)",
-        static_cast<unsigned long long>(vertices),
-        static_cast<unsigned long long>(edges),
-        static_cast<unsigned long long>(full.vertex_count()),
-        static_cast<unsigned long long>(full.rle_edge_count())));
-  }
-  const RelationId mine =
-      instance_->FindRelation(engine::kResultRelation);
-  const RelationId theirs = full.FindRelation(engine::kResultRelation);
-  if ((mine == kNoRelation) != (theirs == kNoRelation)) {
-    return Status::Internal(
-        "incremental minimize diverged: result relation presence");
-  }
-  if (mine != kNoRelation &&
-      (SelectedDagNodeCount(*instance_, mine) !=
-           SelectedDagNodeCount(full, theirs) ||
-       SelectedTreeNodeCount(*instance_, mine) !=
-           SelectedTreeNodeCount(full, theirs))) {
-    return Status::Internal(
-        "incremental minimize diverged: result selection counts");
-  }
-  return Status::OK();
-}
-
 Result<QueryOutcome> QuerySession::Run(std::string_view query_text,
                                        const QueryControl& control) {
   // A request that expired while queued should not pay for parsing or
@@ -351,73 +300,6 @@ Result<QueryOutcome> QuerySession::Run(std::string_view query_text,
   outcome.label_seconds = label_seconds;
   outcome.trace = trace;
   return outcome;
-}
-
-Status QuerySession::VerifyPrunedSweeps(Instance snapshot,
-                                        const algebra::QueryPlan& plan,
-                                        const QueryOutcome& outcome,
-                                        RelationId result) const {
-  engine::EvalOptions oracle_options;
-  oracle_options.prune_sweeps = false;
-  engine::EvalStats oracle_stats;
-  XCQ_ASSIGN_OR_RETURN(
-      const RelationId oracle_result,
-      engine::Evaluate(&snapshot, plan, oracle_options, &oracle_stats));
-  if (outcome.stats.splits != oracle_stats.splits ||
-      outcome.stats.vertices_after != oracle_stats.vertices_after ||
-      outcome.stats.edges_after != oracle_stats.edges_after) {
-    return Status::Internal(StrFormat(
-        "pruned sweeps diverged from the full-sweep oracle: "
-        "%llu splits / %llu vertices / %llu edges (pruned) vs "
-        "%llu / %llu / %llu (full)",
-        static_cast<unsigned long long>(outcome.stats.splits),
-        static_cast<unsigned long long>(outcome.stats.vertices_after),
-        static_cast<unsigned long long>(outcome.stats.edges_after),
-        static_cast<unsigned long long>(oracle_stats.splits),
-        static_cast<unsigned long long>(oracle_stats.vertices_after),
-        static_cast<unsigned long long>(oracle_stats.edges_after)));
-  }
-  const uint64_t oracle_dag = SelectedDagNodeCount(snapshot, oracle_result);
-  const uint64_t oracle_tree =
-      SelectedTreeNodeCount(snapshot, oracle_result);
-  if (outcome.selected_dag_nodes != oracle_dag ||
-      outcome.selected_tree_nodes != oracle_tree) {
-    return Status::Internal(StrFormat(
-        "pruned sweeps diverged from the full-sweep oracle: "
-        "%llu dag / %llu tree selected (pruned) vs %llu / %llu (full)",
-        static_cast<unsigned long long>(outcome.selected_dag_nodes),
-        static_cast<unsigned long long>(outcome.selected_tree_nodes),
-        static_cast<unsigned long long>(oracle_dag),
-        static_cast<unsigned long long>(oracle_tree)));
-  }
-  // The pruning claim is bit-identical *answers*. Without splits the
-  // vertex numbering cannot change, so the result columns must agree
-  // bit for bit. With splits the two runs may assign original-vs-clone
-  // ids differently (a region forces the banded downward kernel, whose
-  // variant orientation differs from the sequential DFS — isomorphic
-  // DAGs either way), so the exact check moves to the tree level:
-  // decompress both and compare the selected tree-node sets.
-  if (outcome.stats.splits == 0) {
-    if (instance_->RelationBits(result) !=
-        snapshot.RelationBits(oracle_result)) {
-      return Status::Internal(
-          "pruned sweeps diverged from the full-sweep oracle: result "
-          "selection bits differ");
-    }
-    return Status::OK();
-  }
-  DecompressOptions dopts;
-  XCQ_ASSIGN_OR_RETURN(const DecompressedTree pruned_tree,
-                       Decompress(*instance_, dopts));
-  XCQ_ASSIGN_OR_RETURN(const DecompressedTree oracle_tree_doc,
-                       Decompress(snapshot, dopts));
-  if (pruned_tree.RelationSet(instance_->schema().Name(result)) !=
-      oracle_tree_doc.RelationSet(snapshot.schema().Name(oracle_result))) {
-    return Status::Internal(
-        "pruned sweeps diverged from the full-sweep oracle: selected "
-        "tree-node sets differ");
-  }
-  return Status::OK();
 }
 
 Result<std::vector<QueryOutcome>> QuerySession::RunBatch(
@@ -463,8 +345,7 @@ Result<std::vector<QueryOutcome>> QuerySession::RunBatch(
   // Only attempted when per-query evaluation would not interleave
   // instance mutations between queries; the attempt itself aborts —
   // leaving the instance untouched — if any query demands a split.
-  if (plans.size() >= 2 && options_.shared_batch_sweeps &&
-      !options_.minimize_after_query) {
+  if (plans.size() >= 2 && !options_.minimize_after_query) {
     engine::EvalOptions eval_options = MakeEvalOptions(control);
     eval_options.context_relation.clear();
     engine::SharedBatchStats shared_stats;

@@ -38,10 +38,6 @@ struct SessionOptions {
   /// via common extensions; false re-compresses per query (the paper's
   /// prototype behaviour).
   bool reuse_instance = true;
-  /// Re-minimize the accumulated instance after each merge (splits from
-  /// earlier queries may otherwise linger; cf. Sec. 3.3's re-compression
-  /// remark).
-  bool minimize_after_merge = false;
   /// Re-minimize after each `Evaluate`, so splitting queries do not leave
   /// the accumulated instance permanently grown (the reclaim measured by
   /// bench_ablation section (c)). Result counts are taken before the
@@ -53,31 +49,12 @@ struct SessionOptions {
   /// hash-cons table kept in the instance. Off = the original full
   /// re-hash rebuild (`Minimize`) after every query.
   bool incremental_minimize = true;
-  /// Debug oracle: after every incremental pass, also run the full pass
-  /// on a copy and fail with `kInternal` unless both agree on reachable
-  /// vertex/edge counts and the result selection. Expensive — it
-  /// re-introduces the full-pass cost the incremental pass avoids; for
-  /// tests and bring-up only.
-  bool verify_incremental_minimize = false;
-  /// Evaluate BATCH requests with *shared sweeps* (engine/batch.h):
-  /// same-axis ops of different queries in a batch are grouped into one
-  /// multi-source traversal instead of one sweep per query. Answers are
-  /// bit-identical to per-query evaluation — sharing engages only while
-  /// no query would split the DAG and falls back (per batch) otherwise.
-  /// Requires `minimize_after_query` off: per-query re-minimization
-  /// between batch members re-orders mutations that sharing elides.
-  bool shared_batch_sweeps = true;
   /// Restrict axis sweeps to the vertices the path summary proves can
   /// contribute (docs/INTERNALS.md §9). Answers, splits, and the
   /// resulting instance are independent of the value; off = every sweep
-  /// walks the whole reachable DAG.
+  /// walks the whole reachable DAG (the unpruned reference the tests
+  /// compare against, and the baseline `bench_prune` measures).
   bool prune_sweeps = true;
-  /// Debug oracle: evaluate every query a second time *without* pruning
-  /// on a copy of the pre-query instance and fail with `kInternal`
-  /// unless both runs agree on the result selection, the splits, and
-  /// the resulting reachable sizes. Expensive — it re-introduces the
-  /// full-sweep cost pruning avoids; for tests and bring-up only.
-  bool verify_pruned_sweeps = false;
   /// Default per-query work budgets (engine/guard.h); 0 = unlimited.
   /// Applied to every evaluation unless the per-request `QueryControl`
   /// overrides them. Blow-ups convert to `kResourceExhausted` instead
@@ -163,6 +140,15 @@ class QuerySession {
   /// once per query. Outcomes are index-aligned with `query_texts`; the
   /// shared label time is reported on the first outcome. Fails as a
   /// whole if any query does not parse or compile.
+  ///
+  /// The batch is evaluated with *shared sweeps* (engine/batch.h):
+  /// same-axis ops of different queries are grouped into one
+  /// multi-source traversal instead of one sweep per query. Answers are
+  /// bit-identical to per-query evaluation — sharing engages only while
+  /// no query would split the DAG and falls back (per batch) otherwise.
+  /// With `minimize_after_query` on the batch always runs per query:
+  /// re-minimization between members re-orders mutations that sharing
+  /// elides.
   Result<std::vector<QueryOutcome>> RunBatch(
       const std::vector<std::string>& query_texts,
       const QueryControl& control = {});
@@ -187,7 +173,7 @@ class QuerySession {
 
   /// Batches served with shared sweeps / batches whose shared attempt
   /// aborted on a split demand and fell back to per-query evaluation.
-  /// Batches that never attempt sharing (single query, option off,
+  /// Batches that never attempt sharing (single query,
   /// `minimize_after_query` on) move neither counter, so their sum is
   /// the number of shared *attempts*, not of RunBatch calls.
   uint64_t shared_batch_count() const { return shared_batches_; }
@@ -222,19 +208,6 @@ class QuerySession {
   /// the first query, when every set result bit is a flip.
   void MarkResultFlips(const DynamicBitset& previous, bool had_previous,
                        RelationId result);
-
-  /// The `verify_incremental_minimize` oracle: full-minimizes a copy and
-  /// compares reachable counts and the result selection.
-  Status VerifyIncrementalMinimize() const;
-
-  /// The `verify_pruned_sweeps` oracle: re-evaluates `plan` with
-  /// pruning off on `snapshot` (the instance as it stood before the
-  /// pruned evaluation) and compares result selection, splits, and
-  /// reachable sizes against the pruned run.
-  Status VerifyPrunedSweeps(Instance snapshot,
-                            const algebra::QueryPlan& plan,
-                            const QueryOutcome& outcome,
-                            RelationId result) const;
 
   std::string xml_;
   SessionOptions options_;

@@ -151,18 +151,6 @@ TEST(BatchSweepTest, WarmedSplittingBatchEngagesSharing) {
   EXPECT_EQ(fallback, 0u);
 }
 
-TEST(BatchSweepTest, OptionOffDisablesSharing) {
-  SessionOptions options = ServingOptions();
-  options.shared_batch_sweeps = false;
-  XCQ_ASSERT_OK_AND_ASSIGN(
-      QuerySession session,
-      QuerySession::Open(testing::BibExampleXml(), options));
-  XCQ_ASSERT_OK(
-      session.RunBatch({"//paper[author]", "//book[author]"}).status());
-  EXPECT_EQ(session.shared_batch_count(), 0u);
-  EXPECT_EQ(session.shared_batch_fallback_count(), 0u);
-}
-
 TEST(BatchSweepTest, MinimizeAfterQueryDisablesSharing) {
   // Per-query re-minimization between batch members re-orders
   // mutations; sharing must stand down and results still match the
@@ -305,7 +293,7 @@ TEST(BatchSweepServerTest, StoredDocumentReportsSharedBatches) {
   server::QueryJob job;
   job.document = "doc";
   job.queries = {"//paper[author]", "//book[author]"};
-  XCQ_ASSERT_OK(service.Submit(job).get().status());
+  XCQ_ASSERT_OK(service.Execute(job).status());
 
   const std::vector<server::DocumentInfo> stats = store.Stats();
   ASSERT_EQ(stats.size(), 1u);

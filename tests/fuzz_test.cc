@@ -5,7 +5,12 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstdlib>
+#include <filesystem>
 #include <fstream>
+#include <map>
+#include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -14,6 +19,7 @@
 
 #include "test_util.h"
 #include "xcq/api.h"
+#include "xcq/util/string_util.h"
 
 namespace xcq {
 namespace {
@@ -82,9 +88,7 @@ TEST_P(IoFuzzTest, EvaluatedInstancesRoundTrip) {
   const std::string query = testing::RandomQueryText(rng, 3);
   auto plan = algebra::CompileString(query);
   ASSERT_TRUE(plan.ok()) << query;
-  engine::EvalOptions eopts;
-  eopts.remove_temporaries = rng.Chance(0.5);
-  auto result = engine::Evaluate(&inst, *plan, eopts, nullptr);
+  auto result = engine::Evaluate(&inst, *plan, {}, nullptr);
   ASSERT_TRUE(result.ok()) << query;
 
   const std::string bytes = SerializeInstance(inst);
@@ -568,6 +572,236 @@ TEST_P(ProtocolSocketFuzzTest, ServerSurvivesGarbageWithoutLeakingSlots) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ProtocolSocketFuzzTest,
+                         ::testing::Range<uint64_t>(0, 8));
+
+/// Whole-stack differential fuzzing: random request scripts through the
+/// daemon's request path (`PipelinedHandler` → `QueryService` →
+/// `DocumentStore` with a data dir) over one corpus document. Scripts
+/// mix QUERY and BATCH with EVICT (the next request faults the document
+/// back in from its spill), store restarts on the same data dir, and
+/// `TIMEOUT 1` queries followed by the same query without a deadline;
+/// each runs once with sessions re-minimizing after every query and
+/// once without. Every `OK` answer's `tree=` count must equal the
+/// uncompressed-tree baseline on the source document. A divergence
+/// dumps a repro (seed, request script, document), like the pruned-sweep
+/// fuzzer above.
+class ServingDifferentialFuzzTest
+    : public ::testing::TestWithParam<uint64_t> {};
+
+/// The `tree=` count of one answer line; nullopt when it has none.
+std::optional<uint64_t> TreeCount(const std::string& line) {
+  const size_t at = line.find(" tree=");
+  if (at == std::string::npos) return std::nullopt;
+  return std::strtoull(line.c_str() + at + 6, nullptr, 10);
+}
+
+/// Tree nodes `text` selects on the uncompressed document.
+Result<uint64_t> BaselineCount(const std::string& xml,
+                               const std::string& text) {
+  XCQ_ASSIGN_OR_RETURN(const xpath::Query query, xpath::ParseQuery(text));
+  XCQ_ASSIGN_OR_RETURN(const algebra::QueryPlan plan, algebra::Compile(query));
+  XCQ_ASSIGN_OR_RETURN(
+      const LabeledTree labeled,
+      TreeBuilder::Build(xml, CollectRequirements(query).patterns));
+  XCQ_ASSIGN_OR_RETURN(const DynamicBitset selected,
+                       baseline::Evaluate(labeled, plan));
+  return static_cast<uint64_t>(selected.Count());
+}
+
+void RunServingDifferential(uint64_t seed, bool minimize) {
+  // The same script for both minimize modes.
+  Rng rng(seed * 7727 + 3);
+  const std::vector<const corpus::CorpusGenerator*> corpora =
+      corpus::AllCorpora();
+  const corpus::CorpusGenerator* generator =
+      corpora[seed % corpora.size()];
+  corpus::GenerateOptions gen;
+  gen.target_nodes = 500;
+  gen.seed = seed * 17 + 3;
+  const std::string xml = generator->Generate(gen);
+  std::vector<std::string> pool = {"/*", "//*", "//*/following-sibling::*",
+                                   "//*/preceding-sibling::*/parent::*"};
+  const Result<corpus::QuerySet> set = corpus::QueriesFor(generator->name());
+  if (set.ok()) {
+    for (const std::string_view q : set->queries) pool.emplace_back(q);
+  }
+
+  std::string dir = ::testing::TempDir() + "xcq_serving_fuzz_XXXXXX";
+  ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+  const std::string xml_path = dir + "/doc.xml";
+  XCQ_ASSERT_OK(xml::WriteStringToFile(xml_path, xml));
+  server::StoreOptions store_options;
+  store_options.data_dir = dir + "/data";
+  store_options.session.minimize_after_query = minimize;
+  std::unique_ptr<server::DocumentStore> store;
+  std::unique_ptr<server::QueryService> service;
+  const auto start = [&] {
+    service.reset();  // joins the workers before their store goes
+    store = std::make_unique<server::DocumentStore>(store_options);
+    service = std::make_unique<server::QueryService>(
+        store.get(), server::ServiceOptions{2});
+  };
+  start();
+
+  std::vector<std::string> script;  // every line sent, restarts marked
+  std::map<std::string, uint64_t> expected;
+  std::string divergence;
+  uint64_t checked = 0;
+  // True once the document may have been faulted in from its spill
+  // since the last LOAD: it then carries only the labels queried so
+  // far, and a query needing another answers `ERR NotFound`.
+  bool from_spill = false;
+
+  const auto send = [&](const std::vector<std::string>& lines) {
+    script.insert(script.end(), lines.begin(), lines.end());
+    return testing::Converse(store.get(), service.get(), lines);
+  };
+  const auto fail = [&](const std::string& what) {
+    if (divergence.empty()) divergence = what;
+  };
+  const auto load = [&] {
+    const std::vector<std::string> reply = send({"LOAD doc " + xml_path});
+    if (reply.size() != 1 || reply[0].rfind("OK loaded doc", 0) != 0) {
+      fail("LOAD answered " + (reply.empty() ? "nothing" : reply[0]));
+    }
+    from_spill = false;
+  };
+  const auto check = [&](const std::string& query, const std::string& line) {
+    auto [it, fresh] = expected.try_emplace(query, 0);
+    if (fresh) {
+      const Result<uint64_t> count = BaselineCount(xml, query);
+      if (!count.ok()) {
+        fail("baseline failed on " + query + ": " + count.status().ToString());
+        return;
+      }
+      it->second = *count;
+    }
+    const std::optional<uint64_t> tree = TreeCount(line);
+    if (!tree.has_value() || *tree != it->second) {
+      fail(StrFormat("%s answered '%s', baseline selects %llu",
+                     query.c_str(), line.c_str(),
+                     static_cast<unsigned long long>(it->second)));
+    }
+    ++checked;
+  };
+  // One QUERY (a single query, `timeout` prefixed) or BATCH; checks
+  // every answer and returns the ERR line of a failed request, "" else.
+  const auto ask = [&](const std::vector<std::string>& queries,
+                       const std::string& timeout) {
+    std::vector<std::string> lines;
+    if (queries.size() == 1) {
+      lines.push_back("QUERY doc " + timeout + queries.front());
+    } else {
+      lines.push_back(StrFormat("BATCH doc %zu", queries.size()));
+      lines.insert(lines.end(), queries.begin(), queries.end());
+    }
+    const std::vector<std::string> reply = send(lines);
+    if (reply.empty()) {
+      fail("no reply to " + lines.front());
+      return std::string();
+    }
+    if (reply[0].rfind("ERR ", 0) == 0) return reply[0];
+    if (queries.size() == 1) {
+      check(queries.front(), reply[0]);
+    } else if (reply.size() != queries.size() + 1 ||
+               reply[0] != StrFormat("OK %zu", queries.size())) {
+      fail("malformed BATCH reply starting '" + reply[0] + "'");
+    } else {
+      for (size_t i = 0; i < queries.size(); ++i) {
+        check(queries[i], reply[i + 1]);
+      }
+    }
+    return std::string();
+  };
+  const auto spill_miss = [&](const std::string& err) {
+    return from_spill && err.rfind("ERR NotFound", 0) == 0;
+  };
+  // A request that must succeed; a spill miss re-LOADs and retries.
+  const auto ask_ok = [&](const std::vector<std::string>& queries) {
+    std::string err = ask(queries, "");
+    if (spill_miss(err)) {
+      load();
+      err = ask(queries, "");
+    }
+    if (!err.empty()) fail("unexpected " + err);
+  };
+
+  load();
+  for (int step = 0; step < 16 && divergence.empty(); ++step) {
+    switch (rng.Uniform(0, 9)) {
+      case 0:
+      case 1:
+      case 2:
+      case 3:
+        ask_ok({rng.Pick(pool)});
+        break;
+      case 4:
+      case 5: {
+        std::vector<std::string> batch;
+        const uint64_t size = rng.Uniform(2, 4);
+        for (uint64_t i = 0; i < size; ++i) batch.push_back(rng.Pick(pool));
+        ask_ok(batch);
+        break;
+      }
+      case 6: {
+        // A document without a spill yet (never queried) is dropped
+        // outright; the next request then misses and re-LOADs.
+        const std::vector<std::string> reply = send({"EVICT doc"});
+        if (reply.size() != 1 || (reply[0] != "OK evicted doc" &&
+                                  reply[0].rfind("ERR NotFound", 0) != 0)) {
+          fail("EVICT answered " + (reply.empty() ? "nothing" : reply[0]));
+        }
+        from_spill = true;
+        break;
+      }
+      case 7:
+        script.push_back("# restart the store on the same data dir");
+        start();
+        from_spill = true;
+        break;
+      default: {
+        const std::string query = rng.Pick(pool);
+        const std::string err = ask({query}, "TIMEOUT 1 ");
+        if (!err.empty() && !spill_miss(err) &&
+            err.rfind("ERR DeadlineExceeded", 0) != 0) {
+          fail("unexpected " + err + " under TIMEOUT 1");
+        }
+        ask_ok({query});
+        break;
+      }
+    }
+  }
+  service.reset();
+  store.reset();
+  std::filesystem::remove_all(dir);
+
+  if (!divergence.empty()) {
+    const std::string path = ::testing::TempDir() +
+                             "xcq_serving_divergence_" +
+                             std::to_string(seed) +
+                             (minimize ? "_minimize" : "") + ".txt";
+    std::ofstream dump(path);
+    dump << "seed: " << seed << "\n"
+         << "minimize_after_query: " << (minimize ? "on" : "off") << "\n"
+         << "corpus: " << generator->name() << "\n"
+         << "divergence: " << divergence << "\n"
+         << "script:\n";
+    for (const std::string& line : script) dump << line << "\n";
+    dump << "document:\n" << xml << "\n";
+    dump.close();
+    ADD_FAILURE() << "served answers diverged from the tree baseline ("
+                  << divergence << "); repro (seed, script, document) "
+                  << "dumped to " << path;
+  }
+  EXPECT_GT(checked, 0u) << "no answer was checked";
+}
+
+TEST_P(ServingDifferentialFuzzTest, ServedAnswersMatchTreeBaseline) {
+  RunServingDifferential(GetParam(), /*minimize=*/false);
+  RunServingDifferential(GetParam(), /*minimize=*/true);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ServingDifferentialFuzzTest,
                          ::testing::Range<uint64_t>(0, 8));
 
 }  // namespace

@@ -21,6 +21,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -61,6 +62,14 @@ SessionOptions TortureOptions() {
   SessionOptions options;
   options.minimize_after_query = true;  // exercises the minimize phase
   return options;
+}
+
+/// A token-less task for `TrySubmitWork`.
+WorkItem Work(std::string document, std::function<void()> run) {
+  WorkItem item;
+  item.document = std::move(document);
+  item.run = std::move(run);
+  return item;
 }
 
 /// An already-expired deadline: the steady-clock epoch (+1ns so the
@@ -301,7 +310,7 @@ TEST(SheddingTest, DeadWorkIsShedAtDequeueNeverRun) {
   QueryService service(&store, options);
 
   WorkerPlug plug;
-  ASSERT_TRUE(service.TrySubmitWork("", plug.Task()));
+  ASSERT_TRUE(service.TrySubmitWork(Work("", plug.Task())));
   plug.AwaitStarted();
 
   // Three requests queue behind the plug with already-expired
@@ -325,7 +334,8 @@ TEST(SheddingTest, DeadWorkIsShedAtDequeueNeverRun) {
   }
   // One live request behind them must still run.
   std::atomic<bool> live_ran{false};
-  ASSERT_TRUE(service.TrySubmitWork("doc", [&live_ran] { live_ran = true; }));
+  ASSERT_TRUE(
+      service.TrySubmitWork(Work("doc", [&live_ran] { live_ran = true; })));
 
   plug.Release();
   const auto deadline = std::chrono::steady_clock::now() +
@@ -352,7 +362,7 @@ TEST(SheddingTest, FullQueueDisplacesDeadTaskForLiveWork) {
   QueryService service(&store, options);
 
   WorkerPlug plug;
-  ASSERT_TRUE(service.TrySubmitWork("", plug.Task()));
+  ASSERT_TRUE(service.TrySubmitWork(Work("", plug.Task())));
   plug.AwaitStarted();
 
   // Fill the queue: one dead task, one live one.
@@ -371,14 +381,16 @@ TEST(SheddingTest, FullQueueDisplacesDeadTaskForLiveWork) {
     ASSERT_TRUE(service.TrySubmitWork(std::move(dead)));
   }
   std::atomic<int> live_ran{0};
-  ASSERT_TRUE(service.TrySubmitWork("doc", [&live_ran] { ++live_ran; }));
+  ASSERT_TRUE(
+      service.TrySubmitWork(Work("doc", [&live_ran] { ++live_ran; })));
 
   // Queue is now full. A fresh live submission must displace the dead
   // task (shedding it on THIS thread) instead of being refused...
-  ASSERT_TRUE(service.TrySubmitWork("doc", [&live_ran] { ++live_ran; }));
+  ASSERT_TRUE(
+      service.TrySubmitWork(Work("doc", [&live_ran] { ++live_ran; })));
   EXPECT_EQ(dead_shed.load(), 1);
   // ...and with only live tasks left, the next submission is refused.
-  EXPECT_FALSE(service.TrySubmitWork("doc", [] {}));
+  EXPECT_FALSE(service.TrySubmitWork(Work("doc", [] {})));
   EXPECT_GE(service.rejected(), 1u);
 
   plug.Release();
@@ -416,34 +428,15 @@ TEST(ProtocolTest, TimeoutClauseParses) {
   for (const char* bad : {"QUERY bib TIMEOUT 0 //a", "QUERY bib TIMEOUT //a",
                           "QUERY bib TIMEOUT abc //a",
                           "QUERY bib TIMEOUT 3600001 //a",
-                          "BATCH bib 2 TIMEOUT 0", "BATCH bib 2 TIMEOUT x"}) {
+                          "BATCH bib 2 TIMEOUT 0", "BATCH bib 2 TIMEOUT x",
+                          // Signs are not digits.
+                          "QUERY bib TIMEOUT +5 //a",
+                          "QUERY bib TIMEOUT -18446744073709551615 //a",
+                          "BATCH bib +2", "BATCH bib -18446744073709551615"}) {
     const Result<Request> result = ParseRequest(bad);
     ASSERT_FALSE(result.ok()) << bad;
     EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument) << bad;
   }
-}
-
-/// Runs one scripted conversation through RequestHandler (the blocking
-/// front end) with explicit handler options.
-std::vector<std::string> Converse(DocumentStore* store, QueryService* service,
-                                  HandlerOptions options,
-                                  std::vector<std::string> input) {
-  RequestHandler handler(store, service, options);
-  std::vector<std::string> output;
-  size_t next = 0;
-  const auto read_line = [&](std::string* line) {
-    if (next >= input.size()) return false;
-    *line = input[next++];
-    return true;
-  };
-  const auto write_line = [&](std::string_view line) {
-    output.emplace_back(line);
-  };
-  std::string line;
-  while (read_line(&line)) {
-    if (!handler.Handle(line, read_line, write_line)) break;
-  }
-  return output;
 }
 
 TEST(ProtocolTest, OversizedBatchAnswersWithoutConsumingBody) {
@@ -455,9 +448,10 @@ TEST(ProtocolTest, OversizedBatchAnswersWithoutConsumingBody) {
   // The over-limit header is answered immediately and consumes no body
   // lines: the next line is a fresh request, not a swallowed query.
   const std::vector<std::string> output =
-      Converse(&store, &service, options,
-               {"BATCH bib 3", "QUERY bib //paper/author", "BATCH bib 2",
-                "//paper", "//book", "QUIT"});
+      testing::Converse(&store, &service,
+                        {"BATCH bib 3", "QUERY bib //paper/author",
+                         "BATCH bib 2", "//paper", "//book", "QUIT"},
+                        options);
   ASSERT_EQ(output.size(), 6u);
   EXPECT_EQ(output[0].rfind("ERR InvalidArgument", 0), 0u) << output[0];
   EXPECT_NE(output[0].find("limit"), std::string::npos) << output[0];
@@ -473,8 +467,8 @@ TEST(ProtocolTest, DefaultDeadlineAppliesToDeadlinelessRequests) {
   HandlerOptions options;
   options.default_deadline_ms = 1;  // first touch of 40k nodes takes longer
   const std::vector<std::string> output =
-      Converse(&store, &service, options,
-               {"QUERY heavy //t0/descendant::t2"});
+      testing::Converse(&store, &service,
+                        {"QUERY heavy //t0/descendant::t2"}, options);
   ASSERT_EQ(output.size(), 1u);
   EXPECT_EQ(output[0].rfind("ERR DeadlineExceeded", 0), 0u) << output[0];
 }

@@ -1,5 +1,5 @@
 // The query daemon, bottom to top: DocumentStore caching and eviction,
-// QueryService pool scheduling, protocol parsing, the RequestHandler
+// QueryService pool scheduling, protocol parsing, the PipelinedHandler
 // conversation, and the TCP front end over real sockets.
 //
 // The two load-bearing guarantees (ISSUE 2 acceptance criteria):
@@ -16,9 +16,10 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <mutex>
+#include <future>
 #include <iterator>
 #include <map>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -46,6 +47,20 @@ const char* kStormQueries[] = {
 };
 
 std::string StormXml() { return testing::RandomXml(1234, 1500, 3); }
+
+/// Evaluates `job` on a pool worker through the admission-controlled
+/// path and blocks for the response (the service must be unbounded).
+QueryResponse ExecuteOnPool(QueryService* service, QueryJob job) {
+  auto promise = std::make_shared<std::promise<QueryResponse>>();
+  std::future<QueryResponse> response = promise->get_future();
+  WorkItem item;
+  item.document = job.document;
+  item.run = [service, promise, job = std::move(job)] {
+    promise->set_value(service->Execute(job));
+  };
+  EXPECT_TRUE(service->TrySubmitWork(std::move(item)));
+  return response.get();
+}
 
 /// Single-threaded reference: tree-node count per query. (Tree counts
 /// are the semantic result — what decompression would materialize.
@@ -142,16 +157,15 @@ TEST(QueryServiceTest, ExecuteUnknownDocumentIsNotFound) {
   EXPECT_EQ(service.Execute(job).status().code(), StatusCode::kNotFound);
 }
 
-TEST(QueryServiceTest, SubmitResolvesOnPoolThread) {
+TEST(QueryServiceTest, SubmittedJobResolvesOnPoolThread) {
   DocumentStore store;
   XCQ_ASSERT_OK(store.LoadXml("bib", testing::BibExampleXml()));
   QueryService service(&store, ServiceOptions{2});
   QueryJob job;
   job.document = "bib";
   job.queries = {"//paper/author"};
-  auto future = service.Submit(std::move(job));
   XCQ_ASSERT_OK_AND_ASSIGN(const std::vector<QueryOutcome> outcomes,
-                           future.get());
+                           ExecuteOnPool(&service, std::move(job)));
   ASSERT_EQ(outcomes.size(), 1u);
   EXPECT_EQ(outcomes[0].selected_tree_nodes, 2u);
   EXPECT_EQ(service.jobs_submitted(), 1u);
@@ -179,7 +193,8 @@ TEST(QueryServiceTest, ConcurrentStormMatchesSingleThreaded) {
         QueryJob job;
         job.document = "doc";
         job.queries = {query};
-        const QueryResponse response = service.Submit(std::move(job)).get();
+        const QueryResponse response =
+            ExecuteOnPool(&service, std::move(job));
         if (!response.ok()) {
           ++failures;
           continue;
@@ -221,7 +236,7 @@ TEST(QueryServiceTest, BatchMatchesSequentialEvaluation) {
   job.document = "doc";
   job.queries = queries;
   XCQ_ASSERT_OK_AND_ASSIGN(const std::vector<QueryOutcome> batched,
-                           service.Submit(std::move(job)).get());
+                           service.Execute(job));
 
   ASSERT_EQ(batched.size(), sequential.size());
   for (size_t i = 0; i < batched.size(); ++i) {
@@ -261,7 +276,7 @@ TEST(QueryServiceTest, HundredQueryBatchOverXcqiWithZeroReparses) {
   job.document = "doc";
   job.queries = batch;
   XCQ_ASSERT_OK_AND_ASSIGN(const std::vector<QueryOutcome> outcomes,
-                           service.Submit(std::move(job)).get());
+                           service.Execute(job));
   ASSERT_EQ(outcomes.size(), 100u);
 
   const std::map<std::string, uint64_t> reference = ReferenceCounts(xml);
@@ -329,6 +344,10 @@ TEST(ProtocolTest, RejectsMalformedRequests) {
       "BATCH doc 12x",       // trailing garbage in the count token
       "BATCH doc 0",         // zero count
       "BATCH doc 3 extra",   // trailing junk
+      "BATCH bib +2",        // a sign is not a digit
+      "BATCH bib -18446744073709551615",  // must not wrap around to 1
+      "QUERY bib TIMEOUT +5 //a",
+      "QUERY bib TIMEOUT -18446744073709551615 //a",
       "STATS doc",           // STATS takes no arguments
       "EVICT",               // missing name
       "PERSIST",             // missing name
@@ -348,36 +367,13 @@ TEST(ProtocolTest, ErrorsStayOnOneLine) {
   EXPECT_EQ(formatted.rfind("ERR ", 0), 0u);
 }
 
-/// Runs one scripted conversation through RequestHandler over string
-/// vectors — the whole daemon minus sockets.
-std::vector<std::string> Converse(DocumentStore* store,
-                                  QueryService* service,
-                                  std::vector<std::string> input) {
-  RequestHandler handler(store, service);
-  std::vector<std::string> output;
-  size_t next = 0;
-  const auto read_line = [&](std::string* line) {
-    if (next >= input.size()) return false;
-    *line = input[next++];
-    return true;
-  };
-  const auto write_line = [&](std::string_view line) {
-    output.emplace_back(line);
-  };
-  std::string line;
-  while (read_line(&line)) {
-    if (!handler.Handle(line, read_line, write_line)) break;
-  }
-  return output;
-}
-
-TEST(ProtocolTest, RequestHandlerConversation) {
+TEST(ProtocolTest, PipelinedConversation) {
   const std::string xml_path = ::testing::TempDir() + "/handler_bib.xml";
   XCQ_ASSERT_OK(xml::WriteStringToFile(xml_path, testing::BibExampleXml()));
 
   DocumentStore store;
   QueryService service(&store, ServiceOptions{2});
-  const std::vector<std::string> output = Converse(
+  const std::vector<std::string> output = testing::Converse(
       &store, &service,
       {
           "LOAD bib " + xml_path,
@@ -416,7 +412,7 @@ TEST(ProtocolTest, TruncatedBatchBodyClosesConversation) {
   DocumentStore store;
   QueryService service(&store, ServiceOptions{1});
   const std::vector<std::string> output =
-      Converse(&store, &service, {"BATCH doc 3", "//only-one"});
+      testing::Converse(&store, &service, {"BATCH doc 3", "//only-one"});
   ASSERT_EQ(output.size(), 1u);
   EXPECT_EQ(output[0].rfind("ERR InvalidArgument", 0), 0u) << output[0];
 }
@@ -703,7 +699,7 @@ TEST(ProtocolTest, PersistAndForgetWithoutDataDir) {
   DocumentStore store;
   QueryService service(&store, ServiceOptions{1});
   const std::vector<std::string> output =
-      Converse(&store, &service,
+      testing::Converse(&store, &service,
                {"LOAD bib " + xml_path, "PERSIST bib", "FORGET bib",
                 "FORGET bib"});
   ASSERT_EQ(output.size(), 4u);
@@ -744,7 +740,7 @@ TEST(ProtocolTest, StatsFieldSetIsFrozen) {
 
   DocumentStore store;
   QueryService service(&store, ServiceOptions{1});
-  const std::vector<std::string> output = Converse(
+  const std::vector<std::string> output = testing::Converse(
       &store, &service,
       {"LOAD bib " + xml_path, "QUERY bib //paper/author", "STATS"});
   ASSERT_EQ(output.size(), 4u);  // LOAD, QUERY, "OK 1", the row
@@ -868,7 +864,7 @@ TEST(ProtocolTest, TraceSinkCapturesOneJsonLinePerQuery) {
 
   DocumentStore store(store_options);
   QueryService service(&store, ServiceOptions{1});
-  Converse(&store, &service,
+  testing::Converse(&store, &service,
            {
                "LOAD bib " + xml_path,
                "QUERY bib //paper/author",
@@ -907,7 +903,7 @@ TEST(ProtocolTest, SlowTraceModeSkipsFastQueries) {
 
   DocumentStore store(store_options);
   QueryService service(&store, ServiceOptions{1});
-  Converse(&store, &service,
+  testing::Converse(&store, &service,
            {"LOAD bib " + xml_path, "QUERY bib //paper/author"});
   EXPECT_EQ(emitted.load(), 0);
   std::remove(xml_path.c_str());

@@ -80,27 +80,6 @@ TEST(QuerySessionTest, OutcomesMatchFreshEvaluation) {
   }
 }
 
-TEST(QuerySessionTest, MinimizeAfterMergeKeepsAnswers) {
-  SessionOptions options;
-  options.reuse_instance = true;
-  options.minimize_after_merge = true;
-  XCQ_ASSERT_OK_AND_ASSIGN(QuerySession session,
-                           QuerySession::Open(testing::BibExampleXml(),
-                                              options));
-  XCQ_ASSERT_OK_AND_ASSIGN(const QueryOutcome first,
-                           session.Run("//book/author"));
-  EXPECT_EQ(first.selected_tree_nodes, 3u);
-  XCQ_ASSERT_OK_AND_ASSIGN(const QueryOutcome second,
-                           session.Run("//paper[\"Codd\"]"));
-  EXPECT_EQ(second.selected_tree_nodes, 1u);
-  XCQ_ASSERT_OK_AND_ASSIGN(const bool minimal,
-                           IsMinimal(session.instance()));
-  // After a splitting query the instance itself need not be minimal, but
-  // it must still validate and answer correctly.
-  (void)minimal;
-  XCQ_ASSERT_OK(session.instance().Validate());
-}
-
 TEST(QuerySessionTest, MinimizeAfterQueryReclaimsSplits) {
   // The sibling step splits the shared `b` vertex (occurrences 2..3 of a
   // run are selected, occurrence 1 is not), but the *final* selection is

@@ -1,6 +1,11 @@
 #include "test_util.h"
 
+#include <chrono>
+#include <condition_variable>
 #include <functional>
+#include <map>
+#include <memory>
+#include <mutex>
 
 namespace xcq::testing {
 
@@ -27,7 +32,6 @@ DifferentialResult RunDifferential(const std::string& xml,
   if (!instance.ok()) return out;
 
   engine::EvalOptions eopts;
-  eopts.remove_temporaries = true;
   auto result_rel =
       engine::Evaluate(&*instance, *plan, eopts, &out.dag_stats);
   EXPECT_TRUE(result_rel.ok()) << result_rel.status();
@@ -212,6 +216,77 @@ std::string RandomQueryText(Rng& rng, int tag_count) {
                      &out);
   }
   return out;
+}
+
+namespace {
+
+/// Replies a handler's sink has delivered, by sequence number. Shared
+/// with the sink: a worker may still be inside it when the conversation
+/// returns.
+struct ReplyLog {
+  std::mutex mu;
+  std::condition_variable cv;
+  std::map<uint64_t, std::string> replies;
+};
+
+}  // namespace
+
+std::vector<std::string> Converse(server::DocumentStore* store,
+                                  server::QueryService* service,
+                                  const std::vector<std::string>& input,
+                                  server::HandlerOptions options) {
+  using Feed = server::PipelinedHandler::FeedResult;
+  auto log = std::make_shared<ReplyLog>();
+  auto handler = std::make_shared<server::PipelinedHandler>(
+      store, service,
+      [log](uint64_t seq, std::string bytes, bool /*close_after*/) {
+        std::lock_guard<std::mutex> lock(log->mu);
+        log->replies.emplace(seq, std::move(bytes));
+        log->cv.notify_all();
+      },
+      server::PipelinedHandler::Limits{}, server::PipelinedHandler::Hooks{},
+      options);
+  const auto await_all = [&] {
+    std::unique_lock<std::mutex> lock(log->mu);
+    log->cv.wait(lock,
+                 [&] { return log->replies.size() >= handler->dispatched(); });
+  };
+
+  bool open = true;
+  for (const std::string& line : input) {
+    Feed result = handler->Feed(line);
+    while (result == Feed::kStalled) {
+      // The service queue is full: wait for a completion (polling, since
+      // the work ahead may belong to other connections), then retry.
+      {
+        std::unique_lock<std::mutex> lock(log->mu);
+        const size_t before = log->replies.size();
+        log->cv.wait_for(lock, std::chrono::milliseconds(1),
+                         [&] { return log->replies.size() > before; });
+      }
+      result = handler->ResumeDeferred();
+    }
+    if (result == Feed::kClose) {
+      open = false;
+      break;
+    }
+    await_all();
+  }
+  if (open) handler->OnInputClosed();
+  await_all();
+
+  std::vector<std::string> output;
+  std::lock_guard<std::mutex> lock(log->mu);
+  for (const auto& entry : log->replies) {
+    const std::string& bytes = entry.second;
+    size_t begin = 0;
+    while (begin < bytes.size()) {
+      const size_t end = bytes.find('\n', begin);
+      output.push_back(bytes.substr(begin, end - begin));
+      begin = end + 1;
+    }
+  }
+  return output;
 }
 
 }  // namespace xcq::testing

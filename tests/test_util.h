@@ -68,6 +68,19 @@ std::string RandomXml(uint64_t seed, size_t max_nodes, int tag_count);
 /// the differential fuzzer.
 std::string RandomQueryText(Rng& rng, int tag_count);
 
+/// Runs one client conversation through a `server::PipelinedHandler` —
+/// the daemon's request path minus sockets — and returns the reply lines
+/// in request order (no terminators). Lines are fed in order; after
+/// each one the helper waits until every dispatched reply has arrived,
+/// so a LOAD completes before the next line's QUERY is dispatched. A
+/// `kStalled` feed waits for a completion and resumes the parked
+/// request; a `kClose` (QUIT) ends the feed. End of input calls
+/// `OnInputClosed`.
+std::vector<std::string> Converse(server::DocumentStore* store,
+                                  server::QueryService* service,
+                                  const std::vector<std::string>& input,
+                                  server::HandlerOptions options = {});
+
 }  // namespace xcq::testing
 
 #endif  // XCQ_TESTS_TEST_UTIL_H_
