@@ -38,14 +38,10 @@ class PlanRunner {
 
   Result<RelationId> Run(const algebra::QueryPlan& plan) {
     op_relation_.assign(plan.ops.size(), kNoRelation);
-    // Poll before the pruner binding: a bind may build the path
-    // summary (a full-DAG walk), so a dead request skips it entirely.
+    // Poll before the first gate: a bind may build the path summary (a
+    // full-DAG walk), so a dead request skips it entirely.
     XCQ_RETURN_IF_ERROR(guard_.Poll());
-    if (options_.prune_sweeps) {
-      ScopedTimer bind(stats_ != nullptr ? &stats_->prune_bind_seconds
-                                         : nullptr);
-      pruner_.emplace(instance_, &plan, &options_);
-    }
+    if (options_.prune_sweeps) pruner_.emplace(instance_, &plan, &options_);
     const Status status = [&] {
       for (size_t i = 0; i < plan.ops.size(); ++i) {
         // Op boundaries are always between mutation phases; the
@@ -202,6 +198,10 @@ class PlanRunner {
     }
     PruneGate gate;
     if (pruner_.has_value()) {
+      // The gate is where pruning costs: binding (summary build, abstract
+      // pass) on first use and a region build per sweep.
+      ScopedTimer bind(stats_ != nullptr ? &stats_->prune_bind_seconds
+                                         : nullptr);
       gate = stage < 0 ? pruner_->AxisGate(i) : pruner_->StageGate(i, stage);
       if (!gate.skip && pruner_->active() &&
           instance_->RelationBits(s).None()) {

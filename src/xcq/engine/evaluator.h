@@ -104,7 +104,9 @@ struct EvalStats {
   /// Per-family counter slices, indexed by AxisFamily; inline array so
   /// collecting stats still allocates nothing on the hot path.
   AxisFamilyStats axis[kAxisFamilyCount];
-  double prune_bind_seconds = 0.0;  ///< PlanPruner binding time.
+  /// Time inside the pruner's sweep gates: summary binding, the plan's
+  /// abstract pass, and every region build (0 with pruning off).
+  double prune_bind_seconds = 0.0;
   double sweep_seconds = 0.0;       ///< Total time inside sweep kernels.
   double seconds = 0.0;
 };

@@ -341,6 +341,10 @@ const PathSummary& Instance::EnsurePathSummary() const {
 
   // Grow the trie over reverse post-order (parents before children), so
   // every vertex's realized-path set is final before it is pushed down.
+  // Saturate as soon as the realizations exceed the budget (see
+  // PathSummary); every new trie node adds a realization, so this
+  // bounds the node count too.
+  const size_t budget = t.order.size() + t.reachable_edges;
   std::vector<PathSummary::Node>& nodes = path_summary_.nodes;
   std::unordered_map<uint64_t, uint32_t> child_index;  // parent<<32 | label
   std::unordered_set<uint64_t> realization_seen;       // vertex<<32 | node
@@ -363,10 +367,6 @@ const PathSummary& Instance::EnsurePathSummary() const {
         if (found != child_index.end()) {
           node = found->second;
         } else {
-          if (nodes.size() >= PathSummary::kMaxNodes) {
-            saturated = true;
-            break;
-          }
           node = static_cast<uint32_t>(nodes.size());
           nodes.push_back(PathSummary::Node{path, vertex_label[e.child]});
           child_index.emplace(lookup, node);
@@ -380,12 +380,11 @@ const PathSummary& Instance::EnsurePathSummary() const {
         if (realization_seen
                 .emplace((uint64_t{e.child} << 32) | node)
                 .second) {
-          if (realizations >= PathSummary::kMaxRealizations) {
+          if (++realizations > budget) {
             saturated = true;
             break;
           }
           into.push_back(node);
-          ++realizations;
         }
       }
       if (saturated) break;

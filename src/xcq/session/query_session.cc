@@ -201,8 +201,9 @@ Result<QueryOutcome> QuerySession::EvaluatePlan(
     result = sweep_result;
   }
   if (trace != nullptr && outcome.stats.prune_bind_seconds > 0.0) {
-    // The engine times pruner binding itself (it happens mid-Evaluate,
-    // inside the sweep span); book it as a nested span whose start is
+    // The engine sums the time of its pruning gates (summary binding and
+    // per-sweep region builds, interleaved with the kernels inside the
+    // sweep span); book that sum as one nested span whose start is
     // reconstructed from the evaluation total.
     const double eval_start =
         std::max(0.0, trace->Elapsed() - outcome.stats.seconds);

@@ -21,6 +21,7 @@
 #include "test_util.h"
 #include "xcq/api.h"
 #include "xcq/util/rng.h"
+#include "xcq/util/timer.h"
 
 namespace xcq {
 namespace {
@@ -116,10 +117,11 @@ SessionOptions PruningOptions(bool prune, bool minimize) {
 /// behind, and (with `minimize`) the re-minimized structure. Also
 /// checks the pruning counters stay on their own side: the oracle never
 /// prunes, the pruned run never visits more than the full sweep would.
-void ExpectPrunedMatchesUnpruned(const std::string& xml,
-                                 const std::vector<std::string>& queries,
-                                 bool minimize,
-                                 uint64_t* pruned_or_skipped = nullptr) {
+/// `summary_nodes` receives, per query, the size of the summary the
+/// pruned run consulted (0 = over budget, or no gated sweep).
+void ExpectPrunedMatchesUnpruned(
+    const std::string& xml, const std::vector<std::string>& queries,
+    bool minimize, std::vector<uint64_t>* summary_nodes = nullptr) {
   XCQ_ASSERT_OK_AND_ASSIGN(
       QuerySession pruned,
       QuerySession::Open(xml, PruningOptions(true, minimize)));
@@ -127,7 +129,7 @@ void ExpectPrunedMatchesUnpruned(const std::string& xml,
       QuerySession oracle,
       QuerySession::Open(xml, PruningOptions(false, minimize)));
 
-  uint64_t restricted = 0;
+  if (summary_nodes != nullptr) summary_nodes->clear();
   for (const std::string& query : queries) {
     SCOPED_TRACE(query);
     XCQ_ASSERT_OK_AND_ASSIGN(const QueryOutcome p, pruned.Run(query));
@@ -145,7 +147,9 @@ void ExpectPrunedMatchesUnpruned(const std::string& xml,
     EXPECT_EQ(o.stats.skipped_sweeps, 0u);
     EXPECT_EQ(o.stats.summary_builds, 0u);
     EXPECT_LE(p.stats.sweep_visited, p.stats.sweep_full);
-    restricted += p.stats.pruned_sweeps + p.stats.skipped_sweeps;
+    if (summary_nodes != nullptr) {
+      summary_nodes->push_back(p.stats.summary_nodes);
+    }
 
     // Post-minimize (or just post-query) structure.
     EXPECT_EQ(pruned.instance().ReachableCount(),
@@ -171,7 +175,6 @@ void ExpectPrunedMatchesUnpruned(const std::string& xml,
               ot.RelationSet(engine::kResultRelation));
   }
   XCQ_ASSERT_OK(pruned.instance().Validate());
-  if (pruned_or_skipped != nullptr) *pruned_or_skipped = restricted;
 }
 
 /// The generic mix: recursive descent, splitting sibling walks, and an
@@ -204,12 +207,37 @@ TEST(PrunedSweepEquivalenceTest, RandomizedSequencesOverEveryCorpus) {
     std::vector<std::string> sequence;
     for (int i = 0; i < 6; ++i) sequence.push_back(rng.Pick(pool));
 
-    uint64_t restricted = 0;
-    ExpectPrunedMatchesUnpruned(xml, sequence, /*minimize=*/false, &restricted);
+    std::vector<uint64_t> summary_nodes;
+    ExpectPrunedMatchesUnpruned(xml, sequence, /*minimize=*/false,
+                                &summary_nodes);
     ExpectPrunedMatchesUnpruned(xml, sequence, /*minimize=*/true);
-    // The corpora are small enough that the summary never saturates:
-    // pruning must actually have engaged somewhere in the sequence.
-    EXPECT_GT(restricted, 0u) << "pruning never engaged";
+    // The budget decision. Every corpus but TreeBank is within budget,
+    // so some query of the sequence consults its summary. TreeBank's
+    // recursive nesting realizes more (vertex, path) pairs than its DAG
+    // has vertices + edges once the session carries Appendix-A labels,
+    // so from the first such query on the summary saturates. (Before
+    // that, a wildcard-only session labels nothing but the root, and
+    // its summary is a small depth chain, within budget.)
+    ASSERT_EQ(summary_nodes.size(), sequence.size());
+    if (generator->name() == "TreeBank") {
+      XCQ_ASSERT_OK_AND_ASSIGN(const corpus::QuerySet appendix,
+                               corpus::QueriesFor(generator->name()));
+      const size_t first = static_cast<size_t>(
+          std::find_first_of(sequence.begin(), sequence.end(),
+                             appendix.queries.begin(),
+                             appendix.queries.end()) -
+          sequence.begin());
+      ASSERT_LT(first, sequence.size()) << "no Appendix-A query drawn";
+      for (size_t i = first; i < sequence.size(); ++i) {
+        EXPECT_EQ(summary_nodes[i], 0u)
+            << "over-budget summary consulted by " << sequence[i];
+      }
+    } else {
+      EXPECT_GT(*std::max_element(summary_nodes.begin(),
+                                  summary_nodes.end()),
+                0u)
+          << "pruning never consulted a summary";
+    }
     ++corpus_index;
   }
 }
@@ -347,6 +375,89 @@ TEST(PathSummaryTest, InvalidatedByInPlaceMinimizeThatChangesStructure) {
   ExpectSummaryMatchesOracle(session.instance());
   ExpectPrunedMatchesUnpruned(xml, {"//b/following-sibling::b", "//a/b"},
                               /*minimize=*/true);
+}
+
+TEST(PathSummaryTest, BudgetSaturatesOnlyWhereSummaryOutgrowsTheDag) {
+  // Within budget: the bibliography realizes fewer (vertex, path) pairs
+  // than its DAG has reachable vertices + RLE edges.
+  const std::string bib = testing::BibExampleXml();
+  Instance within = CompressAllTags(bib);
+  const PathSummary& small = within.EnsurePathSummary();
+  EXPECT_FALSE(small.saturated);
+  EXPECT_FALSE(small.nodes.empty());
+  EXPECT_LE(small.vertex_nodes.size(),
+            within.ReachableCount() + within.ReachableEdgeCount());
+
+  // Over budget: TreeBank's recursive nesting under its Appendix-A
+  // labels realizes more pairs than the DAG has vertices + edges.
+  corpus::GenerateOptions gen;
+  gen.target_nodes = 600;
+  const std::string treebank = corpus::TreeBank().Generate(gen);
+  XCQ_ASSERT_OK_AND_ASSIGN(const corpus::QuerySet appendix,
+                           corpus::QueriesFor("TreeBank"));
+  const std::vector<std::string> queries(appendix.queries.begin(),
+                                         appendix.queries.end());
+  XCQ_ASSERT_OK_AND_ASSIGN(const xpath::QueryRequirements reqs,
+                           CollectBatchRequirements(queries));
+  CompressOptions labels;
+  labels.mode = LabelMode::kSchema;
+  labels.tags = reqs.tags;
+  labels.patterns = reqs.patterns;
+  XCQ_ASSERT_OK_AND_ASSIGN(Instance over, CompressXml(treebank, labels));
+  const PathSummary& saturated = over.EnsurePathSummary();
+  EXPECT_TRUE(saturated.saturated);
+  EXPECT_TRUE(saturated.nodes.empty());
+  EXPECT_TRUE(saturated.vertex_nodes.empty());
+  // Saturated stays "built" for the generation: no rebuild per query.
+  const uint64_t builds = over.path_summary_builds();
+  (void)over.EnsurePathSummary();
+  EXPECT_TRUE(over.path_summary_valid());
+  EXPECT_EQ(over.path_summary_builds(), builds);
+
+  // Either side of the budget, pruned evaluation equals the full sweeps.
+  ExpectPrunedMatchesUnpruned(
+      bib, {"/bib/book", "//author/parent::*", "//title/following-sibling::*"},
+      /*minimize=*/false);
+  std::vector<uint64_t> summary_nodes;
+  ExpectPrunedMatchesUnpruned(treebank, queries, /*minimize=*/false,
+                              &summary_nodes);
+  for (const uint64_t nodes : summary_nodes) EXPECT_EQ(nodes, 0u);
+}
+
+TEST(PrunedSweepStatsTest, PruneBindTimesTheGates) {
+  // The pruner's work (summary binding, abstract pass, region builds)
+  // runs inside the sweep gates; prune_bind_seconds must see it. A
+  // cold evaluation builds the summary inside its first gate, so its
+  // prune_bind_seconds must cover at least a good part of what the
+  // same build takes on its own.
+  corpus::GenerateOptions gen;
+  gen.target_nodes = 25000;
+  Instance base = CompressAllTags(corpus::SwissProt().Generate(gen));
+  XCQ_ASSERT_OK_AND_ASSIGN(const algebra::QueryPlan plan,
+                           algebra::CompileString("//Record/protein"));
+
+  Instance pruned = base;
+  engine::EvalStats on;
+  XCQ_ASSERT_OK(
+      engine::Evaluate(&pruned, plan, engine::EvalOptions{}, &on).status());
+  EXPECT_GT(on.summary_nodes, 0u);
+  EXPECT_GT(on.pruned_sweeps, 0u);
+
+  Instance full = base;
+  engine::EvalOptions options;
+  options.prune_sweeps = false;
+  engine::EvalStats off;
+  XCQ_ASSERT_OK(engine::Evaluate(&full, plan, options, &off).status());
+  EXPECT_EQ(off.prune_bind_seconds, 0.0);
+
+  double build_seconds = 1e9;
+  for (int i = 0; i < 3; ++i) {
+    const Instance cold = base;
+    const Timer timer;
+    (void)cold.EnsurePathSummary();
+    build_seconds = std::min(build_seconds, timer.Seconds());
+  }
+  EXPECT_GE(on.prune_bind_seconds, 0.25 * build_seconds);
 }
 
 TEST(PrunedSweepStatsTest, RecursiveDescentVisitsLessThanFullSweep) {
