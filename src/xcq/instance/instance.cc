@@ -1,9 +1,8 @@
 #include "xcq/instance/instance.h"
 
 #include <algorithm>
+#include <iterator>
 #include <map>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "xcq/instance/stats.h"
 #include "xcq/util/string_util.h"
@@ -339,56 +338,88 @@ const PathSummary& Instance::EnsurePathSummary() const {
     }
   }
 
-  // Grow the trie over reverse post-order (parents before children), so
-  // every vertex's realized-path set is final before it is pushed down.
-  // Saturate as soon as the realizations exceed the budget (see
-  // PathSummary); every new trie node adds a realization, so this
-  // bounds the node count too.
+  // Parent lists (CSR over the reachable edges). Each slice is filled
+  // back to front over post-order, which leaves it in reverse
+  // post-order -- parents first -- and parent_begin[v] at its start.
+  std::vector<uint32_t> parent_begin(n + 1, 0);
+  for (const VertexId u : t.order) {
+    for (const Edge& e : Children(u)) ++parent_begin[e.child];
+  }
+  uint32_t total = 0;
+  for (size_t v = 0; v < n; ++v) {
+    total += parent_begin[v];
+    parent_begin[v] = total;
+  }
+  parent_begin[n] = total;
+  std::vector<VertexId> parents(total);
+  for (const VertexId u : t.order) {
+    for (const Edge& e : Children(u)) parents[--parent_begin[e.child]] = u;
+  }
+
+  // Visit each reachable vertex once in reverse post-order (parents
+  // before children): it pulls the trie child under its own label from
+  // every path its parents realize, and appends its now-final slice to
+  // `paths`. RLE lists may repeat a child in non-adjacent runs and many
+  // parents may realize the same path; distinct parent paths have
+  // distinct trie children, so a per-node stamp of the last vertex that
+  // pulled it dedups in O(1). Saturate as soon as the realizations
+  // exceed the budget (see PathSummary); every new trie node adds a
+  // realization, so this bounds the node count too.
   const size_t budget = t.order.size() + t.reachable_edges;
   std::vector<PathSummary::Node>& nodes = path_summary_.nodes;
-  std::unordered_map<uint64_t, uint32_t> child_index;  // parent<<32 | label
-  std::unordered_set<uint64_t> realization_seen;       // vertex<<32 | node
-  std::vector<std::vector<uint32_t>> realized(n);
+  // Per trie node: its newest child and next-older sibling (the child
+  // index, scanned by label) and the dedup stamp.
+  std::vector<uint32_t> first_child;
+  std::vector<uint32_t> next_sibling;
+  std::vector<VertexId> pulled_by;
+  std::vector<uint32_t> path_begin(n, 0);
+  std::vector<uint32_t> path_count(n, 0);
+  std::vector<uint32_t> paths;
+  const auto add_node = [&](uint32_t parent, uint32_t label) {
+    const uint32_t node = static_cast<uint32_t>(nodes.size());
+    nodes.push_back(PathSummary::Node{parent, label});
+    first_child.push_back(PathSummary::kNoNode);
+    pulled_by.push_back(kNoVertex);
+    if (parent == PathSummary::kNoNode) {
+      next_sibling.push_back(PathSummary::kNoNode);
+    } else {
+      next_sibling.push_back(first_child[parent]);
+      first_child[parent] = node;
+    }
+    return node;
+  };
+  paths.push_back(add_node(PathSummary::kNoNode, vertex_label[root_]));
+  path_count[root_] = 1;
   size_t realizations = 1;
   bool saturated = false;
-  nodes.push_back(
-      PathSummary::Node{PathSummary::kNoNode, vertex_label[root_]});
-  realized[root_].push_back(0);
 
-  for (auto it = t.order.rbegin(); it != t.order.rend() && !saturated;
-       ++it) {
+  // Post-order ends at the root, which realizes node 0 alone.
+  for (auto it = std::next(t.order.rbegin());
+       it != t.order.rend() && !saturated; ++it) {
     const VertexId v = *it;
-    for (const uint32_t path : realized[v]) {
-      for (const Edge& e : Children(v)) {
-        const uint64_t lookup =
-            (uint64_t{path} << 32) | vertex_label[e.child];
-        uint32_t node;
-        const auto found = child_index.find(lookup);
-        if (found != child_index.end()) {
-          node = found->second;
-        } else {
-          node = static_cast<uint32_t>(nodes.size());
-          nodes.push_back(PathSummary::Node{path, vertex_label[e.child]});
-          child_index.emplace(lookup, node);
+    const uint32_t label = vertex_label[v];
+    path_begin[v] = static_cast<uint32_t>(paths.size());
+    for (uint32_t i = parent_begin[v]; i < parent_begin[v + 1] && !saturated;
+         ++i) {
+      const VertexId u = parents[i];
+      const uint32_t end = path_begin[u] + path_count[u];
+      for (uint32_t j = path_begin[u]; j < end; ++j) {
+        const uint32_t path = paths[j];
+        if (pulled_by[path] == v) continue;
+        pulled_by[path] = v;
+        uint32_t node = first_child[path];
+        while (node != PathSummary::kNoNode && nodes[node].label != label) {
+          node = next_sibling[node];
         }
-        // RLE lists may repeat a child in non-adjacent runs, and many
-        // parents realizing the same path reach the same child; the
-        // hash dedups in O(1) (deep corpora realize tens of thousands
-        // of paths at one vertex, so a linear scan would be quadratic).
-        // Membership only — push order stays deterministic.
-        std::vector<uint32_t>& into = realized[e.child];
-        if (realization_seen
-                .emplace((uint64_t{e.child} << 32) | node)
-                .second) {
-          if (++realizations > budget) {
-            saturated = true;
-            break;
-          }
-          into.push_back(node);
+        if (node == PathSummary::kNoNode) node = add_node(path, label);
+        if (++realizations > budget) {
+          saturated = true;
+          break;
         }
+        paths.push_back(node);
       }
-      if (saturated) break;
     }
+    path_count[v] = static_cast<uint32_t>(paths.size()) - path_begin[v];
   }
 
   if (saturated) {
@@ -407,10 +438,10 @@ const PathSummary& Instance::EnsurePathSummary() const {
   uint32_t offset = 0;
   for (VertexId v = 0; v < n; ++v) {
     path_summary_.vertex_begin[v] = offset;
-    path_summary_.vertex_nodes.insert(path_summary_.vertex_nodes.end(),
-                                      realized[v].begin(),
-                                      realized[v].end());
-    offset += static_cast<uint32_t>(realized[v].size());
+    path_summary_.vertex_nodes.insert(
+        path_summary_.vertex_nodes.end(), paths.begin() + path_begin[v],
+        paths.begin() + path_begin[v] + path_count[v]);
+    offset += path_count[v];
   }
   path_summary_.vertex_begin[n] = offset;
   return path_summary_;
@@ -423,8 +454,13 @@ Status Instance::Validate() const {
                ? Status::OK()
                : Status::Corruption("empty instance has a root");
   }
-  if (root_ >= n) return Status::Corruption("root vertex out of range");
-  for (VertexId v = 0; v < n; ++v) {
+  // A structure that passed at this generation still passes: skip to
+  // the column sizes, which relation growth can change without a bump.
+  const bool structure_checked = validated_generation_ == structure_generation_;
+  if (!structure_checked && root_ >= n) {
+    return Status::Corruption("root vertex out of range");
+  }
+  for (VertexId v = 0; !structure_checked && v < n; ++v) {
     if (spans_[v].offset + spans_[v].length > edges_.size()) {
       return Status::Corruption(
           StrFormat("vertex %u edge span out of range", v));
@@ -452,6 +488,7 @@ Status Instance::Validate() const {
       return Status::Corruption("relation column size mismatch");
     }
   }
+  if (structure_checked) return Status::OK();
   // Acyclicity: DFS with colors (0 = new, 1 = on stack, 2 = done).
   std::vector<uint8_t> color(n, 0);
   std::vector<std::pair<VertexId, uint32_t>> stack;
@@ -462,6 +499,10 @@ Status Instance::Validate() const {
     while (!stack.empty()) {
       auto& [v, next] = stack.back();
       const std::span<const Edge> children = Children(v);
+      // Shared children are mostly done already: skip them in place.
+      while (next < children.size() && color[children[next].child] == 2) {
+        ++next;
+      }
       if (next < children.size()) {
         const VertexId child = children[next].child;
         ++next;
@@ -469,16 +510,15 @@ Status Instance::Validate() const {
           return Status::Corruption(
               StrFormat("cycle through vertex %u", child));
         }
-        if (color[child] == 0) {
-          color[child] = 1;
-          stack.emplace_back(child, 0);
-        }
+        color[child] = 1;
+        stack.emplace_back(child, 0);
       } else {
         color[v] = 2;
         stack.pop_back();
       }
     }
   }
+  validated_generation_ = structure_generation_;
   return Status::OK();
 }
 

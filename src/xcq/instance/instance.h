@@ -443,6 +443,12 @@ class Instance {
 
   /// Checks structural invariants: valid ids, RLE canonical form,
   /// acyclicity, root in range, relation columns sized to vertex_count.
+  /// The structural part is memoized on the structure generation (the
+  /// key of the traversal cache), so a second call on an unchanged
+  /// structure checks only the column sizes; any structural mutation
+  /// re-arms the full check. Same thread-safety contract as
+  /// EnsureTraversal: the first call after a structural change requires
+  /// exclusive access.
   Status Validate() const;
 
   /// Estimated heap footprint in bytes (for the experiment reports).
@@ -491,6 +497,8 @@ class Instance {
   mutable uint64_t traversal_builds_ = 0;
   mutable PathSummary path_summary_;
   mutable uint64_t path_summary_builds_ = 0;
+  /// Structure generation whose structural Validate() passed (0 = none).
+  mutable uint64_t validated_generation_ = 0;
 
   bool track_dirty_ = false;
   /// Parallel to spans_ (grown lazily): 1 for vertices in dirty_list_.

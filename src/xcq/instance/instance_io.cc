@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <cerrno>
 #include <cstring>
@@ -23,16 +24,35 @@ constexpr char kFooterMagic[4] = {'X', 'C', 'Q', 'F'};
 /// u32 crc | u64 payload_size | kFooterMagic.
 constexpr size_t kFooterSize = 4 + 8 + 4;
 
-std::array<uint32_t, 256> MakeCrcTable() {
-  std::array<uint32_t, 256> table{};
+constexpr size_t kMaxVarintBytes = 10;
+
+/// Slicing-by-8 tables for the reflected IEEE polynomial: kCrc[0] is
+/// the classic bytewise table, kCrc[k][i] the CRC of byte i followed by
+/// k zero bytes, so eight table lookups fold eight input bytes at once.
+using CrcTables = std::array<std::array<uint32_t, 256>, 8>;
+
+CrcTables MakeCrcTables() {
+  CrcTables tables{};
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    tables[0][i] = c;
   }
-  return table;
+  for (size_t k = 1; k < tables.size(); ++k) {
+    for (uint32_t i = 0; i < 256; ++i) {
+      const uint32_t prev = tables[k - 1][i];
+      tables[k][i] = tables[0][prev & 0xFFu] ^ (prev >> 8);
+    }
+  }
+  return tables;
+}
+
+/// Little-endian 32-bit load, independent of host byte order.
+uint32_t LoadLe32(const unsigned char* p) {
+  return uint32_t{p[0]} | uint32_t{p[1]} << 8 | uint32_t{p[2]} << 16 |
+         uint32_t{p[3]} << 24;
 }
 
 void PutVarint(std::string* out, uint64_t v) {
@@ -55,65 +75,84 @@ void PutU64(std::string* out, uint64_t v) {
   out->append(buf, 8);
 }
 
+/// Cursor over an instance payload. Getters return false on running
+/// out of input (or a malformed varint) and leave the reason in
+/// error(); the caller turns it into one kCorruption status.
 class Reader {
  public:
   explicit Reader(std::string_view bytes) : bytes_(bytes) {}
 
-  Status GetVarint(uint64_t* out) {
+  /// One bounds computation per value: a varint is at most
+  /// kMaxVarintBytes long, and the last of those may only carry bit 63.
+  bool GetVarint(uint64_t* out) {
+    if (pos_ < bytes_.size() &&
+        static_cast<unsigned char>(bytes_[pos_]) < 0x80) {
+      *out = static_cast<unsigned char>(bytes_[pos_++]);
+      return true;
+    }
+    const auto* const start =
+        reinterpret_cast<const unsigned char*>(bytes_.data()) + pos_;
+    const auto* const end =
+        start + std::min<size_t>(bytes_.size() - pos_, kMaxVarintBytes);
     uint64_t value = 0;
     int shift = 0;
-    while (true) {
-      if (pos_ >= bytes_.size()) {
-        return Status::Corruption("truncated varint");
+    for (const unsigned char* p = start; p < end; shift += 7) {
+      const uint64_t byte = *p++;
+      if (shift == 63 && byte > 1) return Fail("varint overflow");
+      value |= (byte & 0x7F) << shift;
+      if (byte < 0x80) {
+        pos_ += static_cast<size_t>(p - start);
+        *out = value;
+        return true;
       }
-      const auto byte = static_cast<unsigned char>(bytes_[pos_++]);
-      if (shift >= 63 && byte > 1) {
-        return Status::Corruption("varint overflow");
-      }
-      value |= static_cast<uint64_t>(byte & 0x7F) << shift;
-      if ((byte & 0x80) == 0) break;
-      shift += 7;
     }
-    *out = value;
-    return Status::OK();
+    return Fail("truncated varint");
   }
 
-  Status GetU32(uint32_t* out) {
-    if (pos_ + 4 > bytes_.size()) return Status::Corruption("truncated u32");
-    std::memcpy(out, bytes_.data() + pos_, 4);
-    pos_ += 4;
-    return Status::OK();
+  bool GetU32(uint32_t* out) {
+    std::string_view bytes;
+    if (!GetBytes(4, &bytes)) return false;
+    std::memcpy(out, bytes.data(), 4);
+    return true;
   }
 
-  Status GetU64(uint64_t* out) {
-    if (pos_ + 8 > bytes_.size()) return Status::Corruption("truncated u64");
-    std::memcpy(out, bytes_.data() + pos_, 8);
-    pos_ += 8;
-    return Status::OK();
-  }
-
-  Status GetBytes(size_t n, std::string_view* out) {
-    if (pos_ + n > bytes_.size()) return Status::Corruption("truncated bytes");
+  bool GetBytes(size_t n, std::string_view* out) {
+    if (n > bytes_.size() - pos_) return Fail("truncated bytes");
     *out = bytes_.substr(pos_, n);
     pos_ += n;
-    return Status::OK();
+    return true;
   }
 
-  bool AtEnd() const { return pos_ == bytes_.size(); }
+  size_t remaining() const { return bytes_.size() - pos_; }
+  Status error() const { return Status::Corruption(error_); }
 
  private:
+  bool Fail(const char* why) {
+    error_ = why;
+    return false;
+  }
+
   std::string_view bytes_;
   size_t pos_ = 0;
+  const char* error_ = "";
 };
 
 }  // namespace
 
 uint32_t Crc32(std::string_view bytes) {
-  static const std::array<uint32_t, 256> kTable = MakeCrcTable();
+  static const CrcTables kCrc = MakeCrcTables();
+  const auto* p = reinterpret_cast<const unsigned char*>(bytes.data());
+  size_t n = bytes.size();
   uint32_t c = 0xFFFFFFFFu;
-  for (const char ch : bytes) {
-    c = kTable[(c ^ static_cast<unsigned char>(ch)) & 0xFFu] ^ (c >> 8);
+  for (; n >= 8; n -= 8, p += 8) {
+    const uint32_t lo = c ^ LoadLe32(p);
+    const uint32_t hi = LoadLe32(p + 4);
+    c = kCrc[7][lo & 0xFFu] ^ kCrc[6][(lo >> 8) & 0xFFu] ^
+        kCrc[5][(lo >> 16) & 0xFFu] ^ kCrc[4][lo >> 24] ^
+        kCrc[3][hi & 0xFFu] ^ kCrc[2][(hi >> 8) & 0xFFu] ^
+        kCrc[1][(hi >> 16) & 0xFFu] ^ kCrc[0][hi >> 24];
   }
+  for (; n > 0; --n, ++p) c = kCrc[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
 }
 
@@ -181,12 +220,12 @@ Result<Instance> DeserializeInstance(std::string_view bytes) {
   }
   Reader reader(bytes);
   std::string_view magic;
-  XCQ_RETURN_IF_ERROR(reader.GetBytes(4, &magic));
+  if (!reader.GetBytes(4, &magic)) return reader.error();
   if (std::memcmp(magic.data(), kMagic, 4) != 0) {
     return Status::Corruption("bad magic; not an xcq instance file");
   }
   uint32_t version = 0;
-  XCQ_RETURN_IF_ERROR(reader.GetU32(&version));
+  if (!reader.GetU32(&version)) return reader.error();
   if (version != kVersion) {
     return Status::Corruption(
         StrFormat("unsupported instance format version %u", version));
@@ -194,8 +233,9 @@ Result<Instance> DeserializeInstance(std::string_view bytes) {
 
   uint64_t vertex_count = 0;
   uint64_t root_plus1 = 0;
-  XCQ_RETURN_IF_ERROR(reader.GetVarint(&vertex_count));
-  XCQ_RETURN_IF_ERROR(reader.GetVarint(&root_plus1));
+  if (!reader.GetVarint(&vertex_count) || !reader.GetVarint(&root_plus1)) {
+    return reader.error();
+  }
   if (vertex_count > UINT32_MAX) {
     return Status::Corruption("vertex count exceeds 32-bit id space");
   }
@@ -204,7 +244,7 @@ Result<Instance> DeserializeInstance(std::string_view bytes) {
   }
 
   uint64_t relation_count = 0;
-  XCQ_RETURN_IF_ERROR(reader.GetVarint(&relation_count));
+  if (!reader.GetVarint(&relation_count)) return reader.error();
   if (relation_count > 1u << 20) {
     return Status::Corruption("implausible relation count");
   }
@@ -212,10 +252,10 @@ Result<Instance> DeserializeInstance(std::string_view bytes) {
   names.reserve(relation_count);
   for (uint64_t i = 0; i < relation_count; ++i) {
     uint64_t len = 0;
-    XCQ_RETURN_IF_ERROR(reader.GetVarint(&len));
+    if (!reader.GetVarint(&len)) return reader.error();
     if (len > 1u << 16) return Status::Corruption("relation name too long");
     std::string_view name;
-    XCQ_RETURN_IF_ERROR(reader.GetBytes(len, &name));
+    if (!reader.GetBytes(len, &name)) return reader.error();
     names.emplace_back(name);
   }
 
@@ -224,26 +264,24 @@ Result<Instance> DeserializeInstance(std::string_view bytes) {
   std::vector<Edge> edges;
   for (uint64_t v = 0; v < vertex_count; ++v) {
     uint64_t runs = 0;
-    XCQ_RETURN_IF_ERROR(reader.GetVarint(&runs));
-    if (runs > vertex_count) {
-      // A canonical RLE list cannot repeat children adjacently, but it can
-      // still be long; bound it by remaining input to avoid OOM on fuzz.
-      if (runs > bytes.size()) {
-        return Status::Corruption("implausible edge run count");
-      }
+    if (!reader.GetVarint(&runs)) return reader.error();
+    // Every run takes at least two bytes; bounding by the input left
+    // keeps a corrupt count from allocating.
+    if (runs > reader.remaining() / 2) {
+      return Status::Corruption("implausible edge run count");
     }
-    edges.clear();
-    edges.reserve(runs);
-    for (uint64_t i = 0; i < runs; ++i) {
+    edges.resize(runs);
+    for (Edge& edge : edges) {
       uint64_t child = 0;
       uint64_t count = 0;
-      XCQ_RETURN_IF_ERROR(reader.GetVarint(&child));
-      XCQ_RETURN_IF_ERROR(reader.GetVarint(&count));
+      if (!reader.GetVarint(&child) || !reader.GetVarint(&count)) {
+        return reader.error();
+      }
       if (child >= vertex_count) {
         return Status::Corruption("edge child out of range");
       }
       if (count == 0) return Status::Corruption("zero edge multiplicity");
-      edges.push_back(Edge{static_cast<VertexId>(child), count});
+      edge = Edge{static_cast<VertexId>(child), count};
     }
     instance.SetEdges(static_cast<VertexId>(v), edges);
   }
@@ -251,20 +289,26 @@ Result<Instance> DeserializeInstance(std::string_view bytes) {
     instance.SetRoot(static_cast<VertexId>(root_plus1 - 1));
   }
 
+  // Columns load a word at a time. SerializeInstance never sets a bit
+  // past the last vertex, so one there means the file is corrupt.
   const size_t words = (vertex_count + 63) / 64;
+  const uint64_t past_end =
+      vertex_count % 64 == 0 ? 0 : ~uint64_t{0} << (vertex_count % 64);
   for (const std::string& name : names) {
-    const RelationId r = instance.AddRelation(name);
-    DynamicBitset& bits = instance.MutableRelationBits(r);
+    std::string_view column;
+    if (!reader.GetBytes(words * 8, &column)) return reader.error();
+    DynamicBitset& bits =
+        instance.MutableRelationBits(instance.AddRelation(name));
     for (size_t w = 0; w < words; ++w) {
       uint64_t word = 0;
-      XCQ_RETURN_IF_ERROR(reader.GetU64(&word));
-      for (int b = 0; b < 64; ++b) {
-        const size_t idx = w * 64 + static_cast<size_t>(b);
-        if (idx < vertex_count && ((word >> b) & 1) != 0) bits.Set(idx);
+      std::memcpy(&word, column.data() + w * 8, 8);
+      if (w + 1 == words && (word & past_end) != 0) {
+        return Status::Corruption("relation bits set past the last vertex");
       }
+      bits.OrWord(w, word);
     }
   }
-  if (!reader.AtEnd()) {
+  if (reader.remaining() != 0) {
     return Status::Corruption("trailing bytes after instance data");
   }
   XCQ_RETURN_IF_ERROR(instance.Validate());

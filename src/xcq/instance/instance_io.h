@@ -29,8 +29,9 @@
 /// magic are checksum-verified first, anything else takes the legacy
 /// footer-less path, so pre-footer `.xcqi` files keep loading.
 ///
-/// `LoadInstance` validates everything (ids, acyclicity, RLE form) before
-/// returning, so corrupt files surface as `StatusCode::kCorruption`.
+/// `LoadInstance` validates everything (ids, acyclicity, RLE form, no
+/// relation bit past the last vertex) before returning, so corrupt files
+/// surface as `StatusCode::kCorruption`.
 
 #include <string>
 
@@ -39,7 +40,8 @@
 
 namespace xcq {
 
-/// \brief CRC-32 (IEEE 802.3 polynomial) of `bytes`.
+/// \brief CRC-32 (IEEE 802.3 polynomial) of `bytes`, computed eight
+/// bytes per step (slicing-by-8); the value is the standard bytewise one.
 uint32_t Crc32(std::string_view bytes);
 
 /// \brief Serializes `instance` (live relations only) to bytes, without

@@ -98,6 +98,9 @@ class DynamicBitset {
 
   /// Raw word access (for hashing / serialization).
   const std::vector<uint64_t>& words() const { return words_; }
+  /// ORs `word` into bits `64 * w .. 64 * w + 63` (deserialization). The
+  /// caller keeps bits at or past `size()` clear.
+  void OrWord(size_t w, uint64_t word) { words_[w] |= word; }
 
  private:
   // Zeroes bits beyond size_ in the last word so that Count/== stay exact.

@@ -10,6 +10,7 @@
 
 #include "test_util.h"
 #include "xcq/api.h"
+#include "xcq/util/rng.h"
 
 namespace xcq {
 namespace {
@@ -288,6 +289,122 @@ TEST(InstanceIoTest, LegacyFooterlessFixtureStillLoads) {
   XCQ_ASSERT_OK_AND_ASSIGN(const QueryOutcome got,
                            session.Run("//paper/author"));
   EXPECT_EQ(got.selected_tree_nodes, want.selected_tree_nodes);
+}
+
+TEST(InstanceIoTest, FooteredFixtureLoadsAndReserializesByteForByte) {
+  // tests/data/bib_footered.xcqi is a checked-in SaveInstance output for
+  // CompressedBib(). The on-disk format is frozen: the file must load,
+  // and the writer must reproduce it byte for byte (payload, footer CRC
+  // and size).
+  const std::string path =
+      std::string(XCQ_TEST_DATA_DIR) + "/bib_footered.xcqi";
+  XCQ_ASSERT_OK_AND_ASSIGN(const Instance loaded, LoadInstance(path));
+  XCQ_ASSERT_OK_AND_ASSIGN(const std::string fixture,
+                           xml::ReadFileToString(path));
+  EXPECT_EQ(SerializeInstanceChecksummed(CompressedBib()), fixture);
+  EXPECT_EQ(SerializeInstanceChecksummed(loaded), fixture);
+}
+
+TEST(InstanceIoTest, RelationBitsPastLastVertexAreCorruption) {
+  // Two vertices, one relation: bits 0-1 are vertices, bit 2 is past
+  // the end. The writer never sets it, so a file that does is corrupt.
+  const auto payload = [](uint64_t word) {
+    std::string out("XCQI");
+    PutU32(&out, 1);
+    PutVarint(&out, 2);  // vertex count
+    PutVarint(&out, 1);  // root = v0
+    PutVarint(&out, 1);  // one relation
+    PutVarint(&out, 1);
+    out += "a";
+    PutVarint(&out, 1);  // v0: one run
+    PutVarint(&out, 1);  //   child v1
+    PutVarint(&out, 1);  //   count 1
+    PutVarint(&out, 0);  // v1: leaf
+    out.append(reinterpret_cast<const char*>(&word), 8);
+    return out;
+  };
+  XCQ_ASSERT_OK_AND_ASSIGN(const Instance ok,
+                           DeserializeInstance(payload(0b11)));
+  EXPECT_EQ(ok.RelationBits(ok.FindRelation("a")).Count(), 2u);
+  const auto result = DeserializeInstance(payload(0b111));
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(result.status().message().find("past the last vertex"),
+            std::string::npos);
+}
+
+TEST(InstanceIoTest, ChecksummedRelationBitsPastLastVertexAreCorruption) {
+  // Same defect behind a valid footer: the CRC is recomputed over the
+  // damaged payload, so the structural check is what must fire.
+  const Instance bib = CompressedBib();
+  ASSERT_NE(bib.vertex_count() % 64, 0u);
+  std::string payload = SerializeInstance(bib);
+  // The payload ends in the last relation's last word; all-ones sets
+  // every bit past vertex_count whatever the host byte order.
+  payload.replace(payload.size() - 8, 8, 8, '\xFF');
+  std::string file = payload;
+  PutU32(&file, Crc32(payload));
+  const uint64_t size = payload.size();
+  file.append(reinterpret_cast<const char*>(&size), 8);
+  file += "XCQF";
+  const auto result = DeserializeInstance(file);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(result.status().message().find("past the last vertex"),
+            std::string::npos);
+}
+
+TEST(InstanceIoTest, FromInstanceRejectsHandBuiltCycle) {
+  // Validate's memo must not let a never-validated (or re-armed)
+  // structure through FromInstance.
+  Instance cyclic;
+  const VertexId a = cyclic.AddVertex();
+  const VertexId b = cyclic.AddVertex();
+  const std::vector<Edge> ab = {{b, 1}};
+  const std::vector<Edge> ba = {{a, 1}};
+  cyclic.SetEdges(a, ab);
+  cyclic.SetRoot(a);
+  XCQ_ASSERT_OK(cyclic.Validate());
+  cyclic.SetEdges(b, ba);
+  const auto session = QuerySession::FromInstance(std::move(cyclic));
+  ASSERT_FALSE(session.ok());
+  EXPECT_EQ(session.status().code(), StatusCode::kCorruption);
+}
+
+/// Bit-at-a-time CRC-32 (reflected IEEE polynomial): the definition the
+/// table-driven Crc32 must reproduce.
+uint32_t ReferenceCrc32(std::string_view bytes) {
+  uint32_t c = 0xFFFFFFFFu;
+  for (const char ch : bytes) {
+    c ^= static_cast<unsigned char>(ch);
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+std::string RandomBytes(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::string out(n, '\0');
+  for (char& c : out) c = static_cast<char>(rng.Uniform(0, 255));
+  return out;
+}
+
+TEST(InstanceIoTest, Crc32MatchesBytewiseReferenceAtEveryAlignment) {
+  // Lengths 0-64 cover the 8-byte body with every tail length; start
+  // offsets 0-7 cover every alignment of the 8-byte loads.
+  const std::string buffer = RandomBytes(64 + 8, 7);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 64; ++len) {
+      const std::string_view bytes =
+          std::string_view(buffer).substr(offset, len);
+      ASSERT_EQ(Crc32(bytes), ReferenceCrc32(bytes))
+          << "offset " << offset << " length " << len;
+    }
+  }
+  const std::string large = RandomBytes(size_t{1} << 20, 42);
+  EXPECT_EQ(Crc32(large), ReferenceCrc32(large));
 }
 
 TEST(InstanceIoTest, Crc32MatchesKnownVectors) {

@@ -167,6 +167,49 @@ TEST(InstanceTest, ValidateRejectsZeroCount) {
   EXPECT_EQ(inst.Validate().code(), StatusCode::kCorruption);
 }
 
+// Validate memoizes its structural pass on the structure generation;
+// these pin that the memo never outlives the structure it vouched for.
+
+TEST(InstanceTest, ValidateMemoRearmsWhenAnEdgeClosesACycle) {
+  Instance inst = Fig2Instance();
+  XCQ_ASSERT_OK(inst.Validate());
+  XCQ_ASSERT_OK(inst.Validate());  // memo hit
+  // v3 (a leaf under book and paper) now points back at the root.
+  const std::vector<Edge> back = {{4, 1}};
+  inst.SetEdges(0, back);
+  EXPECT_EQ(inst.Validate().code(), StatusCode::kCorruption);
+}
+
+TEST(InstanceTest, ValidateMemoRearmsWhenAnEdgeLeavesTheIdRange) {
+  Instance inst = Fig2Instance();
+  XCQ_ASSERT_OK(inst.Validate());
+  const std::vector<Edge> dangling = {{static_cast<VertexId>(99), 1}};
+  inst.SetEdges(0, dangling);
+  EXPECT_EQ(inst.Validate().code(), StatusCode::kCorruption);
+}
+
+TEST(InstanceTest, ValidateMemoStillChecksColumnSizes) {
+  Instance inst = Fig2Instance();
+  XCQ_ASSERT_OK(inst.Validate());
+  // A column write is not structural: no generation bump, yet the
+  // size check must still run.
+  inst.MutableRelationBits(inst.FindRelation("Sbib"))
+      .Resize(inst.vertex_count() + 1);
+  EXPECT_EQ(inst.Validate().code(), StatusCode::kCorruption);
+}
+
+TEST(InstanceTest, CopyOfValidatedInstanceValidates) {
+  Instance inst = Fig2Instance();
+  XCQ_ASSERT_OK(inst.Validate());
+  Instance copy = inst;
+  XCQ_EXPECT_OK(copy.Validate());
+  // The copy's memo is its own: mutating it re-arms only the copy.
+  const std::vector<Edge> back = {{4, 1}};
+  copy.SetEdges(0, back);
+  EXPECT_EQ(copy.Validate().code(), StatusCode::kCorruption);
+  XCQ_EXPECT_OK(inst.Validate());
+}
+
 TEST(InstanceTest, CompactEdgesPreservesStructure) {
   Instance inst = Fig2Instance();
   // Force span churn.

@@ -281,6 +281,96 @@ TEST(PathSummaryTest, MatchesOracleOnExampleAndAfterSplits) {
   XCQ_ASSERT_OK(rep.Validate());
 }
 
+TEST(PathSummaryTest, MatchesOracleOnEveryWithinBudgetCorpus) {
+  // Real shapes: every corpus with Appendix-A queries, at 600 and 900
+  // nodes under their labels, before and after a splitting query. Only TreeBank is over
+  // budget (see BudgetSaturatesOnlyWhereSummaryOutgrowsTheDag); a
+  // saturated summary has no slices to check.
+  XCQ_ASSERT_OK_AND_ASSIGN(
+      const algebra::QueryPlan split,
+      algebra::CompileString("//*/following-sibling::*"));
+  size_t labelled = 0;
+  size_t checked = 0;
+  for (const corpus::CorpusGenerator* generator : corpus::AllCorpora()) {
+    const Result<corpus::QuerySet> appendix =
+        corpus::QueriesFor(generator->name());
+    if (!appendix.ok()) continue;  // TPC-D has no Appendix-A queries
+    ++labelled;
+    const std::vector<std::string> queries(appendix->queries.begin(),
+                                           appendix->queries.end());
+    XCQ_ASSERT_OK_AND_ASSIGN(const xpath::QueryRequirements reqs,
+                             CollectBatchRequirements(queries));
+    CompressOptions labels;
+    labels.mode = LabelMode::kSchema;
+    labels.tags = reqs.tags;
+    labels.patterns = reqs.patterns;
+    for (const uint64_t nodes : {600, 900}) {
+      SCOPED_TRACE(std::string(generator->name()) + " at " +
+                   std::to_string(nodes) + " nodes");
+      corpus::GenerateOptions gen;
+      gen.target_nodes = nodes;
+      XCQ_ASSERT_OK_AND_ASSIGN(Instance instance,
+                               CompressXml(generator->Generate(gen), labels));
+      if (instance.EnsurePathSummary().saturated) {
+        EXPECT_EQ(generator->name(), "TreeBank");
+        continue;
+      }
+      ExpectSummaryMatchesOracle(instance);
+      engine::EvalStats stats;
+      XCQ_ASSERT_OK(
+          engine::Evaluate(&instance, split, engine::EvalOptions{}, &stats)
+              .status());
+      EXPECT_GT(stats.splits, 0u);
+      ExpectSummaryMatchesOracle(instance);
+      ++checked;
+    }
+  }
+  EXPECT_EQ(checked, 2 * (labelled - 1));
+}
+
+TEST(PathSummaryTest, SharedVertexRealizesEachPathOnce) {
+  // x is reached through non-adjacent runs of itself ([x, y, x] under
+  // p1), through two parents realizing the same path r/p (p1 and p2,
+  // themselves non-adjacent runs under r), and through a second path
+  // r/q. The build must realize r/p/x once and r/q/x once.
+  Instance inst;
+  const VertexId x = inst.AddVertex();
+  const VertexId y = inst.AddVertex();
+  const VertexId p1 = inst.AddVertex();
+  const VertexId p2 = inst.AddVertex();
+  const VertexId q = inst.AddVertex();
+  const VertexId r = inst.AddVertex();
+  const std::vector<Edge> under_p1 = {{x, 1}, {y, 2}, {x, 3}};
+  const std::vector<Edge> under_p2 = {{y, 1}, {x, 1}};
+  const std::vector<Edge> under_q = {{x, 1}};
+  const std::vector<Edge> under_r = {{p1, 1}, {q, 1}, {p1, 1}, {p2, 1}};
+  inst.SetEdges(p1, under_p1);
+  inst.SetEdges(p2, under_p2);
+  inst.SetEdges(q, under_q);
+  inst.SetEdges(r, under_r);
+  inst.SetRoot(r);
+  inst.SetBit(inst.AddRelation("r"), r);
+  const RelationId p = inst.AddRelation("p");
+  inst.SetBit(p, p1);
+  inst.SetBit(p, p2);
+  inst.SetBit(inst.AddRelation("q"), q);
+  inst.SetBit(inst.AddRelation("x"), x);
+  inst.SetBit(inst.AddRelation("y"), y);
+  XCQ_ASSERT_OK(inst.Validate());
+
+  ExpectSummaryMatchesOracle(inst);
+  const PathSummary& s = inst.EnsurePathSummary();
+  // Paths r, r/p, r/q, r/p/x, r/p/y, r/q/x; x realizes two of them, every
+  // other vertex one.
+  EXPECT_EQ(s.nodes.size(), 6u);
+  EXPECT_EQ(s.vertex_nodes.size(), 7u);
+  EXPECT_EQ(s.vertex_begin[x + 1] - s.vertex_begin[x], 2u);
+  EXPECT_EQ(s.vertex_begin[y + 1] - s.vertex_begin[y], 1u);
+  for (uint32_t j = 1; j < s.nodes.size(); ++j) {
+    EXPECT_LT(s.nodes[j].parent, j) << "nodes must stay parents-first";
+  }
+}
+
 TEST(PathSummaryTest, ColdBuildThenWarmReuse) {
   Instance instance = CompressAllTags(testing::BibExampleXml());
   // `/bib/book` runs a gated child sweep (a bare `//label` from the
