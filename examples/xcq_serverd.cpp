@@ -21,11 +21,6 @@
 //                       re-pointed vertices against the persistent
 //                       hash-cons cache (see docs/INTERNALS.md).
 //                       Bare --minimize is an alias for incremental.
-//   --prune=MODE        path-summary sweep pruning (docs/INTERNALS.md
-//                       §9): on (default) restricts every axis sweep to
-//                       the provably contributing region, off sweeps
-//                       the whole DAG. Answers are identical in both
-//                       modes.
 //   --trace=MODE        per-query phase-trace logging to stderr, one
 //                       JSON line per traced query
 //                       (docs/OBSERVABILITY.md): off (default), all
@@ -107,7 +102,7 @@ int Usage(const char* argv0) {
                "usage: %s [--port=N] [--threads=N] "
                "[--capacity-mb=N] [--preload=NAME=PATH]... "
                "[--minimize[=off|full|incremental]] "
-               "[--prune=on|off] [--trace=off|slow:<ms>|all] "
+               "[--trace=off|slow:<ms>|all] "
                "[--max-connections=N] [--idle-timeout=SEC] "
                "[--write-timeout=SEC] [--queue-depth=N] "
                "[--default-deadline-ms=N] [--max-batch=N] "
@@ -221,10 +216,6 @@ int main(int argc, char** argv) {
       options.session.incremental_minimize = false;
     } else if (arg == "--minimize=off") {
       options.session.minimize_after_query = false;
-    } else if (arg == "--prune=on") {
-      options.session.prune_sweeps = true;
-    } else if (arg == "--prune=off") {
-      options.session.prune_sweeps = false;
     } else if (arg == "--trace=off") {
       options.trace.mode = xcq::server::TraceOptions::Mode::kOff;
     } else if (arg == "--trace=all") {

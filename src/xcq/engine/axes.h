@@ -24,40 +24,39 @@ struct AxisStats {
   uint64_t splits = 0;   ///< Vertices cloned (partial decompression).
 };
 
-/// Each operator has two single-threaded forms, selected by `region`.
-/// With `region = nullptr` it runs the depth-first Fig. 4 procedure —
-/// the unpruned reference form, also used when the path summary
-/// saturates. A non-null `region` (from engine/prune.h) selects the
-/// band/phase form, which admits region filtering without changing
-/// split order: downward/upward kernels only decide vertices inside the
-/// region, the sibling kernel only walks the child lists of region
-/// vertices. The caller guarantees the region is closed per
-/// docs/INTERNALS.md §9, which makes the pruned sweep select exactly
-/// the same tree nodes and perform the same splits as the unpruned one.
-/// The two forms agree on answers and split counts; only which variant
-/// keeps the original id after a split may differ (isomorphic DAGs,
-/// identical once re-minimized).
+/// Each axis family has one single-threaded kernel (docs/INTERNALS.md
+/// §9.5): downward axes sweep root-first height bands, upward axes make
+/// one children-first pass over the cached post-order, sibling axes run
+/// demand/resolve/rewrite phases. `region` is an optional filter: with
+/// `region = nullptr` the kernel decides every reachable vertex; a
+/// non-null `region` (from engine/prune.h) restricts it without
+/// changing split order — downward/upward kernels only decide vertices
+/// inside the region, the sibling kernel only walks the child lists of
+/// region vertices. The caller guarantees the region is closed per
+/// docs/INTERNALS.md §9, which makes the filtered sweep leave the
+/// instance bit-identical to the unfiltered one: same selected
+/// vertices, same splits, same clone ids, same child lists.
 ///
 /// An optional `guard` (engine/guard.h) is charged with the sweep's
-/// visit/split counts at band, phase, and stride boundaries — never
-/// inside the inner loops — and aborts the sweep with the guard's
+/// visit/split counts at band and phase boundaries (upward sweeps,
+/// which never mutate, charge once up front) — never inside the inner
+/// loops — and aborts the sweep with the guard's
 /// status (`kCancelled` / `kDeadlineExceeded` / `kResourceExhausted`).
 /// Every abort point sits between mutation phases, so an aborted sweep
 /// leaves the instance structurally consistent and representing the
 /// same tree (at worst with unreachable clone leftovers, exactly like
 /// the shared-batch optimistic abort).
 
-/// \brief child / descendant / descendant-or-self — the Fig. 4 algorithm,
-/// implemented iteratively, or as a root-first height-band sweep when
-/// given a region.
+/// \brief child / descendant / descendant-or-self — the Fig. 4 algorithm
+/// as a root-first height-band sweep.
 Status ApplyDownwardAxis(Instance* instance, xpath::Axis axis,
                          RelationId src, RelationId dst,
                          AxisStats* stats = nullptr,
                          const DynamicBitset* region = nullptr,
                          EvalGuard* guard = nullptr);
 
-/// \brief self / parent / ancestor / ancestor-or-self — single bottom-up
-/// pass (leaf-first bands when given a region), never splits.
+/// \brief self / parent / ancestor / ancestor-or-self — one children-first
+/// pass over the post-order, never splits.
 Status ApplyUpwardAxis(Instance* instance, xpath::Axis axis, RelationId src,
                        RelationId dst, AxisStats* stats = nullptr,
                        const DynamicBitset* region = nullptr,
@@ -65,7 +64,7 @@ Status ApplyUpwardAxis(Instance* instance, xpath::Axis axis, RelationId src,
 
 /// \brief following-sibling / preceding-sibling — one pass over child
 /// lists, multiplicity-aware run splitting (demand/resolve/rewrite
-/// phases when given a region).
+/// phases).
 Status ApplySiblingAxis(Instance* instance, xpath::Axis axis,
                         RelationId src, RelationId dst,
                         AxisStats* stats = nullptr,

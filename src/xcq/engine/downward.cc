@@ -1,6 +1,5 @@
 #include <cassert>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "xcq/engine/axes.h"
@@ -9,110 +8,7 @@ namespace xcq::engine {
 
 using xpath::Axis;
 
-namespace {
-
-/// The paper's Fig. 4 procedure, de-recursed.
-///
-/// Invariants maintained (they carry the correctness argument):
-///  * every vertex is *visited* at most once; visiting assigns its `dst`
-///    bit and schedules a scan of its child runs;
-///  * `aux[w]` links a vertex to its unique counterpart with the opposite
-///    `dst` bit (and vice versa), so each vertex is copied at most once
-///    and the instance at most doubles;
-///  * a conflict (visited child whose bit differs from the required one)
-///    can only involve a child whose own scan has finished, because in a
-///    DFS over a DAG any repeated child of an ancestor frame is reached
-///    again only after its subtree completed — hence clones always copy
-///    final, rewritten child lists.
-Status ApplyDownwardAxisDfs(Instance* instance, Axis axis, RelationId src,
-                            RelationId dst, AxisStats* stats,
-                            EvalGuard* guard) {
-  const bool inherit = axis != Axis::kChild;          // descendant / d-o-s
-  const bool or_self = axis == Axis::kDescendantOrSelf;
-
-  // Guard checkpoint stride: every iteration leaves the instance
-  // consistent (a clone and its re-pointed edge land in the same
-  // iteration), so any iteration boundary is a safe abort point; the
-  // stride only keeps the poll off the hot path.
-  constexpr uint64_t kGuardStride = 4096;
-  uint64_t iterations = 0;
-  uint64_t visit_count = 0;
-  uint64_t split_count = 0;
-  uint64_t charged_visits = 0;
-  uint64_t charged_splits = 0;
-
-  std::vector<uint8_t> visited(instance->vertex_count(), 0);
-  std::vector<VertexId> aux(instance->vertex_count(), kNoVertex);
-  std::vector<std::pair<VertexId, uint32_t>> stack;  // (vertex, next run)
-
-  const auto push_visit = [&](VertexId v, bool sv) {
-    visited[v] = 1;
-    instance->AssignBit(dst, v, sv);
-    stack.emplace_back(v, 0);
-    ++visit_count;
-    if (stats != nullptr) ++stats->visited;
-  };
-
-  const VertexId root = instance->root();
-  push_visit(root, or_self && instance->Test(src, root));
-
-  while (!stack.empty()) {
-    if (guard != nullptr && ++iterations % kGuardStride == 0) {
-      XCQ_RETURN_IF_ERROR(guard->Charge(visit_count - charged_visits,
-                                        split_count - charged_splits));
-      charged_visits = visit_count;
-      charged_splits = split_count;
-    }
-    const VertexId v = stack.back().first;
-    const uint32_t i = stack.back().second;
-    if (i >= instance->Children(v).size()) {
-      stack.pop_back();
-      continue;
-    }
-    stack.back().second = i + 1;
-
-    const VertexId w = instance->Children(v)[i].child;
-    // Fig. 4 line 4: the child's new selection. Identical for every
-    // occurrence in the run — multiplicities are orthogonal here.
-    const bool sv = instance->Test(dst, v);
-    const bool sw = instance->Test(src, v) || (inherit && sv) ||
-                    (or_self && instance->Test(src, w));
-
-    if (!visited[w]) {
-      push_visit(w, sw);
-      continue;
-    }
-    if (instance->Test(dst, w) == sw) continue;
-
-    // Conflict: the required bit differs. Reuse or create the counterpart.
-    VertexId counterpart = aux[w];
-    if (counterpart == kNoVertex) {
-      counterpart = instance->CloneVertex(w);
-      visited.push_back(0);
-      aux.push_back(kNoVertex);
-      aux[w] = counterpart;
-      aux[counterpart] = w;
-      ++split_count;
-      if (stats != nullptr) ++stats->splits;
-      if (inherit) {
-        // Descendants of the copy must see the new inherited selection.
-        push_visit(counterpart, sw);
-      } else {
-        visited[counterpart] = 1;
-        instance->AssignBit(dst, counterpart, sw);
-        if (stats != nullptr) ++stats->visited;
-      }
-    }
-    instance->MutableChildren(v)[i].child = counterpart;
-  }
-  if (guard != nullptr) {
-    XCQ_RETURN_IF_ERROR(guard->Charge(visit_count - charged_visits,
-                                      split_count - charged_splits));
-  }
-  return Status::OK();
-}
-
-/// Height-band reformulation of Fig. 4 (docs/INTERNALS.md §9.5).
+/// Height-band form of the paper's Fig. 4 (docs/INTERNALS.md §9.5).
 ///
 /// `height(v)` (longest path to a leaf) strictly decreases along every
 /// edge, so bands are processed root-first: when band h starts, every
@@ -121,7 +17,8 @@ Status ApplyDownwardAxisDfs(Instance* instance, Axis axis, RelationId src,
 /// — into the child's demand flags (an OR, hence order-free). A band
 /// vertex folds its flags with or-self·src(w): one demanded bit → take
 /// it and push onward; both → split, the original keeping 0 and the
-/// clone (which pushes with bit 1) taking 1.
+/// clone (which pushes with bit 1) taking 1. Each vertex is decided
+/// once and cloned at most once, so the instance at most doubles.
 ///
 /// Edges are re-pointed to the right variant in ONE deferred pass at
 /// the end — every edge's demand is recomputable from its (by then
@@ -130,25 +27,32 @@ Status ApplyDownwardAxisDfs(Instance* instance, Axis axis, RelationId src,
 /// indexed by the original vertex id, which is exactly the cell where
 /// both variants' demands must meet.
 ///
-/// The per-occurrence selections this computes are precisely Fig. 4's
-/// (each edge stands for a set of tree-node occurrences that share a
-/// parent variant, hence share a demanded bit), so answers match the
-/// DFS kernel; only which variant keeps the original id may differ
-/// (isomorphic DAGs, identical once re-minimized).
+/// The per-occurrence selections this computes are precisely Fig. 4's:
+/// each edge stands for a set of tree-node occurrences that share a
+/// parent variant, hence share a demanded bit.
 ///
-/// Only region vertices are decided. The region contains V(src ∪ dst)
-/// closed with every reachable parent of those vertices, so demand-1
-/// receivers see their complete demand pair (split parity) while
-/// skipped vertices would — in an unpruned sweep — decide dst=0 and
-/// push demand-0, which region fringe vertices (no demands, no src bit)
-/// reproduce exactly.
-Status ApplyDownwardAxisBanded(Instance* instance, Axis axis,
-                               RelationId src, RelationId dst,
-                               AxisStats* stats,
-                               const DynamicBitset& region,
-                               EvalGuard* guard) {
+/// Without a region every reachable vertex is decided. With one, only
+/// region vertices are. The region contains V(src ∪ dst) closed with
+/// every reachable parent of those vertices, so demand-1 receivers see
+/// their complete demand pair (split parity) while skipped vertices
+/// would — in an unfiltered sweep — decide dst=0 and push demand-0,
+/// which region fringe vertices (no demands, no src bit) reproduce
+/// exactly.
+Status ApplyDownwardAxis(Instance* instance, Axis axis, RelationId src,
+                         RelationId dst, AxisStats* stats,
+                         const DynamicBitset* region, EvalGuard* guard) {
+  if (axis != Axis::kChild && axis != Axis::kDescendant &&
+      axis != Axis::kDescendantOrSelf) {
+    return Status::InvalidArgument("ApplyDownwardAxis: not a downward axis");
+  }
+  if (instance->root() == kNoVertex) {
+    return Status::InvalidArgument("ApplyDownwardAxis: empty instance");
+  }
   const bool inherit = axis != Axis::kChild;
   const bool or_self = axis == Axis::kDescendantOrSelf;
+  const auto in_region = [region](VertexId v) {
+    return region == nullptr || region->Test(v);
+  };
 
   // A reference into the traversal cache: the splits below invalidate
   // the cache for *later* readers, but no rebuild can happen while this
@@ -195,7 +99,7 @@ Status ApplyDownwardAxisBanded(Instance* instance, Axis axis,
     // Decisions depend only on flags pushed by (finalized) higher
     // bands, so clones are allocated in band order.
     for (const VertexId w : band) {
-      if (!region.Test(w)) continue;
+      if (!in_region(w)) continue;
       uint8_t d = demand[w];
       // Only the root receives no demands (every other reachable
       // vertex is entered by a reachable parent's edge).
@@ -244,7 +148,7 @@ Status ApplyDownwardAxisBanded(Instance* instance, Axis axis,
     // (split vertices sit in its base), so skipped vertices have no
     // edges to re-point.
     for (const VertexId v : plan.order) {
-      if (region.Test(v)) repoint(v);
+      if (in_region(v)) repoint(v);
     }
     for (VertexId v = static_cast<VertexId>(n0);
          v < instance->vertex_count(); ++v) {
@@ -255,37 +159,18 @@ Status ApplyDownwardAxisBanded(Instance* instance, Axis axis,
   // Skipped vertices keep their (zeroed) dst bit: the destination is a
   // zeroed column by the operator contract.
   for (const VertexId v : plan.order) {
-    if (region.Test(v)) instance->AssignBit(dst, v, dst_bit[v] != 0);
+    if (in_region(v)) instance->AssignBit(dst, v, dst_bit[v] != 0);
   }
   for (VertexId v = static_cast<VertexId>(n0);
        v < instance->vertex_count(); ++v) {
     instance->AssignBit(dst, v, dst_bit[v] != 0);
   }
   if (stats != nullptr) {
-    stats->visited += region.Count() + (instance->vertex_count() - n0);
+    const uint64_t decided =
+        region != nullptr ? region->Count() : plan.order.size();
+    stats->visited += decided + (instance->vertex_count() - n0);
   }
   return Status::OK();
-}
-
-}  // namespace
-
-Status ApplyDownwardAxis(Instance* instance, Axis axis, RelationId src,
-                         RelationId dst, AxisStats* stats,
-                         const DynamicBitset* region, EvalGuard* guard) {
-  if (axis != Axis::kChild && axis != Axis::kDescendant &&
-      axis != Axis::kDescendantOrSelf) {
-    return Status::InvalidArgument("ApplyDownwardAxis: not a downward axis");
-  }
-  if (instance->root() == kNoVertex) {
-    return Status::InvalidArgument("ApplyDownwardAxis: empty instance");
-  }
-  // A region selects the banded form: band iteration admits region
-  // filtering without changing split order.
-  if (region != nullptr) {
-    return ApplyDownwardAxisBanded(instance, axis, src, dst, stats, *region,
-                                   guard);
-  }
-  return ApplyDownwardAxisDfs(instance, axis, src, dst, stats, guard);
 }
 
 }  // namespace xcq::engine

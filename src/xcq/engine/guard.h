@@ -7,11 +7,11 @@
 ///
 /// One `EvalGuard` is shared by every sweep of one plan evaluation. The
 /// kernels call `Charge(visits, splits)` at their structural
-/// checkpoints — band boundaries, phase boundaries, stride-counted DFS
-/// batches — never from inner hot loops. A sweep runs on one thread,
-/// so the accumulators are plain integers. A
-/// charge that pushes an accumulator past its cap converts a cost
-/// blow-up (the paper's Sec. 5 worst case: a split cascade that
+/// checkpoints — downward band boundaries, sibling phase boundaries,
+/// and once before each read-only upward pass — never from inner hot
+/// loops. A sweep runs on one thread, so the accumulators are plain
+/// integers. A charge that pushes an accumulator past its cap converts
+/// a cost blow-up (the paper's Sec. 5 worst case: a split cascade that
 /// balloons the DAG) into a clean `kResourceExhausted`; the token poll
 /// folded into the same call surfaces `kCancelled` /
 /// `kDeadlineExceeded`. Checkpoints sit *between* mutation phases, so

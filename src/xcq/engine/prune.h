@@ -10,8 +10,8 @@
 /// lie on — computed by the same transfer the concrete op applies,
 /// intersected down the plan. Before a concrete axis sweep, the
 /// admissible sets of its source and destination are turned into a
-/// *vertex region*: the set of vertices the deterministic banded /
-/// phased kernels must visit to produce an instance bit-identical to
+/// *vertex region*: the set of vertices the deterministic axis kernels
+/// (engine/axes.h) must visit to produce an instance bit-identical to
 /// the unpruned sweep (same bits, same splits in the same order, same
 /// re-pointed edges). Everything outside the region is provably
 /// untouched: its destination bits stay 0, it never splits, and its

@@ -10,81 +10,11 @@ using xpath::Axis;
 
 namespace {
 
-/// Variant resolution shared by both sibling directions. A "variant" of
-/// vertex `w` is `w` itself or its clone, carrying a required `dst` bit.
-/// Fresh vertices (first visit) adopt the requested bit; a conflicting
-/// request returns the aux-linked counterpart, cloning it on first use.
-///
-/// Unlike the downward axes, a sibling selection does not propagate into
-/// the subtree, but a clone may be taken from a vertex whose own child
-/// list has not been rewritten yet; therefore clones are scheduled for
-/// (idempotent) processing as well.
-class VariantResolver {
- public:
-  VariantResolver(Instance* instance, RelationId src, RelationId dst,
-                  AxisStats* stats)
-      : instance_(instance),
-        src_(src),
-        dst_(dst),
-        stats_(stats),
-        visited_(instance->vertex_count(), 0),
-        aux_(instance->vertex_count(), kNoVertex) {}
-
-  bool InSource(VertexId w) const { return instance_->Test(src_, w); }
-
-  VertexId Resolve(VertexId w, bool bit) {
-    if (!visited_[w]) {
-      Adopt(w, bit);
-      return w;
-    }
-    if (instance_->Test(dst_, w) == bit) return w;
-    if (aux_[w] == kNoVertex) {
-      const VertexId clone = instance_->CloneVertex(w);
-      visited_.push_back(0);
-      aux_.push_back(kNoVertex);
-      aux_[w] = clone;
-      aux_[clone] = w;
-      ++splits;
-      if (stats_ != nullptr) ++stats_->splits;
-      Adopt(clone, bit);
-    }
-    return aux_[w];
-  }
-
-  /// Clones made so far (guard accounting, independent of `stats_`).
-  uint64_t splits = 0;
-
-  bool HasWork() const { return !work_.empty(); }
-  VertexId PopWork() {
-    const VertexId v = work_.back();
-    work_.pop_back();
-    return v;
-  }
-
-  void AdoptRoot(VertexId root) { Adopt(root, false); }
-
- private:
-  void Adopt(VertexId v, bool bit) {
-    visited_[v] = 1;
-    instance_->AssignBit(dst_, v, bit);
-    work_.push_back(v);
-    if (stats_ != nullptr) ++stats_->visited;
-  }
-
-  Instance* instance_;
-  RelationId src_;
-  RelationId dst_;
-  AxisStats* stats_;
-  std::vector<uint8_t> visited_;
-  std::vector<VertexId> aux_;
-  std::vector<VertexId> work_;
-};
-
 /// Walks one child list and reports the `dst` bit each emitted run
-/// requires of its child — the shared core of the DFS-form rewrite and
-/// the phased form's two passes. `emit(child, count, bit)` receives the
-/// runs of the rewritten list in assembly order (left-to-right for
-/// following-sibling, right-to-left for preceding).
+/// requires of its child — the shared core of the demand and rewrite
+/// passes. `emit(child, count, bit)` receives the runs of the rewritten
+/// list in assembly order (left-to-right for following-sibling,
+/// right-to-left for preceding).
 template <typename Emit>
 void WalkSiblingRuns(std::span<const Edge> runs, bool forward,
                      const DynamicBitset& src_bits, const Emit& emit) {
@@ -118,9 +48,8 @@ void WalkSiblingRuns(std::span<const Edge> runs, bool forward,
 }
 
 /// Backward lists are assembled right-to-left: restore document order
-/// and re-merge runs the reversal made adjacent. Shared by the DFS-form
-/// kernel and the phased rewrite so the canonical form can never
-/// diverge between the two.
+/// and re-merge runs the reversal made adjacent, so a rewritten list is
+/// canonical RLE like every other list.
 void FinishBackwardList(std::vector<Edge>* rewritten) {
   std::reverse(rewritten->begin(), rewritten->end());
   std::vector<Edge> canonical;
@@ -129,71 +58,48 @@ void FinishBackwardList(std::vector<Edge>* rewritten) {
   rewritten->swap(canonical);
 }
 
-Status ApplySiblingAxisDfs(Instance* instance, Axis axis, RelationId src,
-                           RelationId dst, AxisStats* stats,
-                           EvalGuard* guard) {
-  const bool forward = axis == Axis::kFollowingSibling;
-  const DynamicBitset& src_bits = instance->RelationBits(src);
+}  // namespace
 
-  VariantResolver resolver(instance, src, dst, stats);
-  resolver.AdoptRoot(instance->root());
-
-  // Guard checkpoint stride: each loop iteration commits one complete
-  // rewritten child list (clones and their SetEdges land together), so
-  // every iteration boundary is a safe abort point.
-  constexpr uint64_t kGuardStride = 1024;
-  uint64_t pops = 0;
-  uint64_t charged_splits = 0;
-
-  std::vector<Edge> rewritten;
-  std::vector<Edge> original;
-  while (resolver.HasWork()) {
-    if (guard != nullptr && ++pops % kGuardStride == 0) {
-      XCQ_RETURN_IF_ERROR(
-          guard->Charge(kGuardStride, resolver.splits - charged_splits));
-      charged_splits = resolver.splits;
-    }
-    const VertexId v = resolver.PopWork();
-    const std::span<const Edge> current = instance->Children(v);
-    if (current.empty()) continue;
-    original.assign(current.begin(), current.end());
-    rewritten.clear();
-
-    WalkSiblingRuns(original, forward, src_bits,
-                    [&](VertexId w, uint64_t count, bool bit) {
-                      AppendEdgeRle(&rewritten,
-                                    Edge{resolver.Resolve(w, bit), count});
-                    });
-    if (!forward) FinishBackwardList(&rewritten);
-    instance->SetEdges(v, rewritten);
-  }
-  return Status::OK();
-}
-
-/// Phased sibling rewrite (docs/INTERNALS.md §9.5).
+/// following-sibling: an occurrence is selected iff an earlier occurrence
+/// in the same (expanded) child list is in `src`; preceding-sibling is
+/// the mirror image. A run `(w, c)` with `w` in `src` straddles the
+/// boundary — its first (resp. last) occurrence may differ from the rest,
+/// splitting the run in two (this is the multiplicity subtlety the paper
+/// mentions under Prop. 3.4).
 ///
 /// A sibling selection does not propagate into subtrees, so each child
 /// list can be rewritten from `src` bits alone — the only coupling
 /// between vertices is *which variants of each child exist*. Three
-/// phases:
-///  1. demand:  every region list is walked; the bit each emitted run
-///     requires of its child is OR-ed into the child's demand flags.
+/// phases (docs/INTERNALS.md §9.5):
+///  1. demand:  every list is walked; the bit each emitted run requires
+///     of its child is OR-ed into the child's demand flags.
 ///  2. resolve: vertices demanded with both bits split, in plan order.
 ///     The original keeps the *lower* demanded bit, the clone the other
 ///     — a rule independent of discovery order.
 ///  3. rewrite: lists are walked again, now mapping each run to its
-///     child's variant, and committed (SetEdges) in plan order.
-/// Only region-owned child lists are walked. The region covers every
-/// list containing a potential source or receiver, so demand-1 flags
-/// and split decisions are exactly the unpruned ones; children of
-/// skipped lists are never demanded with bit 1, which makes those
-/// lists' rewrites equal-content no-ops — so skipping them leaves the
-/// instance bit-identical.
-Status ApplySiblingAxisPhased(Instance* instance, Axis axis,
-                              RelationId src, RelationId dst,
-                              AxisStats* stats, const DynamicBitset& region,
-                              EvalGuard* guard) {
+///     child's variant, and committed (SetEdges) in plan order. Skipped
+///     when resolve cloned nothing: every run then maps to its own
+///     child and is emitted whole, so each rewritten list equals the
+///     original (RLE lists are canonical).
+/// With a region only region-owned child lists are walked. The region
+/// covers every list containing a potential source or receiver, so
+/// demand-1 flags and split decisions are exactly the unfiltered ones;
+/// children of skipped lists are never demanded with bit 1, which makes
+/// those lists' rewrites equal-content no-ops — so skipping them leaves
+/// the instance bit-identical.
+Status ApplySiblingAxis(Instance* instance, Axis axis, RelationId src,
+                        RelationId dst, AxisStats* stats,
+                        const DynamicBitset* region, EvalGuard* guard) {
+  if (axis != Axis::kFollowingSibling && axis != Axis::kPrecedingSibling) {
+    return Status::InvalidArgument("ApplySiblingAxis: not a sibling axis");
+  }
+  if (instance->root() == kNoVertex) {
+    return Status::InvalidArgument("ApplySiblingAxis: empty instance");
+  }
   const bool forward = axis == Axis::kFollowingSibling;
+  const auto in_region = [region](VertexId v) {
+    return region == nullptr || region->Test(v);
+  };
   // Cache reference; safe across the mutations below for the same
   // reason as in downward.cc (no mid-sweep cache re-read).
   const TraversalCache& plan = instance->EnsureTraversal();
@@ -203,7 +109,7 @@ Status ApplySiblingAxisPhased(Instance* instance, Axis axis,
   // Demand phase. Bit 0: some occurrence needs dst=0; bit 1: dst=1.
   std::vector<uint8_t> demand(n0, 0);
   for (const VertexId v : plan.order) {
-    if (!region.Test(v)) continue;
+    if (!in_region(v)) continue;
     WalkSiblingRuns(instance->Children(v), forward, src_bits,
                     [&](VertexId w, uint64_t, bool bit) {
                       demand[w] |= bit ? 2 : 1;
@@ -228,34 +134,37 @@ Status ApplySiblingAxisPhased(Instance* instance, Axis axis,
       if (stats != nullptr) ++stats->splits;
     }
   }
+  const uint64_t split_count = instance->vertex_count() - n0;
 
   // Guard checkpoint between resolve and rewrite: the clones allocated
   // above are unreachable until the rewrite re-points parents at them,
   // so an abort here leaves only clone leftovers. Past this point the
   // sweep runs to completion.
   if (guard != nullptr) {
-    XCQ_RETURN_IF_ERROR(guard->Charge(0, instance->vertex_count() - n0));
+    XCQ_RETURN_IF_ERROR(guard->Charge(0, split_count));
   }
 
   // Rewrite phase, in plan order. A clone shares its original's list,
   // differing only in the dst bit. Skipped lists need no commit: their
   // rewrite is a no-op, and a skipped vertex's clone (split as a
   // *child* elsewhere) was born with a copy of the identical list.
-  std::vector<Edge> rewritten;
-  for (const VertexId v : plan.order) {
-    if (!region.Test(v)) continue;
-    rewritten.clear();
-    WalkSiblingRuns(instance->Children(v), forward, src_bits,
-                    [&](VertexId w, uint64_t count, bool bit) {
-                      const VertexId variant =
-                          dst_bit[w] == (bit ? 1 : 0) ? w : counterpart[w];
-                      assert(variant != kNoVertex);
-                      AppendEdgeRle(&rewritten, Edge{variant, count});
-                    });
-    if (!forward) FinishBackwardList(&rewritten);
-    instance->SetEdges(v, rewritten);
-    if (counterpart[v] != kNoVertex) {
-      instance->SetEdges(counterpart[v], rewritten);
+  if (split_count > 0) {
+    std::vector<Edge> rewritten;
+    for (const VertexId v : plan.order) {
+      if (!in_region(v)) continue;
+      rewritten.clear();
+      WalkSiblingRuns(instance->Children(v), forward, src_bits,
+                      [&](VertexId w, uint64_t count, bool bit) {
+                        const VertexId variant =
+                            dst_bit[w] == (bit ? 1 : 0) ? w : counterpart[w];
+                        assert(variant != kNoVertex);
+                        AppendEdgeRle(&rewritten, Edge{variant, count});
+                      });
+      if (!forward) FinishBackwardList(&rewritten);
+      instance->SetEdges(v, rewritten);
+      if (counterpart[v] != kNoVertex) {
+        instance->SetEdges(counterpart[v], rewritten);
+      }
     }
   }
   for (const VertexId v : plan.order) {
@@ -265,34 +174,11 @@ Status ApplySiblingAxisPhased(Instance* instance, Axis axis,
     }
   }
   if (stats != nullptr) {
-    stats->visited += region.Count() + (instance->vertex_count() - n0);
+    const uint64_t decided =
+        region != nullptr ? region->Count() : plan.order.size();
+    stats->visited += decided + split_count;
   }
   return Status::OK();
-}
-
-}  // namespace
-
-/// following-sibling: an occurrence is selected iff an earlier occurrence
-/// in the same (expanded) child list is in `src`; preceding-sibling is
-/// the mirror image. A run `(w, c)` with `w` in `src` straddles the
-/// boundary — its first (resp. last) occurrence may differ from the rest,
-/// splitting the run in two (this is the multiplicity subtlety the paper
-/// mentions under Prop. 3.4).
-Status ApplySiblingAxis(Instance* instance, Axis axis, RelationId src,
-                        RelationId dst, AxisStats* stats,
-                        const DynamicBitset* region, EvalGuard* guard) {
-  if (axis != Axis::kFollowingSibling && axis != Axis::kPrecedingSibling) {
-    return Status::InvalidArgument("ApplySiblingAxis: not a sibling axis");
-  }
-  if (instance->root() == kNoVertex) {
-    return Status::InvalidArgument("ApplySiblingAxis: empty instance");
-  }
-  // A region selects the phased form.
-  if (region != nullptr) {
-    return ApplySiblingAxisPhased(instance, axis, src, dst, stats, *region,
-                                  guard);
-  }
-  return ApplySiblingAxisDfs(instance, axis, src, dst, stats, guard);
 }
 
 }  // namespace xcq::engine

@@ -163,7 +163,7 @@ struct TraversalCache {
 /// build whose realization count exceeds the reachable vertices plus
 /// reachable RLE edges stops early and marks the summary `saturated`:
 /// it stays "built" for the generation (no rebuild storm) but carries
-/// no nodes, and sweep pruning stands down to the unpruned kernels.
+/// no nodes, and sweep pruning stands down to unfiltered sweeps.
 /// TreeBank's deep recursive nesting is over budget at every measured
 /// scale (1.1-1.6x V+E), where pruning loses to the full sweep; the
 /// other corpora stay well within it.

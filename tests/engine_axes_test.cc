@@ -337,58 +337,32 @@ TEST(FollowingAxisTest, MatchesCompositionDefinition) {
   EXPECT_EQ(f.DstTreeCount(), 9u);
 }
 
-// --- region form vs. the Fig. 4 DFS form ----------------------------------
+// --- every kernel against the tree baseline --------------------------------
 
-struct SweepOutcome {
-  uint64_t selected_dag = 0;
-  uint64_t selected_tree = 0;
-  uint64_t splits = 0;
-  uint64_t reachable_vertices = 0;
-  uint64_t reachable_edges = 0;
-  uint64_t min_vertices = 0;
-  uint64_t min_edges = 0;
-};
-
-/// Runs one kernel on a copy of `base`. Without `region_form` the kernel
-/// takes its Fig. 4 DFS form (`region = nullptr`); with it, an all-ones
-/// region selects the band/phase form while pruning nothing.
-SweepOutcome RunAxisSweep(const Instance& base, xpath::Axis axis,
-                          RelationId src, bool region_form) {
+/// Runs one kernel on a copy of `base`, writing into a fresh relation
+/// named "test:dst". `region` is the optional pruning filter.
+Instance RunAxisSweep(const Instance& base, xpath::Axis axis,
+                      RelationId src, const DynamicBitset* region,
+                      AxisStats* stats) {
   Instance instance = base;
   const RelationId dst = instance.AddRelation("test:dst");
-  const DynamicBitset all(instance.vertex_count(), true);
-  const DynamicBitset* region = region_form ? &all : nullptr;
-  AxisStats stats;
   Status status;
   if (xpath::IsUpwardAxis(axis)) {
-    status = ApplyUpwardAxis(&instance, axis, src, dst, &stats, region);
+    status = ApplyUpwardAxis(&instance, axis, src, dst, stats, region);
   } else if (axis == xpath::Axis::kFollowingSibling ||
              axis == xpath::Axis::kPrecedingSibling) {
-    status = ApplySiblingAxis(&instance, axis, src, dst, &stats, region);
+    status = ApplySiblingAxis(&instance, axis, src, dst, stats, region);
   } else {
-    status = ApplyDownwardAxis(&instance, axis, src, dst, &stats, region);
+    status = ApplyDownwardAxis(&instance, axis, src, dst, stats, region);
   }
-  SweepOutcome outcome;
   EXPECT_TRUE(status.ok()) << status.ToString();
-  if (!status.ok()) return outcome;
   EXPECT_TRUE(instance.Validate().ok()) << instance.Validate().ToString();
-  outcome.selected_dag = SelectedDagNodeCount(instance, dst);
-  outcome.selected_tree = SelectedTreeNodeCount(instance, dst);
-  outcome.splits = stats.splits;
-  outcome.reachable_vertices = instance.ReachableCount();
-  outcome.reachable_edges = instance.ReachableEdgeCount();
-  const Result<Instance> minimal = Minimize(instance);
-  EXPECT_TRUE(minimal.ok());
-  if (minimal.ok()) {
-    outcome.min_vertices = minimal.Value().vertex_count();
-    outcome.min_edges = minimal.Value().rle_edge_count();
-  }
-  return outcome;
+  return instance;
 }
 
-TEST(RegionFormTest, EveryAxisMatchesDfsForm) {
+TEST(AxisKernelTest, EveryAxisMatchesTreeBaseline) {
   // TreeBank compresses worst (deep, irregular), so its sweeps split
-  // plenty and the two forms' split handling is really compared.
+  // plenty and the kernels' split handling is really exercised.
   XCQ_ASSERT_OK_AND_ASSIGN(const corpus::CorpusGenerator* generator,
                            corpus::FindCorpus("TreeBank"));
   corpus::GenerateOptions gen;
@@ -396,6 +370,7 @@ TEST(RegionFormTest, EveryAxisMatchesDfsForm) {
   gen.seed = 3;
   const std::string xml = generator->Generate(gen);
   XCQ_ASSERT_OK_AND_ASSIGN(const Instance base, CompressXml(xml, {}));
+  XCQ_ASSERT_OK_AND_ASSIGN(const LabeledTree labeled, TreeBuilder::Build(xml));
 
   // Sweep from relations of very different densities.
   std::vector<RelationId> sources;
@@ -417,21 +392,39 @@ TEST(RegionFormTest, EveryAxisMatchesDfsForm) {
       xpath::Axis::kDescendantOrSelf, xpath::Axis::kParent,
       xpath::Axis::kAncestor,         xpath::Axis::kAncestorOrSelf,
       xpath::Axis::kFollowingSibling, xpath::Axis::kPrecedingSibling};
+  const DynamicBitset all(base.vertex_count(), true);
   uint64_t total_splits = 0;
   for (const RelationId src : sources) {
+    const std::string& src_name = base.schema().Name(src);
     for (const xpath::Axis axis : kAxes) {
       SCOPED_TRACE(std::string("axis ") + std::string(xpath::AxisName(axis)) +
-                   " src " + std::string(base.schema().Name(src)));
-      const SweepOutcome dfs = RunAxisSweep(base, axis, src, false);
-      const SweepOutcome banded = RunAxisSweep(base, axis, src, true);
-      EXPECT_EQ(dfs.selected_dag, banded.selected_dag);
-      EXPECT_EQ(dfs.selected_tree, banded.selected_tree);
-      EXPECT_EQ(dfs.splits, banded.splits);
-      EXPECT_EQ(dfs.reachable_vertices, banded.reachable_vertices);
-      EXPECT_EQ(dfs.reachable_edges, banded.reachable_edges);
-      EXPECT_EQ(dfs.min_vertices, banded.min_vertices);
-      EXPECT_EQ(dfs.min_edges, banded.min_edges);
-      total_splits += dfs.splits;
+                   " src " + src_name);
+      AxisStats stats;
+      const Instance swept = RunAxisSweep(base, axis, src, nullptr, &stats);
+      total_splits += stats.splits;
+
+      // The answer: the one-axis plan `relation src → axis` on the tree.
+      algebra::QueryPlan plan;
+      plan.ops.push_back({.kind = algebra::OpKind::kRelation,
+                          .relation = src_name});
+      plan.ops.push_back(
+          {.kind = algebra::OpKind::kAxis, .axis = axis, .input0 = 0});
+      XCQ_ASSERT_OK_AND_ASSIGN(const DynamicBitset expected,
+                               baseline::Evaluate(labeled, plan));
+      XCQ_ASSERT_OK_AND_ASSIGN(const DecompressedTree tree,
+                               Decompress(swept, {}));
+      EXPECT_TRUE(tree.RelationSet("test:dst") == expected)
+          << "selected " << tree.RelationSet("test:dst").Count()
+          << " tree nodes, baseline " << expected.Count();
+
+      // An all-ones region filters nothing: the instance is identical.
+      AxisStats region_stats;
+      const Instance filtered =
+          RunAxisSweep(base, axis, src, &all, &region_stats);
+      EXPECT_EQ(region_stats.splits, stats.splits);
+      const RelationId dst = swept.FindRelation("test:dst");
+      EXPECT_TRUE(filtered.RelationBits(dst) == swept.RelationBits(dst));
+      testing::ExpectSameChildLists(swept, filtered);
     }
   }
   EXPECT_GT(total_splits, 0u) << "no sweep split; the split paths went "

@@ -198,10 +198,10 @@ void RunPrunedDifferential(const std::string& xml, const std::string& query,
   ASSERT_EQ(presult.ok(), fresult.ok()) << query;
   if (!presult.ok()) return;
 
-  // Exact answer comparison at the tree level (both expansions are in
-  // document order, so node ids line up). Raw DAG columns are compared
-  // only for split-free runs: splits leave the kernels free to swap
-  // which variant keeps the original id (isomorphic DAGs).
+  // Both runs execute the same kernels, so the instances must end up
+  // bit-identical: same vertex count, same raw result column. The
+  // tree-level comparison (both expansions are in document order, so
+  // node ids line up) names the answer in the repro.
   DecompressOptions dopts;
   const auto ptree = Decompress(pruned, dopts);
   const auto ftree = Decompress(full, dopts);
@@ -211,12 +211,12 @@ void RunPrunedDifferential(const std::string& xml, const std::string& query,
       pstats.splits != fstats.splits ||
       pstats.vertices_after != fstats.vertices_after ||
       pstats.edges_after != fstats.edges_after ||
+      pruned.vertex_count() != full.vertex_count() ||
       SelectedTreeNodeCount(pruned, *presult) !=
           SelectedTreeNodeCount(full, *fresult) ||
       ptree->RelationSet(pruned.schema().Name(*presult)) !=
           ftree->RelationSet(full.schema().Name(*fresult)) ||
-      (pstats.splits == 0 &&
-       pruned.RelationBits(*presult) != full.RelationBits(*fresult));
+      pruned.RelationBits(*presult) != full.RelationBits(*fresult);
   if (!diverged) return;
 
   // Dump everything needed to replay the case by hand.
@@ -228,10 +228,12 @@ void RunPrunedDifferential(const std::string& xml, const std::string& query,
        << "pruned: splits=" << pstats.splits
        << " vertices=" << pstats.vertices_after
        << " edges=" << pstats.edges_after
+       << " vertex_count=" << pruned.vertex_count()
        << " tree=" << SelectedTreeNodeCount(pruned, *presult) << "\n"
        << "full:   splits=" << fstats.splits
        << " vertices=" << fstats.vertices_after
        << " edges=" << fstats.edges_after
+       << " vertex_count=" << full.vertex_count()
        << " tree=" << SelectedTreeNodeCount(full, *fresult) << "\n"
        << "document:\n"
        << xml << "\n";

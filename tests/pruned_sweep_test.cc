@@ -2,8 +2,8 @@
 //
 // The contract under test: evaluation with `prune_sweeps` on is
 // *bit-identical* to the full-sweep oracle — same answers, same splits,
-// same resulting instance — for every corpus, thread count, and
-// minimize mode, while visiting no more vertices than the full sweep.
+// same resulting instance — for every corpus and minimize mode, while
+// visiting no more vertices than the full sweep.
 // The summary itself is pinned against an independent oracle (every
 // realized (vertex, path) pair recomputed by walking the DAG), and its
 // validity tracking across structural and non-structural mutations is
@@ -164,9 +164,12 @@ void ExpectPrunedMatchesUnpruned(
     ASSERT_NE(ro, kNoRelation);
     EXPECT_EQ(SelectedTreeNodeCount(pruned.instance(), rp),
               SelectedTreeNodeCount(oracle.instance(), ro));
-    // The exact answer: the selected tree-node sets. (Raw columns may
-    // differ after splits — the two runs may keep original and clone
-    // ids the other way round, isomorphic DAGs either way.)
+    // Both sessions run the same kernels, so the instances are
+    // bit-identical: same raw result column, same child lists.
+    EXPECT_TRUE(pruned.instance().RelationBits(rp) ==
+                oracle.instance().RelationBits(ro));
+    testing::ExpectSameChildLists(pruned.instance(), oracle.instance());
+    // The exact answer: the selected tree-node sets.
     XCQ_ASSERT_OK_AND_ASSIGN(const DecompressedTree pt,
                              Decompress(pruned.instance(), {}));
     XCQ_ASSERT_OK_AND_ASSIGN(const DecompressedTree ot,

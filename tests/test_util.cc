@@ -1,11 +1,13 @@
 #include "test_util.h"
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 
 namespace xcq::testing {
 
@@ -68,6 +70,16 @@ DifferentialResult RunDifferential(const std::string& xml,
   EXPECT_EQ(dag_set, *baseline_set)
       << "selected-set mismatch for query " << query_text;
   return out;
+}
+
+void ExpectSameChildLists(const Instance& a, const Instance& b) {
+  ASSERT_EQ(a.vertex_count(), b.vertex_count());
+  for (VertexId v = 0; v < a.vertex_count(); ++v) {
+    const std::span<const Edge> ca = a.Children(v);
+    const std::span<const Edge> cb = b.Children(v);
+    ASSERT_TRUE(std::equal(ca.begin(), ca.end(), cb.begin(), cb.end()))
+        << "child lists of vertex " << v << " differ";
+  }
 }
 
 std::string BibExampleXml() {

@@ -52,6 +52,10 @@ struct DifferentialResult {
 DifferentialResult RunDifferential(const std::string& xml,
                                    const std::string& query_text);
 
+/// Asserts that `a` and `b` have the same vertex count and that every
+/// vertex has the same child list in both.
+void ExpectSameChildLists(const Instance& a, const Instance& b);
+
 /// Builds the paper's Example 1.1 bibliography document.
 std::string BibExampleXml();
 
