@@ -38,7 +38,7 @@ class SharedBatchRunner {
  public:
   SharedBatchRunner(Instance* instance, const EvalOptions& options,
                     const std::vector<algebra::QueryPlan>& plans,
-                    SharedBatchStats* stats)
+                    EvalStats* stats)
       : instance_(instance), options_(options), plans_(plans),
         stats_(stats) {}
 
@@ -94,7 +94,6 @@ class SharedBatchRunner {
         ReleaseAll();
         return result;
       }
-      if (stats_ != nullptr) ++stats_->rounds;
       if (!RunRound(round)) {
         ReleaseAll();
         return result;  // not engaged; instance untouched
@@ -120,7 +119,6 @@ class SharedBatchRunner {
     }
     ReleaseAll();
     result.engaged = true;
-    if (stats_ != nullptr) stats_->engaged = true;
     return result;
   }
 
@@ -199,7 +197,6 @@ class SharedBatchRunner {
         entry.src = op_rel_[p][static_cast<size_t>(op.input0)];
         entry.dst = NewScratch(p, round);
         buckets[static_cast<size_t>(op.axis)].push_back(entry);
-        if (stats_ != nullptr) ++stats_->axis_ops;
         continue;
       }
       if (!RunPureOp(p, round)) return false;
@@ -209,10 +206,6 @@ class SharedBatchRunner {
       std::vector<AxisEntry>& bucket = buckets[a];
       if (bucket.empty()) continue;
       const Axis axis = static_cast<Axis>(a);
-      if (stats_ != nullptr && bucket.size() >= 2) {
-        ++stats_->shared_groups;
-        stats_->shared_group_ops += bucket.size();
-      }
       for (size_t begin = 0; begin < bucket.size();
            begin += kMaskWidth) {
         const size_t end = std::min(bucket.size(), begin + kMaskWidth);
@@ -346,20 +339,25 @@ class SharedBatchRunner {
     return regions_.Gate(kind, union_src_, union_dst_);
   }
 
-  /// Folds one shared sweep's gate into the batch counters. `visited`
-  /// is what the sweep will walk; a full sweep walks every reachable
-  /// vertex once regardless of chunk width.
-  void CountSweep(const PruneGate& gate, uint64_t reachable) {
-    if (stats_ == nullptr) return;
-    stats_->sweep_full += reachable;
+  /// Folds one shared sweep's gate into `family`'s counters and returns
+  /// where the sweep's kernel time goes (null without stats). The
+  /// visits are what the sweep will walk; a full sweep walks every
+  /// reachable vertex once regardless of chunk width.
+  double* CountSweep(AxisFamily family, const PruneGate& gate,
+                     uint64_t reachable) {
+    if (stats_ == nullptr) return nullptr;
+    AxisFamilyStats& f = stats_->axis[static_cast<size_t>(family)];
+    ++f.sweeps;
+    f.full += reachable;
     if (gate.skip) {
-      ++stats_->skipped_sweeps;
+      ++f.skipped;
     } else if (gate.region != nullptr) {
-      ++stats_->pruned_sweeps;
-      stats_->sweep_visited += gate.region_vertices;
+      ++f.pruned;
+      f.visited += gate.region_vertices;
     } else {
-      stats_->sweep_visited += reachable;
+      f.visited += reachable;
     }
+    return &f.seconds;
   }
 
   bool RunAxisChunk(Axis axis, std::span<const AxisEntry> chunk) {
@@ -444,7 +442,7 @@ class SharedBatchRunner {
         axis == Axis::kAncestor || axis == Axis::kAncestorOrSelf;
     const TraversalCache& t = instance_->EnsureTraversal();
     const PruneGate gate = ChunkGate(SweepKind::kUpward, chunk, stage);
-    CountSweep(gate, t.order.size());
+    ScopedTimer timer(CountSweep(AxisFamily::kUpward, gate, t.order.size()));
     if (gate.skip) return;  // dst scratch columns stay all-zero
     const DynamicBitset* const region = gate.region;
     const std::vector<uint64_t> src_mask = SourceMasks(chunk, t.order);
@@ -477,7 +475,8 @@ class SharedBatchRunner {
     const bool or_self = axis == Axis::kDescendantOrSelf;
     const TraversalCache& t = instance_->EnsureTraversal(true);
     const PruneGate gate = ChunkGate(SweepKind::kDownward, chunk, stage);
-    CountSweep(gate, t.order.size());
+    ScopedTimer timer(
+        CountSweep(AxisFamily::kDownward, gate, t.order.size()));
     if (gate.skip) return true;  // selects nothing, demands nothing
     const DynamicBitset* const region = gate.region;
     const size_t n = instance_->vertex_count();
@@ -492,7 +491,6 @@ class SharedBatchRunner {
     std::vector<uint64_t> demand1(n, 0);
     std::vector<uint64_t> demand0(n, 0);
     std::vector<uint64_t> dst_mask(n, 0);
-    uint64_t conflicts = 0;
     const VertexId root = instance_->root();
 
     for (size_t h = t.bands.size(); h-- > 0;) {
@@ -506,11 +504,7 @@ class SharedBatchRunner {
         uint64_t d0 = demand0[w];
         if (w == root) d0 = full;  // the root is entered by no edge
         const uint64_t os = or_self ? src_mask[w] : 0;
-        const uint64_t clash = d1 & d0 & ~os;
-        if (clash != 0) {
-          conflicts += static_cast<uint64_t>(__builtin_popcountll(clash));
-          continue;
-        }
+        if ((d1 & d0 & ~os) != 0) return false;
         const uint64_t mine = os | d1;
         dst_mask[w] = mine;
         const uint64_t out1 =
@@ -520,10 +514,6 @@ class SharedBatchRunner {
           demand1[e.child] |= out1;
           demand0[e.child] |= out0;
         }
-      }
-      if (conflicts != 0) {
-        if (stats_ != nullptr) stats_->conflicts += conflicts;
-        return false;
       }
     }
     CommitMasks(chunk, t.order, dst_mask);
@@ -541,7 +531,8 @@ class SharedBatchRunner {
     const bool forward = axis == Axis::kFollowingSibling;
     const TraversalCache& t = instance_->EnsureTraversal();
     const PruneGate gate = ChunkGate(SweepKind::kSibling, chunk, stage);
-    CountSweep(gate, t.order.size());
+    ScopedTimer timer(
+        CountSweep(AxisFamily::kSibling, gate, t.order.size()));
     if (gate.skip) return true;  // no list can demand a selection
     const DynamicBitset* const region = gate.region;
     const size_t n = instance_->vertex_count();
@@ -597,13 +588,7 @@ class SharedBatchRunner {
     for (const VertexId v : t.order) {
       clash_total |= demand1[v] & demand0[v];
     }
-    if (clash_total != 0) {
-      if (stats_ != nullptr) {
-        stats_->conflicts +=
-            static_cast<uint64_t>(__builtin_popcountll(clash_total));
-      }
-      return false;
-    }
+    if (clash_total != 0) return false;
     CommitMasks(chunk, t.order, demand1);
     return true;
   }
@@ -611,7 +596,7 @@ class SharedBatchRunner {
   Instance* instance_;
   const EvalOptions& options_;
   const std::vector<algebra::QueryPlan>& plans_;
-  SharedBatchStats* stats_;
+  EvalStats* stats_;
 
   std::vector<std::vector<RelationId>> op_rel_;
   std::vector<std::vector<uint8_t>> op_scratch_;  ///< 1 = we own it.
@@ -631,11 +616,14 @@ class SharedBatchRunner {
 
 SharedBatchResult EvaluateBatchShared(
     Instance* instance, const std::vector<algebra::QueryPlan>& plans,
-    const EvalOptions& options, SharedBatchStats* stats) {
+    const EvalOptions& options, EvalStats* stats) {
   Timer timer;
   SharedBatchRunner runner(instance, options, plans, stats);
   SharedBatchResult result = runner.Run();
-  if (stats != nullptr) stats->seconds = timer.Seconds();
+  if (stats != nullptr) {
+    SumAxisFamilies(stats);
+    stats->seconds = timer.Seconds();
+  }
   return result;
 }
 

@@ -35,23 +35,6 @@
 
 namespace xcq::engine {
 
-/// \brief Counters for one shared-batch attempt.
-struct SharedBatchStats {
-  bool engaged = false;        ///< Sharing held to the end; results valid.
-  uint64_t rounds = 0;         ///< Lockstep rounds executed.
-  uint64_t axis_ops = 0;       ///< Axis ops evaluated (incl. composed stages).
-  uint64_t shared_groups = 0;  ///< Axis groups swept once for >= 2 queries.
-  uint64_t shared_group_ops = 0;  ///< Axis ops covered by those groups.
-  uint64_t conflicts = 0;      ///< Split demands that forced the abort.
-  uint64_t pruned_sweeps = 0;  ///< Shared sweeps restricted to a region
-                               ///< (union of the members' admissible
-                               ///< regions; docs/INTERNALS.md §9).
-  uint64_t skipped_sweeps = 0;  ///< Shared sweeps skipped outright.
-  uint64_t sweep_visited = 0;  ///< Vertices visited by shared sweeps.
-  uint64_t sweep_full = 0;     ///< Visits unpruned sweeps would make.
-  double seconds = 0.0;
-};
-
 /// \brief Result of a shared-batch attempt. When `engaged`, `results`
 /// holds one *scratch* relation per plan (index-aligned) carrying that
 /// query's final selection; the caller must copy/count what it needs
@@ -66,10 +49,12 @@ struct SharedBatchResult {
 /// any input the shared path cannot handle (empty plans, missing
 /// context relation, a split demand) simply reports `engaged = false`
 /// so the caller can fall back to per-query evaluation — which will
-/// also surface any real error.
+/// also surface any real error. `stats` receives the batch-wide sweep
+/// counters (one sweep per chunk, in the family slices and their
+/// aggregate sums) and `seconds`; its other fields stay untouched.
 SharedBatchResult EvaluateBatchShared(
     Instance* instance, const std::vector<algebra::QueryPlan>& plans,
-    const EvalOptions& options, SharedBatchStats* stats = nullptr);
+    const EvalOptions& options, EvalStats* stats = nullptr);
 
 }  // namespace xcq::engine
 

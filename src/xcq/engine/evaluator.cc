@@ -187,9 +187,7 @@ class PlanRunner {
           if (axis == Axis::kDescendant && v == root) continue;
           instance_->SetBit(d, v);
         }
-        if (stats_ != nullptr) {
-          ++stats_->pruned_sweeps;
-          stats_->sweep_full += instance_->ReachableCount();
+        if (family != nullptr) {
           ++family->pruned;
           family->full += instance_->ReachableCount();
         }
@@ -210,30 +208,20 @@ class PlanRunner {
       }
     }
     const uint64_t reachable_before =
-        stats_ != nullptr ? instance_->ReachableCount() : 0;
-    if (stats_ != nullptr) {
-      if (gate.skip) {
-        ++stats_->skipped_sweeps;
-        ++family->skipped;
-      }
-      if (gate.region != nullptr) {
-        ++stats_->pruned_sweeps;
-        ++family->pruned;
-      }
+        family != nullptr ? instance_->ReachableCount() : 0;
+    if (family != nullptr) {
+      if (gate.skip) ++family->skipped;
+      if (gate.region != nullptr) ++family->pruned;
     }
     if (gate.skip) {
-      if (stats_ != nullptr) {
-        stats_->sweep_full += reachable_before;
-        family->full += reachable_before;
-      }
+      if (family != nullptr) family->full += reachable_before;
       return Status::OK();
     }
 
     AxisStats sweep_stats;
     Status status;
-    double kernel_seconds = 0.0;
     {
-      ScopedTimer kernel_timer(stats_ != nullptr ? &kernel_seconds
+      ScopedTimer kernel_timer(family != nullptr ? &family->seconds
                                                  : nullptr);
       switch (axis) {
         case Axis::kParent:
@@ -258,17 +246,13 @@ class PlanRunner {
           break;
       }
     }
-    if (stats_ != nullptr) {
+    if (family != nullptr) {
       stats_->splits += sweep_stats.splits;
-      stats_->sweep_visited += sweep_stats.visited;
+      family->visited += sweep_stats.visited;
       // Kernels count clones created mid-sweep as visits, and a pruned
       // run splits exactly where the full run would — so the full-sweep
       // visit count is the pre-sweep reachable set plus those clones.
-      stats_->sweep_full += reachable_before + sweep_stats.splits;
-      stats_->sweep_seconds += kernel_seconds;
-      family->visited += sweep_stats.visited;
       family->full += reachable_before + sweep_stats.splits;
-      family->seconds += kernel_seconds;
     }
     return status;
   }
@@ -325,6 +309,17 @@ class PlanRunner {
 };
 
 }  // namespace
+
+void SumAxisFamilies(EvalStats* stats) {
+  stats->sweep_visited = stats->sweep_full = 0;
+  stats->pruned_sweeps = stats->skipped_sweeps = 0;
+  for (const AxisFamilyStats& family : stats->axis) {
+    stats->sweep_visited += family.visited;
+    stats->sweep_full += family.full;
+    stats->pruned_sweeps += family.pruned;
+    stats->skipped_sweeps += family.skipped;
+  }
+}
 
 void ApplyColumnOp(Instance* instance, const algebra::Op& op,
                    RelationId input0, RelationId input1, RelationId dst) {
@@ -383,6 +378,7 @@ Result<RelationId> Evaluate(Instance* instance,
   PlanRunner runner(instance, options, stats);
   XCQ_ASSIGN_OR_RETURN(const RelationId result, runner.Run(plan));
   if (stats != nullptr) {
+    SumAxisFamilies(stats);
     ReachableSizes(*instance, &stats->vertices_after, &stats->edges_after);
     stats->summary_nodes = runner.summary_nodes();
     stats->summary_builds =

@@ -75,11 +75,12 @@ constexpr std::string_view AxisFamilyName(AxisFamily family) {
   return "unknown";
 }
 
-/// \brief Per-family slice of the sweep counters: for per-query
-/// evaluation the family entries sum to the aggregate EvalStats fields
-/// of the same name (shared-batch evaluation reports its sweeps in the
-/// aggregates only), and `seconds` is time inside the family's kernels
-/// (excluded: plan bookkeeping, prune binding, column ops).
+/// \brief Per-family slice of the sweep counters — the one place a sweep
+/// counter is defined. The engine increments only these slices (per-query
+/// and shared-batch sweeps alike); the aggregate EvalStats fields of the
+/// same name are their sums, filled at the end of an evaluation.
+/// `seconds` is time inside the family's kernels (excluded: plan
+/// bookkeeping, prune binding, column ops).
 struct AxisFamilyStats {
   uint64_t sweeps = 0;        ///< Sweeps of this family (incl. closed forms).
   uint64_t visited = 0;       ///< Vertices the family's sweeps visited.
@@ -95,10 +96,10 @@ struct EvalStats {
   uint64_t edges_before = 0;     ///< RLE edges (reachable) before.
   uint64_t edges_after = 0;      ///< RLE edges (reachable) after.
   uint64_t splits = 0;           ///< Vertices cloned during evaluation.
-  uint64_t sweep_visited = 0;    ///< Vertices visited by axis sweeps.
-  uint64_t sweep_full = 0;       ///< Visits a full (unpruned) run makes.
-  uint64_t pruned_sweeps = 0;    ///< Sweeps restricted to a region.
-  uint64_t skipped_sweeps = 0;   ///< Sweeps skipped outright (∅ region).
+  uint64_t sweep_visited = 0;    ///< Σ axis[].visited.
+  uint64_t sweep_full = 0;       ///< Σ axis[].full.
+  uint64_t pruned_sweeps = 0;    ///< Σ axis[].pruned.
+  uint64_t skipped_sweeps = 0;   ///< Σ axis[].skipped.
   uint64_t summary_nodes = 0;    ///< Path-summary size used (0 = none).
   uint64_t summary_builds = 0;   ///< Summary (re)builds this evaluation.
   /// Per-family counter slices, indexed by AxisFamily; inline array so
@@ -107,9 +108,13 @@ struct EvalStats {
   /// Time inside the pruner's sweep gates: summary binding, the plan's
   /// abstract pass, and every region build (0 with pruning off).
   double prune_bind_seconds = 0.0;
-  double sweep_seconds = 0.0;       ///< Total time inside sweep kernels.
   double seconds = 0.0;
 };
+
+/// \brief Fills the aggregate sweep counters of `*stats` by summing its
+/// family slices; the per-query evaluator and the shared-batch runner
+/// call it once, at the end of an evaluation.
+void SumAxisFamilies(EvalStats* stats);
 
 /// \brief Evaluates `plan` on `*instance` (mutating it: the result is
 /// added, intermediate selections live in scratch columns returned

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <utility>
 
 #include "xcq/instance/instance_io.h"
@@ -33,6 +34,100 @@ obs::LabelSet DocAxisLabels(const std::string& name,
       {"document", name},
       {"axis", std::string(engine::AxisFamilyName(family))}};
 }
+
+/// One per-family sweep counter: the `{document, axis}` METRICS counter
+/// and the AxisFamilyStats field it accumulates. Registration,
+/// per-outcome recording and the store's cumulative totals all iterate
+/// kAxisCounters, so a new family counter is one field, its increment
+/// site and one row.
+struct AxisCounter {
+  std::string_view name;
+  std::string_view help;
+  double (*get)(const engine::AxisFamilyStats&);
+  void (*add)(engine::AxisFamilyStats* total,
+              const engine::AxisFamilyStats& delta);
+};
+
+template <auto Field>
+constexpr AxisCounter AxisRow(std::string_view name, std::string_view help) {
+  return {name, help,
+          [](const engine::AxisFamilyStats& s) {
+            return static_cast<double>(s.*Field);
+          },
+          [](engine::AxisFamilyStats* total,
+             const engine::AxisFamilyStats& delta) {
+            total->*Field += delta.*Field;
+          }};
+}
+
+constexpr AxisCounter kAxisCounters[] = {
+    AxisRow<&engine::AxisFamilyStats::sweeps>(
+        "xcq_sweeps_total", "Axis sweeps run, by kernel family"),
+    AxisRow<&engine::AxisFamilyStats::visited>(
+        "xcq_sweep_visited_total", "Vertices visited by axis sweeps"),
+    AxisRow<&engine::AxisFamilyStats::full>(
+        "xcq_sweep_full_total",
+        "Vertices unpruned sweeps would have visited"),
+    AxisRow<&engine::AxisFamilyStats::pruned>(
+        "xcq_sweeps_pruned_total",
+        "Sweeps restricted to a path-summary region"),
+    AxisRow<&engine::AxisFamilyStats::skipped>(
+        "xcq_sweeps_skipped_total", "Sweeps skipped outright (empty region)"),
+    AxisRow<&engine::AxisFamilyStats::seconds>(
+        "xcq_sweep_seconds_total", "Seconds inside sweep kernels"),
+};
+/// The rows the on-scrape `xcq_sweep_prune_ratio` gauge reads.
+constexpr size_t kVisitedRow = 1;
+constexpr size_t kFullRow = 2;
+static_assert(kAxisCounters[kVisitedRow].name == "xcq_sweep_visited_total");
+static_assert(kAxisCounters[kFullRow].name == "xcq_sweep_full_total");
+
+/// One per-document gauge: registered at load, set on every scrape from
+/// the document's STATS snapshot.
+struct DocumentGauge {
+  std::string_view name;
+  std::string_view help;
+  double (*get)(const DocumentInfo&);
+};
+
+template <auto Field>
+constexpr DocumentGauge GaugeRow(std::string_view name,
+                                 std::string_view help) {
+  return {name, help, [](const DocumentInfo& info) {
+            return static_cast<double>(info.*Field);
+          }};
+}
+
+constexpr DocumentGauge kDocumentGauges[] = {
+    GaugeRow<&DocumentInfo::memory_bytes>("xcq_document_memory_bytes",
+                                          "Instance footprint in bytes"),
+    GaugeRow<&DocumentInfo::vertex_count>("xcq_document_vertices",
+                                          "DAG vertices (including splits)"),
+    GaugeRow<&DocumentInfo::tree_nodes>("xcq_document_tree_nodes",
+                                        "Tree nodes the DAG represents"),
+    GaugeRow<&DocumentInfo::summary_nodes>(
+        "xcq_document_summary_nodes", "Path-summary nodes (0 = not built)"),
+    GaugeRow<&DocumentInfo::summary_builds>("xcq_document_summary_builds",
+                                            "Path-summary (re)builds so far"),
+    GaugeRow<&DocumentInfo::traversal_builds>(
+        "xcq_document_traversal_builds", "Traversal-cache (re)builds so far"),
+    GaugeRow<&DocumentInfo::scratch_resident>(
+        "xcq_document_scratch_resident",
+        "Scratch-pool slots currently held by the instance"),
+    GaugeRow<&DocumentInfo::scratch_capacity>("xcq_document_scratch_capacity",
+                                              "Scratch-pool residency cap"),
+    GaugeRow<&DocumentInfo::scratch_hits>(
+        "xcq_document_scratch_hits",
+        "Scratch checkouts served without allocating"),
+    GaugeRow<&DocumentInfo::scratch_allocs>(
+        "xcq_document_scratch_allocations",
+        "Scratch checkouts that had to (re)allocate"),
+    GaugeRow<&DocumentInfo::qps>("xcq_document_qps",
+                                 "Queries per second of registry uptime"),
+    GaugeRow<&DocumentInfo::share_rate>(
+        "xcq_document_batch_share_rate",
+        "Fraction of batches served with shared sweeps"),
+};
 
 /// Manifest header: format magic + version, own line.
 constexpr std::string_view kManifestHeader = "XCQM 1";
@@ -442,6 +537,22 @@ Status SpillManager::RewriteManifestLocked() {
 
 // --- StoredDocument --------------------------------------------------------
 
+/// Resolved metric handles for one document, all owned by the registry.
+struct StoredDocument::Handles {
+  obs::Counter* queries = nullptr;
+  obs::Counter* query_errors = nullptr;
+  obs::Counter* batches = nullptr;
+  obs::Counter* batches_shared = nullptr;
+  obs::Histogram* latency = nullptr;
+  obs::Counter* phase_seconds[obs::kPhaseCount] = {};
+  /// Indexed by family, then by kAxisCounters row.
+  obs::Counter* axis[engine::kAxisFamilyCount][std::size(kAxisCounters)] =
+      {};
+  obs::Gauge* prune_ratio[engine::kAxisFamilyCount] = {};
+  /// Indexed by kDocumentGauges row.
+  obs::Gauge* gauges[std::size(kDocumentGauges)] = {};
+};
+
 StoredDocument::StoredDocument(QuerySession session, std::string name,
                                obs::Registry* registry)
     : session_(std::move(session)),
@@ -451,21 +562,22 @@ StoredDocument::StoredDocument(QuerySession session, std::string name,
   if (registry_ == nullptr) return;
   // Resolve every handle once; the per-query metrics cost is then only
   // relaxed atomic adds. The full series catalog is documented in
-  // docs/OBSERVABILITY.md — keep the two in sync.
+  // docs/OBSERVABILITY.md; the per-family counters and per-document
+  // gauges come from kAxisCounters and kDocumentGauges.
   obs::Registry& r = *registry_;
-  handles_.queries = r.GetCounter("xcq_document_queries_total",
-                                  DocLabels(name_),
-                                  "Queries evaluated against the document");
-  handles_.query_errors =
+  handles_ = std::make_unique<Handles>();
+  Handles& h = *handles_;
+  h.queries = r.GetCounter("xcq_document_queries_total", DocLabels(name_),
+                           "Queries evaluated against the document");
+  h.query_errors =
       r.GetCounter("xcq_document_query_errors_total", DocLabels(name_),
                    "Queries that failed (parse, compile, or evaluation)");
-  handles_.batches =
-      r.GetCounter("xcq_document_batches_total", DocLabels(name_),
-                   "BATCH requests evaluated against the document");
-  handles_.batches_shared = r.GetCounter(
+  h.batches = r.GetCounter("xcq_document_batches_total", DocLabels(name_),
+                           "BATCH requests evaluated against the document");
+  h.batches_shared = r.GetCounter(
       "xcq_document_batches_shared_total", DocLabels(name_),
       "Batches served with shared (multi-query) axis sweeps");
-  handles_.latency = r.GetHistogram(
+  h.latency = r.GetHistogram(
       "xcq_query_seconds", DocLabels(name_),
       obs::Histogram::LatencyBounds(),
       "End-to-end query latency at the document store (lock held)");
@@ -473,70 +585,28 @@ StoredDocument::StoredDocument(QuerySession session, std::string name,
     obs::LabelSet labels = DocLabels(name_);
     labels.Add("phase",
                std::string(obs::PhaseName(static_cast<obs::Phase>(p))));
-    handles_.phase_seconds[p] =
+    h.phase_seconds[p] =
         r.GetCounter("xcq_phase_seconds_total", std::move(labels),
                      "Seconds spent per query phase (from trace spans)");
   }
   for (size_t f = 0; f < engine::kAxisFamilyCount; ++f) {
     const auto family = static_cast<engine::AxisFamily>(f);
-    AxisHandles& ah = handles_.axis[f];
-    ah.sweeps = r.GetCounter("xcq_sweeps_total",
-                             DocAxisLabels(name_, family),
-                             "Axis sweeps run, by kernel family");
-    ah.visited = r.GetCounter("xcq_sweep_visited_total",
-                              DocAxisLabels(name_, family),
-                              "Vertices visited by axis sweeps");
-    ah.full = r.GetCounter(
-        "xcq_sweep_full_total", DocAxisLabels(name_, family),
-        "Vertices unpruned sweeps would have visited");
-    ah.pruned = r.GetCounter("xcq_sweeps_pruned_total",
-                             DocAxisLabels(name_, family),
-                             "Sweeps restricted to a path-summary region");
-    ah.skipped = r.GetCounter("xcq_sweeps_skipped_total",
-                              DocAxisLabels(name_, family),
-                              "Sweeps skipped outright (empty region)");
-    ah.seconds = r.GetCounter("xcq_sweep_seconds_total",
-                              DocAxisLabels(name_, family),
-                              "Seconds inside sweep kernels");
-    ah.prune_ratio = r.GetGauge(
+    for (size_t row = 0; row < std::size(kAxisCounters); ++row) {
+      h.axis[f][row] =
+          r.GetCounter(kAxisCounters[row].name, DocAxisLabels(name_, family),
+                       kAxisCounters[row].help);
+    }
+    h.prune_ratio[f] = r.GetGauge(
         "xcq_sweep_prune_ratio", DocAxisLabels(name_, family),
         "Fraction of full-sweep visits avoided by pruning (on scrape)");
   }
-  handles_.memory_bytes =
-      r.GetGauge("xcq_document_memory_bytes", DocLabels(name_),
-                 "Instance footprint in bytes");
-  handles_.vertices = r.GetGauge("xcq_document_vertices", DocLabels(name_),
-                                 "DAG vertices (including splits)");
-  handles_.tree_nodes =
-      r.GetGauge("xcq_document_tree_nodes", DocLabels(name_),
-                 "Tree nodes the DAG represents");
-  handles_.summary_nodes =
-      r.GetGauge("xcq_document_summary_nodes", DocLabels(name_),
-                 "Path-summary nodes (0 = not built)");
-  handles_.summary_builds =
-      r.GetGauge("xcq_document_summary_builds", DocLabels(name_),
-                 "Path-summary (re)builds so far");
-  handles_.traversal_builds =
-      r.GetGauge("xcq_document_traversal_builds", DocLabels(name_),
-                 "Traversal-cache (re)builds so far");
-  handles_.scratch_resident =
-      r.GetGauge("xcq_document_scratch_resident", DocLabels(name_),
-                 "Scratch-pool slots currently held by the instance");
-  handles_.scratch_capacity =
-      r.GetGauge("xcq_document_scratch_capacity", DocLabels(name_),
-                 "Scratch-pool residency cap");
-  handles_.scratch_hits =
-      r.GetGauge("xcq_document_scratch_hits", DocLabels(name_),
-                 "Scratch checkouts served without allocating");
-  handles_.scratch_allocations =
-      r.GetGauge("xcq_document_scratch_allocations", DocLabels(name_),
-                 "Scratch checkouts that had to (re)allocate");
-  handles_.qps = r.GetGauge("xcq_document_qps", DocLabels(name_),
-                            "Queries per second of registry uptime");
-  handles_.batch_share_rate =
-      r.GetGauge("xcq_document_batch_share_rate", DocLabels(name_),
-                 "Fraction of batches served with shared sweeps");
+  for (size_t row = 0; row < std::size(kDocumentGauges); ++row) {
+    h.gauges[row] = r.GetGauge(kDocumentGauges[row].name, DocLabels(name_),
+                               kDocumentGauges[row].help);
+  }
 }
+
+StoredDocument::~StoredDocument() = default;
 
 void StoredDocument::RefreshFootprintLocked() {
   footprint_.store(session_.has_instance()
@@ -556,15 +626,10 @@ Result<QueryOutcome> StoredDocument::Query(std::string_view query_text,
   // Even failed runs can have merged labels in before erroring.
   RefreshFootprintLocked();
   if (outcome.ok()) {
-    ++queries_served_;
-    label_seconds_ += outcome->label_seconds;
-    minimize_seconds_ += outcome->minimize_seconds;
-    AccumulateSweepStats(outcome->stats);
-    if (handles_.queries != nullptr) handles_.queries->Increment();
-    RecordOutcomeMetricsLocked(*outcome, elapsed);
+    RecordOutcomeLocked(*outcome, elapsed);
     MaybeSpillLocked();
-  } else if (handles_.query_errors != nullptr) {
-    handles_.query_errors->Increment();
+  } else if (handles_ != nullptr) {
+    handles_->query_errors->Increment();
   }
   return outcome;
 }
@@ -584,7 +649,6 @@ Result<std::vector<QueryOutcome>> StoredDocument::Batch(
   RefreshFootprintLocked();
   if (outcomes.ok()) {
     ++batches_served_;
-    queries_served_ += outcomes->size();
     // Each batch member is charged an equal share of the batch's wall
     // time in the latency histogram — per-member times do not exist on
     // the shared-sweep path.
@@ -592,24 +656,20 @@ Result<std::vector<QueryOutcome>> StoredDocument::Batch(
         outcomes->empty() ? 0.0
                           : elapsed / static_cast<double>(outcomes->size());
     for (const QueryOutcome& outcome : *outcomes) {
-      label_seconds_ += outcome.label_seconds;
-      minimize_seconds_ += outcome.minimize_seconds;
-      AccumulateSweepStats(outcome.stats);
-      if (handles_.queries != nullptr) handles_.queries->Increment();
-      RecordOutcomeMetricsLocked(outcome, share);
+      RecordOutcomeLocked(outcome, share);
     }
-    if (handles_.batches != nullptr) handles_.batches->Increment();
-    if (handles_.batches_shared != nullptr) {
+    if (handles_ != nullptr) {
+      handles_->batches->Increment();
       const uint64_t shared_delta =
           session_.shared_batch_count() - shared_before;
       if (shared_delta > 0) {
-        handles_.batches_shared->Increment(
+        handles_->batches_shared->Increment(
             static_cast<double>(shared_delta));
       }
     }
     MaybeSpillLocked();
-  } else if (handles_.query_errors != nullptr) {
-    handles_.query_errors->Increment(
+  } else if (handles_ != nullptr) {
+    handles_->query_errors->Increment(
         static_cast<double>(query_texts.size()));
   }
   return outcomes;
@@ -667,35 +727,28 @@ void StoredDocument::MarkSpilledClean() {
       session_.tracked_tag_count() + session_.tracked_pattern_count();
 }
 
-void StoredDocument::AccumulateSweepStats(const engine::EvalStats& stats) {
-  sweep_visited_ += stats.sweep_visited;
-  sweep_full_ += stats.sweep_full;
-  pruned_sweeps_ += stats.pruned_sweeps;
-  skipped_sweeps_ += stats.skipped_sweeps;
-}
-
-void StoredDocument::RecordOutcomeMetricsLocked(const QueryOutcome& outcome,
-                                                double elapsed_seconds) {
-  if (registry_ == nullptr) return;
-  handles_.latency->Observe(elapsed_seconds);
+void StoredDocument::RecordOutcomeLocked(const QueryOutcome& outcome,
+                                         double elapsed_seconds) {
+  ++queries_served_;
+  label_seconds_ += outcome.label_seconds;
+  minimize_seconds_ += outcome.minimize_seconds;
+  for (size_t f = 0; f < engine::kAxisFamilyCount; ++f) {
+    const engine::AxisFamilyStats& delta = outcome.stats.axis[f];
+    for (size_t row = 0; row < std::size(kAxisCounters); ++row) {
+      kAxisCounters[row].add(&sweep_totals_[f], delta);
+      const double value = kAxisCounters[row].get(delta);
+      if (handles_ != nullptr && value > 0.0) {
+        handles_->axis[f][row]->Increment(value);
+      }
+    }
+  }
+  if (handles_ == nullptr) return;
+  handles_->queries->Increment();
+  handles_->latency->Observe(elapsed_seconds);
   for (size_t p = 0; p < obs::kPhaseCount; ++p) {
     const double seconds =
         outcome.trace.PhaseSeconds(static_cast<obs::Phase>(p));
-    if (seconds > 0.0) handles_.phase_seconds[p]->Increment(seconds);
-  }
-  for (size_t f = 0; f < engine::kAxisFamilyCount; ++f) {
-    const engine::AxisFamilyStats& src = outcome.stats.axis[f];
-    AxisHandles& ah = handles_.axis[f];
-    if (src.sweeps > 0) ah.sweeps->Increment(static_cast<double>(src.sweeps));
-    if (src.visited > 0) {
-      ah.visited->Increment(static_cast<double>(src.visited));
-    }
-    if (src.full > 0) ah.full->Increment(static_cast<double>(src.full));
-    if (src.pruned > 0) ah.pruned->Increment(static_cast<double>(src.pruned));
-    if (src.skipped > 0) {
-      ah.skipped->Increment(static_cast<double>(src.skipped));
-    }
-    if (src.seconds > 0.0) ah.seconds->Increment(src.seconds);
+    if (seconds > 0.0) handles_->phase_seconds[p]->Increment(seconds);
   }
 }
 
@@ -710,10 +763,16 @@ DocumentInfo StoredDocument::Info(std::string name) const {
   info.has_source = session_.has_source();
   info.tracked_tags = session_.tracked_tag_count();
   info.tracked_patterns = session_.tracked_pattern_count();
-  info.sweep_visited = sweep_visited_;
-  info.sweep_full = sweep_full_;
-  info.pruned_sweeps = pruned_sweeps_;
-  info.skipped_sweeps = skipped_sweeps_;
+  engine::AxisFamilyStats sweeps;
+  for (const engine::AxisFamilyStats& family : sweep_totals_) {
+    for (const AxisCounter& counter : kAxisCounters) {
+      counter.add(&sweeps, family);
+    }
+  }
+  info.sweep_visited = sweeps.visited;
+  info.sweep_full = sweeps.full;
+  info.pruned_sweeps = sweeps.pruned;
+  info.skipped_sweeps = sweeps.skipped;
   info.label_seconds = label_seconds_;
   info.minimize_seconds = minimize_seconds_;
   if (session_.has_instance()) {
@@ -727,6 +786,7 @@ DocumentInfo StoredDocument::Info(std::string name) const {
       info.summary_nodes = instance.EnsurePathSummary().nodes.size();
     }
     info.scratch_resident = instance.scratch_slot_count();
+    info.scratch_capacity = instance.scratch_capacity();
     info.scratch_hits = instance.scratch_stats().pool_hits;
     info.scratch_allocs = instance.scratch_stats().allocations;
     info.traversal_builds = instance.traversal_builds();
@@ -741,8 +801,8 @@ DocumentInfo StoredDocument::Info(std::string name) const {
     if (uptime > 0.0) {
       info.qps = static_cast<double>(queries_served_) / uptime;
     }
-    const obs::Histogram::Snapshot snap = handles_.latency->Snap();
-    const std::vector<double>& bounds = handles_.latency->bounds();
+    const obs::Histogram::Snapshot snap = handles_->latency->Snap();
+    const std::vector<double>& bounds = handles_->latency->bounds();
     info.p50_ms = obs::Histogram::Quantile(snap, bounds, 0.50) * 1e3;
     info.p95_ms = obs::Histogram::Quantile(snap, bounds, 0.95) * 1e3;
     info.p99_ms = obs::Histogram::Quantile(snap, bounds, 0.99) * 1e3;
@@ -750,38 +810,16 @@ DocumentInfo StoredDocument::Info(std::string name) const {
   return info;
 }
 
-void StoredDocument::UpdateScrapeGauges(double uptime_seconds) {
-  if (registry_ == nullptr) return;
+void StoredDocument::UpdateScrapeGauges() {
+  if (handles_ == nullptr) return;
   const DocumentInfo info = Info(name_);
-  handles_.memory_bytes->Set(static_cast<double>(info.memory_bytes));
-  handles_.vertices->Set(static_cast<double>(info.vertex_count));
-  handles_.tree_nodes->Set(static_cast<double>(info.tree_nodes));
-  handles_.summary_nodes->Set(static_cast<double>(info.summary_nodes));
-  handles_.summary_builds->Set(static_cast<double>(info.summary_builds));
-  handles_.traversal_builds->Set(
-      static_cast<double>(info.traversal_builds));
-  handles_.scratch_resident->Set(
-      static_cast<double>(info.scratch_resident));
-  handles_.scratch_hits->Set(static_cast<double>(info.scratch_hits));
-  handles_.scratch_allocations->Set(
-      static_cast<double>(info.scratch_allocs));
-  handles_.batch_share_rate->Set(info.share_rate);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (session_.has_instance()) {
-      handles_.scratch_capacity->Set(
-          static_cast<double>(session_.instance().scratch_capacity()));
-    }
-    if (uptime_seconds > 0.0) {
-      handles_.qps->Set(static_cast<double>(queries_served_) /
-                        uptime_seconds);
-    }
-    for (size_t f = 0; f < engine::kAxisFamilyCount; ++f) {
-      AxisHandles& ah = handles_.axis[f];
-      const double full = ah.full->Value();
-      const double visited = ah.visited->Value();
-      ah.prune_ratio->Set(full > 0.0 ? 1.0 - visited / full : 0.0);
-    }
+  for (size_t row = 0; row < std::size(kDocumentGauges); ++row) {
+    handles_->gauges[row]->Set(kDocumentGauges[row].get(info));
+  }
+  for (size_t f = 0; f < engine::kAxisFamilyCount; ++f) {
+    const double full = handles_->axis[f][kFullRow]->Value();
+    const double visited = handles_->axis[f][kVisitedRow]->Value();
+    handles_->prune_ratio[f]->Set(full > 0.0 ? 1.0 - visited / full : 0.0);
   }
 }
 
@@ -1274,15 +1312,14 @@ std::string DocumentStore::ScrapeMetrics() {
     docs.reserve(docs_.size());
     for (const auto& [name, doc] : docs_) docs.push_back(doc);
   }
-  const double uptime = registry_.UptimeSeconds();
   for (const std::shared_ptr<StoredDocument>& doc : docs) {
-    doc->UpdateScrapeGauges(uptime);
+    doc->UpdateScrapeGauges();
   }
   documents_gauge_->Set(static_cast<double>(document_count()));
   warm_documents_gauge_->Set(static_cast<double>(warm_count()));
   spill_bytes_gauge_->Set(static_cast<double>(spills_.TotalBytes()));
   bytes_gauge_->Set(static_cast<double>(total_bytes()));
-  uptime_gauge_->Set(uptime);
+  uptime_gauge_->Set(registry_.UptimeSeconds());
   return registry_.RenderPrometheus();
 }
 

@@ -140,6 +140,8 @@ struct DocumentInfo {
   uint64_t pruned_sweeps = 0;     ///< Sweeps restricted by the summary.
   uint64_t skipped_sweeps = 0;    ///< Sweeps skipped outright.
   size_t scratch_resident = 0;    ///< Scratch-pool slots currently held.
+  size_t scratch_capacity = 0;    ///< Scratch-pool residency cap (METRICS
+                                  ///  only; not a STATS key).
   uint64_t scratch_hits = 0;      ///< Scratch checkouts with no allocation.
   uint64_t scratch_allocs = 0;    ///< Scratch checkouts that allocated.
   uint64_t traversal_builds = 0;  ///< Traversal-cache (re)builds.
@@ -240,6 +242,7 @@ class StoredDocument {
   /// atomic adds on the cached handles.
   StoredDocument(QuerySession session, std::string name,
                  obs::Registry* registry);
+  ~StoredDocument();
 
   /// Evaluates one query (exclusive document lock). `control` carries
   /// the request's cancellation token and budget overrides; a cancelled
@@ -257,11 +260,11 @@ class StoredDocument {
   DocumentInfo Info(std::string name) const;
 
   /// Refreshes this document's scrape-time gauges (instance footprint,
-  /// scratch-pool residency, cache build counts, QPS, share rate) from
-  /// the current state; called by `DocumentStore::ScrapeMetrics` right
-  /// before rendering. `uptime_seconds` is the registry uptime used for
-  /// the QPS rate. No-op without a registry.
-  void UpdateScrapeGauges(double uptime_seconds);
+  /// scratch-pool residency, cache build counts, QPS, share rate, prune
+  /// ratios) from the current state; called by
+  /// `DocumentStore::ScrapeMetrics` right before rendering. No-op
+  /// without a registry.
+  void UpdateScrapeGauges();
 
   /// Current instance footprint in bytes (0 before the first query of an
   /// XML-loaded document). Reads a cached value refreshed after every
@@ -272,38 +275,9 @@ class StoredDocument {
  private:
   friend class DocumentStore;
 
-  /// Resolved metric handles for one document (and, for the axis block,
-  /// one sweep family). All owned by the registry; null without one.
-  struct AxisHandles {
-    obs::Counter* sweeps = nullptr;
-    obs::Counter* visited = nullptr;
-    obs::Counter* full = nullptr;
-    obs::Counter* pruned = nullptr;
-    obs::Counter* skipped = nullptr;
-    obs::Counter* seconds = nullptr;
-    obs::Gauge* prune_ratio = nullptr;
-  };
-  struct Handles {
-    obs::Counter* queries = nullptr;
-    obs::Counter* query_errors = nullptr;
-    obs::Counter* batches = nullptr;
-    obs::Counter* batches_shared = nullptr;
-    obs::Histogram* latency = nullptr;
-    obs::Counter* phase_seconds[obs::kPhaseCount] = {};
-    AxisHandles axis[engine::kAxisFamilyCount];
-    obs::Gauge* memory_bytes = nullptr;
-    obs::Gauge* vertices = nullptr;
-    obs::Gauge* tree_nodes = nullptr;
-    obs::Gauge* summary_nodes = nullptr;
-    obs::Gauge* summary_builds = nullptr;
-    obs::Gauge* traversal_builds = nullptr;
-    obs::Gauge* scratch_resident = nullptr;
-    obs::Gauge* scratch_capacity = nullptr;
-    obs::Gauge* scratch_hits = nullptr;
-    obs::Gauge* scratch_allocations = nullptr;
-    obs::Gauge* qps = nullptr;
-    obs::Gauge* batch_share_rate = nullptr;
-  };
+  /// Resolved metric handles (document_store.cc); null without a
+  /// registry.
+  struct Handles;
 
   /// Recomputes the cached footprint; mu_ must be held.
   void RefreshFootprintLocked();
@@ -330,21 +304,18 @@ class StoredDocument {
   /// it was just read from.
   void MarkSpilledClean();
 
-  /// Folds one outcome's pruning counters into the cumulative totals;
-  /// mu_ must be held.
-  void AccumulateSweepStats(const engine::EvalStats& stats);
-
-  /// Pushes one successful outcome into the resolved metric handles
-  /// (per-axis counters, phase seconds, latency histogram); mu_ must be
-  /// held. `elapsed_seconds` is this query's share of serving time.
-  void RecordOutcomeMetricsLocked(const QueryOutcome& outcome,
-                                  double elapsed_seconds);
+  /// Folds one successful outcome into the serving totals and the
+  /// resolved metric handles (per-axis counters, phase seconds, latency
+  /// histogram); mu_ must be held. `elapsed_seconds` is this query's
+  /// share of serving time.
+  void RecordOutcomeLocked(const QueryOutcome& outcome,
+                           double elapsed_seconds);
 
   mutable std::mutex mu_;
   QuerySession session_;
   std::string name_;
   obs::Registry* registry_;  ///< Null = metrics disabled.
-  Handles handles_;
+  std::unique_ptr<Handles> handles_;
   /// The owning store, for spill writes; null for store-less embedders.
   class DocumentStore* owner_ = nullptr;
   bool spilled_ = false;          ///< A spill of this session exists.
@@ -356,12 +327,9 @@ class StoredDocument {
   std::atomic<uint64_t> last_used_{0};
   uint64_t queries_served_ = 0;
   uint64_t batches_served_ = 0;
-  /// Cumulative sweep-pruning counters over all served queries
-  /// (docs/INTERNALS.md §9); surfaced via STATS.
-  uint64_t sweep_visited_ = 0;
-  uint64_t sweep_full_ = 0;
-  uint64_t pruned_sweeps_ = 0;
-  uint64_t skipped_sweeps_ = 0;
+  /// Cumulative sweep counters over all served queries, by family
+  /// (docs/INTERNALS.md §9); STATS reports their sums.
+  engine::AxisFamilyStats sweep_totals_[engine::kAxisFamilyCount];
   double label_seconds_ = 0.0;
   double minimize_seconds_ = 0.0;
 };

@@ -349,7 +349,7 @@ Result<std::vector<QueryOutcome>> QuerySession::RunBatch(
   if (plans.size() >= 2 && !options_.minimize_after_query) {
     engine::EvalOptions eval_options = MakeEvalOptions(control);
     eval_options.context_relation.clear();
-    engine::SharedBatchStats shared_stats;
+    engine::EvalStats shared_stats;
     const double shared_start = traces.front().Elapsed();
     engine::SharedBatchResult shared = engine::EvaluateBatchShared(
         &*instance_, plans, eval_options, &shared_stats);
@@ -361,6 +361,9 @@ Result<std::vector<QueryOutcome>> QuerySession::RunBatch(
                              traces.front().Elapsed() - shared_start);
       ++shared_batches_;
       std::vector<QueryOutcome> outcomes(plans.size());
+      // Shared sweeps are per batch, not per query: the batch's sweep
+      // counters ride on the first outcome (like the shared label time).
+      outcomes.front().stats = shared_stats;
       const TraversalCache& t = instance_->EnsureTraversal();
       for (size_t i = 0; i < plans.size(); ++i) {
         QueryOutcome& outcome = outcomes[i];
@@ -386,12 +389,6 @@ Result<std::vector<QueryOutcome>> QuerySession::RunBatch(
       for (const RelationId id : shared.results) {
         instance_->ReleaseScratchRelation(id);
       }
-      // Shared sweeps are per batch, not per query: report the prune
-      // counters on the first outcome (like the shared label time).
-      outcomes.front().stats.pruned_sweeps = shared_stats.pruned_sweeps;
-      outcomes.front().stats.skipped_sweeps = shared_stats.skipped_sweeps;
-      outcomes.front().stats.sweep_visited = shared_stats.sweep_visited;
-      outcomes.front().stats.sweep_full = shared_stats.sweep_full;
       outcomes.front().label_seconds = label_seconds;
       for (size_t i = 0; i < outcomes.size(); ++i) {
         outcomes[i].trace = std::move(traces[i]);

@@ -10,6 +10,7 @@
 // are pinned here, including the engagement counters the server's
 // STATS surface reports.
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -21,6 +22,25 @@
 namespace xcq {
 namespace {
 
+/// The engine increments only the per-family sweep slices; each
+/// aggregate must be the sum of its family field.
+void ExpectAggregatesAreFamilySums(const engine::EvalStats& stats) {
+  uint64_t visited = 0;
+  uint64_t full = 0;
+  uint64_t pruned = 0;
+  uint64_t skipped = 0;
+  for (const engine::AxisFamilyStats& family : stats.axis) {
+    visited += family.visited;
+    full += family.full;
+    pruned += family.pruned;
+    skipped += family.skipped;
+  }
+  EXPECT_EQ(stats.sweep_visited, visited);
+  EXPECT_EQ(stats.sweep_full, full);
+  EXPECT_EQ(stats.pruned_sweeps, pruned);
+  EXPECT_EQ(stats.skipped_sweeps, skipped);
+}
+
 SessionOptions ServingOptions() {
   return SessionOptions{};  // reuse_instance on, minimize off: the
                             // daemon's serving defaults
@@ -29,8 +49,10 @@ SessionOptions ServingOptions() {
 /// Runs `queries` through a fresh batched session and a fresh
 /// sequential session over the same document, optionally warming both
 /// with the same mix first (to the split fixpoint), and asserts
-/// outcome-by-outcome equality. Returns the batched session's shared
-/// counters via out-params for engagement assertions.
+/// outcome-by-outcome equality, and that every outcome's aggregate sweep
+/// counters are its family sums (per-query and shared alike). Returns
+/// the batched session's shared counters via out-params for engagement
+/// assertions.
 ///
 /// With warmup, both sessions hold identical instances when the batch
 /// runs, so the comparison is strict: tree counts, DAG counts, splits,
@@ -54,7 +76,8 @@ void ExpectBatchMatchesSequential(const std::string& xml,
 
   for (int r = 0; r < warmup_rounds; ++r) {
     for (const std::string& query : queries) {
-      XCQ_ASSERT_OK(batched.Run(query).status());
+      XCQ_ASSERT_OK_AND_ASSIGN(const QueryOutcome warm, batched.Run(query));
+      ExpectAggregatesAreFamilySums(warm.stats);
       XCQ_ASSERT_OK(sequential.Run(query).status());
     }
   }
@@ -66,6 +89,8 @@ void ExpectBatchMatchesSequential(const std::string& xml,
     SCOPED_TRACE(queries[i]);
     XCQ_ASSERT_OK_AND_ASSIGN(const QueryOutcome solo,
                              sequential.Run(queries[i]));
+    ExpectAggregatesAreFamilySums(batch[i].stats);
+    ExpectAggregatesAreFamilySums(solo.stats);
     EXPECT_EQ(batch[i].selected_tree_nodes, solo.selected_tree_nodes);
     if (strict) {
       EXPECT_EQ(batch[i].selected_dag_nodes, solo.selected_dag_nodes);
@@ -301,6 +326,45 @@ TEST(BatchSweepServerTest, StoredDocumentReportsSharedBatches) {
   EXPECT_EQ(stats[0].batches_shared, 1u);
   EXPECT_NE(server::FormatDocumentInfo(stats[0]).find("shared=1"),
             std::string::npos);
+}
+
+TEST(BatchSweepServerTest, StatsSweepCountersEqualMetricsFamilySums) {
+  // STATS and the `{axis=...}` METRICS series count the same sweeps,
+  // including the ones a shared BATCH runs between two QUERYs.
+  corpus::GenerateOptions gen;
+  gen.target_nodes = 1500;
+  gen.seed = 23;
+  server::DocumentStore store;
+  XCQ_ASSERT_OK(store.LoadXml("doc", corpus::Shakespeare().Generate(gen)));
+  const std::shared_ptr<server::StoredDocument> doc = store.Find("doc");
+  ASSERT_NE(doc, nullptr);
+
+  const auto metric_sum = [&](const char* name) {
+    double sum = 0.0;
+    for (const char* axis : {"downward", "upward", "sibling"}) {
+      sum += store.registry()->CounterValue(
+          name, obs::LabelSet{{"document", "doc"}, {"axis", axis}});
+    }
+    return static_cast<uint64_t>(sum);
+  };
+
+  XCQ_ASSERT_OK(doc->Query("//SPEECH/SPEAKER").status());
+  const uint64_t sweeps_before = metric_sum("xcq_sweeps_total");
+  XCQ_ASSERT_OK(doc->Batch({"//SPEECH/SPEAKER", "//SPEECH[SPEAKER]"})
+                    .status());
+  EXPECT_GT(metric_sum("xcq_sweeps_total"), sweeps_before)
+      << "the shared BATCH's sweeps are missing from xcq_sweeps_total";
+  XCQ_ASSERT_OK(doc->Query("//ACT//SPEECH/LINE/parent::SPEECH").status());
+
+  const std::vector<server::DocumentInfo> stats = store.Stats();
+  ASSERT_EQ(stats.size(), 1u);
+  const server::DocumentInfo& info = stats[0];
+  ASSERT_EQ(info.batches_shared, 1u);
+  EXPECT_GT(info.pruned_sweeps + info.skipped_sweeps, 0u);
+  EXPECT_EQ(info.sweep_visited, metric_sum("xcq_sweep_visited_total"));
+  EXPECT_EQ(info.sweep_full, metric_sum("xcq_sweep_full_total"));
+  EXPECT_EQ(info.pruned_sweeps, metric_sum("xcq_sweeps_pruned_total"));
+  EXPECT_EQ(info.skipped_sweeps, metric_sum("xcq_sweeps_skipped_total"));
 }
 
 }  // namespace
