@@ -58,7 +58,6 @@
 #include "xcq/corpus/generator.h"
 #include "xcq/corpus/queries.h"
 #include "xcq/corpus/registry.h"
-#include "xcq/engine/batch.h"
 #include "xcq/engine/enumerate.h"
 #include "xcq/engine/evaluator.h"
 #include "xcq/instance/instance.h"

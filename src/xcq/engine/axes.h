@@ -24,6 +24,17 @@ struct AxisStats {
   uint64_t splits = 0;   ///< Vertices cloned (partial decompression).
 };
 
+/// \brief One lane of a sweep: plan `plan`'s op `op`, mapping selection
+/// `src` into the zeroed column `dst`. A QUERY sweeps one lane through
+/// the kernels below; a shared BATCH sweeps up to 64 through the mask
+/// kernels of engine/batch.h, where a lane's index is its mask bit.
+struct SweepLane {
+  size_t plan = 0;
+  size_t op = 0;
+  RelationId src = kNoRelation;
+  RelationId dst = kNoRelation;
+};
+
 /// Each axis family has one single-threaded kernel (docs/INTERNALS.md
 /// §9.5): downward axes sweep root-first height bands, upward axes make
 /// one children-first pass over the cached post-order, sibling axes run

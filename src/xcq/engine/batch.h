@@ -2,59 +2,54 @@
 #define XCQ_ENGINE_BATCH_H_
 
 /// \file batch.h
-/// Shared-sweep evaluation of a batch of query plans (docs/SERVER.md
-/// BATCH, docs/INTERNALS.md §8.3).
+/// The mask kernels of a shared BATCH sweep (docs/INTERNALS.md §8.3).
 ///
 /// A BATCH of N short queries evaluated one at a time performs N
 /// structural sweeps per axis depth even though every sweep walks the
-/// same DAG. `EvaluateBatchShared` runs the plans in lockstep instead:
-/// at round r it executes op r of every plan, grouping same-axis ops
-/// into ONE multi-source sweep — one traversal-cache read, one pass
-/// over the child arrays, per-query selections carried as bit positions
-/// of per-vertex uint64 masks (batches wider than 64 sweep in chunks).
+/// same DAG. The plan interpreter (engine/evaluator.h,
+/// `EvaluateBatchShared`) runs the plans in lockstep instead and hands
+/// each round's same-axis ops to one of these kernels: one
+/// traversal-cache read, one pass over the child arrays, the lanes'
+/// selections carried as bit positions of per-vertex uint64 masks —
+/// many queries' states through one traversal, as in Maneth & Sebastian
+/// (PAPERS.md).
 ///
-/// The sharing is *optimistic*: it is only correct while no op mutates
-/// the DAG, because per-query evaluation orders mutations (splits)
-/// between queries and lockstep does not. Every splitting axis is
-/// therefore evaluated in a conflict-detecting form — demands are
-/// accumulated per vertex and a vertex demanded with both selection
-/// bits by the same query is exactly a split the per-query kernel
-/// would perform. On the first such conflict the whole shared attempt
-/// aborts *before any mutation*: scratch columns are returned, the
-/// instance is untouched, and the caller falls back to the per-query
-/// path. Answers from an engaged shared run are therefore bit-identical
-/// to per-query evaluation; a warmed instance (split fixpoint reached)
-/// never aborts.
+/// The kernels never mutate the DAG: where a per-query kernel would
+/// split, they detect the *clash* (a vertex one lane demands both
+/// selected and unselected) and return false before writing any `dst`
+/// column. A conflict-free sweep's masks ARE the per-query answers.
+/// `region` has the meaning of engine/axes.h (null = no filter).
 
-#include <cstdint>
-#include <vector>
+#include <cstddef>
+#include <span>
 
-#include "xcq/algebra/op.h"
-#include "xcq/engine/evaluator.h"
-#include "xcq/instance/instance.h"
+#include "xcq/engine/axes.h"
 
 namespace xcq::engine {
 
-/// \brief Result of a shared-batch attempt. When `engaged`, `results`
-/// holds one *scratch* relation per plan (index-aligned) carrying that
-/// query's final selection; the caller must copy/count what it needs
-/// and return each id via `Instance::ReleaseScratchRelation`. When not
-/// engaged the instance is unchanged and `results` is empty.
-struct SharedBatchResult {
-  bool engaged = false;
-  std::vector<RelationId> results;
-};
+/// Lanes per mask sweep: one selection bit per lane in a uint64.
+inline constexpr size_t kMaskLanes = 64;
 
-/// \brief Attempts to evaluate `plans` with shared sweeps. Never fails:
-/// any input the shared path cannot handle (empty plans, missing
-/// context relation, a split demand) simply reports `engaged = false`
-/// so the caller can fall back to per-query evaluation — which will
-/// also surface any real error. `stats` receives the batch-wide sweep
-/// counters (one sweep per chunk, in the family slices and their
-/// aggregate sums) and `seconds`; its other fields stay untouched.
-SharedBatchResult EvaluateBatchShared(
-    Instance* instance, const std::vector<algebra::QueryPlan>& plans,
-    const EvalOptions& options, EvalStats* stats = nullptr);
+/// \brief parent / ancestor / ancestor-or-self for up to kMaskLanes
+/// lanes in one children-first pass. Never splits (Prop. 3.3), so never
+/// clashes.
+void SharedUpward(Instance* instance, xpath::Axis axis,
+                  std::span<const SweepLane> lanes,
+                  const DynamicBitset* region);
+
+/// \brief child / descendant / descendant-or-self: a root-first band
+/// sweep accumulating per-lane demand masks. Returns false at the first
+/// clash, with every `dst` untouched.
+bool SharedDownward(Instance* instance, xpath::Axis axis,
+                    std::span<const SweepLane> lanes,
+                    const DynamicBitset* region);
+
+/// \brief following-sibling / preceding-sibling: one demand pass over
+/// every reachable child list. Returns false on a clash, with every
+/// `dst` untouched.
+bool SharedSibling(Instance* instance, xpath::Axis axis,
+                   std::span<const SweepLane> lanes,
+                   const DynamicBitset* region);
 
 }  // namespace xcq::engine
 

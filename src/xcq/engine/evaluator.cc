@@ -1,9 +1,14 @@
 #include "xcq/engine/evaluator.h"
 
+#include <algorithm>
+#include <array>
+#include <limits>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "xcq/engine/axes.h"
+#include "xcq/engine/batch.h"
 #include "xcq/engine/prune.h"
 #include "xcq/util/string_util.h"
 #include "xcq/util/timer.h"
@@ -26,53 +31,87 @@ void ReachableSizes(const Instance& instance, uint64_t* vertices,
   *edges = t.reachable_edges;
 }
 
+/// The one interpreter of compiled plans (Sec. 3.3): "one expression
+/// after the other", each selection a scratch column of the instance,
+/// returned to the pool at its last use. A span of plans runs in
+/// lockstep — round r runs op r of every plan — so one plan is a QUERY
+/// and N plans are a shared BATCH, whose same-axis ops of a round are
+/// swept together in chunks of up to kMaskLanes lanes. Op resolution,
+/// scratch lifetimes, the following/preceding composition, the
+/// `//`-from-root closed form, the prune gates and the per-family
+/// counters are common to both; the modes differ only in `Dispatch`.
+/// A shared run never mutates the DAG (its kernels abort on a clash
+/// before writing anything), so any error it returns leaves the
+/// instance as it was.
 class PlanRunner {
  public:
-  PlanRunner(Instance* instance, const EvalOptions& options,
-             EvalStats* stats)
+  PlanRunner(Instance* instance, std::span<const algebra::QueryPlan> plans,
+             const EvalOptions& options, EvalStats* stats, bool shared)
       : instance_(instance),
+        plans_(plans),
         options_(options),
         stats_(stats),
+        shared_(shared),
         guard_(options.cancel, options.max_sweep_visits,
-               options.max_split_growth) {}
+               options.max_split_growth),
+        slots_(plans.size()) {
+    for (size_t p = 0; p < plans.size(); ++p) {
+      const std::vector<Op>& ops = plans[p].ops;
+      std::vector<Slot>& slots = slots_[p];
+      slots.resize(ops.size());
+      for (size_t i = 0; i < ops.size(); ++i) {
+        slots[i].last_use = i;
+        for (const int32_t input : {ops[i].input0, ops[i].input1}) {
+          if (input >= 0) slots[static_cast<size_t>(input)].last_use = i;
+        }
+      }
+      slots.back().last_use = kPinned;
+    }
+  }
 
-  Result<RelationId> Run(const algebra::QueryPlan& plan) {
-    op_relation_.assign(plan.ops.size(), kNoRelation);
+  PlanRunner(const PlanRunner&) = delete;
+  PlanRunner& operator=(const PlanRunner&) = delete;
+
+  /// Scratch columns go back to the resident pool even on error; the
+  /// pooled path therefore adds zero schema tombstones per query.
+  ~PlanRunner() {
+    for (const std::vector<Slot>& slots : slots_) {
+      for (const Slot& slot : slots) {
+        if (slot.owned) instance_->ReleaseScratchRelation(slot.id);
+      }
+    }
+  }
+
+  Status Run() {
     // Poll before the first gate: a bind may build the path summary (a
     // full-DAG walk), so a dead request skips it entirely.
     XCQ_RETURN_IF_ERROR(guard_.Poll());
-    if (options_.prune_sweeps) pruner_.emplace(instance_, &plan, &options_);
-    const Status status = [&] {
-      for (size_t i = 0; i < plan.ops.size(); ++i) {
-        // Op boundaries are always between mutation phases; the
-        // kernels add their own band/phase-granular checkpoints.
-        XCQ_RETURN_IF_ERROR(guard_.Poll());
-        XCQ_RETURN_IF_ERROR(RunOp(plan, i));
-      }
-      return Status::OK();
-    }();
-
-    RelationId result = kNoRelation;
-    if (status.ok()) {
-      // Persist the final selection under the public result name. The
-      // relation is reused (not removed and re-interned) so its id stays
-      // stable across queries: the schema gains no tombstone per query
-      // and the incremental-minimization cache can diff the result
-      // column.
-      result = instance_->AddRelation(kResultRelation);
-      if (result != op_relation_.back()) {
-        instance_->MutableRelationBits(result) =
-            instance_->RelationBits(op_relation_.back());
-      }
+    if (options_.prune_sweeps) pruner_.emplace(instance_, plans_, &options_);
+    size_t rounds = 0;
+    for (const algebra::QueryPlan& plan : plans_) {
+      rounds = std::max(rounds, plan.ops.size());
     }
-
-    // Scratch columns go back to the resident pool even on error; the
-    // pooled path therefore adds zero schema tombstones per query.
-    for (const RelationId id : scratch_) {
-      instance_->ReleaseScratchRelation(id);
+    for (size_t r = 0; r < rounds; ++r) {
+      // Round boundaries are always between mutation phases; the
+      // splitting kernels add their own band/phase-granular checkpoints.
+      XCQ_RETURN_IF_ERROR(guard_.Poll());
+      XCQ_RETURN_IF_ERROR(RunRound(r));
     }
-    XCQ_RETURN_IF_ERROR(status);
-    return result;
+    return Status::OK();
+  }
+
+  /// Plan p's final selection (after a successful Run) as a scratch
+  /// column the caller now owns; a final naming an existing relation is
+  /// copied, so the contract is uniform.
+  RelationId TakeFinal(size_t p) {
+    Slot& slot = slots_[p].back();
+    if (slot.owned) {
+      slot.owned = false;
+      return slot.id;
+    }
+    const RelationId copy = instance_->AcquireScratchRelation();
+    instance_->MutableRelationBits(copy) = instance_->RelationBits(slot.id);
+    return copy;
   }
 
   /// Path-summary size at the pruner's last binding (0 = pruning off
@@ -82,117 +121,219 @@ class PlanRunner {
   }
 
  private:
-  /// Checks out the temporary relation backing one op's node set: a
-  /// zeroed column from the instance's resident scratch pool —
-  /// anonymous, returned after the run (the paper's note that
-  /// intermediate selections "can be removed from an instance"), no
-  /// schema churn.
-  RelationId NewTemporary() {
-    const RelationId id = instance_->AcquireScratchRelation();
-    scratch_.push_back(id);
-    return id;
+  static constexpr size_t kPinned = std::numeric_limits<size_t>::max();
+  static constexpr size_t kAxisCount =
+      static_cast<size_t>(Axis::kPreceding) + 1;
+
+  /// The column behind one op's selection.
+  struct Slot {
+    RelationId id = kNoRelation;
+    size_t last_use = 0;  ///< Round of the last reader; kPinned = final.
+    bool owned = false;   ///< A scratch column this run checked out.
+  };
+
+  /// Checks out the zeroed scratch column backing op i of plan p:
+  /// anonymous, from the instance's resident pool, returned at its last
+  /// use (the paper's note that intermediate selections "can be removed
+  /// from an instance"), no schema churn.
+  RelationId Acquire(size_t p, size_t i) {
+    Slot& slot = slots_[p][i];
+    slot.id = instance_->AcquireScratchRelation();
+    slot.owned = true;
+    return slot.id;
   }
 
-  Status RunOp(const algebra::QueryPlan& plan, size_t i) {
-    const Op& op = plan.ops[i];
+  RelationId Input(size_t p, int32_t input) const {
+    return input >= 0 ? slots_[p][static_cast<size_t>(input)].id
+                      : kNoRelation;
+  }
+
+  /// Runs op r of every plan: column ops at once, axis ops bucketed by
+  /// axis and swept once per chunk; then returns every scratch column
+  /// whose last reader was this round.
+  Status RunRound(size_t r) {
+    for (std::vector<SweepLane>& bucket : buckets_) bucket.clear();
+    for (size_t p = 0; p < plans_.size(); ++p) {
+      if (r >= plans_[p].ops.size()) continue;
+      const Op& op = plans_[p].ops[r];
+      if (op.kind != OpKind::kAxis) {
+        XCQ_RETURN_IF_ERROR(RunColumnOp(p, r));
+        continue;
+      }
+      const RelationId src = Input(p, op.input0);
+      buckets_[static_cast<size_t>(op.axis)].push_back(
+          SweepLane{p, r, src, Acquire(p, r)});
+    }
+    for (size_t a = 0; a < kAxisCount; ++a) {
+      const std::vector<SweepLane>& bucket = buckets_[a];
+      for (size_t begin = 0; begin < bucket.size(); begin += kMaskLanes) {
+        const size_t width = std::min(kMaskLanes, bucket.size() - begin);
+        XCQ_RETURN_IF_ERROR(
+            RunAxis(static_cast<Axis>(a), {bucket.data() + begin, width}));
+      }
+    }
+    for (size_t p = 0; p < plans_.size(); ++p) {
+      if (r >= plans_[p].ops.size()) continue;
+      const Op& op = plans_[p].ops[r];
+      for (const int32_t i : {op.input0, op.input1, static_cast<int32_t>(r)}) {
+        if (i < 0) continue;
+        Slot& slot = slots_[p][static_cast<size_t>(i)];
+        if (slot.owned && slot.last_use == r) {
+          instance_->ReleaseScratchRelation(slot.id);
+          slot.owned = false;
+        }
+      }
+    }
+    return Status::OK();
+  }
+
+  /// Every op but kAxis: relation and context resolution, and the
+  /// column arithmetic of the rest into a fresh scratch column.
+  Status RunColumnOp(size_t p, size_t i) {
+    const Op& op = plans_[p].ops[i];
+    if (op.kind == OpKind::kRelation) {
+      slots_[p][i].id = instance_->FindRelation(op.relation);
+      // A tag that never occurs (or was not tracked) denotes the empty
+      // set; materialize it as an empty scratch column.
+      if (slots_[p][i].id == kNoRelation) Acquire(p, i);
+      return Status::OK();
+    }
+    if (op.kind == OpKind::kContext && !options_.context_relation.empty()) {
+      const RelationId ctx =
+          instance_->FindRelation(options_.context_relation);
+      if (ctx == kNoRelation) {
+        return Status::NotFound(
+            StrFormat("context relation '%s' not present in instance",
+                      options_.context_relation.c_str()));
+      }
+      slots_[p][i].id = ctx;
+      return Status::OK();
+    }
+    const RelationId dst = Acquire(p, i);
     switch (op.kind) {
-      case OpKind::kRelation: {
-        const RelationId existing = instance_->FindRelation(op.relation);
-        if (existing != kNoRelation) {
-          op_relation_[i] = existing;
-          return Status::OK();
-        }
-        // A tag that never occurs (or was not tracked) denotes the empty
-        // set; materialize it as an empty temporary.
-        op_relation_[i] = NewTemporary();
-        return Status::OK();
-      }
-      case OpKind::kContext: {
-        if (!options_.context_relation.empty()) {
-          const RelationId ctx =
-              instance_->FindRelation(options_.context_relation);
-          if (ctx == kNoRelation) {
-            return Status::NotFound(
-                StrFormat("context relation '%s' not present in instance",
-                          options_.context_relation.c_str()));
-          }
-          op_relation_[i] = ctx;
-          return Status::OK();
-        }
-        // Empty context means {root} — fall through to the column ops.
-        [[fallthrough]];
-      }
       case OpKind::kRoot:
+      case OpKind::kContext:  // empty context = {root}
+        instance_->SetBit(dst, instance_->root());
+        break;
       case OpKind::kAllNodes:
+        instance_->MutableRelationBits(dst).SetAll();
+        break;
       case OpKind::kUnion:
       case OpKind::kIntersect:
-      case OpKind::kDifference:
-      case OpKind::kRootFilter: {
-        const RelationId id = NewTemporary();
-        ApplyColumnOp(instance_, op,
-                      op.input0 >= 0 ? op_relation_[op.input0] : kNoRelation,
-                      op.input1 >= 0 ? op_relation_[op.input1] : kNoRelation,
-                      id);
-        op_relation_[i] = id;
-        return Status::OK();
+      case OpKind::kDifference: {
+        DynamicBitset& out = instance_->MutableRelationBits(dst);
+        out = instance_->RelationBits(Input(p, op.input0));
+        const DynamicBitset& rhs = instance_->RelationBits(Input(p, op.input1));
+        if (op.kind == OpKind::kUnion) {
+          out |= rhs;
+        } else if (op.kind == OpKind::kIntersect) {
+          out &= rhs;
+        } else {
+          out -= rhs;
+        }
+        break;
       }
-      case OpKind::kAxis: {
-        XCQ_ASSIGN_OR_RETURN(op_relation_[i], RunAxis(plan, i));
-        return Status::OK();
-      }
+      case OpKind::kRootFilter:
+        if (instance_->Test(Input(p, op.input0), instance_->root())) {
+          instance_->MutableRelationBits(dst).SetAll();
+        }
+        break;
+      case OpKind::kRelation:
+      case OpKind::kAxis:
+        return Status::Internal("RunColumnOp: not a column op");
     }
-    return Status::Internal("unreachable op kind");
+    return Status::OK();
   }
 
-  static AxisFamily FamilyOf(Axis axis) {
+  Status RunAxis(Axis axis, std::span<const SweepLane> lanes) {
     switch (axis) {
-      case Axis::kChild:
-      case Axis::kDescendant:
-      case Axis::kDescendantOrSelf:
-        return AxisFamily::kDownward;
-      case Axis::kFollowingSibling:
-      case Axis::kPrecedingSibling:
-        return AxisFamily::kSibling;
+      case Axis::kSelf:
+        // A plain column copy — nothing to sweep or prune.
+        for (const SweepLane& lane : lanes) {
+          instance_->MutableRelationBits(lane.dst) =
+              instance_->RelationBits(lane.src);
+        }
+        return Status::OK();
+      case Axis::kFollowing:
+      case Axis::kPreceding:
+        return RunComposed(axis, lanes);
       default:
-        return AxisFamily::kUpward;
+        return Sweep(axis, -1, lanes);
     }
   }
 
-  /// One concrete sweep of op `i` with its prune gate: `stage` is -1
-  /// for the op's own axis, 0/1/2 for the staged following/preceding
-  /// composition. A skipped sweep leaves `d` all-zero — exactly the
-  /// unpruned outcome when the admissible region or the concrete source
-  /// is empty (such a sweep selects nothing and never splits).
-  Status Sweep(size_t i, int stage, Axis axis, RelationId s, RelationId d) {
-    AxisFamilyStats* family =
-        stats_ != nullptr
-            ? &stats_->axis[static_cast<size_t>(FamilyOf(axis))]
-            : nullptr;
-    if (family != nullptr) ++family->sweeps;
-    // `//` from the document root admits a closed form: every reachable
-    // vertex has the root above it, so descendant(-or-self) from {root}
-    // selects the whole reachable set (minus the root itself for the
-    // proper-descendant axis), no demand can clash, and no sweep is
-    // needed. This removes the one inherently unprunable sweep from the
-    // paper's `//tag` navigation shape. Gated on prune_sweeps: the
-    // unpruned reference runs the real kernels for every axis, so the
-    // tests that compare against it also cover this closed form.
-    if (options_.prune_sweeps &&
-        (axis == Axis::kDescendant || axis == Axis::kDescendantOrSelf)) {
-      const VertexId root = instance_->root();
-      const DynamicBitset& source = instance_->RelationBits(s);
-      if (root != kNoVertex && root < source.size() &&
-          source.Test(root) && source.Count() == 1) {
-        for (const VertexId v : instance_->EnsureTraversal().order) {
-          if (axis == Axis::kDescendant && v == root) continue;
-          instance_->SetBit(d, v);
-        }
-        if (family != nullptr) {
-          ++family->pruned;
-          family->full += instance_->ReachableCount();
-        }
-        return Status::OK();
+  /// Sec. 3.2: following = d-o-s ∘ following-sibling ∘ a-o-s (mirrored
+  /// for preceding), three sweeps of the same lanes, each gated
+  /// separately; the two intermediate columns per lane go back to the
+  /// pool when the op ends.
+  Status RunComposed(Axis axis, std::span<const SweepLane> lanes) {
+    const Axis stages[3] = {Axis::kAncestorOrSelf,
+                            axis == Axis::kFollowing
+                                ? Axis::kFollowingSibling
+                                : Axis::kPrecedingSibling,
+                            Axis::kDescendantOrSelf};
+    std::vector<SweepLane> stage(lanes.begin(), lanes.end());
+    std::vector<RelationId> held;
+    Status status;
+    for (int s = 0; s < 3 && status.ok(); ++s) {
+      for (size_t k = 0; k < stage.size(); ++k) {
+        if (s > 0) stage[k].src = stage[k].dst;
+        stage[k].dst = s < 2 ? held.emplace_back(
+                                   instance_->AcquireScratchRelation())
+                             : lanes[k].dst;
       }
+      status = Sweep(stages[s], s, stage);
+    }
+    for (const RelationId id : held) instance_->ReleaseScratchRelation(id);
+    return status;
+  }
+
+  /// `//` from the document root admits a closed form: every reachable
+  /// vertex has the root above it, so descendant(-or-self) from {root}
+  /// selects the whole reachable set (minus the root itself for the
+  /// proper-descendant axis), no demand can clash, and no sweep is
+  /// needed. This removes the one inherently unprunable sweep from the
+  /// paper's `//tag` navigation shape. It applies when every lane starts
+  /// at {root}. Gated on prune_sweeps: the unpruned reference runs the
+  /// real kernels for every axis, so the tests that compare against it
+  /// also cover this closed form.
+  bool ClosedForm(Axis axis, std::span<const SweepLane> lanes) {
+    if (!options_.prune_sweeps ||
+        (axis != Axis::kDescendant && axis != Axis::kDescendantOrSelf)) {
+      return false;
+    }
+    const VertexId root = instance_->root();
+    for (const SweepLane& lane : lanes) {
+      const DynamicBitset& source = instance_->RelationBits(lane.src);
+      if (root >= source.size() || !source.Test(root) ||
+          source.Count() != 1) {
+        return false;
+      }
+    }
+    for (const VertexId v : instance_->EnsureTraversal().order) {
+      if (axis == Axis::kDescendant && v == root) continue;
+      for (const SweepLane& lane : lanes) instance_->SetBit(lane.dst, v);
+    }
+    return true;
+  }
+
+  /// One concrete sweep of `lanes` behind its prune gate: `stage` is -1
+  /// for a plain axis op, 0/1/2 for the stages of a composed one. A
+  /// skipped sweep leaves every dst all-zero — exactly the unpruned
+  /// outcome when the admissible region or every concrete source is
+  /// empty (such a sweep selects nothing and never splits).
+  Status Sweep(Axis axis, int stage, std::span<const SweepLane> lanes) {
+    const AxisFamily family = FamilyOf(axis);
+    AxisFamilyStats* counters =
+        stats_ != nullptr ? &stats_->axis[static_cast<size_t>(family)]
+                          : nullptr;
+    if (counters != nullptr) ++counters->sweeps;
+    if (ClosedForm(axis, lanes)) {
+      if (counters != nullptr) {
+        ++counters->pruned;
+        counters->full += instance_->ReachableCount();
+      }
+      return Status::OK();
     }
     PruneGate gate;
     if (pruner_.has_value()) {
@@ -200,113 +341,107 @@ class PlanRunner {
       // pass) on first use and a region build per sweep.
       ScopedTimer bind(stats_ != nullptr ? &stats_->prune_bind_seconds
                                          : nullptr);
-      gate = stage < 0 ? pruner_->AxisGate(i) : pruner_->StageGate(i, stage);
-      if (!gate.skip && pruner_->active() &&
-          instance_->RelationBits(s).None()) {
-        gate = PruneGate{};
-        gate.skip = true;
-      }
+      gate = pruner_->Gate(family, lanes, stage);
     }
-    const uint64_t reachable_before =
-        family != nullptr ? instance_->ReachableCount() : 0;
-    if (family != nullptr) {
-      if (gate.skip) ++family->skipped;
-      if (gate.region != nullptr) ++family->pruned;
+    const uint64_t reachable =
+        counters != nullptr ? instance_->ReachableCount() : 0;
+    if (counters != nullptr) {
+      if (gate.skip) ++counters->skipped;
+      if (gate.region != nullptr) ++counters->pruned;
     }
     if (gate.skip) {
-      if (family != nullptr) family->full += reachable_before;
+      if (counters != nullptr) counters->full += reachable;
       return Status::OK();
     }
 
-    AxisStats sweep_stats;
+    AxisStats kernel;
     Status status;
     {
-      ScopedTimer kernel_timer(family != nullptr ? &family->seconds
-                                                 : nullptr);
-      switch (axis) {
-        case Axis::kParent:
-        case Axis::kAncestor:
-        case Axis::kAncestorOrSelf:
-          status = ApplyUpwardAxis(instance_, axis, s, d, &sweep_stats,
-                                   gate.region, &guard_);
-          break;
-        case Axis::kChild:
-        case Axis::kDescendant:
-        case Axis::kDescendantOrSelf:
-          status = ApplyDownwardAxis(instance_, axis, s, d, &sweep_stats,
-                                     gate.region, &guard_);
-          break;
-        case Axis::kFollowingSibling:
-        case Axis::kPrecedingSibling:
-          status = ApplySiblingAxis(instance_, axis, s, d, &sweep_stats,
-                                    gate.region, &guard_);
-          break;
-        default:
-          status = Status::Internal("Sweep: unexpected axis");
-          break;
-      }
+      ScopedTimer timer(counters != nullptr ? &counters->seconds : nullptr);
+      status = Dispatch(axis, lanes, gate.region, &kernel);
     }
-    if (family != nullptr) {
-      stats_->splits += sweep_stats.splits;
-      family->visited += sweep_stats.visited;
+    if (counters != nullptr) {
+      // A mask sweep walks the region, or every reachable vertex once
+      // whatever its width.
+      if (shared_) {
+        kernel.visited =
+            gate.region != nullptr ? gate.region_vertices : reachable;
+      }
+      stats_->splits += kernel.splits;
+      counters->visited += kernel.visited;
       // Kernels count clones created mid-sweep as visits, and a pruned
       // run splits exactly where the full run would — so the full-sweep
       // visit count is the pre-sweep reachable set plus those clones.
-      family->full += reachable_before + sweep_stats.splits;
+      counters->full += reachable + kernel.splits;
     }
     return status;
   }
 
-  Result<RelationId> RunAxis(const algebra::QueryPlan& plan, size_t i) {
-    const Axis axis = plan.ops[i].axis;
-    const RelationId src = op_relation_[plan.ops[i].input0];
-    RelationId dst = kNoRelation;
-    switch (axis) {
-      case Axis::kSelf:
-        // A plain column copy — nothing to prune.
-        dst = NewTemporary();
-        XCQ_RETURN_IF_ERROR(ApplyUpwardAxis(instance_, axis, src, dst));
-        break;
-      case Axis::kParent:
-      case Axis::kAncestor:
-      case Axis::kAncestorOrSelf:
-      case Axis::kChild:
-      case Axis::kDescendant:
-      case Axis::kDescendantOrSelf:
-      case Axis::kFollowingSibling:
-      case Axis::kPrecedingSibling:
-        dst = NewTemporary();
-        XCQ_RETURN_IF_ERROR(Sweep(i, -1, axis, src, dst));
-        break;
-      case Axis::kFollowing:
-      case Axis::kPreceding: {
-        // Sec. 3.2: following = d-o-s ∘ following-sibling ∘ a-o-s (and
-        // mirrored for preceding), each stage gated separately.
-        const Axis sibling = axis == Axis::kFollowing
-                                 ? Axis::kFollowingSibling
-                                 : Axis::kPrecedingSibling;
-        const RelationId up = NewTemporary();
-        XCQ_RETURN_IF_ERROR(Sweep(i, 0, Axis::kAncestorOrSelf, src, up));
-        const RelationId side = NewTemporary();
-        XCQ_RETURN_IF_ERROR(Sweep(i, 1, sibling, up, side));
-        dst = NewTemporary();
-        XCQ_RETURN_IF_ERROR(Sweep(i, 2, Axis::kDescendantOrSelf, side,
-                                  dst));
-        break;
+  /// The one place a QUERY and a shared run differ: a QUERY calls the
+  /// splitting kernels of engine/axes.h under its guard; a shared run
+  /// calls the mask kernels of engine/batch.h, which report a clash
+  /// instead of splitting.
+  Status Dispatch(Axis axis, std::span<const SweepLane> lanes,
+                  const DynamicBitset* region, AxisStats* kernel) {
+    const AxisFamily family = FamilyOf(axis);
+    if (!shared_) {
+      const SweepLane& lane = lanes.front();
+      switch (family) {
+        case AxisFamily::kDownward:
+          return ApplyDownwardAxis(instance_, axis, lane.src, lane.dst,
+                                   kernel, region, &guard_);
+        case AxisFamily::kUpward:
+          return ApplyUpwardAxis(instance_, axis, lane.src, lane.dst, kernel,
+                                 region, &guard_);
+        case AxisFamily::kSibling:
+          return ApplySiblingAxis(instance_, axis, lane.src, lane.dst,
+                                  kernel, region, &guard_);
       }
     }
-    return dst;
+    bool clean = true;
+    switch (family) {
+      case AxisFamily::kDownward:
+        clean = SharedDownward(instance_, axis, lanes, region);
+        break;
+      case AxisFamily::kUpward:
+        SharedUpward(instance_, axis, lanes, region);
+        break;
+      case AxisFamily::kSibling:
+        clean = SharedSibling(instance_, axis, lanes, region);
+        break;
+    }
+    return clean ? Status::OK()
+                 : Status::Incompatible("shared sweep clash: a split");
   }
 
   Instance* instance_;
+  std::span<const algebra::QueryPlan> plans_;
   const EvalOptions& options_;
   EvalStats* stats_;
+  const bool shared_;
   EvalGuard guard_;
   std::optional<PlanPruner> pruner_;
-  std::vector<RelationId> op_relation_;
-  /// Scratch columns checked out for this run (released in Run()).
-  std::vector<RelationId> scratch_;
+  std::vector<std::vector<Slot>> slots_;  ///< [plan][op]
+  /// One round's axis lanes, by axis (reused across rounds).
+  std::array<std::vector<SweepLane>, kAxisCount> buckets_;
 };
+
+/// The inputs every run needs: an instance with a root, non-empty plans.
+Status CheckRunnable(const Instance* instance,
+                     std::span<const algebra::QueryPlan> plans) {
+  if (instance == nullptr) {
+    return Status::InvalidArgument("Evaluate: instance is null");
+  }
+  for (const algebra::QueryPlan& plan : plans) {
+    if (plan.ops.empty()) {
+      return Status::InvalidArgument("Evaluate: empty plan");
+    }
+  }
+  if (instance->vertex_count() == 0 || instance->root() == kNoVertex) {
+    return Status::InvalidArgument("Evaluate: empty instance");
+  }
+  return Status::OK();
+}
 
 }  // namespace
 
@@ -321,68 +456,59 @@ void SumAxisFamilies(EvalStats* stats) {
   }
 }
 
-void ApplyColumnOp(Instance* instance, const algebra::Op& op,
-                   RelationId input0, RelationId input1, RelationId dst) {
-  switch (op.kind) {
-    case OpKind::kRoot:
-    case OpKind::kContext:  // callers resolve named contexts; empty = {root}
-      instance->SetBit(dst, instance->root());
-      return;
-    case OpKind::kAllNodes:
-      instance->MutableRelationBits(dst).SetAll();
-      return;
-    case OpKind::kUnion:
-    case OpKind::kIntersect:
-    case OpKind::kDifference: {
-      DynamicBitset& out = instance->MutableRelationBits(dst);
-      out = instance->RelationBits(input0);
-      const DynamicBitset& rhs = instance->RelationBits(input1);
-      if (op.kind == OpKind::kUnion) {
-        out |= rhs;
-      } else if (op.kind == OpKind::kIntersect) {
-        out &= rhs;
-      } else {
-        out -= rhs;
-      }
-      return;
-    }
-    case OpKind::kRootFilter:
-      if (instance->Test(input0, instance->root())) {
-        instance->MutableRelationBits(dst).SetAll();
-      }
-      return;
-    case OpKind::kRelation:
-    case OpKind::kAxis:
-      return;  // resolution / sweeps, not column arithmetic
-  }
-}
-
 Result<RelationId> Evaluate(Instance* instance,
                             const algebra::QueryPlan& plan,
                             const EvalOptions& options, EvalStats* stats) {
-  if (instance == nullptr) {
-    return Status::InvalidArgument("Evaluate: instance is null");
-  }
-  if (plan.ops.empty()) {
-    return Status::InvalidArgument("Evaluate: empty plan");
-  }
-  if (instance->vertex_count() == 0 || instance->root() == kNoVertex) {
-    return Status::InvalidArgument("Evaluate: empty instance");
-  }
+  XCQ_RETURN_IF_ERROR(CheckRunnable(instance, {&plan, 1}));
   Timer timer;
   const uint64_t summary_builds_before = instance->path_summary_builds();
   if (stats != nullptr) {
     ReachableSizes(*instance, &stats->vertices_before,
                    &stats->edges_before);
   }
-  PlanRunner runner(instance, options, stats);
-  XCQ_ASSIGN_OR_RETURN(const RelationId result, runner.Run(plan));
+  PlanRunner runner(instance, {&plan, 1}, options, stats, /*shared=*/false);
+  XCQ_RETURN_IF_ERROR(runner.Run());
+  // Persist the final selection under the public result name. The
+  // relation is reused (not removed and re-interned) so its id stays
+  // stable across queries: the schema gains no tombstone per query and
+  // the incremental-minimization cache can diff the result column.
+  const RelationId selection = runner.TakeFinal(0);
+  const RelationId result = instance->AddRelation(kResultRelation);
+  instance->MutableRelationBits(result) = instance->RelationBits(selection);
+  instance->ReleaseScratchRelation(selection);
   if (stats != nullptr) {
     SumAxisFamilies(stats);
     ReachableSizes(*instance, &stats->vertices_after, &stats->edges_after);
     stats->summary_nodes = runner.summary_nodes();
     stats->summary_builds =
         instance->path_summary_builds() - summary_builds_before;
+    stats->seconds = timer.Seconds();
+  }
+  return result;
+}
+
+SharedBatchResult EvaluateBatchShared(
+    Instance* instance, const std::vector<algebra::QueryPlan>& plans,
+    const EvalOptions& options, EvalStats* stats) {
+  Timer timer;
+  SharedBatchResult result;
+  // Work budgets are *per query* and shared sweeps have no per-query
+  // attribution, so a budgeted evaluation takes the per-query path —
+  // where the budgets are enforced exactly.
+  if (options.max_sweep_visits != 0 || options.max_split_growth != 0 ||
+      !CheckRunnable(instance, plans).ok()) {
+    return result;
+  }
+  PlanRunner runner(instance, plans, options, stats, /*shared=*/true);
+  if (runner.Run().ok()) {
+    result.engaged = true;
+    result.results.reserve(plans.size());
+    for (size_t p = 0; p < plans.size(); ++p) {
+      result.results.push_back(runner.TakeFinal(p));
+    }
+  }
+  if (stats != nullptr) {
+    SumAxisFamilies(stats);
     stats->seconds = timer.Seconds();
   }
   return result;

@@ -20,6 +20,7 @@
 
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "xcq/algebra/op.h"
 #include "xcq/instance/instance.h"
@@ -61,6 +62,24 @@ enum class AxisFamily : uint8_t {
   kSibling = 2,   ///< following- / preceding-sibling.
 };
 inline constexpr size_t kAxisFamilyCount = 3;
+
+/// The kernel family that sweeps `axis`: the one mapping behind both
+/// the prune gates' region closure and the per-family counters. kSelf
+/// (a column copy, never swept) maps to kUpward; kFollowing/kPreceding
+/// are three staged sweeps and are never passed here.
+constexpr AxisFamily FamilyOf(xpath::Axis axis) {
+  switch (axis) {
+    case xpath::Axis::kChild:
+    case xpath::Axis::kDescendant:
+    case xpath::Axis::kDescendantOrSelf:
+      return AxisFamily::kDownward;
+    case xpath::Axis::kFollowingSibling:
+    case xpath::Axis::kPrecedingSibling:
+      return AxisFamily::kSibling;
+    default:
+      return AxisFamily::kUpward;
+  }
+}
 
 /// Stable lower-case family name ("downward" / "upward" / "sibling").
 constexpr std::string_view AxisFamilyName(AxisFamily family) {
@@ -112,29 +131,50 @@ struct EvalStats {
 };
 
 /// \brief Fills the aggregate sweep counters of `*stats` by summing its
-/// family slices; the per-query evaluator and the shared-batch runner
-/// call it once, at the end of an evaluation.
+/// family slices; both entry points below call it once, at the end of an
+/// evaluation.
 void SumAxisFamilies(EvalStats* stats);
 
 /// \brief Evaluates `plan` on `*instance` (mutating it: the result is
-/// added, intermediate selections live in scratch columns returned
-/// afterwards; splitting axes may partially decompress). Returns the id
-/// of the result relation (`kResultRelation`).
+/// added, intermediate selections live in scratch columns returned at
+/// their last use; splitting axes may partially decompress). Returns the
+/// id of the result relation (`kResultRelation`).
 Result<RelationId> Evaluate(Instance* instance,
                             const algebra::QueryPlan& plan,
                             const EvalOptions& options = {},
                             EvalStats* stats = nullptr);
 
-/// \brief The column arithmetic of one non-axis op, shared by the
-/// per-query evaluator and the shared-batch runner (engine/batch.cc) —
-/// one implementation so the two paths cannot diverge. Writes `op`'s
-/// selection into the zeroed column `dst`; `input0`/`input1` are the
-/// resolved input columns of the plan (ignored by ops that take none).
-/// Covers kRoot / kAllNodes / kUnion / kIntersect / kDifference /
-/// kRootFilter; relation and context *resolution* (and kAxis) stay with
-/// the caller. No-op for those kinds.
-void ApplyColumnOp(Instance* instance, const algebra::Op& op,
-                   RelationId input0, RelationId input1, RelationId dst);
+/// \brief Result of a shared-batch attempt. When `engaged`, `results`
+/// holds one *scratch* relation per plan (index-aligned) carrying that
+/// query's final selection; the caller must copy/count what it needs
+/// and return each id via `Instance::ReleaseScratchRelation`. When not
+/// engaged the instance is unchanged and `results` is empty.
+struct SharedBatchResult {
+  bool engaged = false;
+  std::vector<RelationId> results;
+};
+
+/// \brief Attempts to evaluate `plans` with shared sweeps (docs/SERVER.md
+/// BATCH, docs/INTERNALS.md §8.3): the same interpreter as `Evaluate`
+/// runs the plans in lockstep, and each round's same-axis ops share one
+/// mask sweep of engine/batch.h per chunk of up to 64 queries.
+///
+/// The sharing is *optimistic*: it is only correct while no op mutates
+/// the DAG, because per-query evaluation orders mutations (splits)
+/// between queries and lockstep does not. The mask kernels abort on a
+/// *clash* — a vertex one query demands both selected and unselected,
+/// exactly a split the per-query kernel would perform — before writing
+/// anything. Never fails: a clash, a missing context relation, a work
+/// budget (budgets are per query) or a tripped cancel reports
+/// `engaged = false` with the instance untouched, so the caller can
+/// fall back to per-query evaluation, which also surfaces any real
+/// error. Answers from an engaged run are bit-identical to per-query
+/// evaluation; a warmed instance (split fixpoint reached) never clashes.
+/// `stats` receives the batch-wide sweep counters (one sweep per chunk)
+/// and `seconds`.
+SharedBatchResult EvaluateBatchShared(
+    Instance* instance, const std::vector<algebra::QueryPlan>& plans,
+    const EvalOptions& options, EvalStats* stats = nullptr);
 
 }  // namespace xcq::engine
 

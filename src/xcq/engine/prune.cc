@@ -50,20 +50,6 @@ bool IsReserved(std::string_view name) { return name.starts_with("xcq:"); }
 
 }  // namespace
 
-SweepKind SweepKindFor(Axis axis) {
-  switch (axis) {
-    case Axis::kChild:
-    case Axis::kDescendant:
-    case Axis::kDescendantOrSelf:
-      return SweepKind::kDownward;
-    case Axis::kFollowingSibling:
-    case Axis::kPrecedingSibling:
-      return SweepKind::kSibling;
-    default:
-      return SweepKind::kUpward;
-  }
-}
-
 // --- SummaryRegions --------------------------------------------------------
 
 void SummaryRegions::Bind(const Instance& instance) {
@@ -125,7 +111,8 @@ uint64_t SummaryRegions::Realize(const DynamicBitset& want) {
   return count;
 }
 
-PruneGate SummaryRegions::Gate(SweepKind kind, const DynamicBitset& src_nodes,
+PruneGate SummaryRegions::Gate(AxisFamily family,
+                               const DynamicBitset& src_nodes,
                                const DynamicBitset& dst_nodes) {
   PruneGate gate;
   if (!active_) return gate;
@@ -140,13 +127,13 @@ PruneGate SummaryRegions::Gate(SweepKind kind, const DynamicBitset& src_nodes,
   base_.Resize(s.nodes.size(), false);
   base_.ResetAll();
   base_ |= dst_nodes;
-  switch (kind) {
-    case SweepKind::kUpward:
+  switch (family) {
+    case AxisFamily::kUpward:
       // Receivers only: the kernels read child source bits straight off
       // the column, and no vertex outside V(dst) can turn a bit on.
       gate.region_vertices = Realize(base_);
       break;
-    case SweepKind::kDownward: {
+    case AxisFamily::kDownward: {
       // base = V(src ∪ dst), then close with the vertices realizing a
       // trie-parent of any path of a base vertex: every reachable
       // parent of a base vertex realizes such a path, so the closure
@@ -158,7 +145,7 @@ PruneGate SummaryRegions::Gate(SweepKind kind, const DynamicBitset& src_nodes,
       gate.region_vertices = Realize(base_);
       break;
     }
-    case SweepKind::kSibling: {
+    case AxisFamily::kSibling: {
       // The region is the set of sibling lists to walk: owners of any
       // list containing a source child or a potential receiver — i.e.
       // vertices realizing a trie-parent of any path of V(src ∪ dst).
@@ -317,9 +304,10 @@ void PlanAbstract::Compute(const Instance& instance,
 
 // --- PlanPruner ------------------------------------------------------------
 
-PlanPruner::PlanPruner(Instance* instance, const algebra::QueryPlan* plan,
+PlanPruner::PlanPruner(Instance* instance,
+                       std::span<const algebra::QueryPlan> plans,
                        const EvalOptions* options)
-    : instance_(instance), plan_(plan), options_(options) {}
+    : instance_(instance), plans_(plans), options_(options) {}
 
 bool PlanPruner::Sync() {
   const uint64_t generation = instance_->structure_generation();
@@ -332,46 +320,64 @@ bool PlanPruner::Sync() {
       instance_->vertex_count() >= regions_.bound_vertices()) {
     // Structure-only drift: mid-plan splits add clone vertices and
     // re-point parent edges toward them, but never add labels (the
-    // trie and the plan's abstract sets stay exact) and never add
+    // trie and the plans' abstract sets stay exact) and never add
     // incoming edges to pre-existing vertices (their bind-time
     // realization slices stay supersets of the truth). Regions built
     // from the stale summary therefore remain sound once Realize
     // admits every post-bind vertex unconditionally — so keep the
     // binding instead of paying a full summary rebuild per split.
-    ++resyncs_;
     bound_generation_ = generation;
     return regions_.active();
   }
   regions_.Bind(*instance_);
   if (regions_.active()) {
-    abstract_.Compute(*instance_, regions_.summary(), *plan_, *options_);
+    abstracts_.resize(plans_.size());
+    for (size_t p = 0; p < plans_.size(); ++p) {
+      abstracts_[p].Compute(*instance_, regions_.summary(), plans_[p],
+                            *options_);
+    }
   }
-  if (bound_) ++resyncs_;
   bound_ = true;
   bound_generation_ = instance_->structure_generation();
   bound_fingerprint_ = instance_->LabelSchemaFingerprint();
   return regions_.active();
 }
 
-PruneGate PlanPruner::AxisGate(size_t op_index) {
+PruneGate PlanPruner::Gate(AxisFamily family,
+                           std::span<const SweepLane> lanes, int stage) {
   if (!Sync()) return PruneGate{};
-  const Op& op = plan_->ops[op_index];
-  return regions_.Gate(SweepKindFor(op.axis),
-                       abstract_.OpSet(op.input0),
-                       abstract_.OpSet(op_index));
-}
-
-PruneGate PlanPruner::StageGate(size_t op_index, int stage) {
-  if (!Sync()) return PruneGate{};
-  const Op& op = plan_->ops[op_index];
-  const DynamicBitset& src = stage == 0
-                                 ? abstract_.OpSet(op.input0)
-                                 : abstract_.StageSet(op_index, stage - 1);
-  const DynamicBitset& dst = abstract_.StageSet(op_index, stage);
-  const SweepKind kind = stage == 0   ? SweepKind::kUpward
-                         : stage == 1 ? SweepKind::kSibling
-                                      : SweepKind::kDownward;
-  return regions_.Gate(kind, src, dst);
+  bool sources_live = false;
+  for (const SweepLane& lane : lanes) {
+    sources_live = sources_live || instance_->RelationBits(lane.src).Any();
+  }
+  if (!sources_live) {
+    PruneGate gate;
+    gate.skip = true;
+    return gate;
+  }
+  const auto src_set = [&](const SweepLane& lane) -> const DynamicBitset& {
+    const PlanAbstract& abs = abstracts_[lane.plan];
+    return stage <= 0 ? abs.OpSet(static_cast<size_t>(
+                            plans_[lane.plan].ops[lane.op].input0))
+                      : abs.StageSet(lane.op, stage - 1);
+  };
+  const auto dst_set = [&](const SweepLane& lane) -> const DynamicBitset& {
+    const PlanAbstract& abs = abstracts_[lane.plan];
+    return stage < 0 ? abs.OpSet(lane.op) : abs.StageSet(lane.op, stage);
+  };
+  if (lanes.size() == 1) {
+    return regions_.Gate(family, src_set(lanes[0]), dst_set(lanes[0]));
+  }
+  const size_t nn = regions_.summary().nodes.size();
+  union_src_.Resize(nn, false);
+  union_src_.ResetAll();
+  union_dst_.Resize(nn, false);
+  union_dst_.ResetAll();
+  for (const SweepLane& lane : lanes) {
+    union_src_ |= src_set(lane);
+    union_dst_ |= dst_set(lane);
+  }
+  return regions_.Gate(family, union_src_, union_dst_);
 }
 
 }  // namespace xcq::engine

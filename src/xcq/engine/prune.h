@@ -29,24 +29,16 @@
 #include <array>
 #include <cstdint>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "xcq/algebra/op.h"
+#include "xcq/engine/axes.h"
 #include "xcq/engine/evaluator.h"
 #include "xcq/instance/instance.h"
 #include "xcq/util/bitset.h"
 
 namespace xcq::engine {
-
-/// \brief Which kernel family a sweep belongs to (drives the region
-/// closure: downward needs fringe parents, sibling needs list owners,
-/// upward needs only the receivers).
-enum class SweepKind { kUpward, kDownward, kSibling };
-
-/// \brief Region family for `axis`. kSelf (a column copy, never swept)
-/// maps to kUpward but is never gated; kFollowing/kPreceding are
-/// composed of three staged sweeps, each gated separately.
-SweepKind SweepKindFor(xpath::Axis axis);
 
 /// \brief Verdict for one concrete sweep.
 struct PruneGate {
@@ -81,7 +73,7 @@ class SummaryRegions {
   /// Computes the gate for one sweep from the admissible node sets of
   /// its source and destination (sized to the summary's node count).
   /// The returned region pointer is invalidated by the next Gate call.
-  PruneGate Gate(SweepKind kind, const DynamicBitset& src_nodes,
+  PruneGate Gate(AxisFamily family, const DynamicBitset& src_nodes,
                  const DynamicBitset& dst_nodes);
 
  private:
@@ -122,49 +114,49 @@ class PlanAbstract {
   std::map<size_t, std::array<DynamicBitset, 2>> stage_sets_;
 };
 
-/// \brief Per-query pruner driven by the evaluator: keeps the summary
-/// binding and the plan's abstract sets in sync and issues gates per
-/// sweep. Mid-plan splits bump the structure generation but leave the
-/// binding usable (clones realize subsets of existing paths and old
-/// vertices never gain incoming edges), so the pruner rides out the
-/// drift instead of rebuilding the summary per split; only a label
-/// schema change or vertex renumbering forces a re-bind.
+/// \brief The pruner of one run of the plan interpreter (one plan for a
+/// QUERY, N for a shared BATCH): keeps the summary binding and each
+/// plan's abstract sets in sync and issues one gate per sweep.
+/// Mid-plan splits bump the structure generation but leave the binding
+/// usable (clones realize subsets of existing paths and old vertices
+/// never gain incoming edges), so the pruner rides out the drift instead
+/// of rebuilding the summary per split; only a label schema change or
+/// vertex renumbering forces a re-bind.
 class PlanPruner {
  public:
-  PlanPruner(Instance* instance, const algebra::QueryPlan* plan,
+  PlanPruner(Instance* instance, std::span<const algebra::QueryPlan> plans,
              const EvalOptions* options);
 
-  /// Re-binds if the instance's summary went stale. Returns active().
-  bool Sync();
-
-  /// Pruning is available (summary built, not saturated).
-  bool active() const { return regions_.active(); }
-
-  /// Gate for the single sweep of a plain-axis op (Syncs first).
-  PruneGate AxisGate(size_t op_index);
-
-  /// Gate for stage 0/1/2 of a composed kFollowing/kPreceding op:
-  /// ancestor-or-self, sibling, descendant-or-self (Syncs first).
-  PruneGate StageGate(size_t op_index, int stage);
+  /// Gate for one sweep of `lanes` (Syncs first): `stage` is -1 for a
+  /// plain axis op, 0/1/2 for the ancestor-or-self / sibling /
+  /// descendant-or-self stages of a composed kFollowing/kPreceding op.
+  /// Several lanes are gated by the union of their members' admissible
+  /// sets. Every transfer and closure is monotone, so the union gate's
+  /// region contains each member's own region (bit-identical parity per
+  /// member), and a skip means every member's sweep would select and
+  /// split nothing — as when every lane's concrete source is empty.
+  PruneGate Gate(AxisFamily family, std::span<const SweepLane> lanes,
+                 int stage);
 
   /// Summary nodes at the current binding (0 while inactive).
   uint64_t summary_nodes() const {
     return regions_.active() ? regions_.summary().nodes.size() : 0;
   }
 
-  /// Generation drifts absorbed (stale rides + forced re-binds).
-  uint64_t resyncs() const { return resyncs_; }
-
  private:
+  /// Re-binds if the instance's summary went stale. Returns active().
+  bool Sync();
+
   Instance* instance_;
-  const algebra::QueryPlan* plan_;
+  std::span<const algebra::QueryPlan> plans_;
   const EvalOptions* options_;
   SummaryRegions regions_;
-  PlanAbstract abstract_;
+  std::vector<PlanAbstract> abstracts_;  ///< one per plan
+  DynamicBitset union_src_;              ///< multi-lane gate scratch
+  DynamicBitset union_dst_;
   uint64_t bound_generation_ = 0;
   uint64_t bound_fingerprint_ = 0;
   bool bound_ = false;
-  uint64_t resyncs_ = 0;
 };
 
 }  // namespace xcq::engine

@@ -304,7 +304,7 @@ class Instance {
   // grew the schema, invalidated minimize-cache fingerprints, and
   // allocated a fresh column per op. The pool keeps a bounded set of
   // *anonymous* columns resident inside the instance instead: checked
-  // out zeroed per op, returned after evaluation, excluded from
+  // out zeroed per op, returned at its last use, excluded from
   // LiveRelations / serialization / merges / signatures, but grown and
   // split-copied exactly like live columns while checked out (splits
   // must keep every in-flight selection consistent).

@@ -5,7 +5,6 @@
 #include "xcq/algebra/compiler.h"
 #include "xcq/compress/common_extension.h"
 #include "xcq/compress/minimize.h"
-#include "xcq/engine/batch.h"
 #include "xcq/instance/stats.h"
 #include "xcq/util/string_util.h"
 #include "xcq/util/timer.h"
@@ -342,13 +341,12 @@ Result<std::vector<QueryOutcome>> QuerySession::RunBatch(
   }
 
   // Shared sweeps: evaluate the whole batch in lockstep, same-axis ops
-  // of different queries folded into one traversal (engine/batch.h).
+  // of different queries folded into one traversal (engine/evaluator.h).
   // Only attempted when per-query evaluation would not interleave
   // instance mutations between queries; the attempt itself aborts —
   // leaving the instance untouched — if any query demands a split.
   if (plans.size() >= 2 && !options_.minimize_after_query) {
-    engine::EvalOptions eval_options = MakeEvalOptions(control);
-    eval_options.context_relation.clear();
+    const engine::EvalOptions eval_options = MakeEvalOptions(control);
     engine::EvalStats shared_stats;
     const double shared_start = traces.front().Elapsed();
     engine::SharedBatchResult shared = engine::EvaluateBatchShared(

@@ -141,7 +141,7 @@ class QuerySession {
   /// shared label time is reported on the first outcome. Fails as a
   /// whole if any query does not parse or compile.
   ///
-  /// The batch is evaluated with *shared sweeps* (engine/batch.h):
+  /// The batch is evaluated with *shared sweeps* (engine/evaluator.h):
   /// same-axis ops of different queries are grouped into one
   /// multi-source traversal instead of one sweep per query. Answers are
   /// bit-identical to per-query evaluation — sharing engages only while

@@ -1,4 +1,5 @@
-// Shared-sweep batch evaluation (engine/batch.h, QuerySession::RunBatch).
+// Shared-sweep batch evaluation (engine::EvaluateBatchShared,
+// QuerySession::RunBatch).
 //
 // The contract under test: RunBatch with shared sweeps returns answers
 // bit-identical to evaluating the same queries one at a time — for
@@ -52,7 +53,8 @@ SessionOptions ServingOptions() {
 /// outcome-by-outcome equality, and that every outcome's aggregate sweep
 /// counters are its family sums (per-query and shared alike). Returns
 /// the batched session's shared counters via out-params for engagement
-/// assertions.
+/// assertions, and the batch's first outcome stats (which carry a shared
+/// batch's sweep counters) via `batch_stats`.
 ///
 /// With warmup, both sessions hold identical instances when the batch
 /// runs, so the comparison is strict: tree counts, DAG counts, splits,
@@ -65,7 +67,8 @@ void ExpectBatchMatchesSequential(const std::string& xml,
                                   const std::vector<std::string>& queries,
                                   int warmup_rounds,
                                   uint64_t* shared_count = nullptr,
-                                  uint64_t* fallback_count = nullptr) {
+                                  uint64_t* fallback_count = nullptr,
+                                  engine::EvalStats* batch_stats = nullptr) {
   const bool strict = warmup_rounds > 0;
   XCQ_ASSERT_OK_AND_ASSIGN(
       QuerySession batched,
@@ -117,6 +120,7 @@ void ExpectBatchMatchesSequential(const std::string& xml,
             SelectedTreeNodeCount(sequential.instance(), rs));
   XCQ_ASSERT_OK(batched.instance().Validate());
 
+  if (batch_stats != nullptr) *batch_stats = batch.front().stats;
   if (shared_count != nullptr) *shared_count = batched.shared_batch_count();
   if (fallback_count != nullptr) {
     *fallback_count = batched.shared_batch_fallback_count();
@@ -229,6 +233,52 @@ TEST(BatchSweepTest, MixedLengthPlansShareInLockstep) {
   ExpectBatchMatchesSequential(xml, queries,
                                /*warmup_rounds=*/2, &shared, nullptr);
   EXPECT_EQ(shared, 1u);
+}
+
+TEST(BatchSweepTest, WideBatchSweepsInChunksOf64) {
+  // 70 queries put more lanes on one axis than a mask holds: every
+  // round's buckets sweep as a 64-lane chunk plus a 6-lane one.
+  const std::vector<std::string> mix = {
+      "/*",
+      "//*",
+      "//SPEECH/SPEAKER",
+      "//ACT//SPEECH/LINE/parent::SPEECH",
+      "//SCENE/SPEECH",
+      "//SPEECH[SPEAKER]",
+  };
+  std::vector<std::string> queries;
+  for (size_t i = 0; i < 70; ++i) queries.push_back(mix[i % mix.size()]);
+  corpus::GenerateOptions gen;
+  gen.target_nodes = 1500;
+  gen.seed = 11;
+  uint64_t shared = 0;
+  ExpectBatchMatchesSequential(corpus::Shakespeare().Generate(gen), queries,
+                               /*warmup_rounds=*/2, &shared, nullptr);
+  EXPECT_EQ(shared, 1u);
+}
+
+TEST(BatchSweepTest, DescendantFromRootTakesTheClosedForm) {
+  // Every member starts with `//` from the root, so the shared
+  // descendant sweep is the closed form: it counts as pruned and visits
+  // nothing, and it is the batch's only sweep.
+  const std::vector<std::string> queries = {"//SPEECH", "//LINE",
+                                            "//SPEAKER"};
+  corpus::GenerateOptions gen;
+  gen.target_nodes = 1500;
+  gen.seed = 11;
+  uint64_t shared = 0;
+  engine::EvalStats stats;
+  ExpectBatchMatchesSequential(corpus::Shakespeare().Generate(gen), queries,
+                               /*warmup_rounds=*/1, &shared, nullptr,
+                               &stats);
+  EXPECT_EQ(shared, 1u);
+  const engine::AxisFamilyStats& down =
+      stats.axis[static_cast<size_t>(engine::AxisFamily::kDownward)];
+  EXPECT_EQ(down.sweeps, 1u);
+  EXPECT_EQ(down.pruned, 1u);
+  EXPECT_EQ(down.visited, 0u);
+  EXPECT_GT(down.full, 0u);
+  EXPECT_EQ(stats.sweep_visited, 0u);
 }
 
 TEST(BatchSweepEquivalenceTest, WarmedBatchesOverEveryCorpus) {

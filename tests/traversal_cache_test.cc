@@ -239,6 +239,36 @@ TEST(ScratchPoolTest, EvaluatorStopsChurningSchema) {
   }
 }
 
+TEST(ScratchPoolTest, LongPlanReturnsColumnsAtTheirLastUse) {
+  // A 40-step child path compiles to 82 ops, more than the 64 columns
+  // the pool keeps resident. Each intermediate selection is read by the
+  // next op only, so returning it at its last use keeps a handful of
+  // columns live and a steady-state query allocates none.
+  std::string xml;
+  std::string query;
+  for (int i = 0; i < 40; ++i) {
+    xml += "<a>";
+    query += "/a";
+  }
+  for (int i = 0; i < 40; ++i) xml += "</a>";
+  Instance instance = CompressAllTags(xml);
+  XCQ_ASSERT_OK_AND_ASSIGN(const algebra::QueryPlan plan,
+                           algebra::CompileString(query));
+  ASSERT_EQ(plan.ops.size(), 82u);
+
+  XCQ_ASSERT_OK(
+      engine::Evaluate(&instance, plan, engine::EvalOptions{}, nullptr)
+          .status());
+  const uint64_t allocations = instance.scratch_stats().allocations;
+  for (int i = 0; i < 2; ++i) {
+    XCQ_ASSERT_OK_AND_ASSIGN(
+        const RelationId result,
+        engine::Evaluate(&instance, plan, engine::EvalOptions{}, nullptr));
+    EXPECT_EQ(SelectedTreeNodeCount(instance, result), 1u);
+  }
+  EXPECT_EQ(instance.scratch_stats().allocations, allocations);
+}
+
 // --- Property: cache == oracle across serving workloads --------------------
 
 /// Drives a randomized query sequence through a session and checks the
