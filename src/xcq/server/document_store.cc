@@ -627,7 +627,7 @@ Result<QueryOutcome> StoredDocument::Query(std::string_view query_text,
   RefreshFootprintLocked();
   if (outcome.ok()) {
     RecordOutcomeLocked(*outcome, elapsed);
-    MaybeSpillLocked();
+    MaybeSpillLocked(/*include_structure=*/false);
   } else if (handles_ != nullptr) {
     handles_->query_errors->Increment();
   }
@@ -667,7 +667,7 @@ Result<std::vector<QueryOutcome>> StoredDocument::Batch(
             static_cast<double>(shared_delta));
       }
     }
-    MaybeSpillLocked();
+    MaybeSpillLocked(/*include_structure=*/false);
   } else if (handles_ != nullptr) {
     handles_->query_errors->Increment(
         static_cast<double>(query_texts.size()));
@@ -675,20 +675,31 @@ Result<std::vector<QueryOutcome>> StoredDocument::Batch(
   return outcomes;
 }
 
-void StoredDocument::MaybeSpillLocked() {
+size_t StoredDocument::TrackedLabelsLocked() const {
+  return session_.tracked_tag_count() + session_.tracked_pattern_count();
+}
+
+void StoredDocument::MarkSpilledLocked() {
+  spilled_ = true;
+  spilled_labels_ = TrackedLabelsLocked();
+  spilled_generation_ = session_.instance().structure_generation();
+}
+
+void StoredDocument::MaybeSpillLocked(bool include_structure) {
   if (owner_ == nullptr || !owner_->spills_.enabled()) return;
   if (!session_.has_instance()) return;
-  const size_t labels =
-      session_.tracked_tag_count() + session_.tracked_pattern_count();
-  if (spilled_ && labels == spilled_labels_) return;
+  if (spilled_ && TrackedLabelsLocked() == spilled_labels_ &&
+      (!include_structure ||
+       session_.instance().structure_generation() == spilled_generation_)) {
+    return;
+  }
   const Status status = owner_->WriteSpill(name_, session_.instance());
   if (status.ok()) {
-    spilled_ = true;
-    spilled_labels_ = labels;
+    MarkSpilledLocked();
     spill_error_logged_ = false;
   } else if (!spill_error_logged_) {
     // Log once per failure streak: durability degrades, serving does
-    // not, and every later label growth retries the write.
+    // not, and every later label growth or demotion retries the write.
     spill_error_logged_ = true;
     std::fprintf(stderr, "xcq: spill of document '%s' failed: %s\n",
                  name_.c_str(), status.ToString().c_str());
@@ -697,7 +708,7 @@ void StoredDocument::MaybeSpillLocked() {
 
 void StoredDocument::PersistIfDirty() {
   std::lock_guard<std::mutex> lock(mu_);
-  MaybeSpillLocked();
+  MaybeSpillLocked(/*include_structure=*/true);
 }
 
 Status StoredDocument::ForcePersist() {
@@ -713,18 +724,14 @@ Status StoredDocument::ForcePersist() {
         name_.c_str()));
   }
   XCQ_RETURN_IF_ERROR(owner_->WriteSpill(name_, session_.instance()));
-  spilled_ = true;
-  spilled_labels_ =
-      session_.tracked_tag_count() + session_.tracked_pattern_count();
+  MarkSpilledLocked();
   spill_error_logged_ = false;
   return Status::OK();
 }
 
 void StoredDocument::MarkSpilledClean() {
   std::lock_guard<std::mutex> lock(mu_);
-  spilled_ = true;
-  spilled_labels_ =
-      session_.tracked_tag_count() + session_.tracked_pattern_count();
+  MarkSpilledLocked();
 }
 
 void StoredDocument::RecordOutcomeLocked(const QueryOutcome& outcome,
@@ -837,7 +844,9 @@ DocumentStore::DocumentStore(StoreOptions options)
           "Documents dropped (EVICT requests and capacity eviction)")),
       spill_writes_total_(registry_.GetCounter(
           "xcq_store_spill_writes_total", {},
-          "Durable document spills written to the data dir")),
+          "Durable document spills written to the data dir (eager LOAD, "
+          "label growth, PERSIST, flush; demotion or flush after a "
+          "structural change)")),
       spill_errors_total_(registry_.GetCounter(
           "xcq_store_spill_errors_total", {},
           "Spill or manifest writes that failed")),
@@ -1127,9 +1136,10 @@ bool DocumentStore::Evict(const std::string& name) {
     }
   }
   // Final spill refresh off the store lock: if queries grew the label
-  // set since the last spill, capture that before the session goes
-  // away. (A fault-in racing this reads the previous spill — answers
-  // from it are correct, it merely lags the newest labels.)
+  // set or split vertices since the last spill, capture that before the
+  // session goes away, so the next fault-in starts split. (A fault-in
+  // racing this reads the previous spill — answers from it are correct,
+  // it merely lags the newest labels and splits.)
   if (demoted) doomed->PersistIfDirty();
   return true;
 }

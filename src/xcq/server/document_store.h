@@ -47,7 +47,10 @@
 /// demote a spill-backed resident to warm instead of discarding it.
 /// Spills are rewritten whenever a query grows the tracked label set,
 /// so a SIGKILL loses at most the labels merged since the last spill —
-/// never the document. All spill/manifest writes are atomic
+/// never the document. Demotion and `FlushSpills` also rewrite a spill
+/// whose instance structure moved since it was written (the splits of
+/// partial decompression), so the next fault-in starts at the split
+/// fixpoint instead of replaying them. All spill/manifest writes are atomic
 /// (temp + fsync + rename); recovery tolerates any torn artifact by
 /// degrading that one document to a cold miss.
 
@@ -283,15 +286,19 @@ class StoredDocument {
   void RefreshFootprintLocked();
 
   /// Rewrites this document's spill when the tracked label set grew
-  /// since the last spill (or none was written yet); mu_ must be held.
-  /// No-op without an owning store, without durability, or before the
-  /// session has built an instance. Write failures are logged once per
-  /// document and serving continues (durability degrades, availability
-  /// does not).
-  void MaybeSpillLocked();
+  /// since the last spill (or none was written yet) and, with
+  /// `include_structure`, when the instance's structure generation
+  /// moved since then; mu_ must be held. No-op without an owning store,
+  /// without durability, or before the session has built an instance.
+  /// Write failures are logged once per document and serving continues
+  /// (durability degrades, availability does not).
+  void MaybeSpillLocked(bool include_structure);
 
-  /// Spill-if-dirty with its own locking — the store calls this on
-  /// load, on demotion, and from FlushSpills().
+  /// Spill-if-dirty with its own locking, on labels *and* structure —
+  /// the store calls this on load, on demotion, and from FlushSpills().
+  /// Queries check labels only: a split never costs a serialize + fsync
+  /// on the request path, and a crash merely leaves the older, unsplit
+  /// spill, which answers identically.
   void PersistIfDirty();
 
   /// Unconditionally rewrites the spill (PERSIST verb). Fails with
@@ -299,10 +306,17 @@ class StoredDocument {
   /// (there is no compiled instance to persist yet).
   Status ForcePersist();
 
-  /// Marks the current label set as already spilled — set after a
-  /// fault-in so the first query does not immediately rewrite the spill
-  /// it was just read from.
+  /// Marks the current label set and structure generation as already
+  /// spilled — set after a fault-in so neither the first query nor the
+  /// next demotion rewrites the spill it was just read from.
   void MarkSpilledClean();
+
+  /// Tracked tag + pattern relations; mu_ must be held.
+  size_t TrackedLabelsLocked() const;
+
+  /// Records the current instance as the spilled one; mu_ must be held
+  /// and the session must have an instance.
+  void MarkSpilledLocked();
 
   /// Folds one successful outcome into the serving totals and the
   /// resolved metric handles (per-axis counters, phase seconds, latency
@@ -320,6 +334,8 @@ class StoredDocument {
   class DocumentStore* owner_ = nullptr;
   bool spilled_ = false;          ///< A spill of this session exists.
   size_t spilled_labels_ = 0;     ///< Tracked label count at last spill.
+  /// Instance::structure_generation() at last spill.
+  uint64_t spilled_generation_ = 0;
   bool spill_error_logged_ = false;
   std::atomic<size_t> footprint_{0};
   /// LRU stamp, owned by the store; atomic so Find() can bump it under
@@ -373,14 +389,14 @@ class DocumentStore {
 
   /// Drops `name`'s residency. With durability, a spill-backed document
   /// is *demoted* to a warm entry (its spill is refreshed if the label
-  /// set grew since the last write) and the next Acquire faults it back
-  /// in; without, this is a full drop as before. False if the name is
-  /// neither resident nor warm (warm-only names return true and stay
-  /// warm). The evicted document's metric series stop rendering
-  /// (RemoveLabeled), and `evictions_total` moves. When the map held
-  /// the last reference, the document is destroyed on the calling
-  /// thread *after* the store lock is released, so a large teardown
-  /// never blocks concurrent `Find()`s.
+  /// set grew or the structure moved since the last write) and the next
+  /// Acquire faults it back in; without, this is a full drop as before.
+  /// False if the name is neither resident nor warm (warm-only names
+  /// return true and stay warm). The evicted document's metric series
+  /// stop rendering (RemoveLabeled), and `evictions_total` moves. When
+  /// the map held the last reference, the document is destroyed on the
+  /// calling thread *after* the store lock is released, so a large
+  /// teardown never blocks concurrent `Find()`s.
   bool Evict(const std::string& name);
 
   /// Forces a spill write for resident `name` (PERSIST verb); a
@@ -393,9 +409,10 @@ class DocumentStore {
   /// manifest entry (FORGET verb). False if nothing existed.
   bool Forget(const std::string& name);
 
-  /// Rewrites every resident document's spill that is stale (graceful
-  /// shutdown hook; the destructor deliberately does NOT do this, so a
-  /// destructed store models a hard stop). No-op without durability.
+  /// Rewrites every resident document's spill that is stale in labels
+  /// or structure (graceful shutdown hook; the destructor deliberately
+  /// does NOT do this, so a destructed store models a hard stop). No-op
+  /// without durability.
   void FlushSpills();
 
   /// Snapshot of every cached document, name order.

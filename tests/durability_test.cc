@@ -112,14 +112,26 @@ DocumentInfo InfoFor(DocumentStore* store, const std::string& name) {
   return {};
 }
 
-Instance CompressedBib() {
+Instance CompressedBib(
+    std::vector<std::string> tags = {"paper", "author", "title", "book"},
+    std::vector<std::string> patterns = {"Vianu", "Codd"}) {
   CompressOptions copts;
   copts.mode = LabelMode::kSchema;
-  copts.tags = {"paper", "author", "title", "book"};
-  copts.patterns = {"Vianu", "Codd"};
+  copts.tags = std::move(tags);
+  copts.patterns = std::move(patterns);
   auto instance = CompressXml(testing::BibExampleXml(), copts);
   EXPECT_TRUE(instance.ok()) << instance.status();
   return std::move(instance).Value();
+}
+
+/// The bib example with exactly `//paper/author`'s labels: an instance
+/// LOAD spills it before any query, so its first query still splits.
+Instance PaperAuthorBib() { return CompressedBib({"paper", "author"}, {}); }
+
+double SpillWrites(DocumentStore* store) {
+  return store->registry()
+      ->GetCounter("xcq_store_spill_writes_total", {})
+      ->Value();
 }
 
 /// Loads a three-document corpus (two XML docs, one pre-built .xcqi
@@ -710,6 +722,86 @@ TEST(DurabilityTest, SpillRefreshTracksLabelGrowth) {
   ASSERT_TRUE(doc.ok());
   EXPECT_EQ(doc.Value()->Query("//year").status().code(),
             StatusCode::kNotFound);
+}
+
+TEST(DurabilityTest, DemotionRespillsSplitInstanceSoFaultInSplitsNothing) {
+  // An instance LOAD spills before any query, so the spill holds the
+  // unsplit instance. Demotion must write the split one: otherwise
+  // every fault-in replays the same partial decompression.
+  const std::string dir = FreshDataDir("respillsplits");
+  DocumentStore store(DurableOptions(dir));
+  XCQ_ASSERT_OK(store.LoadInstance("bib", PaperAuthorBib()));
+  uint64_t want = 0;
+  {
+    auto doc = store.Acquire("bib");
+    ASSERT_TRUE(doc.ok()) << doc.status();
+    const auto first = doc.Value()->Query("//paper/author");
+    ASSERT_TRUE(first.ok()) << first.status();
+    EXPECT_EQ(first.Value().stats.splits, 2u);
+    want = first.Value().selected_tree_nodes;
+  }
+  const double before_evict = SpillWrites(&store);
+  ASSERT_TRUE(store.Evict("bib"));
+  EXPECT_EQ(SpillWrites(&store), before_evict + 1);
+
+  {
+    auto doc = store.Acquire("bib");
+    ASSERT_TRUE(doc.ok()) << doc.status();
+    const auto again = doc.Value()->Query("//paper/author");
+    ASSERT_TRUE(again.ok()) << again.status();
+    EXPECT_EQ(again.Value().stats.splits, 0u);
+    EXPECT_EQ(again.Value().selected_tree_nodes, want);
+  }
+  const DocumentInfo info = InfoFor(&store, "bib");
+  EXPECT_EQ(info.traversal_builds, 1u);
+  EXPECT_EQ(info.summary_builds, 1u);
+
+  // At the fixpoint a demotion has nothing new to write: no fsync per
+  // EVICT.
+  const double at_fixpoint = SpillWrites(&store);
+  ASSERT_TRUE(store.Evict("bib"));
+  EXPECT_EQ(SpillWrites(&store), at_fixpoint);
+  EXPECT_EQ(QueryTreeCount(&store, "bib", "//paper/author"), want);
+}
+
+TEST(DurabilityTest, FlushSpillsRespillsSplitInstanceForRestart) {
+  const std::string dir = FreshDataDir("flushsplits");
+  uint64_t want = 0;
+  {
+    DocumentStore store(DurableOptions(dir));
+    XCQ_ASSERT_OK(store.LoadInstance("bib", PaperAuthorBib()));
+    want = QueryTreeCount(&store, "bib", "//paper/author");
+    ASSERT_NE(want, ~uint64_t{0});
+    store.FlushSpills();  // graceful stop
+  }
+  DocumentStore restarted(DurableOptions(dir));
+  auto doc = restarted.Acquire("bib");
+  ASSERT_TRUE(doc.ok()) << doc.status();
+  const auto outcome = doc.Value()->Query("//paper/author");
+  ASSERT_TRUE(outcome.ok()) << outcome.status();
+  EXPECT_EQ(outcome.Value().selected_tree_nodes, want);
+  EXPECT_EQ(outcome.Value().stats.splits, 0u);
+  EXPECT_EQ(InfoFor(&restarted, "bib").source_parses, 0u);
+}
+
+TEST(DurabilityTest, SplittingQueryWritesNoSpillOnTheRequestPath) {
+  // Splits alone never cost a serialize + fsync while serving: only
+  // label growth respills per query; structure waits for demotion.
+  const std::string dir = FreshDataDir("nosplitfsync");
+  DocumentStore store(DurableOptions(dir));
+  XCQ_ASSERT_OK(store.LoadInstance("bib", CompressedBib()));
+  const double at_load = SpillWrites(&store);
+  EXPECT_EQ(at_load, 1);
+  auto doc = store.Acquire("bib");
+  ASSERT_TRUE(doc.ok()) << doc.status();
+  uint64_t splits = 0;
+  for (const char* query : {"//paper/author", "//book/title"}) {
+    const auto outcome = doc.Value()->Query(query);
+    ASSERT_TRUE(outcome.ok()) << query << ": " << outcome.status();
+    splits += outcome.Value().stats.splits;
+  }
+  EXPECT_GT(splits, 0u);
+  EXPECT_EQ(SpillWrites(&store), at_load);
 }
 
 }  // namespace
