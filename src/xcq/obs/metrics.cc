@@ -10,17 +10,6 @@
 
 namespace xcq::obs {
 
-namespace internal {
-
-size_t ThreadShard() {
-  static std::atomic<size_t> next{0};
-  thread_local const size_t slot =
-      next.fetch_add(1, std::memory_order_relaxed) % kShards;
-  return slot;
-}
-
-}  // namespace internal
-
 // --- LabelSet --------------------------------------------------------------
 
 LabelSet::LabelSet(
@@ -92,46 +81,29 @@ std::string LabelSet::Render() const {
   return out;
 }
 
-// --- Counter ---------------------------------------------------------------
-
-double Counter::Value() const {
-  double total = 0.0;
-  for (const internal::Cell& cell : cells_) {
-    total += cell.sum.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
 // --- Histogram -------------------------------------------------------------
 
 Histogram::Histogram(std::vector<double> bounds)
-    : bounds_(std::move(bounds)), slots_(bounds_.size() + 1) {
+    : bounds_(std::move(bounds)), buckets_(bounds_.size() + 1) {
   std::sort(bounds_.begin(), bounds_.end());
-  cells_ = std::vector<internal::Cell>(internal::kShards * slots_);
 }
 
 void Histogram::Observe(double value) {
   const size_t bucket =
       std::lower_bound(bounds_.begin(), bounds_.end(), value) -
       bounds_.begin();  // == bounds_.size() for the +Inf overflow slot
-  internal::Cell& cell =
-      cells_[internal::ThreadShard() * slots_ + bucket];
-  cell.count.fetch_add(1, std::memory_order_relaxed);
-  internal::AtomicAdd(&cell.sum, value);
+  buckets_[bucket].fetch_add(1, std::memory_order_relaxed);
+  internal::AtomicAdd(&sum_, value);
 }
 
 Histogram::Snapshot Histogram::Snap() const {
   Snapshot snap;
-  snap.buckets.assign(slots_, 0);
-  for (size_t shard = 0; shard < internal::kShards; ++shard) {
-    for (size_t b = 0; b < slots_; ++b) {
-      const internal::Cell& cell = cells_[shard * slots_ + b];
-      const uint64_t n = cell.count.load(std::memory_order_relaxed);
-      snap.buckets[b] += n;
-      snap.count += n;
-      snap.sum += cell.sum.load(std::memory_order_relaxed);
-    }
+  snap.buckets.reserve(buckets_.size());
+  for (const std::atomic<uint64_t>& bucket : buckets_) {
+    snap.buckets.push_back(bucket.load(std::memory_order_relaxed));
+    snap.count += snap.buckets.back();
   }
+  snap.sum = sum_.load(std::memory_order_relaxed);
   return snap;
 }
 

@@ -5,21 +5,20 @@
 /// The serving stack's metrics registry (docs/OBSERVABILITY.md).
 ///
 /// Three metric kinds, all with the same hot-path contract — a *write*
-/// (Increment / Observe / Set) is a handful of relaxed atomic
-/// operations on a cache-line-padded shard, never a lock, never an
-/// allocation:
+/// (Increment / Observe / Set) is one or two relaxed atomic operations,
+/// never a lock, never an allocation:
 ///
 ///  * `Counter`   — monotonic double-valued total (Prometheus counter),
 ///  * `Gauge`     — last-write-wins double (Prometheus gauge),
 ///  * `Histogram` — fixed-bucket distribution with cumulative-bucket
 ///                  rendering and p50/p95/p99 readout.
 ///
-/// Writes land on one of `kShards` cache-line-padded cells, picked by a
-/// per-thread slot, so concurrent writers do not contend on one line;
-/// a scrape sums the shards. Every access is a `std::atomic` operation
-/// (relaxed — counters are statistically, not causally, ordered), so
-/// the registry is clean under ThreadSanitizer by construction and
-/// tests/obs_test.cc runs it in the CI TSAN job.
+/// Each counter and histogram bucket is one atomic cell, not striped:
+/// per-document series are written under the document's lock, the rest
+/// at most once per request. Every access is a relaxed `std::atomic`
+/// operation (counters are statistically, not causally, ordered), so
+/// the registry is TSAN-clean by construction; tests/obs_test.cc runs
+/// it in the CI TSAN job.
 ///
 /// Series identity is `name + sorted label pairs` (e.g. document /
 /// axis / phase). Handle creation (`Registry::GetCounter` etc.) takes a
@@ -74,19 +73,6 @@ class LabelSet {
 
 namespace internal {
 
-/// Shard count for the striped cells. Power of two; 16 lines cover the
-/// daemon's worker-pool widths without false sharing.
-inline constexpr size_t kShards = 16;
-
-/// This thread's stable shard slot (assigned round-robin on first use).
-size_t ThreadShard();
-
-/// One cache-line-padded atomic accumulator cell.
-struct alignas(64) Cell {
-  std::atomic<uint64_t> count{0};
-  std::atomic<double> sum{0.0};
-};
-
 /// Relaxed CAS-loop add — `std::atomic<double>::fetch_add` is C++20 but
 /// not yet lock-free everywhere; the loop compiles to the same LL/SC or
 /// CMPXCHG retry and stays TSAN-clean.
@@ -99,23 +85,19 @@ inline void AtomicAdd(std::atomic<double>* cell, double v) {
 
 }  // namespace internal
 
-/// \brief Monotonic total. Increment is wait-free on x86 (one relaxed
-/// atomic add on this thread's shard).
+/// \brief Monotonic total. Increment is one relaxed atomic add.
 class Counter {
  public:
-  void Increment(double v = 1.0) {
-    internal::AtomicAdd(&cells_[internal::ThreadShard()].sum, v);
-  }
+  void Increment(double v = 1.0) { internal::AtomicAdd(&value_, v); }
 
-  /// Shard-summed current value.
-  double Value() const;
+  double Value() const { return value_.load(std::memory_order_relaxed); }
 
  private:
-  internal::Cell cells_[internal::kShards];
+  std::atomic<double> value_{0.0};
 };
 
-/// \brief Last-write-wins value. Writes are not sharded — gauges are
-/// set by one owner (typically on scrape), read by the renderer.
+/// \brief Last-write-wins value. Gauges are set by one owner (typically
+/// on scrape), read by the renderer.
 class Gauge {
  public:
   void Set(double v) { value_.store(v, std::memory_order_relaxed); }
@@ -127,7 +109,7 @@ class Gauge {
 };
 
 /// \brief Fixed-bucket histogram. `Observe` adds to the first bucket
-/// whose upper bound is >= the value (sharded, relaxed); rendering
+/// whose upper bound is >= the value (relaxed); rendering
 /// emits Prometheus cumulative `_bucket{le=...}` series plus `_sum` /
 /// `_count`, and `Quantile` interpolates p50/p95/p99 the same way
 /// `histogram_quantile()` would.
@@ -162,10 +144,9 @@ class Histogram {
 
  private:
   std::vector<double> bounds_;
-  /// cells_[shard * bucket_count + bucket].count; sum in cells_[shard*..].sum
-  /// of the first bucket cell of the shard.
-  std::vector<internal::Cell> cells_;
-  size_t slots_;  ///< bounds_.size() + 1 (overflow).
+  /// Per-bucket counts, index-aligned with `bounds_` plus the +Inf slot.
+  std::vector<std::atomic<uint64_t>> buckets_;
+  std::atomic<double> sum_{0.0};
 };
 
 /// \brief The process-wide series table.

@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <iterator>
+#include <string>
 #include <utility>
 
 #include "xcq/instance/instance_io.h"
@@ -82,52 +83,143 @@ constexpr size_t kFullRow = 2;
 static_assert(kAxisCounters[kVisitedRow].name == "xcq_sweep_visited_total");
 static_assert(kAxisCounters[kFullRow].name == "xcq_sweep_full_total");
 
-/// One per-document gauge: registered at load, set on every scrape from
-/// the document's STATS snapshot.
-struct DocumentGauge {
-  std::string_view name;
+/// How a STATS value renders.
+enum class FieldFormat {
+  kInteger,  ///< decimal, from `integer`
+  kFixed6,   ///< `%.6f` of `real` (cumulative seconds)
+  kFixed3,   ///< `%.3f` of `real` (rates and latency percentiles)
+  kFlag,     ///< `0` / `1`, from `integer`
+  kSource,   ///< `xml` / `xcqi`, from `integer`
+};
+
+/// One DocumentInfo field: its STATS key and format and, for a
+/// per-document gauge (registered at load, set on every scrape), the
+/// METRICS name and help. STATS and the gauge read the same member:
+/// `integer` renders integral fields exactly, `real` feeds the gauges
+/// and the kFixed formats.
+struct DocumentField {
+  std::string_view key;  ///< STATS key; "" = METRICS only.
+  FieldFormat format;
+  std::string_view gauge;  ///< "" = no gauge.
   std::string_view help;
-  double (*get)(const DocumentInfo&);
+  uint64_t (*integer)(const DocumentInfo&);
+  double (*real)(const DocumentInfo&);
 };
 
 template <auto Field>
-constexpr DocumentGauge GaugeRow(std::string_view name,
-                                 std::string_view help) {
-  return {name, help, [](const DocumentInfo& info) {
+constexpr DocumentField Row(std::string_view key, FieldFormat format,
+                            std::string_view gauge = {},
+                            std::string_view help = {}) {
+  return {key, format, gauge, help,
+          [](const DocumentInfo& info) {
+            return static_cast<uint64_t>(info.*Field);
+          },
+          [](const DocumentInfo& info) {
             return static_cast<double>(info.*Field);
           }};
 }
 
-constexpr DocumentGauge kDocumentGauges[] = {
-    GaugeRow<&DocumentInfo::memory_bytes>("xcq_document_memory_bytes",
-                                          "Instance footprint in bytes"),
-    GaugeRow<&DocumentInfo::vertex_count>("xcq_document_vertices",
-                                          "DAG vertices (including splits)"),
-    GaugeRow<&DocumentInfo::tree_nodes>("xcq_document_tree_nodes",
-                                        "Tree nodes the DAG represents"),
-    GaugeRow<&DocumentInfo::summary_nodes>(
-        "xcq_document_summary_nodes", "Path-summary nodes (0 = not built)"),
-    GaugeRow<&DocumentInfo::summary_builds>("xcq_document_summary_builds",
-                                            "Path-summary (re)builds so far"),
-    GaugeRow<&DocumentInfo::traversal_builds>(
-        "xcq_document_traversal_builds", "Traversal-cache (re)builds so far"),
-    GaugeRow<&DocumentInfo::scratch_resident>(
-        "xcq_document_scratch_resident",
+template <auto Field>
+constexpr DocumentField SweepRow(std::string_view key) {
+  return {key, FieldFormat::kInteger, {}, {},
+          [](const DocumentInfo& info) { return info.sweeps.*Field; },
+          [](const DocumentInfo& info) {
+            return static_cast<double>(info.sweeps.*Field);
+          }};
+}
+
+using F = FieldFormat;
+constexpr DocumentField kDocumentFields[] = {
+    Row<&DocumentInfo::memory_bytes>("bytes", F::kInteger,
+                                     "xcq_document_memory_bytes",
+                                     "Instance footprint in bytes"),
+    Row<&DocumentInfo::vertex_count>("vertices", F::kInteger,
+                                     "xcq_document_vertices",
+                                     "DAG vertices (including splits)"),
+    Row<&DocumentInfo::rle_edges>("edges", F::kInteger),
+    Row<&DocumentInfo::tree_nodes>("tree_nodes", F::kInteger,
+                                   "xcq_document_tree_nodes",
+                                   "Tree nodes the DAG represents"),
+    Row<&DocumentInfo::tracked_tags>("tags", F::kInteger),
+    Row<&DocumentInfo::tracked_patterns>("patterns", F::kInteger),
+    Row<&DocumentInfo::queries_served>("queries", F::kInteger),
+    Row<&DocumentInfo::batches_served>("batches", F::kInteger),
+    Row<&DocumentInfo::batches_shared>("shared", F::kInteger),
+    Row<&DocumentInfo::source_parses>("parses", F::kInteger),
+    Row<&DocumentInfo::has_source>("source", F::kSource),
+    Row<&DocumentInfo::summary_nodes>("summary", F::kInteger,
+                                      "xcq_document_summary_nodes",
+                                      "Path-summary nodes (0 = not built)"),
+    SweepRow<&engine::AxisFamilyStats::visited>("visited"),
+    SweepRow<&engine::AxisFamilyStats::full>("full"),
+    SweepRow<&engine::AxisFamilyStats::pruned>("pruned"),
+    SweepRow<&engine::AxisFamilyStats::skipped>("skipped"),
+    Row<&DocumentInfo::scratch_resident>(
+        "scratch_resident", F::kInteger, "xcq_document_scratch_resident",
         "Scratch-pool slots currently held by the instance"),
-    GaugeRow<&DocumentInfo::scratch_capacity>("xcq_document_scratch_capacity",
-                                              "Scratch-pool residency cap"),
-    GaugeRow<&DocumentInfo::scratch_hits>(
-        "xcq_document_scratch_hits",
+    Row<&DocumentInfo::scratch_capacity>("", F::kInteger,
+                                         "xcq_document_scratch_capacity",
+                                         "Scratch-pool residency cap"),
+    Row<&DocumentInfo::scratch_hits>(
+        "scratch_hits", F::kInteger, "xcq_document_scratch_hits",
         "Scratch checkouts served without allocating"),
-    GaugeRow<&DocumentInfo::scratch_allocs>(
-        "xcq_document_scratch_allocations",
+    Row<&DocumentInfo::scratch_allocs>(
+        "scratch_allocs", F::kInteger, "xcq_document_scratch_allocations",
         "Scratch checkouts that had to (re)allocate"),
-    GaugeRow<&DocumentInfo::qps>("xcq_document_qps",
-                                 "Queries per second of registry uptime"),
-    GaugeRow<&DocumentInfo::share_rate>(
-        "xcq_document_batch_share_rate",
+    Row<&DocumentInfo::traversal_builds>(
+        "traversal_builds", F::kInteger, "xcq_document_traversal_builds",
+        "Traversal-cache (re)builds so far"),
+    Row<&DocumentInfo::summary_builds>("summary_builds", F::kInteger,
+                                       "xcq_document_summary_builds",
+                                       "Path-summary (re)builds so far"),
+    Row<&DocumentInfo::label_seconds>("label_s", F::kFixed6),
+    Row<&DocumentInfo::minimize_seconds>("minimize_s", F::kFixed6),
+    Row<&DocumentInfo::qps>("qps", F::kFixed3, "xcq_document_qps",
+                            "Queries per second of registry uptime"),
+    Row<&DocumentInfo::share_rate>(
+        "share_rate", F::kFixed3, "xcq_document_batch_share_rate",
         "Fraction of batches served with shared sweeps"),
+    Row<&DocumentInfo::p50_ms>("p50_ms", F::kFixed3),
+    Row<&DocumentInfo::p95_ms>("p95_ms", F::kFixed3),
+    Row<&DocumentInfo::p99_ms>("p99_ms", F::kFixed3),
+    Row<&DocumentInfo::queued>("queued", F::kInteger),
+    Row<&DocumentInfo::inflight>("inflight", F::kInteger),
+    Row<&DocumentInfo::warm>("warm", F::kFlag),
+    Row<&DocumentInfo::resident>("resident", F::kFlag),
+    Row<&DocumentInfo::spill_bytes>("spill_bytes", F::kInteger),
+    Row<&DocumentInfo::shed>("shed", F::kInteger),
+    Row<&DocumentInfo::cancelled>("cancelled", F::kInteger),
 };
+
+}  // namespace
+
+std::string FormatDocumentInfo(const DocumentInfo& info) {
+  std::string line = info.name;
+  for (const DocumentField& field : kDocumentFields) {
+    if (field.key.empty()) continue;
+    line += ' ';
+    line += field.key;
+    line += '=';
+    switch (field.format) {
+      case FieldFormat::kInteger:
+      case FieldFormat::kFlag:  // a bool member reads 0 or 1
+        line += std::to_string(field.integer(info));
+        break;
+      case FieldFormat::kFixed6:
+        line += StrFormat("%.6f", field.real(info));
+        break;
+      case FieldFormat::kFixed3:
+        line += StrFormat("%.3f", field.real(info));
+        break;
+      case FieldFormat::kSource:
+        line += field.integer(info) != 0 ? "xml" : "xcqi";
+        break;
+    }
+  }
+  return line;
+}
+
+namespace {
 
 /// Manifest header: format magic + version, own line.
 constexpr std::string_view kManifestHeader = "XCQM 1";
@@ -549,8 +641,8 @@ struct StoredDocument::Handles {
   obs::Counter* axis[engine::kAxisFamilyCount][std::size(kAxisCounters)] =
       {};
   obs::Gauge* prune_ratio[engine::kAxisFamilyCount] = {};
-  /// Indexed by kDocumentGauges row.
-  obs::Gauge* gauges[std::size(kDocumentGauges)] = {};
+  /// Indexed by kDocumentFields row; null for rows without a gauge.
+  obs::Gauge* gauges[std::size(kDocumentFields)] = {};
 };
 
 StoredDocument::StoredDocument(QuerySession session, std::string name,
@@ -563,7 +655,7 @@ StoredDocument::StoredDocument(QuerySession session, std::string name,
   // Resolve every handle once; the per-query metrics cost is then only
   // relaxed atomic adds. The full series catalog is documented in
   // docs/OBSERVABILITY.md; the per-family counters and per-document
-  // gauges come from kAxisCounters and kDocumentGauges.
+  // gauges come from kAxisCounters and kDocumentFields.
   obs::Registry& r = *registry_;
   handles_ = std::make_unique<Handles>();
   Handles& h = *handles_;
@@ -600,9 +692,10 @@ StoredDocument::StoredDocument(QuerySession session, std::string name,
         "xcq_sweep_prune_ratio", DocAxisLabels(name_, family),
         "Fraction of full-sweep visits avoided by pruning (on scrape)");
   }
-  for (size_t row = 0; row < std::size(kDocumentGauges); ++row) {
-    h.gauges[row] = r.GetGauge(kDocumentGauges[row].name, DocLabels(name_),
-                               kDocumentGauges[row].help);
+  for (size_t row = 0; row < std::size(kDocumentFields); ++row) {
+    const DocumentField& field = kDocumentFields[row];
+    if (field.gauge.empty()) continue;
+    h.gauges[row] = r.GetGauge(field.gauge, DocLabels(name_), field.help);
   }
 }
 
@@ -770,16 +863,11 @@ DocumentInfo StoredDocument::Info(std::string name) const {
   info.has_source = session_.has_source();
   info.tracked_tags = session_.tracked_tag_count();
   info.tracked_patterns = session_.tracked_pattern_count();
-  engine::AxisFamilyStats sweeps;
   for (const engine::AxisFamilyStats& family : sweep_totals_) {
     for (const AxisCounter& counter : kAxisCounters) {
-      counter.add(&sweeps, family);
+      counter.add(&info.sweeps, family);
     }
   }
-  info.sweep_visited = sweeps.visited;
-  info.sweep_full = sweeps.full;
-  info.pruned_sweeps = sweeps.pruned;
-  info.skipped_sweeps = sweeps.skipped;
   info.label_seconds = label_seconds_;
   info.minimize_seconds = minimize_seconds_;
   if (session_.has_instance()) {
@@ -820,8 +908,9 @@ DocumentInfo StoredDocument::Info(std::string name) const {
 void StoredDocument::UpdateScrapeGauges() {
   if (handles_ == nullptr) return;
   const DocumentInfo info = Info(name_);
-  for (size_t row = 0; row < std::size(kDocumentGauges); ++row) {
-    handles_->gauges[row]->Set(kDocumentGauges[row].get(info));
+  for (size_t row = 0; row < std::size(kDocumentFields); ++row) {
+    if (handles_->gauges[row] == nullptr) continue;
+    handles_->gauges[row]->Set(kDocumentFields[row].real(info));
   }
   for (size_t f = 0; f < engine::kAxisFamilyCount; ++f) {
     const double full = handles_->axis[f][kFullRow]->Value();

@@ -123,7 +123,9 @@ struct RecoveryStats {
   double seconds = 0.0;  ///< Wall time of the scan.
 };
 
-/// \brief One row of STATS: a snapshot of a cached document.
+/// \brief One row of STATS: a snapshot of a cached document. Each field
+/// renders through one row of `kDocumentFields` (document_store.cc), so
+/// a new field is one member, its fill in `StoredDocument::Info` and a row.
 struct DocumentInfo {
   std::string name;
   size_t memory_bytes = 0;        ///< Instance::MemoryFootprint().
@@ -138,13 +140,9 @@ struct DocumentInfo {
   uint64_t source_parses = 0;     ///< Scans of the original document.
   bool has_source = false;        ///< False for `.xcqi`-loaded documents.
   uint64_t summary_nodes = 0;     ///< Path-summary size (0 = not built).
-  uint64_t sweep_visited = 0;     ///< Vertices visited by axis sweeps.
-  uint64_t sweep_full = 0;        ///< Visits unpruned sweeps would make.
-  uint64_t pruned_sweeps = 0;     ///< Sweeps restricted by the summary.
-  uint64_t skipped_sweeps = 0;    ///< Sweeps skipped outright.
+  engine::AxisFamilyStats sweeps;  ///< Summed over the axis families.
   size_t scratch_resident = 0;    ///< Scratch-pool slots currently held.
-  size_t scratch_capacity = 0;    ///< Scratch-pool residency cap (METRICS
-                                  ///  only; not a STATS key).
+  size_t scratch_capacity = 0;    ///< Scratch-pool cap (METRICS only).
   uint64_t scratch_hits = 0;      ///< Scratch checkouts with no allocation.
   uint64_t scratch_allocs = 0;    ///< Scratch checkouts that allocated.
   uint64_t traversal_builds = 0;  ///< Traversal-cache (re)builds.
@@ -170,6 +168,12 @@ struct DocumentInfo {
   bool resident = false;          ///< The session is in memory.
   size_t spill_bytes = 0;         ///< Spill file size on disk (0 = none).
 };
+
+/// \brief One STATS detail line: the name, then `key=value` per STATS row
+/// of `kDocumentFields`, in table order. That order is FROZEN
+/// (docs/SERVER.md): scripts parse by position or key, so new rows are
+/// appended and existing ones never move.
+std::string FormatDocumentInfo(const DocumentInfo& info);
 
 /// \brief The durable side of the store: spill files plus the manifest
 /// that catalogs them, all writes crash-safe (temp + fsync + rename).

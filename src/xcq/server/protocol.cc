@@ -208,48 +208,6 @@ std::string FormatOutcome(const QueryOutcome& outcome) {
       outcome.label_seconds, outcome.stats.seconds);
 }
 
-std::string FormatDocumentInfo(const DocumentInfo& info) {
-  // The field order below is FROZEN (docs/SERVER.md documents every
-  // key): scripts parse these lines by position or key, so new fields
-  // are appended at the end and existing ones never move. server_test
-  // asserts the exact field set.
-  return StrFormat(
-      "%s bytes=%zu vertices=%zu edges=%llu tree_nodes=%llu tags=%zu "
-      "patterns=%zu queries=%llu batches=%llu shared=%llu parses=%llu "
-      "source=%s summary=%llu visited=%llu full=%llu pruned=%llu "
-      "skipped=%llu scratch_resident=%zu scratch_hits=%llu "
-      "scratch_allocs=%llu traversal_builds=%llu summary_builds=%llu "
-      "label_s=%.6f minimize_s=%.6f qps=%.3f share_rate=%.3f "
-      "p50_ms=%.3f p95_ms=%.3f p99_ms=%.3f queued=%llu inflight=%llu "
-      "warm=%d resident=%d spill_bytes=%zu shed=%llu cancelled=%llu",
-      info.name.c_str(), info.memory_bytes, info.vertex_count,
-      static_cast<unsigned long long>(info.rle_edges),
-      static_cast<unsigned long long>(info.tree_nodes), info.tracked_tags,
-      info.tracked_patterns,
-      static_cast<unsigned long long>(info.queries_served),
-      static_cast<unsigned long long>(info.batches_served),
-      static_cast<unsigned long long>(info.batches_shared),
-      static_cast<unsigned long long>(info.source_parses),
-      info.has_source ? "xml" : "xcqi",
-      static_cast<unsigned long long>(info.summary_nodes),
-      static_cast<unsigned long long>(info.sweep_visited),
-      static_cast<unsigned long long>(info.sweep_full),
-      static_cast<unsigned long long>(info.pruned_sweeps),
-      static_cast<unsigned long long>(info.skipped_sweeps),
-      info.scratch_resident,
-      static_cast<unsigned long long>(info.scratch_hits),
-      static_cast<unsigned long long>(info.scratch_allocs),
-      static_cast<unsigned long long>(info.traversal_builds),
-      static_cast<unsigned long long>(info.summary_builds),
-      info.label_seconds, info.minimize_seconds, info.qps,
-      info.share_rate, info.p50_ms, info.p95_ms, info.p99_ms,
-      static_cast<unsigned long long>(info.queued),
-      static_cast<unsigned long long>(info.inflight),
-      info.warm ? 1 : 0, info.resident ? 1 : 0, info.spill_bytes,
-      static_cast<unsigned long long>(info.shed),
-      static_cast<unsigned long long>(info.cancelled));
-}
-
 std::string FormatError(const Status& status) {
   std::string flat = status.ToString();
   for (char& c : flat) {

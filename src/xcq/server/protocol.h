@@ -122,9 +122,6 @@ Result<Request> ParseRequest(std::string_view line);
 /// \brief `dag=.. tree=.. splits=.. label_s=.. eval_s=..` for one outcome.
 std::string FormatOutcome(const QueryOutcome& outcome);
 
-/// \brief One STATS detail line for a document snapshot.
-std::string FormatDocumentInfo(const DocumentInfo& info);
-
 /// \brief `ERR <Code>: <message>` with newlines flattened, so an error
 /// always stays one line.
 std::string FormatError(const Status& status);

@@ -47,7 +47,7 @@ QueryService::~QueryService() {
   for (std::thread& worker : workers_) worker.join();
 }
 
-void QueryService::EnqueueLocked(Task task) {
+void QueryService::EnqueueLocked(WorkItem task) {
   ++pending_[task.document].queued;
   queue_.push_back(std::move(task));
   ++jobs_submitted_;
@@ -55,7 +55,7 @@ void QueryService::EnqueueLocked(Task task) {
 }
 
 bool QueryService::TrySubmitWork(WorkItem item) {
-  Task displaced;
+  WorkItem displaced;
   Status displaced_status;
   bool have_displaced = false;
   {
@@ -88,8 +88,7 @@ bool QueryService::TrySubmitWork(WorkItem item) {
         return false;
       }
     }
-    EnqueueLocked(Task{std::move(item.document), std::move(item.run),
-                       std::move(item.shed), std::move(item.token)});
+    EnqueueLocked(std::move(item));
   }
   cv_.notify_one();
   if (have_displaced && displaced.shed) displaced.shed(displaced_status);
@@ -229,7 +228,7 @@ void QueryService::PendingForDocument(const std::string& document,
 
 void QueryService::WorkerLoop() {
   while (true) {
-    Task task;
+    WorkItem task;
     {
       std::unique_lock<std::mutex> lock(mu_);
       cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });

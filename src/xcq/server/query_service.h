@@ -168,12 +168,6 @@ class QueryService {
   size_t worker_count() const { return workers_.size(); }
 
  private:
-  struct Task {
-    std::string document;
-    std::function<void()> run;
-    std::function<void(const Status&)> shed;
-    std::shared_ptr<CancelToken> token;
-  };
   struct Pending {
     uint64_t queued = 0;
     uint64_t inflight = 0;
@@ -186,7 +180,7 @@ class QueryService {
 
   void WorkerLoop();
   /// Appends a task and refreshes the queue gauges; mu_ must be held.
-  void EnqueueLocked(Task task);
+  void EnqueueLocked(WorkItem task);
   /// Books one dead-at-dequeue task under the shed or cancelled family
   /// (by the status code) and drops its per-document queued count;
   /// mu_ must be held. The caller runs the shed callback after
@@ -206,7 +200,7 @@ class QueryService {
   obs::Counter* deadline_exceeded_counter_;
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  std::deque<Task> queue_;
+  std::deque<WorkItem> queue_;
   /// Per-document queued/in-flight counts; entries erased at zero.
   std::map<std::string, Pending> pending_;
   /// Per-document cumulative shed/cancelled counts (STATS); kept for

@@ -410,11 +410,11 @@ TEST(BatchSweepServerTest, StatsSweepCountersEqualMetricsFamilySums) {
   ASSERT_EQ(stats.size(), 1u);
   const server::DocumentInfo& info = stats[0];
   ASSERT_EQ(info.batches_shared, 1u);
-  EXPECT_GT(info.pruned_sweeps + info.skipped_sweeps, 0u);
-  EXPECT_EQ(info.sweep_visited, metric_sum("xcq_sweep_visited_total"));
-  EXPECT_EQ(info.sweep_full, metric_sum("xcq_sweep_full_total"));
-  EXPECT_EQ(info.pruned_sweeps, metric_sum("xcq_sweeps_pruned_total"));
-  EXPECT_EQ(info.skipped_sweeps, metric_sum("xcq_sweeps_skipped_total"));
+  EXPECT_GT(info.sweeps.pruned + info.sweeps.skipped, 0u);
+  EXPECT_EQ(info.sweeps.visited, metric_sum("xcq_sweep_visited_total"));
+  EXPECT_EQ(info.sweeps.full, metric_sum("xcq_sweep_full_total"));
+  EXPECT_EQ(info.sweeps.pruned, metric_sum("xcq_sweeps_pruned_total"));
+  EXPECT_EQ(info.sweeps.skipped, metric_sum("xcq_sweeps_skipped_total"));
 }
 
 }  // namespace

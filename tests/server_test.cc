@@ -768,6 +768,67 @@ TEST(ProtocolTest, StatsFieldSetIsFrozen) {
   std::remove(xml_path.c_str());
 }
 
+TEST(ProtocolTest, StatsLineRendersEveryFieldInPlace) {
+  // Every field holds a distinct value, so a value rendered under the
+  // wrong key, at the wrong position or in the wrong number format
+  // changes the line.
+  DocumentInfo info;
+  info.name = "doc";
+  info.memory_bytes = 8589934592;  // > 2^32: integers render 64-bit
+  info.vertex_count = 2;
+  info.rle_edges = 3;
+  info.tree_nodes = 4;
+  info.tracked_tags = 5;
+  info.tracked_patterns = 6;
+  info.queries_served = 7;
+  info.batches_served = 8;
+  info.batches_shared = 9;
+  info.source_parses = 10;
+  info.has_source = true;
+  info.summary_nodes = 11;
+  info.sweeps.visited = 12;
+  info.sweeps.full = 13;
+  info.sweeps.pruned = 14;
+  info.sweeps.skipped = 15;
+  info.scratch_resident = 16;
+  info.scratch_capacity = 99;  // METRICS only
+  info.scratch_hits = 17;
+  info.scratch_allocs = 18;
+  info.traversal_builds = 19;
+  info.summary_builds = 20;
+  info.label_seconds = 21.5;
+  info.minimize_seconds = 0.000022;
+  info.qps = 23.125;
+  info.share_rate = 0.24;
+  info.p50_ms = 25.5;
+  info.p95_ms = 26.75;
+  info.p99_ms = 27.001;
+  info.queued = 28;
+  info.inflight = 29;
+  info.shed = 31;
+  info.cancelled = 32;
+  info.warm = true;
+  info.resident = false;
+  info.spill_bytes = 30;
+  EXPECT_EQ(FormatDocumentInfo(info),
+            "doc bytes=8589934592 vertices=2 edges=3 tree_nodes=4 tags=5 "
+            "patterns=6 queries=7 batches=8 shared=9 parses=10 source=xml "
+            "summary=11 visited=12 full=13 pruned=14 skipped=15 "
+            "scratch_resident=16 scratch_hits=17 scratch_allocs=18 "
+            "traversal_builds=19 summary_builds=20 label_s=21.500000 "
+            "minimize_s=0.000022 qps=23.125 share_rate=0.240 "
+            "p50_ms=25.500 p95_ms=26.750 p99_ms=27.001 queued=28 "
+            "inflight=29 warm=1 resident=0 spill_bytes=30 shed=31 "
+            "cancelled=32");
+
+  info.has_source = false;
+  info.warm = false;
+  info.resident = true;
+  const std::string line = FormatDocumentInfo(info);
+  EXPECT_NE(line.find(" source=xcqi "), std::string::npos) << line;
+  EXPECT_NE(line.find(" warm=0 resident=1 "), std::string::npos) << line;
+}
+
 /// Parses exposition sample lines (from a METRICS response body) into
 /// series -> value; comment lines are skipped.
 std::map<std::string, double> ParseSamples(
@@ -782,6 +843,56 @@ std::map<std::string, double> ParseSamples(
         std::strtod(line.c_str() + space + 1, nullptr);
   }
   return samples;
+}
+
+TEST(ProtocolTest, DocumentGaugesEqualStatsFields) {
+  const std::string xml_path = ::testing::TempDir() + "/gauges_bib.xml";
+  XCQ_ASSERT_OK(xml::WriteStringToFile(xml_path, testing::BibExampleXml()));
+
+  DocumentStore store;
+  QueryService service(&store, ServiceOptions{1});
+  const std::vector<std::string> output = testing::Converse(
+      &store, &service,
+      {"LOAD bib " + xml_path,
+       "QUERY bib //paper/preceding-sibling::book/title", "METRICS",
+       "STATS"});
+  ASSERT_GE(output.size(), 3u);
+  ASSERT_EQ(output[2].rfind("OK ", 0), 0u) << output[2];
+  const size_t metric_lines =
+      std::strtoul(output[2].c_str() + 3, nullptr, 10);
+  ASSERT_EQ(output.size(), 3 + metric_lines + 2);
+  const std::map<std::string, double> samples =
+      ParseSamples(std::vector<std::string>(
+          output.begin() + 2, output.begin() + 3 + metric_lines));
+  ASSERT_EQ(output[3 + metric_lines], "OK 1");
+  const std::string& row = output.back();
+
+  // STATS key -> per-document gauge of the same DocumentInfo field. The
+  // query leaves neighbouring fields of the table with distinct values
+  // (it splits and builds the traversal cache three times), so a gauge
+  // read from the wrong field differs from its STATS key.
+  const std::pair<const char*, const char*> pairs[] = {
+      {"bytes", "xcq_document_memory_bytes"},
+      {"vertices", "xcq_document_vertices"},
+      {"tree_nodes", "xcq_document_tree_nodes"},
+      {"summary", "xcq_document_summary_nodes"},
+      {"summary_builds", "xcq_document_summary_builds"},
+      {"traversal_builds", "xcq_document_traversal_builds"},
+      {"scratch_resident", "xcq_document_scratch_resident"},
+      {"scratch_hits", "xcq_document_scratch_hits"},
+      {"scratch_allocs", "xcq_document_scratch_allocations"},
+  };
+  for (const auto& [key, gauge] : pairs) {
+    const std::string needle = " " + std::string(key) + "=";
+    const size_t at = row.find(needle);
+    ASSERT_NE(at, std::string::npos) << key << " in " << row;
+    const double stats_value =
+        std::strtod(row.c_str() + at + needle.size(), nullptr);
+    const std::string series = std::string(gauge) + "{document=\"bib\"}";
+    ASSERT_TRUE(samples.count(series)) << series;
+    EXPECT_EQ(samples.at(series), stats_value) << key << " vs " << gauge;
+  }
+  std::remove(xml_path.c_str());
 }
 
 TEST(TcpServerTest, MetricsMoveWithQueriesAndVanishOnEvict) {
