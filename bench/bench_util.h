@@ -16,6 +16,8 @@
 /// paper's figure (so docs/BENCHMARKS.md can cite rows verbatim), plus a
 /// machine-readable BENCH_<name>.json written to the working directory
 /// via BenchReport — the perf-trajectory record compared across PRs.
+/// Each file names the host it came from (`host`: core count, compiler,
+/// build type, commit); bench/CMakeLists.txt defines the last three.
 ///
 /// Timing convention: every measurement in a bench goes through
 /// `xcq::Timer` / `xcq::ScopedTimer` (util/timer.h) — the same steady
@@ -31,6 +33,7 @@
 #include <cstring>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <type_traits>
 #include <vector>
 
@@ -125,6 +128,8 @@ inline void PrintRule(int width = 100) {
 /// written to BENCH_<name>.json in the working directory when Finish()
 /// runs (also from the destructor). The printed tables stay the human
 /// surface; these files are what the perf trajectory diffs across PRs.
+/// A top-level `host` object says where the timings were taken;
+/// compare_bench.py compares timings only between equal hosts.
 ///
 ///   BenchReport report("fig6_compression", args);
 ///   report.Row().Set("corpus", name).Set("dag_vertices", vm);
@@ -132,10 +137,14 @@ class BenchReport {
  public:
   BenchReport(std::string_view name, const BenchArgs& args)
       : name_(name),
-        preamble_(StrFormat("  \"bench\": \"%s\",\n  \"scale\": %g,\n"
-                            "  \"seed\": %llu,\n",
-                            name_.c_str(), args.scale,
-                            static_cast<unsigned long long>(args.seed))) {}
+        preamble_(StrFormat(
+            "  \"bench\": \"%s\",\n  \"scale\": %g,\n  \"seed\": %llu,\n"
+            "  \"host\": {\"nproc\": %u, \"compiler\": \"%s\", "
+            "\"build_type\": \"%s\", \"commit\": \"%s\"},\n",
+            name_.c_str(), args.scale,
+            static_cast<unsigned long long>(args.seed),
+            std::thread::hardware_concurrency(), XCQ_BENCH_COMPILER,
+            XCQ_BENCH_BUILD_TYPE, XCQ_BENCH_COMMIT)) {}
   ~BenchReport() { Finish(); }
 
   BenchReport(const BenchReport&) = delete;

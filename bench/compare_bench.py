@@ -20,6 +20,14 @@ Usage:
                          machine speed differs from the baseline host)
     --strict             also fail when a baseline figure or row is
                          missing from the current set
+    --self-test          run the comparator's own checks and exit
+
+Hosts: every BENCH file carries a top-level `host` object (nproc,
+compiler, build_type, commit; see bench_util.h). Timings from two
+different machines or builds say nothing about the change between
+them, so without --ignore-time the script refuses (exit 2) when a
+compared figure's hosts differ in nproc, compiler or build_type, or
+either file has no `host`. The commit is expected to differ.
 
 Field classification: a numeric field whose name ends in `_seconds`,
 `_s`, or `_ms` (or equals `seconds`), or is a ratio of two timings
@@ -35,6 +43,8 @@ import os
 import sys
 
 TIME_SUFFIXES = ("_seconds", "_s", "_ms")
+# The `host` fields that must agree before timings are compared.
+HOST_KEYS = ("nproc", "compiler", "build_type")
 
 
 def is_time_field(name):
@@ -77,6 +87,20 @@ def load_set(directory):
         except (OSError, json.JSONDecodeError) as error:
             print(f"WARNING: cannot read {path}: {error}")
     return figures
+
+
+def host_mismatch(base, cur):
+    """Why the timings of two runs of a figure are not comparable, or
+    None when their hosts agree."""
+    base_host, cur_host = base.get("host"), cur.get("host")
+    if not isinstance(base_host, dict) or not isinstance(cur_host, dict):
+        which = "baseline" if not isinstance(base_host, dict) else "current"
+        return f"the {which} file names no host"
+    for key in HOST_KEYS:
+        if base_host.get(key) != cur_host.get(key):
+            return (f"hosts differ in {key} (baseline "
+                    f"{base_host.get(key)!r}, current {cur_host.get(key)!r})")
+    return None
 
 
 def compare_figure(name, base, cur, opts):
@@ -155,6 +179,8 @@ def main(argv):
             opts["ignore_time"] = True
         elif arg == "--strict":
             opts["strict"] = True
+        elif arg == "--self-test":
+            return self_test()
         elif arg in ("--help", "-h"):
             print(__doc__)
             return 0
@@ -170,6 +196,20 @@ def main(argv):
     if not baseline:
         print(f"no BENCH_*.json files in baseline dir {baseline_dir}")
         return 2
+
+    if not opts["ignore_time"]:
+        refusals = []
+        for name, base in baseline.items():
+            why = name in current and host_mismatch(base, current[name])
+            if why:
+                refusals.append(f"{name}: {why}")
+        if refusals:
+            print("refusing to compare timing fields:")
+            for refusal in refusals:
+                print(f"  {refusal}")
+            print("rerun both sets on one host, or pass --ignore-time "
+                  "for a structural comparison")
+            return 2
 
     all_regressions = []
     for name, base in baseline.items():
@@ -199,6 +239,61 @@ def main(argv):
         return 1
     print("\nno regressions")
     return 0
+
+
+def self_test():
+    """Checks the host gate on generated BENCH files; returns 0 when
+    every case behaves, 1 otherwise."""
+    import contextlib
+    import io
+    import tempfile
+
+    host = {"nproc": 4, "compiler": "GNU 12.2.0", "build_type": "Release",
+            "commit": "aaaa"}
+    other = dict(host, nproc=8)
+    later = dict(host, commit="bbbb")
+
+    def figure(host_object, seconds):
+        doc = {"bench": "t", "scale": 1, "seed": 42,
+               "rows": [{"corpus": "c", "vertices": 10,
+                         "seconds": seconds}]}
+        if host_object is not None:
+            doc["host"] = host_object
+        return doc
+
+    cases = [
+        # (name, baseline host, current host, current seconds against
+        #  the baseline's 1.0, extra args, want exit)
+        ("same host, slower", host, later, 10.0, [], 1),
+        ("same host, same speed", host, later, 1.0, [], 0),
+        ("hosts differ", host, other, 1.0, [], 2),
+        ("baseline has no host", None, host, 1.0, [], 2),
+        ("current has no host", host, None, 1.0, [], 2),
+        ("hosts differ, --ignore-time", host, other, 10.0,
+         ["--ignore-time"], 0),
+    ]
+    failures = 0
+    with tempfile.TemporaryDirectory() as root:
+        for index, (name, base_host, cur_host, seconds, extra, want) in \
+                enumerate(cases):
+            base_dir = os.path.join(root, f"{index}_base")
+            cur_dir = os.path.join(root, f"{index}_cur")
+            os.mkdir(base_dir)
+            os.mkdir(cur_dir)
+            for directory, doc in ((base_dir, figure(base_host, 1.0)),
+                                   (cur_dir, figure(cur_host, seconds))):
+                with open(os.path.join(directory, "BENCH_t.json"), "w",
+                          encoding="utf-8") as f:
+                    json.dump(doc, f)
+            with contextlib.redirect_stdout(io.StringIO()):
+                got = main(["compare_bench.py", base_dir, cur_dir] + extra)
+            verdict = "ok" if got == want else "FAIL"
+            if got != want:
+                failures += 1
+            print(f"{verdict}: {name}: exit {got}, want {want}")
+    print("self-test passed" if failures == 0
+          else f"self-test: {failures} case(s) failed")
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

@@ -36,17 +36,10 @@ struct SweepLane {
 };
 
 /// Each axis family has one single-threaded kernel (docs/INTERNALS.md
-/// §9.5): downward axes sweep root-first height bands, upward axes make
+/// §8.5): downward axes sweep root-first height bands, upward axes make
 /// one children-first pass over the cached post-order, sibling axes run
-/// demand/resolve/rewrite phases. `region` is an optional filter: with
-/// `region = nullptr` the kernel decides every reachable vertex; a
-/// non-null `region` (from engine/prune.h) restricts it without
-/// changing split order — downward/upward kernels only decide vertices
-/// inside the region, the sibling kernel only walks the child lists of
-/// region vertices. The caller guarantees the region is closed per
-/// docs/INTERNALS.md §9, which makes the filtered sweep leave the
-/// instance bit-identical to the unfiltered one: same selected
-/// vertices, same splits, same clone ids, same child lists.
+/// demand/resolve/rewrite phases. Every kernel decides every reachable
+/// vertex.
 ///
 /// An optional `guard` (engine/guard.h) is charged with the sweep's
 /// visit/split counts at band and phase boundaries (upward sweeps,
@@ -63,14 +56,12 @@ struct SweepLane {
 Status ApplyDownwardAxis(Instance* instance, xpath::Axis axis,
                          RelationId src, RelationId dst,
                          AxisStats* stats = nullptr,
-                         const DynamicBitset* region = nullptr,
                          EvalGuard* guard = nullptr);
 
 /// \brief self / parent / ancestor / ancestor-or-self — one children-first
 /// pass over the post-order, never splits.
 Status ApplyUpwardAxis(Instance* instance, xpath::Axis axis, RelationId src,
                        RelationId dst, AxisStats* stats = nullptr,
-                       const DynamicBitset* region = nullptr,
                        EvalGuard* guard = nullptr);
 
 /// \brief following-sibling / preceding-sibling — one pass over child
@@ -79,7 +70,6 @@ Status ApplyUpwardAxis(Instance* instance, xpath::Axis axis, RelationId src,
 Status ApplySiblingAxis(Instance* instance, xpath::Axis axis,
                         RelationId src, RelationId dst,
                         AxisStats* stats = nullptr,
-                        const DynamicBitset* region = nullptr,
                         EvalGuard* guard = nullptr);
 
 }  // namespace xcq::engine

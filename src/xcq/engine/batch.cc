@@ -10,22 +10,15 @@ namespace {
 using xpath::Axis;
 
 /// Per-vertex mask of the lanes whose `src` selection contains v,
-/// computed once per sweep.
+/// computed once per sweep from each lane's set bits. Bits of
+/// unreachable split leftovers land in the mask too; no kernel reads
+/// them.
 std::vector<uint64_t> SourceMasks(const Instance& instance,
-                                  std::span<const SweepLane> lanes,
-                                  const std::vector<VertexId>& order) {
+                                  std::span<const SweepLane> lanes) {
   std::vector<uint64_t> src_mask(instance.vertex_count(), 0);
-  std::vector<const DynamicBitset*> src_bits;
-  src_bits.reserve(lanes.size());
-  for (const SweepLane& lane : lanes) {
-    src_bits.push_back(&instance.RelationBits(lane.src));
-  }
-  for (const VertexId v : order) {
-    uint64_t m = 0;
-    for (size_t q = 0; q < src_bits.size(); ++q) {
-      if (src_bits[q]->Test(v)) m |= uint64_t{1} << q;
-    }
-    src_mask[v] = m;
+  for (size_t q = 0; q < lanes.size(); ++q) {
+    instance.RelationBits(lanes[q].src).ForEach(
+        [&](size_t v) { src_mask[v] |= uint64_t{1} << q; });
   }
   return src_mask;
 }
@@ -52,23 +45,16 @@ uint64_t AllLanes(std::span<const SweepLane> lanes) {
 
 }  // namespace
 
-/// The region is every potential receiver; for the ancestor axes it
-/// contains all intermediate vertices of every selected chain (their
-/// paths are trie-ancestors of admissible source paths), so gating the
-/// scan never severs the child-to-ancestor mask flow.
 void SharedUpward(Instance* instance, Axis axis,
-                  std::span<const SweepLane> lanes,
-                  const DynamicBitset* region) {
+                  std::span<const SweepLane> lanes) {
   const bool ancestor =
       axis == Axis::kAncestor || axis == Axis::kAncestorOrSelf;
   const TraversalCache& t = instance->EnsureTraversal();
-  const std::vector<uint64_t> src_mask =
-      SourceMasks(*instance, lanes, t.order);
+  const std::vector<uint64_t> src_mask = SourceMasks(*instance, lanes);
   std::vector<uint64_t> up_mask(instance->vertex_count(), 0);
 
   // Children-first over the cached order covers both axes.
   for (const VertexId v : t.order) {
-    if (region != nullptr && !region->Test(v)) continue;
     uint64_t m = 0;
     for (const Edge& e : instance->Children(v)) {
       m |= src_mask[e.child];
@@ -86,15 +72,13 @@ void SharedUpward(Instance* instance, Axis axis,
 /// A vertex demanded with both bits by one lane (and not folded by
 /// or-self) is a split the per-query kernel would perform: the clash.
 bool SharedDownward(Instance* instance, Axis axis,
-                    std::span<const SweepLane> lanes,
-                    const DynamicBitset* region) {
+                    std::span<const SweepLane> lanes) {
   const bool inherit = axis != Axis::kChild;
   const bool or_self = axis == Axis::kDescendantOrSelf;
   const TraversalCache& t = instance->EnsureTraversal(true);
   const size_t n = instance->vertex_count();
   const uint64_t full = AllLanes(lanes);
-  const std::vector<uint64_t> src_mask =
-      SourceMasks(*instance, lanes, t.order);
+  const std::vector<uint64_t> src_mask = SourceMasks(*instance, lanes);
 
   // demand1[w] / demand0[w]: lanes with an occurrence of w that must be
   // selected / unselected. ORs, hence order-free.
@@ -105,11 +89,6 @@ bool SharedDownward(Instance* instance, Axis axis,
 
   for (size_t h = t.bands.size(); h-- > 0;) {
     for (const VertexId w : t.bands[h]) {
-      // Outside the region nothing can be demanded selected: any d1
-      // receiver is in V(dst) and every parent of such a receiver is in
-      // the trie-parent closure, so all clash-relevant pushes come from
-      // region vertices (same argument as the per-query kernel).
-      if (region != nullptr && !region->Test(w)) continue;
       uint64_t d1 = demand1[w];
       uint64_t d0 = demand0[w];
       if (w == root) d0 = full;  // the root is entered by no edge
@@ -134,14 +113,12 @@ bool SharedDownward(Instance* instance, Axis axis,
 /// Conflict-free demand masks ARE the answer: the rewritten lists would
 /// equal the originals run for run.
 bool SharedSibling(Instance* instance, Axis axis,
-                   std::span<const SweepLane> lanes,
-                   const DynamicBitset* region) {
+                   std::span<const SweepLane> lanes) {
   const bool forward = axis == Axis::kFollowingSibling;
   const TraversalCache& t = instance->EnsureTraversal();
   const size_t n = instance->vertex_count();
   const uint64_t full = AllLanes(lanes);
-  const std::vector<uint64_t> src_mask =
-      SourceMasks(*instance, lanes, t.order);
+  const std::vector<uint64_t> src_mask = SourceMasks(*instance, lanes);
 
   std::vector<uint64_t> demand1(n, 0);
   std::vector<uint64_t> demand0(n, 0);
@@ -162,10 +139,6 @@ bool SharedSibling(Instance* instance, Axis axis,
     demand0[child] |= d0;
   };
   for (const VertexId v : t.order) {
-    // The region is the set of sibling lists that can contain a source
-    // child or a receiver; any other list's demands are all-zero
-    // history over non-source runs — nothing to push.
-    if (region != nullptr && !region->Test(v)) continue;
     const std::span<const Edge> runs = instance->Children(v);
     uint64_t seen = 0;
     if (forward) {

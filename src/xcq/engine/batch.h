@@ -18,7 +18,6 @@
 /// split, they detect the *clash* (a vertex one lane demands both
 /// selected and unselected) and return false before writing any `dst`
 /// column. A conflict-free sweep's masks ARE the per-query answers.
-/// `region` has the meaning of engine/axes.h (null = no filter).
 
 #include <cstddef>
 #include <span>
@@ -34,22 +33,19 @@ inline constexpr size_t kMaskLanes = 64;
 /// lanes in one children-first pass. Never splits (Prop. 3.3), so never
 /// clashes.
 void SharedUpward(Instance* instance, xpath::Axis axis,
-                  std::span<const SweepLane> lanes,
-                  const DynamicBitset* region);
+                  std::span<const SweepLane> lanes);
 
 /// \brief child / descendant / descendant-or-self: a root-first band
 /// sweep accumulating per-lane demand masks. Returns false at the first
 /// clash, with every `dst` untouched.
 bool SharedDownward(Instance* instance, xpath::Axis axis,
-                    std::span<const SweepLane> lanes,
-                    const DynamicBitset* region);
+                    std::span<const SweepLane> lanes);
 
 /// \brief following-sibling / preceding-sibling: one demand pass over
 /// every reachable child list. Returns false on a clash, with every
 /// `dst` untouched.
 bool SharedSibling(Instance* instance, xpath::Axis axis,
-                   std::span<const SweepLane> lanes,
-                   const DynamicBitset* region);
+                   std::span<const SweepLane> lanes);
 
 }  // namespace xcq::engine
 

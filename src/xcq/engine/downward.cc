@@ -8,7 +8,7 @@ namespace xcq::engine {
 
 using xpath::Axis;
 
-/// Height-band form of the paper's Fig. 4 (docs/INTERNALS.md §9.5).
+/// Height-band form of the paper's Fig. 4 (docs/INTERNALS.md §8.5).
 ///
 /// `height(v)` (longest path to a leaf) strictly decreases along every
 /// edge, so bands are processed root-first: when band h starts, every
@@ -29,18 +29,11 @@ using xpath::Axis;
 ///
 /// The per-occurrence selections this computes are precisely Fig. 4's:
 /// each edge stands for a set of tree-node occurrences that share a
-/// parent variant, hence share a demanded bit.
-///
-/// Without a region every reachable vertex is decided. With one, only
-/// region vertices are. The region contains V(src ∪ dst) closed with
-/// every reachable parent of those vertices, so demand-1 receivers see
-/// their complete demand pair (split parity) while skipped vertices
-/// would — in an unfiltered sweep — decide dst=0 and push demand-0,
-/// which region fringe vertices (no demands, no src bit) reproduce
-/// exactly.
+/// parent variant, hence share a demanded bit. Every reachable vertex
+/// is decided.
 Status ApplyDownwardAxis(Instance* instance, Axis axis, RelationId src,
                          RelationId dst, AxisStats* stats,
-                         const DynamicBitset* region, EvalGuard* guard) {
+                         EvalGuard* guard) {
   if (axis != Axis::kChild && axis != Axis::kDescendant &&
       axis != Axis::kDescendantOrSelf) {
     return Status::InvalidArgument("ApplyDownwardAxis: not a downward axis");
@@ -50,9 +43,6 @@ Status ApplyDownwardAxis(Instance* instance, Axis axis, RelationId src,
   }
   const bool inherit = axis != Axis::kChild;
   const bool or_self = axis == Axis::kDescendantOrSelf;
-  const auto in_region = [region](VertexId v) {
-    return region == nullptr || region->Test(v);
-  };
 
   // A reference into the traversal cache: the splits below invalidate
   // the cache for *later* readers, but no rebuild can happen while this
@@ -99,7 +89,6 @@ Status ApplyDownwardAxis(Instance* instance, Axis axis, RelationId src,
     // Decisions depend only on flags pushed by (finalized) higher
     // bands, so clones are allocated in band order.
     for (const VertexId w : band) {
-      if (!in_region(w)) continue;
       uint8_t d = demand[w];
       // Only the root receives no demands (every other reachable
       // vertex is entered by a reachable parent's edge).
@@ -144,31 +133,22 @@ Status ApplyDownwardAxis(Instance* instance, Axis axis, RelationId src,
         instance->MutableChildren(v)[j].child = counterpart[w];
       }
     };
-    // Reachable parents of split vertices are always in the region
-    // (split vertices sit in its base), so skipped vertices have no
-    // edges to re-point.
-    for (const VertexId v : plan.order) {
-      if (in_region(v)) repoint(v);
-    }
+    for (const VertexId v : plan.order) repoint(v);
     for (VertexId v = static_cast<VertexId>(n0);
          v < instance->vertex_count(); ++v) {
       repoint(v);
     }
   }
 
-  // Skipped vertices keep their (zeroed) dst bit: the destination is a
-  // zeroed column by the operator contract.
   for (const VertexId v : plan.order) {
-    if (in_region(v)) instance->AssignBit(dst, v, dst_bit[v] != 0);
+    instance->AssignBit(dst, v, dst_bit[v] != 0);
   }
   for (VertexId v = static_cast<VertexId>(n0);
        v < instance->vertex_count(); ++v) {
     instance->AssignBit(dst, v, dst_bit[v] != 0);
   }
   if (stats != nullptr) {
-    const uint64_t decided =
-        region != nullptr ? region->Count() : plan.order.size();
-    stats->visited += decided + (instance->vertex_count() - n0);
+    stats->visited += plan.order.size() + (instance->vertex_count() - n0);
   }
   return Status::OK();
 }

@@ -3,13 +3,11 @@
 #include <algorithm>
 #include <array>
 #include <limits>
-#include <optional>
 #include <span>
 #include <vector>
 
 #include "xcq/engine/axes.h"
 #include "xcq/engine/batch.h"
-#include "xcq/engine/prune.h"
 #include "xcq/util/string_util.h"
 #include "xcq/util/timer.h"
 
@@ -38,8 +36,8 @@ void ReachableSizes(const Instance& instance, uint64_t* vertices,
 /// and N plans are a shared BATCH, whose same-axis ops of a round are
 /// swept together in chunks of up to kMaskLanes lanes. Op resolution,
 /// scratch lifetimes, the following/preceding composition, the
-/// `//`-from-root closed form, the prune gates and the per-family
-/// counters are common to both; the modes differ only in `Dispatch`.
+/// `//`-from-root closed form and the per-family counters are common
+/// to both; the modes differ only in `Dispatch`.
 /// A shared run never mutates the DAG (its kernels abort on a clash
 /// before writing anything), so any error it returns leaves the
 /// instance as it was.
@@ -83,10 +81,6 @@ class PlanRunner {
   }
 
   Status Run() {
-    // Poll before the first gate: a bind may build the path summary (a
-    // full-DAG walk), so a dead request skips it entirely.
-    XCQ_RETURN_IF_ERROR(guard_.Poll());
-    if (options_.prune_sweeps) pruner_.emplace(instance_, plans_, &options_);
     size_t rounds = 0;
     for (const algebra::QueryPlan& plan : plans_) {
       rounds = std::max(rounds, plan.ops.size());
@@ -112,12 +106,6 @@ class PlanRunner {
     const RelationId copy = instance_->AcquireScratchRelation();
     instance_->MutableRelationBits(copy) = instance_->RelationBits(slot.id);
     return copy;
-  }
-
-  /// Path-summary size at the pruner's last binding (0 = pruning off
-  /// or unavailable).
-  uint64_t summary_nodes() const {
-    return pruner_.has_value() ? pruner_->summary_nodes() : 0;
   }
 
  private:
@@ -248,7 +236,7 @@ class PlanRunner {
   Status RunAxis(Axis axis, std::span<const SweepLane> lanes) {
     switch (axis) {
       case Axis::kSelf:
-        // A plain column copy — nothing to sweep or prune.
+        // A plain column copy — nothing to sweep.
         for (const SweepLane& lane : lanes) {
           instance_->MutableRelationBits(lane.dst) =
               instance_->RelationBits(lane.src);
@@ -258,14 +246,13 @@ class PlanRunner {
       case Axis::kPreceding:
         return RunComposed(axis, lanes);
       default:
-        return Sweep(axis, -1, lanes);
+        return Sweep(axis, lanes);
     }
   }
 
   /// Sec. 3.2: following = d-o-s ∘ following-sibling ∘ a-o-s (mirrored
-  /// for preceding), three sweeps of the same lanes, each gated
-  /// separately; the two intermediate columns per lane go back to the
-  /// pool when the op ends.
+  /// for preceding), three sweeps of the same lanes; the two
+  /// intermediate columns per lane go back to the pool when the op ends.
   Status RunComposed(Axis axis, std::span<const SweepLane> lanes) {
     const Axis stages[3] = {Axis::kAncestorOrSelf,
                             axis == Axis::kFollowing
@@ -282,7 +269,7 @@ class PlanRunner {
                                    instance_->AcquireScratchRelation())
                              : lanes[k].dst;
       }
-      status = Sweep(stages[s], s, stage);
+      status = Sweep(stages[s], stage);
     }
     for (const RelationId id : held) instance_->ReleaseScratchRelation(id);
     return status;
@@ -292,14 +279,11 @@ class PlanRunner {
   /// vertex has the root above it, so descendant(-or-self) from {root}
   /// selects the whole reachable set (minus the root itself for the
   /// proper-descendant axis), no demand can clash, and no sweep is
-  /// needed. This removes the one inherently unprunable sweep from the
-  /// paper's `//tag` navigation shape. It applies when every lane starts
-  /// at {root}. Gated on prune_sweeps: the unpruned reference runs the
-  /// real kernels for every axis, so the tests that compare against it
-  /// also cover this closed form.
+  /// needed. This removes the first full sweep of the paper's `//tag`
+  /// navigation shape. It applies when every lane starts at {root};
+  /// engine_axes_test checks it against the downward kernel.
   bool ClosedForm(Axis axis, std::span<const SweepLane> lanes) {
-    if (!options_.prune_sweeps ||
-        (axis != Axis::kDescendant && axis != Axis::kDescendantOrSelf)) {
+    if (axis != Axis::kDescendant && axis != Axis::kDescendantOrSelf) {
       return false;
     }
     const VertexId root = instance_->root();
@@ -317,12 +301,9 @@ class PlanRunner {
     return true;
   }
 
-  /// One concrete sweep of `lanes` behind its prune gate: `stage` is -1
-  /// for a plain axis op, 0/1/2 for the stages of a composed one. A
-  /// skipped sweep leaves every dst all-zero — exactly the unpruned
-  /// outcome when the admissible region or every concrete source is
-  /// empty (such a sweep selects nothing and never splits).
-  Status Sweep(Axis axis, int stage, std::span<const SweepLane> lanes) {
+  /// One concrete sweep of `lanes`: the closed form where it applies,
+  /// else the kernel of the axis family.
+  Status Sweep(Axis axis, std::span<const SweepLane> lanes) {
     const AxisFamily family = FamilyOf(axis);
     AxisFamilyStats* counters =
         stats_ != nullptr ? &stats_->axis[static_cast<size_t>(family)]
@@ -335,43 +316,21 @@ class PlanRunner {
       }
       return Status::OK();
     }
-    PruneGate gate;
-    if (pruner_.has_value()) {
-      // The gate is where pruning costs: binding (summary build, abstract
-      // pass) on first use and a region build per sweep.
-      ScopedTimer bind(stats_ != nullptr ? &stats_->prune_bind_seconds
-                                         : nullptr);
-      gate = pruner_->Gate(family, lanes, stage);
-    }
     const uint64_t reachable =
         counters != nullptr ? instance_->ReachableCount() : 0;
-    if (counters != nullptr) {
-      if (gate.skip) ++counters->skipped;
-      if (gate.region != nullptr) ++counters->pruned;
-    }
-    if (gate.skip) {
-      if (counters != nullptr) counters->full += reachable;
-      return Status::OK();
-    }
-
     AxisStats kernel;
     Status status;
     {
       ScopedTimer timer(counters != nullptr ? &counters->seconds : nullptr);
-      status = Dispatch(axis, lanes, gate.region, &kernel);
+      status = Dispatch(axis, lanes, &kernel);
     }
     if (counters != nullptr) {
-      // A mask sweep walks the region, or every reachable vertex once
-      // whatever its width.
-      if (shared_) {
-        kernel.visited =
-            gate.region != nullptr ? gate.region_vertices : reachable;
-      }
+      // A mask sweep walks every reachable vertex once, whatever its
+      // width.
+      if (shared_) kernel.visited = reachable;
       stats_->splits += kernel.splits;
       counters->visited += kernel.visited;
-      // Kernels count clones created mid-sweep as visits, and a pruned
-      // run splits exactly where the full run would — so the full-sweep
-      // visit count is the pre-sweep reachable set plus those clones.
+      // Kernels count clones created mid-sweep as visits.
       counters->full += reachable + kernel.splits;
     }
     return status;
@@ -382,32 +341,32 @@ class PlanRunner {
   /// calls the mask kernels of engine/batch.h, which report a clash
   /// instead of splitting.
   Status Dispatch(Axis axis, std::span<const SweepLane> lanes,
-                  const DynamicBitset* region, AxisStats* kernel) {
+                  AxisStats* kernel) {
     const AxisFamily family = FamilyOf(axis);
     if (!shared_) {
       const SweepLane& lane = lanes.front();
       switch (family) {
         case AxisFamily::kDownward:
           return ApplyDownwardAxis(instance_, axis, lane.src, lane.dst,
-                                   kernel, region, &guard_);
+                                   kernel, &guard_);
         case AxisFamily::kUpward:
           return ApplyUpwardAxis(instance_, axis, lane.src, lane.dst, kernel,
-                                 region, &guard_);
+                                 &guard_);
         case AxisFamily::kSibling:
           return ApplySiblingAxis(instance_, axis, lane.src, lane.dst,
-                                  kernel, region, &guard_);
+                                  kernel, &guard_);
       }
     }
     bool clean = true;
     switch (family) {
       case AxisFamily::kDownward:
-        clean = SharedDownward(instance_, axis, lanes, region);
+        clean = SharedDownward(instance_, axis, lanes);
         break;
       case AxisFamily::kUpward:
-        SharedUpward(instance_, axis, lanes, region);
+        SharedUpward(instance_, axis, lanes);
         break;
       case AxisFamily::kSibling:
-        clean = SharedSibling(instance_, axis, lanes, region);
+        clean = SharedSibling(instance_, axis, lanes);
         break;
     }
     return clean ? Status::OK()
@@ -420,7 +379,6 @@ class PlanRunner {
   EvalStats* stats_;
   const bool shared_;
   EvalGuard guard_;
-  std::optional<PlanPruner> pruner_;
   std::vector<std::vector<Slot>> slots_;  ///< [plan][op]
   /// One round's axis lanes, by axis (reused across rounds).
   std::array<std::vector<SweepLane>, kAxisCount> buckets_;
@@ -447,12 +405,9 @@ Status CheckRunnable(const Instance* instance,
 
 void SumAxisFamilies(EvalStats* stats) {
   stats->sweep_visited = stats->sweep_full = 0;
-  stats->pruned_sweeps = stats->skipped_sweeps = 0;
   for (const AxisFamilyStats& family : stats->axis) {
     stats->sweep_visited += family.visited;
     stats->sweep_full += family.full;
-    stats->pruned_sweeps += family.pruned;
-    stats->skipped_sweeps += family.skipped;
   }
 }
 
@@ -461,7 +416,6 @@ Result<RelationId> Evaluate(Instance* instance,
                             const EvalOptions& options, EvalStats* stats) {
   XCQ_RETURN_IF_ERROR(CheckRunnable(instance, {&plan, 1}));
   Timer timer;
-  const uint64_t summary_builds_before = instance->path_summary_builds();
   if (stats != nullptr) {
     ReachableSizes(*instance, &stats->vertices_before,
                    &stats->edges_before);
@@ -479,9 +433,6 @@ Result<RelationId> Evaluate(Instance* instance,
   if (stats != nullptr) {
     SumAxisFamilies(stats);
     ReachableSizes(*instance, &stats->vertices_after, &stats->edges_after);
-    stats->summary_nodes = runner.summary_nodes();
-    stats->summary_builds =
-        instance->path_summary_builds() - summary_builds_before;
     stats->seconds = timer.Seconds();
   }
   return result;

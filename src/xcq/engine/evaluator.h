@@ -36,11 +36,6 @@ struct EvalOptions {
   /// Relation holding the query context (the paper's user-defined initial
   /// selection); empty means {root}.
   std::string context_relation;
-  /// Restrict axis sweeps to the vertices whose path-summary paths can
-  /// contribute (docs/INTERNALS.md §9). Answers, splits, and the
-  /// resulting instance are independent of the value; `false` sweeps
-  /// the whole reachable DAG with the unrestricted kernels.
-  bool prune_sweeps = true;
   /// Cooperative cancellation (docs/INTERNALS.md §10). Polled between
   /// ops and between kernel mutation phases; a tripped token aborts the
   /// evaluation with `kCancelled` / `kDeadlineExceeded`, leaving the
@@ -63,10 +58,10 @@ enum class AxisFamily : uint8_t {
 };
 inline constexpr size_t kAxisFamilyCount = 3;
 
-/// The kernel family that sweeps `axis`: the one mapping behind both
-/// the prune gates' region closure and the per-family counters. kSelf
-/// (a column copy, never swept) maps to kUpward; kFollowing/kPreceding
-/// are three staged sweeps and are never passed here.
+/// The kernel family that sweeps `axis`, and so the slice of the
+/// per-family counters it is tallied in. kSelf (a column copy, never
+/// swept) maps to kUpward; kFollowing/kPreceding are three staged
+/// sweeps and are never passed here.
 constexpr AxisFamily FamilyOf(xpath::Axis axis) {
   switch (axis) {
     case xpath::Axis::kChild:
@@ -96,16 +91,19 @@ constexpr std::string_view AxisFamilyName(AxisFamily family) {
 
 /// \brief Per-family slice of the sweep counters — the one place a sweep
 /// counter is defined. The engine increments only these slices (per-query
-/// and shared-batch sweeps alike); the aggregate EvalStats fields of the
-/// same name are their sums, filled at the end of an evaluation.
-/// `seconds` is time inside the family's kernels (excluded: plan
-/// bookkeeping, prune binding, column ops).
+/// and shared-batch sweeps alike); `EvalStats::sweep_visited` and
+/// `sweep_full` are sums, filled at the end of an evaluation. `seconds`
+/// is time inside the family's kernels (excluded: plan bookkeeping,
+/// column ops).
 struct AxisFamilyStats {
   uint64_t sweeps = 0;        ///< Sweeps of this family (incl. closed forms).
   uint64_t visited = 0;       ///< Vertices the family's sweeps visited.
-  uint64_t full = 0;          ///< Visits unpruned sweeps would make.
-  uint64_t pruned = 0;        ///< Sweeps restricted to a summary region.
-  uint64_t skipped = 0;       ///< Sweeps skipped outright (∅ region).
+  /// Visits the kernels would make; exceeds `visited` by the reachable
+  /// set of every closed form.
+  uint64_t full = 0;
+  /// Sweeps answered by the `//`-from-root closed form (no kernel run);
+  /// named after the frozen `pruned=` STATS key it renders as.
+  uint64_t pruned = 0;
   double seconds = 0.0;       ///< Time inside the kernels.
 };
 
@@ -115,24 +113,24 @@ struct EvalStats {
   uint64_t edges_before = 0;     ///< RLE edges (reachable) before.
   uint64_t edges_after = 0;      ///< RLE edges (reachable) after.
   uint64_t splits = 0;           ///< Vertices cloned during evaluation.
-  uint64_t sweep_visited = 0;    ///< Σ axis[].visited.
-  uint64_t sweep_full = 0;       ///< Σ axis[].full.
-  uint64_t pruned_sweeps = 0;    ///< Σ axis[].pruned.
-  uint64_t skipped_sweeps = 0;   ///< Σ axis[].skipped.
-  uint64_t summary_nodes = 0;    ///< Path-summary size used (0 = none).
-  uint64_t summary_builds = 0;   ///< Summary (re)builds this evaluation.
+  /// Σ axis[].visited and Σ axis[].full. Kept as aggregates only because
+  /// servebench/traced_run.cc reads them, so removing them is a change
+  /// to the benchmark; new readers sum `axis[]`.
+  uint64_t sweep_visited = 0;
+  uint64_t sweep_full = 0;
   /// Per-family counter slices, indexed by AxisFamily; inline array so
   /// collecting stats still allocates nothing on the hot path.
   AxisFamilyStats axis[kAxisFamilyCount];
-  /// Time inside the pruner's sweep gates: summary binding, the plan's
-  /// abstract pass, and every region build (0 with pruning off).
+  /// Always 0: no sweep has a prune gate to time. Kept because
+  /// servebench/traced_run.cc reads it (its `prune_bind_share`), so
+  /// removing it is a change to the benchmark.
   double prune_bind_seconds = 0.0;
   double seconds = 0.0;
 };
 
-/// \brief Fills the aggregate sweep counters of `*stats` by summing its
-/// family slices; both entry points below call it once, at the end of an
-/// evaluation.
+/// \brief Fills `sweep_visited` and `sweep_full` of `*stats` by summing
+/// its family slices; both entry points below call it once, at the end
+/// of an evaluation.
 void SumAxisFamilies(EvalStats* stats);
 
 /// \brief Evaluates `plan` on `*instance` (mutating it: the result is

@@ -70,7 +70,7 @@ void FinishBackwardList(std::vector<Edge>* rewritten) {
 /// A sibling selection does not propagate into subtrees, so each child
 /// list can be rewritten from `src` bits alone — the only coupling
 /// between vertices is *which variants of each child exist*. Three
-/// phases (docs/INTERNALS.md §9.5):
+/// phases (docs/INTERNALS.md §8.5):
 ///  1. demand:  every list is walked; the bit each emitted run requires
 ///     of its child is OR-ed into the child's demand flags.
 ///  2. resolve: vertices demanded with both bits split, in plan order.
@@ -81,15 +81,9 @@ void FinishBackwardList(std::vector<Edge>* rewritten) {
 ///     when resolve cloned nothing: every run then maps to its own
 ///     child and is emitted whole, so each rewritten list equals the
 ///     original (RLE lists are canonical).
-/// With a region only region-owned child lists are walked. The region
-/// covers every list containing a potential source or receiver, so
-/// demand-1 flags and split decisions are exactly the unfiltered ones;
-/// children of skipped lists are never demanded with bit 1, which makes
-/// those lists' rewrites equal-content no-ops — so skipping them leaves
-/// the instance bit-identical.
 Status ApplySiblingAxis(Instance* instance, Axis axis, RelationId src,
                         RelationId dst, AxisStats* stats,
-                        const DynamicBitset* region, EvalGuard* guard) {
+                        EvalGuard* guard) {
   if (axis != Axis::kFollowingSibling && axis != Axis::kPrecedingSibling) {
     return Status::InvalidArgument("ApplySiblingAxis: not a sibling axis");
   }
@@ -97,9 +91,6 @@ Status ApplySiblingAxis(Instance* instance, Axis axis, RelationId src,
     return Status::InvalidArgument("ApplySiblingAxis: empty instance");
   }
   const bool forward = axis == Axis::kFollowingSibling;
-  const auto in_region = [region](VertexId v) {
-    return region == nullptr || region->Test(v);
-  };
   // Cache reference; safe across the mutations below for the same
   // reason as in downward.cc (no mid-sweep cache re-read).
   const TraversalCache& plan = instance->EnsureTraversal();
@@ -109,7 +100,6 @@ Status ApplySiblingAxis(Instance* instance, Axis axis, RelationId src,
   // Demand phase. Bit 0: some occurrence needs dst=0; bit 1: dst=1.
   std::vector<uint8_t> demand(n0, 0);
   for (const VertexId v : plan.order) {
-    if (!in_region(v)) continue;
     WalkSiblingRuns(instance->Children(v), forward, src_bits,
                     [&](VertexId w, uint64_t, bool bit) {
                       demand[w] |= bit ? 2 : 1;
@@ -145,13 +135,10 @@ Status ApplySiblingAxis(Instance* instance, Axis axis, RelationId src,
   }
 
   // Rewrite phase, in plan order. A clone shares its original's list,
-  // differing only in the dst bit. Skipped lists need no commit: their
-  // rewrite is a no-op, and a skipped vertex's clone (split as a
-  // *child* elsewhere) was born with a copy of the identical list.
+  // differing only in the dst bit.
   if (split_count > 0) {
     std::vector<Edge> rewritten;
     for (const VertexId v : plan.order) {
-      if (!in_region(v)) continue;
       rewritten.clear();
       WalkSiblingRuns(instance->Children(v), forward, src_bits,
                       [&](VertexId w, uint64_t count, bool bit) {
@@ -173,11 +160,7 @@ Status ApplySiblingAxis(Instance* instance, Axis axis, RelationId src,
       instance->AssignBit(dst, counterpart[v], true);
     }
   }
-  if (stats != nullptr) {
-    const uint64_t decided =
-        region != nullptr ? region->Count() : plan.order.size();
-    stats->visited += decided + split_count;
-  }
+  if (stats != nullptr) stats->visited += plan.order.size() + split_count;
   return Status::OK();
 }
 

@@ -10,20 +10,13 @@ using xpath::Axis;
 /// shared vertex is selected is a property of the vertex itself (the
 /// whole point of bisimulation-based sharing is that the subtree below a
 /// vertex is the same for all of its occurrences), so one children-first
-/// pass over the cached post-order suffices (docs/INTERNALS.md §9.5):
+/// pass over the cached post-order suffices (docs/INTERNALS.md §8.5):
 /// v is a parent of a selected node iff one of its children is in
 /// `src`, an ancestor iff one is in `src` or already an ancestor. The
 /// pass only writes reachable vertices, which keeps unreachable split
 /// leftovers silent.
-///
-/// Without a region every reachable vertex is decided. With one, only
-/// region vertices are. The region is V(dst): a vertex outside it can
-/// neither be selected nor (being unselected) influence an ancestor's
-/// decision, so a skipped child reads its zeroed dst bit, which is its
-/// unfiltered value.
 Status ApplyUpwardAxis(Instance* instance, Axis axis, RelationId src,
-                       RelationId dst, AxisStats* stats,
-                       const DynamicBitset* region, EvalGuard* guard) {
+                       RelationId dst, AxisStats* stats, EvalGuard* guard) {
   if (!xpath::IsUpwardAxis(axis)) {
     return Status::InvalidArgument("ApplyUpwardAxis: not an upward axis");
   }
@@ -33,7 +26,7 @@ Status ApplyUpwardAxis(Instance* instance, Axis axis, RelationId src,
   const DynamicBitset& src_bits = instance->RelationBits(src);
   DynamicBitset& dst_bits = instance->MutableRelationBits(dst);
   if (axis == Axis::kSelf) {
-    dst_bits = src_bits;  // a plain column copy, never gated
+    dst_bits = src_bits;  // a plain column copy
     return Status::OK();
   }
   const bool ancestor = axis != Axis::kParent;
@@ -45,7 +38,6 @@ Status ApplyUpwardAxis(Instance* instance, Axis axis, RelationId src,
   if (guard != nullptr) XCQ_RETURN_IF_ERROR(guard->Charge(order.size(), 0));
 
   for (const VertexId v : order) {
-    if (region != nullptr && !region->Test(v)) continue;
     for (const Edge& e : instance->Children(v)) {
       if (src_bits.Test(e.child) || (ancestor && dst_bits.Test(e.child))) {
         dst_bits.Set(v);
@@ -54,9 +46,7 @@ Status ApplyUpwardAxis(Instance* instance, Axis axis, RelationId src,
     }
   }
   if (axis == Axis::kAncestorOrSelf) dst_bits |= src_bits;
-  if (stats != nullptr) {
-    stats->visited += region != nullptr ? region->Count() : order.size();
-  }
+  if (stats != nullptr) stats->visited += order.size();
   return Status::OK();
 }
 

@@ -1,8 +1,6 @@
 #include "xcq/instance/instance.h"
 
 #include <algorithm>
-#include <iterator>
-#include <map>
 
 #include "xcq/instance/stats.h"
 #include "xcq/util/string_util.h"
@@ -275,178 +273,6 @@ const TraversalCache& Instance::EnsureTraversal(
   return traversal_;
 }
 
-uint64_t Instance::LabelSchemaFingerprint() const {
-  // FNV-1a over (id, name) of every live non-`xcq:` relation. Ids are
-  // mixed in because summary labels store ids: a removed-and-reinterned
-  // name gets a fresh id and must invalidate.
-  uint64_t h = 1469598103934665603ull;
-  const auto mix = [&h](uint64_t x) {
-    h ^= x;
-    h *= 1099511628211ull;
-  };
-  for (RelationId r = 0; r < schema_.size(); ++r) {
-    const std::string_view name = schema_.Name(r);
-    if (name.empty() || name.starts_with("xcq:")) continue;
-    mix(r);
-    for (const char c : name) mix(static_cast<unsigned char>(c));
-    mix(0x1F);  // name terminator
-  }
-  return h;
-}
-
-const PathSummary& Instance::EnsurePathSummary() const {
-  const uint64_t fingerprint = LabelSchemaFingerprint();
-  if (path_summary_.generation == structure_generation_ &&
-      path_summary_.schema_fingerprint == fingerprint) {
-    return path_summary_;
-  }
-  ++path_summary_builds_;
-  path_summary_ = PathSummary{};
-  path_summary_.generation = structure_generation_;
-  path_summary_.schema_fingerprint = fingerprint;
-
-  const size_t n = vertex_count();
-  const TraversalCache& t = EnsureTraversal();
-  if (root_ == kNoVertex || t.order.empty()) {
-    path_summary_.vertex_begin.assign(n + 1, 0);
-    return path_summary_;
-  }
-
-  // Intern per-vertex labels (sorted live non-`xcq:` relation id sets).
-  std::vector<RelationId> label_rels;
-  for (RelationId r = 0; r < schema_.size(); ++r) {
-    const std::string_view name = schema_.Name(r);
-    if (!name.empty() && !name.starts_with("xcq:")) label_rels.push_back(r);
-  }
-  std::map<std::vector<RelationId>, uint32_t> label_ids;
-  std::vector<uint32_t> vertex_label(n, 0);
-  std::vector<RelationId> key;
-  for (const VertexId v : t.order) {
-    key.clear();
-    for (const RelationId r : label_rels) {
-      const DynamicBitset& column = relations_[r];
-      if (v < column.size() && column.Test(v)) key.push_back(r);
-    }
-    const auto it = label_ids.find(key);
-    if (it != label_ids.end()) {
-      vertex_label[v] = it->second;
-    } else {
-      const uint32_t id = static_cast<uint32_t>(path_summary_.labels.size());
-      label_ids.emplace(key, id);
-      path_summary_.labels.push_back(key);
-      vertex_label[v] = id;
-    }
-  }
-
-  // Parent lists (CSR over the reachable edges). Each slice is filled
-  // back to front over post-order, which leaves it in reverse
-  // post-order -- parents first -- and parent_begin[v] at its start.
-  std::vector<uint32_t> parent_begin(n + 1, 0);
-  for (const VertexId u : t.order) {
-    for (const Edge& e : Children(u)) ++parent_begin[e.child];
-  }
-  uint32_t total = 0;
-  for (size_t v = 0; v < n; ++v) {
-    total += parent_begin[v];
-    parent_begin[v] = total;
-  }
-  parent_begin[n] = total;
-  std::vector<VertexId> parents(total);
-  for (const VertexId u : t.order) {
-    for (const Edge& e : Children(u)) parents[--parent_begin[e.child]] = u;
-  }
-
-  // Visit each reachable vertex once in reverse post-order (parents
-  // before children): it pulls the trie child under its own label from
-  // every path its parents realize, and appends its now-final slice to
-  // `paths`. RLE lists may repeat a child in non-adjacent runs and many
-  // parents may realize the same path; distinct parent paths have
-  // distinct trie children, so a per-node stamp of the last vertex that
-  // pulled it dedups in O(1). Saturate as soon as the realizations
-  // exceed the budget (see PathSummary); every new trie node adds a
-  // realization, so this bounds the node count too.
-  const size_t budget = t.order.size() + t.reachable_edges;
-  std::vector<PathSummary::Node>& nodes = path_summary_.nodes;
-  // Per trie node: its newest child and next-older sibling (the child
-  // index, scanned by label) and the dedup stamp.
-  std::vector<uint32_t> first_child;
-  std::vector<uint32_t> next_sibling;
-  std::vector<VertexId> pulled_by;
-  std::vector<uint32_t> path_begin(n, 0);
-  std::vector<uint32_t> path_count(n, 0);
-  std::vector<uint32_t> paths;
-  const auto add_node = [&](uint32_t parent, uint32_t label) {
-    const uint32_t node = static_cast<uint32_t>(nodes.size());
-    nodes.push_back(PathSummary::Node{parent, label});
-    first_child.push_back(PathSummary::kNoNode);
-    pulled_by.push_back(kNoVertex);
-    if (parent == PathSummary::kNoNode) {
-      next_sibling.push_back(PathSummary::kNoNode);
-    } else {
-      next_sibling.push_back(first_child[parent]);
-      first_child[parent] = node;
-    }
-    return node;
-  };
-  paths.push_back(add_node(PathSummary::kNoNode, vertex_label[root_]));
-  path_count[root_] = 1;
-  size_t realizations = 1;
-  bool saturated = false;
-
-  // Post-order ends at the root, which realizes node 0 alone.
-  for (auto it = std::next(t.order.rbegin());
-       it != t.order.rend() && !saturated; ++it) {
-    const VertexId v = *it;
-    const uint32_t label = vertex_label[v];
-    path_begin[v] = static_cast<uint32_t>(paths.size());
-    for (uint32_t i = parent_begin[v]; i < parent_begin[v + 1] && !saturated;
-         ++i) {
-      const VertexId u = parents[i];
-      const uint32_t end = path_begin[u] + path_count[u];
-      for (uint32_t j = path_begin[u]; j < end; ++j) {
-        const uint32_t path = paths[j];
-        if (pulled_by[path] == v) continue;
-        pulled_by[path] = v;
-        uint32_t node = first_child[path];
-        while (node != PathSummary::kNoNode && nodes[node].label != label) {
-          node = next_sibling[node];
-        }
-        if (node == PathSummary::kNoNode) node = add_node(path, label);
-        if (++realizations > budget) {
-          saturated = true;
-          break;
-        }
-        paths.push_back(node);
-      }
-    }
-    path_count[v] = static_cast<uint32_t>(paths.size()) - path_begin[v];
-  }
-
-  if (saturated) {
-    // Stay "built" for this generation so hot paths do not rebuild per
-    // query; carry no nodes so pruning stands down.
-    path_summary_.saturated = true;
-    path_summary_.nodes.clear();
-    path_summary_.nodes.shrink_to_fit();
-    path_summary_.labels.clear();
-    path_summary_.vertex_begin.assign(n + 1, 0);
-    return path_summary_;
-  }
-
-  path_summary_.vertex_begin.resize(n + 1);
-  path_summary_.vertex_nodes.reserve(realizations);
-  uint32_t offset = 0;
-  for (VertexId v = 0; v < n; ++v) {
-    path_summary_.vertex_begin[v] = offset;
-    path_summary_.vertex_nodes.insert(
-        path_summary_.vertex_nodes.end(), paths.begin() + path_begin[v],
-        paths.begin() + path_begin[v] + path_count[v]);
-    offset += path_count[v];
-  }
-  path_summary_.vertex_begin[n] = offset;
-  return path_summary_;
-}
-
 Status Instance::Validate() const {
   const size_t n = vertex_count();
   if (n == 0) {
@@ -533,7 +359,6 @@ size_t Instance::MemoryFootprint() const {
   // capacity accounting stays honest.
   bytes += minimize_cache_.MemoryFootprint();
   bytes += traversal_.MemoryFootprint();
-  bytes += path_summary_.MemoryFootprint();
   bytes += dirty_flag_.capacity() +
            dirty_list_.capacity() * sizeof(VertexId);
   return bytes;

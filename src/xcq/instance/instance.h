@@ -100,7 +100,7 @@ struct Edge {
 /// `EnsureTraversal` are stable until the next rebuild — callers that
 /// mutate the instance while iterating must copy first (the kernels
 /// snapshot by holding the reference across a generation they know is
-/// stale only for *later* readers; see docs/INTERNALS.md §9.5).
+/// stale only for *later* readers; see docs/INTERNALS.md §8.5).
 struct TraversalCache {
   static constexpr uint32_t kNoHeight = UINT32_MAX;
 
@@ -131,75 +131,6 @@ struct TraversalCache {
                    bands.capacity() * sizeof(std::vector<VertexId>);
     for (const std::vector<VertexId>& band : bands) {
       bytes += band.capacity() * sizeof(VertexId);
-    }
-    return bytes;
-  }
-};
-
-/// \brief Path summary: the trie of distinct root-to-label paths of the
-/// tree `T(I)`, with the vertex slices realizing each path — the second
-/// product of the traversal-cache family (docs/INTERNALS.md §9).
-///
-/// A *label* is the set of live, non-`xcq:` relations a vertex belongs
-/// to (tags and string-pattern relations; result/temporary columns are
-/// excluded because their bits change without a structure-generation
-/// bump). A summary node stands for one distinct sequence of labels
-/// from the root; `vertex_nodes` lists, per vertex, the nodes whose
-/// paths reach it. Splits change which vertex realizes which path but
-/// never the path set itself (they preserve `T(I)`), so plan-side
-/// admissible-path sets survive splits; only the vertex slices must be
-/// rebuilt, which the structure generation triggers.
-///
-/// Validity = structure generation + a fingerprint of the live
-/// non-`xcq:` relation set (ids and names): adding, removing, or
-/// re-interning a label relation rebuilds. Corollary of the label
-/// definition: callers must not hand-mutate the bits of a live named
-/// non-`xcq:` relation on an unchanged structure (the compressor writes
-/// them once; splits copy them; nothing else in the tree does).
-///
-/// Budget: the per-query abstract pass walks every trie node and each
-/// region build scans every (vertex, path) realization, so a summary
-/// pays only while it is smaller than the DAG a full sweep walks. A
-/// build whose realization count exceeds the reachable vertices plus
-/// reachable RLE edges stops early and marks the summary `saturated`:
-/// it stays "built" for the generation (no rebuild storm) but carries
-/// no nodes, and sweep pruning stands down to unfiltered sweeps.
-/// TreeBank's deep recursive nesting is over budget at every measured
-/// scale (1.1-1.6x V+E), where pruning loses to the full sweep; the
-/// other corpora stay well within it.
-struct PathSummary {
-  static constexpr uint32_t kNoNode = UINT32_MAX;
-
-  /// One distinct root-to-label path. Parents precede children in
-  /// `nodes` (node 0 is the root's path), so a single ascending /
-  /// descending index pass computes downward / upward closures.
-  struct Node {
-    uint32_t parent = kNoNode;
-    uint32_t label = 0;  ///< Index into `labels`.
-  };
-
-  bool saturated = false;
-  std::vector<Node> nodes;
-  /// Interned label alphabet: each entry the sorted live non-`xcq:`
-  /// relation ids of the vertices carrying it.
-  std::vector<std::vector<RelationId>> labels;
-  /// CSR: `vertex_nodes[vertex_begin[v] .. vertex_begin[v+1])` are the
-  /// summary nodes vertex `v` realizes (empty for unreachable ids).
-  std::vector<uint32_t> vertex_begin;
-  std::vector<uint32_t> vertex_nodes;
-
-  /// Structure generation this summary was built at (0 = never built).
-  uint64_t generation = 0;
-  /// Fingerprint of the live non-`xcq:` relation set at build time.
-  uint64_t schema_fingerprint = 0;
-
-  size_t MemoryFootprint() const {
-    size_t bytes = nodes.capacity() * sizeof(Node) +
-                   vertex_begin.capacity() * sizeof(uint32_t) +
-                   vertex_nodes.capacity() * sizeof(uint32_t) +
-                   labels.capacity() * sizeof(std::vector<RelationId>);
-    for (const std::vector<RelationId>& label : labels) {
-      bytes += label.capacity() * sizeof(RelationId);
     }
     return bytes;
   }
@@ -359,27 +290,6 @@ class Instance {
   /// warmup a steady-state query must not move this counter.
   uint64_t traversal_builds() const { return traversal_builds_; }
 
-  /// The memoized path summary (see PathSummary), rebuilt when the
-  /// structure or the live non-`xcq:` relation set changed since the
-  /// last call. Same stability and thread-safety contract as
-  /// EnsureTraversal: the reference survives until a mutation followed
-  /// by another Ensure call, and a (re)build requires exclusive access.
-  const PathSummary& EnsurePathSummary() const;
-
-  /// True when the next EnsurePathSummary() is a pure read.
-  bool path_summary_valid() const {
-    return path_summary_.generation == structure_generation_ &&
-           path_summary_.schema_fingerprint == LabelSchemaFingerprint();
-  }
-
-  /// Summary rebuilds so far (saturated builds included). After warmup
-  /// a steady-state query must not move this counter.
-  uint64_t path_summary_builds() const { return path_summary_builds_; }
-
-  /// Fingerprint of the live non-`xcq:` relation set (ids and names) —
-  /// the schema half of the path-summary validity check.
-  uint64_t LabelSchemaFingerprint() const;
-
   /// Reachable vertices, parents before children (reverse DFS
   /// post-order). Served from the traversal cache (copied).
   std::vector<VertexId> TopologicalOrder() const;
@@ -495,8 +405,6 @@ class Instance {
   uint64_t structure_generation_ = 1;
   mutable TraversalCache traversal_;
   mutable uint64_t traversal_builds_ = 0;
-  mutable PathSummary path_summary_;
-  mutable uint64_t path_summary_builds_ = 0;
   /// Structure generation whose structural Validate() passed (0 = none).
   mutable uint64_t validated_generation_ = 0;
 

@@ -5,8 +5,8 @@
 /// Per-query phase tracing (docs/OBSERVABILITY.md §4).
 ///
 /// A `QueryTrace` is a flat, fixed-capacity record of the phases one
-/// query passed through — parse / compile / label / prune-bind / sweep
-/// / minimize / serialize — each phase a span with a steady-clock start
+/// query passed through — parse / compile / label / sweep / minimize /
+/// serialize — each phase a span with a steady-clock start
 /// offset, a duration, and a nesting depth. Spans are recorded by the
 /// RAII `QueryTrace::Scope` (built on `util/timer.h`, the single
 /// steady-clock path shared with the benches), so instrumenting a phase
@@ -36,7 +36,8 @@ enum class Phase : uint8_t {
   kParse = 0,     ///< XPath text -> AST.
   kCompile,       ///< AST -> algebra plan.
   kLabel,         ///< Label extraction / common-extension merge.
-  kPruneBind,     ///< Path-summary abstract interpretation + regions.
+  kPruneBind,     ///< Never recorded (no prune gates); the name is frozen
+                  ///< and servebench/traced_run.cc reads the phase.
   kSweep,         ///< Axis sweeps + column ops (the evaluation proper).
   kMinimize,      ///< Post-query reclaim (incremental or full).
   kSerialize,     ///< Response formatting at the protocol layer.
@@ -89,8 +90,8 @@ class QueryTrace {
   double Elapsed() const { return timer_.Seconds(); }
 
   /// Records a fully-formed span directly — for phases timed elsewhere
-  /// (e.g. the engine reports prune-bind seconds in EvalStats) where a
-  /// Scope cannot wrap the code. `start` is an offset from the origin.
+  /// (e.g. a shared BATCH books its one sweep on the first query's
+  /// trace) where a Scope cannot wrap the code. `start` is an offset from the origin.
   void AddSpan(Phase phase, double start_seconds, double duration_seconds);
 
   size_t span_count() const { return count_; }

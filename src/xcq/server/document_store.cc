@@ -61,6 +61,16 @@ constexpr AxisCounter AxisRow(std::string_view name, std::string_view help) {
           }};
 }
 
+/// A frozen series no counter feeds: registered so the exposition keeps
+/// its name, HELP and TYPE lines, and always 0.
+constexpr AxisCounter FrozenAxisRow(std::string_view name,
+                                    std::string_view help) {
+  return {name, help, [](const engine::AxisFamilyStats&) { return 0.0; },
+          [](engine::AxisFamilyStats*, const engine::AxisFamilyStats&) {}};
+}
+
+/// Names and HELP lines are frozen (docs/OBSERVABILITY.md), so the
+/// `pruned` row keeps its region wording while it counts closed forms.
 constexpr AxisCounter kAxisCounters[] = {
     AxisRow<&engine::AxisFamilyStats::sweeps>(
         "xcq_sweeps_total", "Axis sweeps run, by kernel family"),
@@ -72,8 +82,8 @@ constexpr AxisCounter kAxisCounters[] = {
     AxisRow<&engine::AxisFamilyStats::pruned>(
         "xcq_sweeps_pruned_total",
         "Sweeps restricted to a path-summary region"),
-    AxisRow<&engine::AxisFamilyStats::skipped>(
-        "xcq_sweeps_skipped_total", "Sweeps skipped outright (empty region)"),
+    FrozenAxisRow("xcq_sweeps_skipped_total",
+                  "Sweeps skipped outright (empty region)"),
     AxisRow<&engine::AxisFamilyStats::seconds>(
         "xcq_sweep_seconds_total", "Seconds inside sweep kernels"),
 };
@@ -128,6 +138,15 @@ constexpr DocumentField SweepRow(std::string_view key) {
           }};
 }
 
+/// A frozen STATS key (and gauge) no field feeds: always 0.
+constexpr DocumentField FrozenRow(std::string_view key,
+                                  std::string_view gauge = {},
+                                  std::string_view help = {}) {
+  return {key, FieldFormat::kInteger, gauge, help,
+          [](const DocumentInfo&) -> uint64_t { return 0; },
+          [](const DocumentInfo&) { return 0.0; }};
+}
+
 using F = FieldFormat;
 constexpr DocumentField kDocumentFields[] = {
     Row<&DocumentInfo::memory_bytes>("bytes", F::kInteger,
@@ -147,13 +166,12 @@ constexpr DocumentField kDocumentFields[] = {
     Row<&DocumentInfo::batches_shared>("shared", F::kInteger),
     Row<&DocumentInfo::source_parses>("parses", F::kInteger),
     Row<&DocumentInfo::has_source>("source", F::kSource),
-    Row<&DocumentInfo::summary_nodes>("summary", F::kInteger,
-                                      "xcq_document_summary_nodes",
-                                      "Path-summary nodes (0 = not built)"),
+    FrozenRow("summary", "xcq_document_summary_nodes",
+              "Path-summary nodes (0 = not built)"),
     SweepRow<&engine::AxisFamilyStats::visited>("visited"),
     SweepRow<&engine::AxisFamilyStats::full>("full"),
     SweepRow<&engine::AxisFamilyStats::pruned>("pruned"),
-    SweepRow<&engine::AxisFamilyStats::skipped>("skipped"),
+    FrozenRow("skipped"),
     Row<&DocumentInfo::scratch_resident>(
         "scratch_resident", F::kInteger, "xcq_document_scratch_resident",
         "Scratch-pool slots currently held by the instance"),
@@ -876,16 +894,11 @@ DocumentInfo StoredDocument::Info(std::string name) const {
     info.vertex_count = instance.vertex_count();
     info.rle_edges = instance.rle_edge_count();
     info.tree_nodes = TreeNodeCount(instance);
-    // Report the built size only — STATS must not trigger a build.
-    if (instance.path_summary_valid()) {
-      info.summary_nodes = instance.EnsurePathSummary().nodes.size();
-    }
     info.scratch_resident = instance.scratch_slot_count();
     info.scratch_capacity = instance.scratch_capacity();
     info.scratch_hits = instance.scratch_stats().pool_hits;
     info.scratch_allocs = instance.scratch_stats().allocations;
     info.traversal_builds = instance.traversal_builds();
-    info.summary_builds = instance.path_summary_builds();
   }
   if (batches_served_ > 0) {
     info.share_rate = static_cast<double>(session_.shared_batch_count()) /

@@ -139,14 +139,15 @@ struct DocumentInfo {
   uint64_t batches_shared = 0;    ///< BATCHes served with shared sweeps.
   uint64_t source_parses = 0;     ///< Scans of the original document.
   bool has_source = false;        ///< False for `.xcqi`-loaded documents.
-  uint64_t summary_nodes = 0;     ///< Path-summary size (0 = not built).
   engine::AxisFamilyStats sweeps;  ///< Summed over the axis families.
   size_t scratch_resident = 0;    ///< Scratch-pool slots currently held.
   size_t scratch_capacity = 0;    ///< Scratch-pool cap (METRICS only).
   uint64_t scratch_hits = 0;      ///< Scratch checkouts with no allocation.
   uint64_t scratch_allocs = 0;    ///< Scratch checkouts that allocated.
   uint64_t traversal_builds = 0;  ///< Traversal-cache (re)builds.
-  uint64_t summary_builds = 0;    ///< Path-summary (re)builds.
+  /// Always 0 (there is no path summary); kept because
+  /// servebench/check.cc gates on it.
+  uint64_t summary_builds = 0;
   double label_seconds = 0.0;     ///< Cumulative label/merge time.
   double minimize_seconds = 0.0;  ///< Cumulative post-query reclaim time.
   double qps = 0.0;               ///< queries / registry uptime.
@@ -267,8 +268,8 @@ class StoredDocument {
   DocumentInfo Info(std::string name) const;
 
   /// Refreshes this document's scrape-time gauges (instance footprint,
-  /// scratch-pool residency, cache build counts, QPS, share rate, prune
-  /// ratios) from the current state; called by
+  /// scratch-pool residency, cache build counts, QPS, share rate,
+  /// closed-form ratios) from the current state; called by
   /// `DocumentStore::ScrapeMetrics` right before rendering. No-op
   /// without a registry.
   void UpdateScrapeGauges();
@@ -347,8 +348,8 @@ class StoredDocument {
   std::atomic<uint64_t> last_used_{0};
   uint64_t queries_served_ = 0;
   uint64_t batches_served_ = 0;
-  /// Cumulative sweep counters over all served queries, by family
-  /// (docs/INTERNALS.md §9); STATS reports their sums.
+  /// Cumulative sweep counters over all served queries, by family;
+  /// STATS reports their sums.
   engine::AxisFamilyStats sweep_totals_[engine::kAxisFamilyCount];
   double label_seconds_ = 0.0;
   double minimize_seconds_ = 0.0;

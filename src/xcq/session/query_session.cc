@@ -157,7 +157,6 @@ Status QuerySession::EnsureLabels(const std::vector<std::string>& tags,
 engine::EvalOptions QuerySession::MakeEvalOptions(
     const QueryControl& control) const {
   engine::EvalOptions eval_options;
-  eval_options.prune_sweeps = options_.prune_sweeps;
   eval_options.cancel = control.cancel;
   eval_options.max_sweep_visits = control.max_sweep_visits != 0
                                       ? control.max_sweep_visits
@@ -198,16 +197,6 @@ Result<QueryOutcome> QuerySession::EvaluatePlan(
         const RelationId sweep_result,
         engine::Evaluate(&*instance_, plan, eval_options, &outcome.stats));
     result = sweep_result;
-  }
-  if (trace != nullptr && outcome.stats.prune_bind_seconds > 0.0) {
-    // The engine sums the time of its pruning gates (summary binding and
-    // per-sweep region builds, interleaved with the kernels inside the
-    // sweep span); book that sum as one nested span whose start is
-    // reconstructed from the evaluation total.
-    const double eval_start =
-        std::max(0.0, trace->Elapsed() - outcome.stats.seconds);
-    trace->AddSpan(obs::Phase::kPruneBind, eval_start,
-                   outcome.stats.prune_bind_seconds);
   }
   outcome.selected_dag_nodes = SelectedDagNodeCount(*instance_, result);
   outcome.selected_tree_nodes = SelectedTreeNodeCount(*instance_, result);

@@ -49,12 +49,6 @@ struct SessionOptions {
   /// hash-cons table kept in the instance. Off = the original full
   /// re-hash rebuild (`Minimize`) after every query.
   bool incremental_minimize = true;
-  /// Restrict axis sweeps to the vertices the path summary proves can
-  /// contribute (docs/INTERNALS.md §9). Answers, splits, and the
-  /// resulting instance are independent of the value; off = every sweep
-  /// walks the whole reachable DAG (the unpruned reference the tests
-  /// compare against, and the baseline `bench_prune` measures).
-  bool prune_sweeps = true;
   /// Default per-query work budgets (engine/guard.h); 0 = unlimited.
   /// Applied to every evaluation unless the per-request `QueryControl`
   /// overrides them. Blow-ups convert to `kResourceExhausted` instead
@@ -92,8 +86,8 @@ struct QueryOutcome {
   /// `minimize_after_query` is set); covers the incremental or full
   /// pass, whichever the options selected.
   double minimize_seconds = 0.0;
-  /// Phase spans of this query (parse / compile / label / prune-bind /
-  /// sweep / minimize), recorded inline — no allocation. The serving
+  /// Phase spans of this query (parse / compile / label / sweep /
+  /// minimize), recorded inline — no allocation. The serving
   /// layer appends its serialize span and renders the JSON trace line.
   obs::QueryTrace trace;
 };
@@ -191,15 +185,15 @@ class QuerySession {
                       double* seconds);
 
   /// Evaluates one compiled plan on the ensured instance; shared by Run
-  /// and RunBatch. Records sweep / prune-bind / minimize spans on
+  /// and RunBatch. Records sweep / minimize spans on
   /// `trace` (null = no tracing).
   Result<QueryOutcome> EvaluatePlan(const algebra::QueryPlan& plan,
                                     obs::QueryTrace* trace,
                                     const QueryControl& control);
 
-  /// Engine options for one evaluation under `control`: session
-  /// pruning, plus cancellation and the resolved work budgets
-  /// (per-request override wins over the session default).
+  /// Engine options for one evaluation under `control`: cancellation
+  /// and the resolved work budgets (per-request override wins over the
+  /// session default).
   engine::EvalOptions MakeEvalOptions(const QueryControl& control) const;
 
   /// Marks vertices whose result-relation bit flipped between queries as

@@ -340,20 +340,19 @@ TEST(FollowingAxisTest, MatchesCompositionDefinition) {
 // --- every kernel against the tree baseline --------------------------------
 
 /// Runs one kernel on a copy of `base`, writing into a fresh relation
-/// named "test:dst". `region` is the optional pruning filter.
+/// named "test:dst".
 Instance RunAxisSweep(const Instance& base, xpath::Axis axis,
-                      RelationId src, const DynamicBitset* region,
-                      AxisStats* stats) {
+                      RelationId src, AxisStats* stats) {
   Instance instance = base;
   const RelationId dst = instance.AddRelation("test:dst");
   Status status;
   if (xpath::IsUpwardAxis(axis)) {
-    status = ApplyUpwardAxis(&instance, axis, src, dst, stats, region);
+    status = ApplyUpwardAxis(&instance, axis, src, dst, stats);
   } else if (axis == xpath::Axis::kFollowingSibling ||
              axis == xpath::Axis::kPrecedingSibling) {
-    status = ApplySiblingAxis(&instance, axis, src, dst, stats, region);
+    status = ApplySiblingAxis(&instance, axis, src, dst, stats);
   } else {
-    status = ApplyDownwardAxis(&instance, axis, src, dst, stats, region);
+    status = ApplyDownwardAxis(&instance, axis, src, dst, stats);
   }
   EXPECT_TRUE(status.ok()) << status.ToString();
   EXPECT_TRUE(instance.Validate().ok()) << instance.Validate().ToString();
@@ -392,7 +391,6 @@ TEST(AxisKernelTest, EveryAxisMatchesTreeBaseline) {
       xpath::Axis::kDescendantOrSelf, xpath::Axis::kParent,
       xpath::Axis::kAncestor,         xpath::Axis::kAncestorOrSelf,
       xpath::Axis::kFollowingSibling, xpath::Axis::kPrecedingSibling};
-  const DynamicBitset all(base.vertex_count(), true);
   uint64_t total_splits = 0;
   for (const RelationId src : sources) {
     const std::string& src_name = base.schema().Name(src);
@@ -400,7 +398,7 @@ TEST(AxisKernelTest, EveryAxisMatchesTreeBaseline) {
       SCOPED_TRACE(std::string("axis ") + std::string(xpath::AxisName(axis)) +
                    " src " + src_name);
       AxisStats stats;
-      const Instance swept = RunAxisSweep(base, axis, src, nullptr, &stats);
+      const Instance swept = RunAxisSweep(base, axis, src, &stats);
       total_splits += stats.splits;
 
       // The answer: the one-axis plan `relation src → axis` on the tree.
@@ -416,19 +414,71 @@ TEST(AxisKernelTest, EveryAxisMatchesTreeBaseline) {
       EXPECT_TRUE(tree.RelationSet("test:dst") == expected)
           << "selected " << tree.RelationSet("test:dst").Count()
           << " tree nodes, baseline " << expected.Count();
-
-      // An all-ones region filters nothing: the instance is identical.
-      AxisStats region_stats;
-      const Instance filtered =
-          RunAxisSweep(base, axis, src, &all, &region_stats);
-      EXPECT_EQ(region_stats.splits, stats.splits);
-      const RelationId dst = swept.FindRelation("test:dst");
-      EXPECT_TRUE(filtered.RelationBits(dst) == swept.RelationBits(dst));
-      testing::ExpectSameChildLists(swept, filtered);
     }
   }
   EXPECT_GT(total_splits, 0u) << "no sweep split; the split paths went "
                                  "unexercised";
+}
+
+/// `Evaluate` answers descendant(-or-self) from {root} with a closed
+/// form instead of a sweep. It must leave exactly what the downward
+/// kernel leaves: the same column, no split, the same child lists, and
+/// the tree baseline's answer.
+void ExpectClosedFormMatchesKernel(const std::string& xml) {
+  XCQ_ASSERT_OK_AND_ASSIGN(const Instance base, CompressXml(xml, {}));
+  XCQ_ASSERT_OK_AND_ASSIGN(const LabeledTree labeled, TreeBuilder::Build(xml));
+  for (const xpath::Axis axis :
+       {xpath::Axis::kDescendant, xpath::Axis::kDescendantOrSelf}) {
+    SCOPED_TRACE(std::string(xpath::AxisName(axis)));
+    algebra::QueryPlan plan;
+    plan.ops.push_back({.kind = algebra::OpKind::kRoot});
+    plan.ops.push_back(
+        {.kind = algebra::OpKind::kAxis, .axis = axis, .input0 = 0});
+    XCQ_ASSERT_OK_AND_ASSIGN(const DynamicBitset expected,
+                             baseline::Evaluate(labeled, plan));
+
+    Instance closed = base;
+    EvalStats stats;
+    XCQ_ASSERT_OK_AND_ASSIGN(const RelationId result,
+                             Evaluate(&closed, plan, {}, &stats));
+    const AxisFamilyStats& down =
+        stats.axis[static_cast<size_t>(AxisFamily::kDownward)];
+    EXPECT_EQ(down.pruned, 1u) << "the closed form did not run";
+    EXPECT_EQ(down.visited, 0u);
+    EXPECT_EQ(stats.splits, 0u);
+
+    Instance swept = base;
+    const RelationId root = swept.AddRelation("test:root");
+    swept.SetBit(root, swept.root());
+    const RelationId dst = swept.AddRelation("test:dst");
+    AxisStats kernel;
+    XCQ_ASSERT_OK(ApplyDownwardAxis(&swept, axis, root, dst, &kernel));
+    EXPECT_EQ(kernel.splits, 0u);
+
+    EXPECT_TRUE(closed.RelationBits(result) == swept.RelationBits(dst));
+    testing::ExpectSameChildLists(closed, swept);
+    XCQ_ASSERT_OK_AND_ASSIGN(const DecompressedTree closed_tree,
+                             Decompress(closed, {}));
+    XCQ_ASSERT_OK_AND_ASSIGN(const DecompressedTree swept_tree,
+                             Decompress(swept, {}));
+    EXPECT_TRUE(closed_tree.RelationSet(kResultRelation) == expected);
+    EXPECT_TRUE(swept_tree.RelationSet("test:dst") == expected);
+  }
+}
+
+TEST(AxisKernelTest, DescendantFromRootClosedFormMatchesKernel) {
+  {
+    SCOPED_TRACE("paper example");
+    ExpectClosedFormMatchesKernel(testing::BibExampleXml());
+  }
+  size_t corpus_index = 0;
+  for (const corpus::CorpusGenerator* generator : corpus::AllCorpora()) {
+    SCOPED_TRACE(std::string(generator->name()));
+    corpus::GenerateOptions gen;
+    gen.target_nodes = 2000;
+    gen.seed = 17 + corpus_index++;
+    ExpectClosedFormMatchesKernel(generator->Generate(gen));
+  }
 }
 
 }  // namespace

@@ -169,81 +169,66 @@ TEST_P(XmlMutationTest, MutatedDocumentsFailCleanly) {
 INSTANTIATE_TEST_SUITE_P(Seeds, XmlMutationTest,
                          ::testing::Range<uint64_t>(0, 10));
 
-/// Differential fuzzing of sweep pruning: pruned vs full-sweep
-/// evaluation of random queries over mutated corpus documents must be
-/// bit-identical. A divergence dumps a self-contained repro (seed,
-/// query, document) to a file named in the failure.
-class PrunedDifferentialFuzzTest
-    : public ::testing::TestWithParam<uint64_t> {};
+/// Differential fuzzing on mutated corpus documents: random and corpus
+/// queries, DAG engine vs tree baseline, exact node sets. Mutants keep
+/// the corpus's shape (and so its sharing) while breaking its
+/// regularity. A divergence dumps a self-contained repro (seed, query,
+/// document) to a file named in the failure.
+class MutatedCorpusFuzzTest : public ::testing::TestWithParam<uint64_t> {};
 
-void RunPrunedDifferential(const std::string& xml, const std::string& query,
-                           uint64_t seed) {
+void RunMutatedDifferential(const std::string& xml, const std::string& query,
+                            uint64_t seed) {
+  const auto parsed = xpath::ParseQuery(query);
+  ASSERT_TRUE(parsed.ok()) << query;
+  const auto plan = algebra::Compile(*parsed);
+  ASSERT_TRUE(plan.ok()) << query;
+  const xpath::QueryRequirements reqs = xpath::CollectRequirements(*parsed);
+
   CompressOptions copts;
   copts.mode = LabelMode::kAllTags;
-  const auto compressed = CompressXml(xml, copts);
-  if (!compressed.ok()) return;  // the mutation broke well-formedness
-  const auto plan = algebra::CompileString(query);
-  ASSERT_TRUE(plan.ok()) << query;
+  copts.patterns = reqs.patterns;
+  auto instance = CompressXml(xml, copts);
+  const auto labeled = TreeBuilder::Build(xml, reqs.patterns);
+  ASSERT_EQ(instance.ok(), labeled.ok()) << query;
+  if (!instance.ok()) return;  // the mutation broke well-formedness
 
-  Instance pruned = compressed.Value();
-  Instance full = compressed.Value();
-  engine::EvalOptions popts;
-  popts.prune_sweeps = true;
-  engine::EvalOptions fopts = popts;
-  fopts.prune_sweeps = false;
-  engine::EvalStats pstats;
-  engine::EvalStats fstats;
-  const auto presult = engine::Evaluate(&pruned, *plan, popts, &pstats);
-  const auto fresult = engine::Evaluate(&full, *plan, fopts, &fstats);
-  ASSERT_EQ(presult.ok(), fresult.ok()) << query;
-  if (!presult.ok()) return;
-
-  // Both runs execute the same kernels, so the instances must end up
-  // bit-identical: same vertex count, same raw result column. The
-  // tree-level comparison (both expansions are in document order, so
-  // node ids line up) names the answer in the repro.
-  DecompressOptions dopts;
-  const auto ptree = Decompress(pruned, dopts);
-  const auto ftree = Decompress(full, dopts);
-  ASSERT_TRUE(ptree.ok()) << query;
-  ASSERT_TRUE(ftree.ok()) << query;
+  engine::EvalStats stats;
+  const auto result = engine::Evaluate(&*instance, *plan, {}, &stats);
+  ASSERT_TRUE(result.ok()) << result.status() << " query: " << query;
+  const auto expected = baseline::Evaluate(*labeled, *plan);
+  ASSERT_TRUE(expected.ok()) << expected.status();
+  // Both expansions are in document order, so node ids line up.
+  const auto tree = Decompress(*instance, {});
+  ASSERT_TRUE(tree.ok()) << tree.status();
+  const Status valid = instance->Validate();
   const bool diverged =
-      pstats.splits != fstats.splits ||
-      pstats.vertices_after != fstats.vertices_after ||
-      pstats.edges_after != fstats.edges_after ||
-      pruned.vertex_count() != full.vertex_count() ||
-      SelectedTreeNodeCount(pruned, *presult) !=
-          SelectedTreeNodeCount(full, *fresult) ||
-      ptree->RelationSet(pruned.schema().Name(*presult)) !=
-          ftree->RelationSet(full.schema().Name(*fresult)) ||
-      pruned.RelationBits(*presult) != full.RelationBits(*fresult);
+      !valid.ok() || tree->tree.node_count() != labeled->tree.node_count() ||
+      SelectedTreeNodeCount(*instance, *result) != expected->Count() ||
+      tree->RelationSet(engine::kResultRelation) != *expected;
   if (!diverged) return;
 
   // Dump everything needed to replay the case by hand.
-  const std::string path = ::testing::TempDir() + "xcq_pruned_divergence_" +
-                           std::to_string(seed) + ".txt";
+  const std::string path = ::testing::TempDir() +
+                           "xcq_mutated_divergence_" + std::to_string(seed) +
+                           ".txt";
   std::ofstream dump(path);
   dump << "seed: " << seed << "\n"
        << "query: " << query << "\n"
-       << "pruned: splits=" << pstats.splits
-       << " vertices=" << pstats.vertices_after
-       << " edges=" << pstats.edges_after
-       << " vertex_count=" << pruned.vertex_count()
-       << " tree=" << SelectedTreeNodeCount(pruned, *presult) << "\n"
-       << "full:   splits=" << fstats.splits
-       << " vertices=" << fstats.vertices_after
-       << " edges=" << fstats.edges_after
-       << " vertex_count=" << full.vertex_count()
-       << " tree=" << SelectedTreeNodeCount(full, *fresult) << "\n"
+       << "dag: splits=" << stats.splits
+       << " vertices=" << stats.vertices_after
+       << " edges=" << stats.edges_after
+       << " tree=" << SelectedTreeNodeCount(*instance, *result)
+       << " validate=" << valid.ToString() << "\n"
+       << "baseline: tree=" << expected->Count() << "\n"
        << "document:\n"
        << xml << "\n";
   dump.close();
-  ADD_FAILURE() << "pruned evaluation diverged from the full-sweep "
-                   "oracle; repro (document, query, seed) dumped to "
+  ADD_FAILURE() << "DAG evaluation diverged from the tree baseline; repro "
+                   "(document, query, seed) dumped to "
                 << path;
 }
 
-TEST_P(PrunedDifferentialFuzzTest, PrunedMatchesFullOnMutatedCorpora) {
+TEST_P(MutatedCorpusFuzzTest, MatchesBaselineOnMutatedCorpora) {
   const uint64_t seed = GetParam();
   Rng rng(seed * 6151 + 17);
   const std::vector<const corpus::CorpusGenerator*> corpora =
@@ -291,18 +276,112 @@ TEST_P(PrunedDifferentialFuzzTest, PrunedMatchesFullOnMutatedCorpora) {
     // Unused draw: it keeps each seed's stream of mutants and queries
     // stable.
     (void)rng.Chance(0.5);
-    RunPrunedDifferential(xml, query, seed);
+    RunMutatedDifferential(xml, query, seed);
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, PrunedDifferentialFuzzTest,
+INSTANTIATE_TEST_SUITE_P(Seeds, MutatedCorpusFuzzTest,
                          ::testing::Range<uint64_t>(0, 16));
+
+/// Query sequences through one serving session: every query runs on the
+/// instance the earlier ones split (and, with minimize, re-minimized),
+/// and after each one the session's answer must equal the tree
+/// baseline's and the instance must validate.
+void ExpectSessionMatchesBaseline(const std::string& xml,
+                                  const std::vector<std::string>& queries,
+                                  bool minimize) {
+  SessionOptions options;
+  options.minimize_after_query = minimize;
+  options.incremental_minimize = minimize;
+  XCQ_ASSERT_OK_AND_ASSIGN(QuerySession session,
+                           QuerySession::Open(xml, options));
+  std::vector<std::string> patterns;
+  for (const std::string& query : queries) {
+    XCQ_ASSERT_OK_AND_ASSIGN(const xpath::Query parsed,
+                             xpath::ParseQuery(query));
+    for (std::string& p : xpath::CollectRequirements(parsed).patterns) {
+      patterns.push_back(std::move(p));
+    }
+  }
+  XCQ_ASSERT_OK_AND_ASSIGN(const LabeledTree labeled,
+                           TreeBuilder::Build(xml, patterns));
+
+  for (const std::string& query : queries) {
+    SCOPED_TRACE(query);
+    XCQ_ASSERT_OK_AND_ASSIGN(const QueryOutcome outcome, session.Run(query));
+    XCQ_ASSERT_OK_AND_ASSIGN(const algebra::QueryPlan plan,
+                             algebra::CompileString(query));
+    XCQ_ASSERT_OK_AND_ASSIGN(const DynamicBitset expected,
+                             baseline::Evaluate(labeled, plan));
+    EXPECT_EQ(outcome.selected_tree_nodes, expected.Count());
+    XCQ_ASSERT_OK_AND_ASSIGN(const DecompressedTree tree,
+                             Decompress(session.instance(), {}));
+    ASSERT_EQ(tree.tree.node_count(), labeled.tree.node_count());
+    EXPECT_TRUE(tree.RelationSet(engine::kResultRelation) == expected);
+    XCQ_ASSERT_OK(session.instance().Validate());
+  }
+}
+
+/// The generic mix: recursive descent, splitting sibling walks, and an
+/// upward tail, plus the corpus's Appendix-A queries.
+std::vector<std::string> SequencePool(std::string_view corpus_name) {
+  std::vector<std::string> pool = {
+      "//*/following-sibling::*",
+      "//*",
+      "/*",
+      "//*/preceding-sibling::*/parent::*",
+  };
+  const Result<corpus::QuerySet> set = corpus::QueriesFor(corpus_name);
+  if (set.ok()) {
+    for (const std::string_view q : set->queries) pool.emplace_back(q);
+  }
+  return pool;
+}
+
+TEST(SessionSequenceTest, RandomizedSequencesOverEveryCorpus) {
+  size_t corpus_index = 0;
+  for (const corpus::CorpusGenerator* generator : corpus::AllCorpora()) {
+    SCOPED_TRACE(std::string(generator->name()));
+    corpus::GenerateOptions gen;
+    gen.target_nodes = 900;
+    gen.seed = 31 + corpus_index;
+    const std::string xml = generator->Generate(gen);
+
+    const std::vector<std::string> pool = SequencePool(generator->name());
+    Rng rng(4321 + corpus_index);
+    std::vector<std::string> sequence;
+    for (int i = 0; i < 6; ++i) sequence.push_back(rng.Pick(pool));
+    ExpectSessionMatchesBaseline(xml, sequence, /*minimize=*/false);
+    ExpectSessionMatchesBaseline(xml, sequence, /*minimize=*/true);
+    ++corpus_index;
+  }
+}
+
+TEST(SessionSequenceTest, EightQuerySequencesOverEveryCorpus) {
+  // Longer per-corpus sequences on a second set of documents.
+  size_t corpus_index = 0;
+  for (const corpus::CorpusGenerator* generator : corpus::AllCorpora()) {
+    SCOPED_TRACE(std::string(generator->name()));
+    corpus::GenerateOptions gen;
+    gen.target_nodes = 600;
+    gen.seed = 131 + corpus_index;
+    const std::string xml = generator->Generate(gen);
+
+    const std::vector<std::string> pool = SequencePool(generator->name());
+    Rng rng(99 + corpus_index);
+    std::vector<std::string> sequence;
+    for (int i = 0; i < 8; ++i) sequence.push_back(rng.Pick(pool));
+    ExpectSessionMatchesBaseline(xml, sequence, /*minimize=*/false);
+    ExpectSessionMatchesBaseline(xml, sequence, /*minimize=*/true);
+    ++corpus_index;
+  }
+}
 
 /// Protocol-frame fuzzing (ISSUE 8): random byte streams and mutated
 /// valid requests against the line framer and the live epoll front end.
 /// Neither may crash, hang, violate the framing bound, or leak a
 /// connection slot. A violation dumps the offending stream to a named
-/// file, like the pruned-sweep fuzzer above.
+/// file, like the mutated-corpus fuzzer above.
 
 /// A random protocol-ish byte stream: valid requests, mutated requests,
 /// binary garbage (NULs, high bytes), overlong runs, and every

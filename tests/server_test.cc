@@ -771,7 +771,8 @@ TEST(ProtocolTest, StatsFieldSetIsFrozen) {
 TEST(ProtocolTest, StatsLineRendersEveryFieldInPlace) {
   // Every field holds a distinct value, so a value rendered under the
   // wrong key, at the wrong position or in the wrong number format
-  // changes the line.
+  // changes the line. `summary` and `skipped` are frozen keys with no
+  // field behind them: they always read 0.
   DocumentInfo info;
   info.name = "doc";
   info.memory_bytes = 8589934592;  // > 2^32: integers render 64-bit
@@ -785,11 +786,9 @@ TEST(ProtocolTest, StatsLineRendersEveryFieldInPlace) {
   info.batches_shared = 9;
   info.source_parses = 10;
   info.has_source = true;
-  info.summary_nodes = 11;
   info.sweeps.visited = 12;
   info.sweeps.full = 13;
   info.sweeps.pruned = 14;
-  info.sweeps.skipped = 15;
   info.scratch_resident = 16;
   info.scratch_capacity = 99;  // METRICS only
   info.scratch_hits = 17;
@@ -813,7 +812,7 @@ TEST(ProtocolTest, StatsLineRendersEveryFieldInPlace) {
   EXPECT_EQ(FormatDocumentInfo(info),
             "doc bytes=8589934592 vertices=2 edges=3 tree_nodes=4 tags=5 "
             "patterns=6 queries=7 batches=8 shared=9 parses=10 source=xml "
-            "summary=11 visited=12 full=13 pruned=14 skipped=15 "
+            "summary=0 visited=12 full=13 pruned=14 skipped=0 "
             "scratch_resident=16 scratch_hits=17 scratch_allocs=18 "
             "traversal_builds=19 summary_builds=20 label_s=21.500000 "
             "minimize_s=0.000022 qps=23.125 share_rate=0.240 "
