@@ -1,21 +1,23 @@
-// bench_minimize — incremental vs. full re-minimization after splitting
-// queries (the ROADMAP item this repo's PR 3 retires).
+// bench_minimize — the post-query in-place reclaim against the rebuild
+// it must equal.
 //
 // Splitting queries grow the compressed instance (Thm. 3.6); a serving
-// session reclaims that growth by re-minimizing after every query.
-// The original reclaim re-hashes the *entire* DAG per query
-// (`Minimize`); the incremental pass (`MinimizeInPlace`) re-canonicalizes
-// only the vertices the query actually split, re-pointed, or flipped in
-// the result relation, against the persistent hash-cons table kept in
-// the instance. This bench drives a split-heavy query rotation through
-// three corpora in all three modes (off / full / incremental) and
-// reports the per-mode minimize time plus the structural state, dying
-// loudly if the two reclaim modes ever disagree structurally.
+// session reclaims that growth by re-minimizing after every query with
+// the stateless in-place pass (`MinimizeInPlace`). This bench drives a
+// split-heavy query rotation through three corpora in two modes: `off`
+// (no reclaim) and `on` (`minimize_after_query`). After every query of
+// the `on` session it rebuilds `Minimize` of the same instance and dies
+// loudly unless the in-place result has the rebuild's reachable |V| and
+// |E| and selects the same DAG and tree nodes. The rebuilds' summed time
+// is reported as `full_s`, so in-place vs. rebuild cost stays visible.
 //
 // Columns: corpus, mode, #queries, splits, final reachable |V| / |E|,
 // summed selected tree nodes (must be identical across modes), label /
-// eval / minimize seconds. JSON rows land in BENCH_minimize.json for
-// bench/compare_bench.py (counts exact, timings thresholded).
+// eval / minimize / rebuild seconds. JSON rows land in
+// BENCH_minimize.json for bench/compare_bench.py (counts exact, timings
+// thresholded).
+
+#include <optional>
 
 #include "bench_util.h"
 
@@ -32,6 +34,7 @@ struct ModeResult {
   double label_s = 0.0;
   double eval_s = 0.0;
   double minimize_s = 0.0;
+  double full_s = 0.0;  // summed `Minimize` rebuilds of the `on` instance
 };
 
 /// The query rotation mirrors a serving session: mostly selective
@@ -61,14 +64,48 @@ std::vector<std::string> QueryRotation(std::string_view corpus_name,
   return sequence;
 }
 
-ModeResult RunMode(const std::string& xml,
-                   const std::vector<std::string>& queries,
-                   const std::string& mode) {
+/// Checks the session's in-place result against `Minimize` of the same
+/// instance; returns false (after reporting) on any difference.
+bool MatchesRebuild(const char* corpus, const std::string& query,
+                    const Instance& instance, double* full_s) {
+  Timer timer;
+  const Instance full = Unwrap(Minimize(instance), "Minimize");
+  *full_s += timer.Seconds();
+  const RelationId mine = instance.FindRelation(engine::kResultRelation);
+  const RelationId theirs = full.FindRelation(engine::kResultRelation);
+  const uint64_t dag[2] = {SelectedDagNodeCount(instance, mine),
+                           SelectedDagNodeCount(full, theirs)};
+  const uint64_t tree[2] = {SelectedTreeNodeCount(instance, mine),
+                            SelectedTreeNodeCount(full, theirs)};
+  if (instance.ReachableCount() == full.vertex_count() &&
+      instance.ReachableEdgeCount() == full.rle_edge_count() &&
+      dag[0] == dag[1] && tree[0] == tree[1]) {
+    return true;
+  }
+  std::fprintf(stderr,
+               "FATAL %s after %s: in-place minimize differs from "
+               "Minimize (|V| %zu vs %zu, |E| %llu vs %llu, dag_sel %llu "
+               "vs %llu, tree_sel %llu vs %llu)\n",
+               corpus, query.c_str(), instance.ReachableCount(),
+               full.vertex_count(),
+               static_cast<unsigned long long>(instance.ReachableEdgeCount()),
+               static_cast<unsigned long long>(full.rle_edge_count()),
+               static_cast<unsigned long long>(dag[0]),
+               static_cast<unsigned long long>(dag[1]),
+               static_cast<unsigned long long>(tree[0]),
+               static_cast<unsigned long long>(tree[1]));
+  return false;
+}
+
+/// Runs `queries` with reclaim off or on; nullopt when an `on` pass
+/// differs from its rebuild.
+std::optional<ModeResult> RunMode(const char* corpus, const std::string& xml,
+                                  const std::vector<std::string>& queries,
+                                  bool minimize) {
   SessionOptions options;
-  options.minimize_after_query = mode != "off";
-  options.incremental_minimize = mode == "incremental";
+  options.minimize_after_query = minimize;
   ModeResult result;
-  result.mode = mode;
+  result.mode = minimize ? "on" : "off";
 
   QuerySession session =
       Unwrap(QuerySession::Open(xml, options), "QuerySession::Open");
@@ -80,6 +117,10 @@ ModeResult RunMode(const std::string& xml,
     result.label_s += outcome.label_seconds;
     result.eval_s += outcome.stats.seconds;
     result.minimize_s += outcome.minimize_seconds;
+    if (minimize && !MatchesRebuild(corpus, query, session.instance(),
+                                    &result.full_s)) {
+      return std::nullopt;
+    }
   }
   result.vertices = session.instance().ReachableCount();
   result.edges = session.instance().ReachableEdgeCount();
@@ -97,13 +138,13 @@ int main(int argc, char** argv) {
   BenchReport report("minimize", args);
   constexpr int kRounds = 4;
 
-  std::printf("Incremental vs. full re-minimization after splitting "
-              "queries (rounds=%d)\n",
+  std::printf("In-place re-minimization after splitting queries, checked "
+              "against Minimize (rounds=%d)\n",
               kRounds);
-  std::printf("%-12s %-12s %8s %9s %9s %10s %12s %9s %9s %11s\n", "corpus",
-              "mode", "queries", "splits", "|V|", "|E|", "tree_sel",
-              "label_s", "eval_s", "minimize_s");
-  PrintRule(108);
+  std::printf("%-12s %-5s %8s %9s %9s %10s %12s %9s %9s %11s %9s\n",
+              "corpus", "mode", "queries", "splits", "|V|", "|E|",
+              "tree_sel", "label_s", "eval_s", "minimize_s", "full_s");
+  PrintRule(111);
 
   const char* kCorpora[] = {"Shakespeare", "SwissProt", "TreeBank"};
   for (const char* name : kCorpora) {
@@ -118,20 +159,22 @@ int main(int argc, char** argv) {
     const std::vector<std::string> queries =
         QueryRotation(generator->name(), kRounds);
 
-    ModeResult results[3];
-    const char* kModes[] = {"off", "full", "incremental"};
-    for (int m = 0; m < 3; ++m) {
-      results[m] = RunMode(xml, queries, kModes[m]);
+    ModeResult results[2];
+    for (int m = 0; m < 2; ++m) {
+      const std::optional<ModeResult> run =
+          RunMode(name, xml, queries, /*minimize=*/m == 1);
+      if (!run.has_value()) return 1;
+      results[m] = *run;
       const ModeResult& r = results[m];
-      std::printf("%-12s %-12s %8llu %9llu %9llu %10llu %12llu %9.4f "
-                  "%9.4f %11.4f\n",
+      std::printf("%-12s %-5s %8llu %9llu %9llu %10llu %12llu %9.4f "
+                  "%9.4f %11.4f %9.4f\n",
                   name, r.mode.c_str(),
                   static_cast<unsigned long long>(r.queries),
                   static_cast<unsigned long long>(r.splits),
                   static_cast<unsigned long long>(r.vertices),
                   static_cast<unsigned long long>(r.edges),
                   static_cast<unsigned long long>(r.tree_selected),
-                  r.label_s, r.eval_s, r.minimize_s);
+                  r.label_s, r.eval_s, r.minimize_s, r.full_s);
       report.Row()
           .Set("corpus", name)
           .Set("mode", r.mode)
@@ -142,35 +185,25 @@ int main(int argc, char** argv) {
           .Set("tree_selected", r.tree_selected)
           .Set("label_s", r.label_s)
           .Set("eval_s", r.eval_s)
-          .Set("minimize_s", r.minimize_s);
+          .Set("minimize_s", r.minimize_s)
+          .Set("full_s", r.full_s);
     }
 
-    // The acceptance gate: both reclaim modes must land on the *same*
-    // minimal instance and the same answers — the speedup is only
-    // meaningful if the structure is identical.
-    const ModeResult& full = results[1];
-    const ModeResult& inc = results[2];
-    if (full.vertices != inc.vertices || full.edges != inc.edges ||
-        full.tree_selected != inc.tree_selected ||
-        full.splits != inc.splits ||
-        results[0].tree_selected != full.tree_selected) {
+    // Reclaim must not change any answer.
+    if (results[0].tree_selected != results[1].tree_selected) {
       std::fprintf(stderr,
-                   "FATAL %s: incremental minimize diverged from full "
-                   "(|V| %llu vs %llu, |E| %llu vs %llu, tree_sel %llu "
-                   "vs %llu)\n",
-                   name, static_cast<unsigned long long>(inc.vertices),
-                   static_cast<unsigned long long>(full.vertices),
-                   static_cast<unsigned long long>(inc.edges),
-                   static_cast<unsigned long long>(full.edges),
-                   static_cast<unsigned long long>(inc.tree_selected),
-                   static_cast<unsigned long long>(full.tree_selected));
+                   "FATAL %s: reclaim changed the answers (tree_sel %llu "
+                   "off vs %llu on)\n",
+                   name,
+                   static_cast<unsigned long long>(results[0].tree_selected),
+                   static_cast<unsigned long long>(results[1].tree_selected));
       return 1;
     }
-    if (inc.minimize_s > 0) {
-      std::printf("%-12s incremental reclaim speedup over full: %.2fx\n",
-                  name, full.minimize_s / inc.minimize_s);
+    if (results[1].minimize_s > 0) {
+      std::printf("%-12s in-place reclaim speedup over rebuild: %.2fx\n",
+                  name, results[1].full_s / results[1].minimize_s);
     }
-    PrintRule(108);
+    PrintRule(111);
   }
   report.Finish();
   return 0;

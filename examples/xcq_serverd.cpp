@@ -14,13 +14,10 @@
 //   --preload=NAME=PATH cache a document before serving; PATH may be a
 //                       .xcqi instance file or raw XML (sniffed).
 //                       Repeatable.
-//   --minimize=MODE     reclaim instance growth after splitting queries:
-//                       off (default) leaves instances grown,
-//                       full re-hashes the whole DAG after every query,
-//                       incremental re-canonicalizes only the split /
-//                       re-pointed vertices against the persistent
-//                       hash-cons cache (see docs/INTERNALS.md).
-//                       Bare --minimize is an alias for incremental.
+//   --minimize          reclaim instance growth after splitting queries
+//                       with one in-place minimization pass per query
+//                       (see docs/INTERNALS.md §5); --minimize=off (the
+//                       default) leaves instances grown.
 //   --trace=MODE        per-query phase-trace logging to stderr, one
 //                       JSON line per traced query
 //                       (docs/OBSERVABILITY.md): off (default), all
@@ -101,7 +98,7 @@ int Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--port=N] [--threads=N] "
                "[--capacity-mb=N] [--preload=NAME=PATH]... "
-               "[--minimize[=off|full|incremental]] "
+               "[--minimize[=off]] "
                "[--trace=off|slow:<ms>|all] "
                "[--max-connections=N] [--idle-timeout=SEC] "
                "[--write-timeout=SEC] [--queue-depth=N] "
@@ -208,12 +205,8 @@ int main(int argc, char** argv) {
       }
       preloads.emplace_back(std::string(spec.substr(0, eq)),
                             std::string(spec.substr(eq + 1)));
-    } else if (arg == "--minimize" || arg == "--minimize=incremental") {
+    } else if (arg == "--minimize") {
       options.session.minimize_after_query = true;
-      options.session.incremental_minimize = true;
-    } else if (arg == "--minimize=full") {
-      options.session.minimize_after_query = true;
-      options.session.incremental_minimize = false;
     } else if (arg == "--minimize=off") {
       options.session.minimize_after_query = false;
     } else if (arg == "--trace=off") {

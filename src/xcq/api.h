@@ -28,12 +28,11 @@
 /// For serving many queries over one document, prefer the session layer,
 /// which accumulates one compressed instance across queries (merging in
 /// missing labels via common extensions) and can reclaim split growth
-/// after every query with the incremental in-place minimization:
+/// after every query with the in-place minimization pass:
 ///
 /// \code
 ///   xcq::SessionOptions sopts;
-///   sopts.minimize_after_query = true;  // incremental_minimize is the
-///                                       // default reclaim implementation
+///   sopts.minimize_after_query = true;
 ///   auto session = xcq::QuerySession::Open(xml_text, sopts);
 ///   auto outcome = session->Run("//book[author[\"Vianu\"]]");
 ///   uint64_t tree_hits = outcome->selected_tree_nodes;

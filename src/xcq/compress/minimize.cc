@@ -1,56 +1,14 @@
 #include "xcq/compress/minimize.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "xcq/compress/dag_builder.h"
 #include "xcq/util/hash.h"
-#include "xcq/util/string_util.h"
 #include "xcq/util/timer.h"
 
 namespace xcq {
 
 namespace {
-
-/// Fingerprint of the live relation *name set* (order-independent): the
-/// cache's stored signatures are valid only while this set is unchanged.
-uint64_t SchemaFingerprint(std::vector<uint64_t> name_hashes) {
-  std::sort(name_hashes.begin(), name_hashes.end());
-  Hasher hasher;
-  hasher.Add(name_hashes.size());
-  for (const uint64_t h : name_hashes) hasher.Add(h);
-  return hasher.Finish();
-}
-
-/// Finishes a vertex-signature hash from its (commutative) label-hash
-/// sum and current RLE child runs. Never returns 0 — the cache uses 0 as
-/// "not in the table".
-uint64_t SignatureFromLabelSum(const Instance& instance, uint64_t labels,
-                               VertexId v) {
-  Hasher hasher;
-  hasher.Add(labels);
-  const std::span<const Edge> edges = instance.Children(v);
-  hasher.Add(edges.size());
-  for (const Edge& e : edges) {
-    hasher.Add(e.child);
-    hasher.Add(e.count);
-  }
-  const uint64_t h = hasher.Finish();
-  return h == 0 ? 1 : h;
-}
-
-/// Commutative hash sum over the live-relation memberships of `v`
-/// (combined over relation-name hashes, so relation ids may churn
-/// without disturbing stored signatures).
-uint64_t LabelSum(const Instance& instance,
-                  const std::vector<RelationId>& live,
-                  const std::vector<uint64_t>& name_hash, VertexId v) {
-  uint64_t labels = 0;
-  for (size_t i = 0; i < live.size(); ++i) {
-    if (instance.Test(live[i], v)) labels += Mix64(name_hash[i]);
-  }
-  return labels;
-}
 
 /// Exact signature equality: same membership in every live relation and
 /// identical child runs. Both vertices belong to `instance`.
@@ -59,27 +17,11 @@ bool SameSignature(const Instance& instance,
                    VertexId b) {
   const std::span<const Edge> ea = instance.Children(a);
   const std::span<const Edge> eb = instance.Children(b);
-  if (ea.size() != eb.size()) return false;
-  for (size_t i = 0; i < ea.size(); ++i) {
-    if (ea[i] != eb[i]) return false;
-  }
+  if (!std::equal(ea.begin(), ea.end(), eb.begin(), eb.end())) return false;
   for (const RelationId r : live) {
     if (instance.Test(r, a) != instance.Test(r, b)) return false;
   }
   return true;
-}
-
-void EraseCacheEntry(MinimizeCache* cache, VertexId v) {
-  const uint64_t h = cache->vertex_hash[v];
-  if (h == 0) return;
-  const auto [lo, hi] = cache->table.equal_range(h);
-  for (auto it = lo; it != hi; ++it) {
-    if (it->second == v) {
-      cache->table.erase(it);
-      break;
-    }
-  }
-  cache->vertex_hash[v] = 0;
 }
 
 }  // namespace
@@ -121,8 +63,7 @@ Result<Instance> Minimize(const Instance& input) {
   return builder.Finish(remap[input.root()], names);
 }
 
-Status MinimizeInPlace(Instance* instance,
-                       const InPlaceMinimizeOptions& options,
+Status MinimizeInPlace(Instance* instance, const CancelToken* cancel,
                        InPlaceMinimizeStats* stats) {
   if (instance == nullptr) {
     return Status::InvalidArgument("MinimizeInPlace: instance is null");
@@ -134,243 +75,82 @@ Status MinimizeInPlace(Instance* instance,
   InPlaceMinimizeStats local;
   InPlaceMinimizeStats& out = stats != nullptr ? *stats : local;
   out = InPlaceMinimizeStats{};
+  if (cancel != nullptr) XCQ_RETURN_IF_ERROR(cancel->Check());
 
-  // Entry poll: nothing consumed yet, so a dead request aborts with
-  // the dirty set and cache fully intact.
-  if (options.cancel != nullptr) {
-    XCQ_RETURN_IF_ERROR(options.cancel->Check());
-  }
-
-  MinimizeCache& cache = instance->minimize_cache();
-  std::vector<VertexId> dirty_in = instance->TakeDirtyVertices();
-  // The pass itself rewrites edges; do not track its own mutations.
-  const bool was_tracking = instance->dirty_tracking();
-  instance->SetDirtyTracking(false);
-
-  const std::vector<RelationId> live = instance->LiveRelations();
-  std::vector<uint64_t> name_hash;
-  name_hash.reserve(live.size());
-  for (const RelationId r : live) {
-    name_hash.push_back(HashString(instance->schema().Name(r)));
-  }
-  const uint64_t fingerprint = SchemaFingerprint(name_hash);
-  const bool reseed =
-      !cache.valid || cache.schema_fingerprint != fingerprint;
-
-  if (!reseed && dirty_in.empty()) {
-    // Nothing changed since the last pass: the reachable part is still
-    // minimal and every table entry is still accurate.
-    instance->SetDirtyTracking(was_tracking);
-    out.skipped = true;
-    out.seconds = timer.Seconds();
-    return Status::OK();
-  }
-
-  // Copied (not referenced): the pass below rewrites edges, and the
-  // compaction fallback re-reads the cache, which would rebuild under a
-  // live reference. On the serving hot path the copy is served from the
-  // cache the evaluation just left behind — no extra walk.
-  const std::vector<VertexId> post = instance->EnsureTraversal().order;
+  // Read in place: the loop below rewrites edges, which only marks the
+  // cached order stale; nothing rebuilds it before the compaction step.
+  const std::vector<VertexId>& post = instance->EnsureTraversal().order;
   const size_t n = instance->vertex_count();
 
-  std::vector<uint8_t> in_post(n, 0);
-  for (const VertexId v : post) in_post[v] = 1;
-
-  std::vector<uint8_t> is_dirty(n, 0);
-  size_t reachable_dirty = 0;
-  bool do_reseed = reseed;
-  if (!do_reseed) {
-    cache.vertex_hash.resize(n, 0);  // vertices added since the last pass
-    for (const VertexId v : dirty_in) {
-      if (v < n && in_post[v] && !is_dirty[v]) {
-        is_dirty[v] = 1;
-        ++reachable_dirty;
-      }
-    }
-    // When most of the DAG is dirty anyway (e.g. a whole-document sweep
-    // flipped every result bit), per-entry table maintenance costs more
-    // than rebuilding the table outright: escalate to a reseed.
-    if (reachable_dirty * 2 >= post.size()) do_reseed = true;
+  // Label sums, column by column: word-parallel over the relation
+  // bitsets instead of per-vertex membership probes.
+  const std::vector<RelationId> live = instance->LiveRelations();
+  std::vector<uint64_t> label_sum(n, 0);
+  for (const RelationId r : live) {
+    const uint64_t mixed = Mix64(r + 1);
+    instance->RelationBits(r).ForEach(
+        [&label_sum, mixed](size_t v) { label_sum[v] += mixed; });
   }
 
-  // Mid-pass cancellation. Every committed merge is tree-preserving,
-  // so the instance is consistent at any bucket/stride boundary — but
-  // the dirty set is already consumed and the table partially updated,
-  // so the cache is declared invalid: the next pass reseeds instead of
-  // trusting partial bookkeeping.
-  const auto abort_cancelled = [&](const Status& cancelled) {
-    cache.valid = false;
-    instance->SetDirtyTracking(was_tracking);
-    out.seconds = timer.Seconds();
-    return cancelled;
-  };
+  // Open-addressed hash-cons table over this pass's canonical vertices,
+  // at most half full.
+  size_t capacity = 2;
+  while (capacity < 2 * post.size()) capacity *= 2;
+  const size_t mask = capacity - 1;
+  std::vector<std::pair<uint64_t, VertexId>> table(capacity,
+                                                   {0, kNoVertex});
 
-  // remap[v] != kNoVertex: v was folded into that vertex. Chains can
-  // form (a -> b, later b -> c), so canonical() chases; cycles cannot
-  // occur because merged vertices leave the table before anyone can
-  // merge into them.
+  // remap[v] != kNoVertex: v was folded into that canonical vertex.
+  // Children precede parents in post-order and only canonical vertices
+  // enter the table, so one lookup resolves any child.
   std::vector<VertexId> remap(n, kNoVertex);
-  const auto canonical = [&remap](VertexId v) {
-    while (remap[v] != kNoVertex) v = remap[v];
-    return v;
-  };
-
-  // Processes one vertex: re-points its child runs at canonical
-  // vertices, recomputes its signature, then either merges it into an
-  // equal table entry or records it as the canonical carrier. Returns
-  // the merge target, or kNoVertex if v stays canonical.
   std::vector<Edge> scratch;
-  const auto process = [&](VertexId v, uint64_t label_sum) {
+  size_t processed = 0;
+  for (const VertexId v : post) {
+    // Every committed merge is tree-preserving, so a cancelled pass
+    // leaves the instance consistent at any vertex boundary.
+    if (cancel != nullptr && ++processed % 4096 == 0) {
+      XCQ_RETURN_IF_ERROR(cancel->Check());
+    }
     scratch.clear();
     for (const Edge& e : instance->Children(v)) {
-      AppendEdgeRle(&scratch, Edge{canonical(e.child), e.count});
+      const VertexId child = remap[e.child];
+      AppendEdgeRle(&scratch, Edge{child == kNoVertex ? e.child : child,
+                                   e.count});
     }
-    const std::span<const Edge> current = instance->Children(v);
-    if (scratch.size() != current.size() ||
-        !std::equal(scratch.begin(), scratch.end(), current.begin())) {
-      instance->SetEdges(v, scratch);
-    }
-    const uint64_t h = SignatureFromLabelSum(*instance, label_sum, v);
-    const auto [lo, hi] = cache.table.equal_range(h);
-    for (auto it = lo; it != hi; ++it) {
-      // Stale entries of unreachable vertices linger until compaction;
-      // never merge into those.
-      if (it->second != v && in_post[it->second] &&
-          SameSignature(*instance, live, it->second, v)) {
-        return it->second;
-      }
-    }
-    cache.table.emplace(h, v);
-    cache.vertex_hash[v] = h;
-    return kNoVertex;
-  };
+    instance->SetEdges(v, scratch);  // no-op when nothing was re-pointed
 
-  if (do_reseed) {
-    // Full seeding pass: hash-cons every reachable vertex bottom-up
-    // (children before parents, so each vertex sees final children).
-    // Label sums are accumulated column-by-column — word-parallel over
-    // the relation bitsets instead of per-vertex membership probes.
-    cache.table.clear();
-    cache.vertex_hash.assign(n, 0);
-    cache.valid = true;
-    cache.schema_fingerprint = fingerprint;
-    out.reseeded = true;
-    std::vector<uint64_t> label_sum(n, 0);
-    for (size_t i = 0; i < live.size(); ++i) {
-      const uint64_t mixed = Mix64(name_hash[i]);
-      instance->RelationBits(live[i]).ForEach(
-          [&label_sum, mixed](size_t v) { label_sum[v] += mixed; });
+    Hasher hasher;
+    hasher.Add(label_sum[v]);
+    hasher.Add(scratch.size());
+    for (const Edge& e : scratch) {
+      hasher.Add(e.child);
+      hasher.Add(e.count);
     }
-    size_t processed = 0;
-    for (const VertexId v : post) {
-      if (options.cancel != nullptr && ++processed % 4096 == 0) {
-        const Status cancelled = options.cancel->Check();
-        if (!cancelled.ok()) return abort_cancelled(cancelled);
+    const uint64_t h = hasher.Finish();
+    for (size_t slot = h & mask;; slot = (slot + 1) & mask) {
+      auto& [slot_hash, slot_vertex] = table[slot];
+      if (slot_vertex == kNoVertex) {
+        table[slot] = {h, v};
+        ++out.reachable_vertices;
+        out.reachable_edges += scratch.size();
+        break;
       }
-      ++out.dirty;
-      const VertexId target = process(v, label_sum[v]);
-      if (target != kNoVertex) {
-        remap[v] = target;
+      if (slot_hash == h && SameSignature(*instance, live, slot_vertex, v)) {
+        remap[v] = slot_vertex;
         ++out.merged;
-      }
-    }
-  } else {
-    // Incremental pass. Work is ordered by *height* (longest distance to
-    // a leaf): bisimilar vertices always have equal height and canonical
-    // re-pointing preserves it, so when a vertex is processed all of its
-    // (current and future) children are final, and a merge can only
-    // cascade dirtiness into strictly higher buckets — always ahead of
-    // the cursor. (A plain post-order sweep does not have this property:
-    // merges can direct edges at table entries later in the order.)
-    std::vector<uint32_t> height(n, 0);
-    uint32_t max_height = 0;
-    for (const VertexId v : post) {
-      uint32_t h = 0;
-      for (const Edge& e : instance->Children(v)) {
-        h = std::max(h, height[e.child] + 1);
-      }
-      height[v] = h;
-      max_height = std::max(max_height, h);
-    }
-
-    // Reverse adjacency (CSR layout) over the reachable part, built
-    // lazily at the first merge. Edges into a vertex are owned by
-    // strictly higher vertices, which cannot have been processed yet, so
-    // the pass-start snapshot is accurate whenever a cascade needs it.
-    std::vector<uint32_t> parent_offset;
-    std::vector<VertexId> parent_data;
-    const auto ensure_parents = [&]() {
-      if (!parent_offset.empty()) return;
-      parent_offset.assign(n + 1, 0);
-      for (const VertexId v : post) {
-        for (const Edge& e : instance->Children(v)) {
-          ++parent_offset[e.child + 1];
-        }
-      }
-      for (size_t i = 1; i <= n; ++i) parent_offset[i] += parent_offset[i - 1];
-      parent_data.resize(parent_offset[n]);
-      std::vector<uint32_t> cursor(parent_offset.begin(),
-                                   parent_offset.end() - 1);
-      for (const VertexId v : post) {
-        for (const Edge& e : instance->Children(v)) {
-          parent_data[cursor[e.child]++] = v;
-        }
-      }
-    };
-
-    std::vector<std::vector<VertexId>> buckets(max_height + 1);
-    for (const VertexId v : post) {
-      if (is_dirty[v]) buckets[height[v]].push_back(v);
-    }
-    for (uint32_t h = 0; h <= max_height; ++h) {
-      if (options.cancel != nullptr && !buckets[h].empty()) {
-        const Status cancelled = options.cancel->Check();
-        if (!cancelled.ok()) return abort_cancelled(cancelled);
-      }
-      for (size_t i = 0; i < buckets[h].size(); ++i) {
-        const VertexId v = buckets[h][i];
-        ++out.dirty;
-        EraseCacheEntry(&cache, v);
-        const VertexId target =
-            process(v, LabelSum(*instance, live, name_hash, v));
-        if (target == kNoVertex) continue;
-        remap[v] = target;
-        ++out.merged;
-        ensure_parents();
-        for (uint32_t p = parent_offset[v]; p < parent_offset[v + 1]; ++p) {
-          const VertexId parent = parent_data[p];
-          if (!is_dirty[parent]) {
-            is_dirty[parent] = 1;
-            buckets[height[parent]].push_back(parent);
-          }
-        }
+        break;
       }
     }
   }
-
-  const VertexId new_root = canonical(instance->root());
-  if (new_root != instance->root()) instance->SetRoot(new_root);
-
-  for (const VertexId v : post) {
-    if (remap[v] != kNoVertex) continue;
-    ++out.reachable_vertices;
-    out.reachable_edges += instance->Children(v).size();
-  }
-
-  instance->SetDirtyTracking(was_tracking);
+  // The root never merges: no proper descendant is bisimilar to it.
 
   // Merged-away vertices (and any split leftovers) stay behind as
-  // unreachable garbage; amortize reclamation with an occasional full
-  // rebuild, which also drops schema tombstones and compacts the edge
-  // arena. The rebuilt instance starts with an invalid cache, so the
-  // next pass reseeds.
-  const uint64_t garbage = n - out.reachable_vertices;
-  if (options.compact_garbage_ratio > 0 &&
-      static_cast<double>(garbage) >
-          options.compact_garbage_ratio * static_cast<double>(n)) {
+  // unreachable garbage; once it is most of the vertex array, one full
+  // rebuild compacts ids, drops schema tombstones and packs the edges.
+  if (n - out.reachable_vertices > n / 2) {
     XCQ_ASSIGN_OR_RETURN(Instance compacted, Minimize(*instance));
     *instance = std::move(compacted);
-    instance->SetDirtyTracking(was_tracking);
     out.compacted = true;
   }
   out.seconds = timer.Seconds();

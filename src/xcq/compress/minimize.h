@@ -10,19 +10,14 @@
 /// decompressing; `InstanceFromTree` produces the maximum element from a
 /// labeled tree (used by tests and the uncompressed baseline).
 ///
-/// Two minimization passes exist:
-///  * `Minimize` — the full pass: re-hashes every reachable vertex and
-///    rebuilds a fresh instance. O(reachable instance) per call, always.
-///  * `MinimizeInPlace` — the incremental pass: re-canonicalizes only
-///    the vertices recorded dirty since the previous pass (splits,
-///    edge rewrites, result-relation flips), folding duplicates into the
-///    persistent hash-cons table kept in `Instance::minimize_cache()`.
-///    This is the serving hot path: all hashing, table maintenance, and
-///    rebuild work scales with the dirty set instead of the whole DAG.
-///    The pass still pays one pointer walk over the reachable DAG per
-///    call (reachability + height ordering), so its floor is
-///    O(reachable |V| + |E|) — cheap next to the full pass's re-hash of
-///    every label set and wholesale instance rebuild, but not sublinear.
+/// Two minimization passes exist, and both reach the same M(I):
+///  * `Minimize` — rebuilds a fresh, compact instance.
+///  * `MinimizeInPlace` — folds duplicates into their canonical vertex
+///    inside the instance itself (the post-query reclaim of
+///    `QuerySession`), leaving merged-away vertices as unreachable
+///    garbage until it compacts through `Minimize`. Stateless: each call
+///    hash-conses every reachable vertex once, O(reachable |V| + |E|
+///    + live relations).
 /// See docs/INTERNALS.md for the algorithm and a worked example.
 
 #include <string>
@@ -41,53 +36,31 @@ namespace xcq {
 /// are preserved by name.
 Result<Instance> Minimize(const Instance& input);
 
-/// \brief Tuning knobs for `MinimizeInPlace`.
-struct InPlaceMinimizeOptions {
-  /// The in-place pass leaves merged-away vertices behind as unreachable
-  /// garbage (vertex ids must stay stable for the cache). When the
-  /// garbage fraction of the vertex array exceeds this ratio, the pass
-  /// falls back to one full `Minimize` rebuild, which compacts ids,
-  /// drops schema tombstones, and reseeds the cache on the next call.
-  /// <= 0 disables compaction.
-  double compact_garbage_ratio = 0.5;
-  /// Cooperative cancellation, polled between height buckets (and on a
-  /// vertex stride during reseeding). A cancelled pass returns the
-  /// token's status with the instance structurally consistent — merges
-  /// already applied are tree-preserving — but invalidates the
-  /// hash-cons cache, so the next pass reseeds. Borrowed; may be null.
-  const CancelToken* cancel = nullptr;
-};
-
 /// \brief Counters reported by one `MinimizeInPlace` call.
 struct InPlaceMinimizeStats {
-  bool skipped = false;    ///< Cache valid and dirty set empty: no work.
-  bool reseeded = false;   ///< Cache was (re)built by a full seeding pass.
-  bool compacted = false;  ///< Garbage ratio triggered a full rebuild.
-  uint64_t dirty = 0;      ///< Dirty vertices processed (incl. cascades).
+  bool compacted = false;  ///< Garbage passed half the vertex array.
   uint64_t merged = 0;     ///< Vertices folded into an existing one.
-  uint64_t reachable_vertices = 0;  ///< After the pass (0 when skipped).
-  uint64_t reachable_edges = 0;     ///< RLE edges after (0 when skipped).
+  uint64_t reachable_vertices = 0;  ///< After the pass.
+  uint64_t reachable_edges = 0;     ///< RLE edges after the pass.
   double seconds = 0.0;
 };
 
-/// \brief Re-minimizes `*instance` in place, bottom-up from the dirty
-/// vertices recorded by the instance (consumed via `TakeDirtyVertices`),
-/// against the persistent hash-cons table in `instance->minimize_cache()`.
-///
-/// Contract: since the cache was last valid, every structural change
-/// (edges, splits) must have been recorded while dirty tracking was on,
-/// and every live-relation membership change must have been marked via
-/// `MarkVertexDirty` by the caller (`QuerySession` diffs the result
-/// column). Changing the *set* of live relations is detected via a
-/// schema fingerprint and triggers a full reseeding pass, as does the
-/// first call on a fresh instance.
+/// \brief Re-minimizes `*instance` in place: one children-first walk
+/// over the cached post-order re-points each vertex's child runs at
+/// canonical vertices and hash-conses it into a pass-local table keyed
+/// by its live-relation memberships and child runs.
 ///
 /// Equivalent to `Minimize` on the reachable part: after the call the
-/// reachable subgraph is the minimal instance M(I) (merged vertices
-/// linger unreachable until compaction — see
-/// `InPlaceMinimizeOptions::compact_garbage_ratio`).
+/// reachable subgraph is the minimal instance M(I). Merged vertices
+/// linger unreachable until they are more than half of the vertex
+/// array; the pass then compacts through one `Minimize` rebuild.
+///
+/// `cancel` (borrowed, may be null) is polled on entry and every 4096
+/// vertices. A cancelled pass returns the token's status with the
+/// instance structurally consistent: every merge already applied is
+/// tree-preserving, and the next pass finishes the job.
 Status MinimizeInPlace(Instance* instance,
-                       const InPlaceMinimizeOptions& options = {},
+                       const CancelToken* cancel = nullptr,
                        InPlaceMinimizeStats* stats = nullptr);
 
 /// \brief Builds the (uncompressed) tree-instance of a labeled tree:

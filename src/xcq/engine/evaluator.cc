@@ -425,7 +425,7 @@ Result<RelationId> Evaluate(Instance* instance,
   // Persist the final selection under the public result name. The
   // relation is reused (not removed and re-interned) so its id stays
   // stable across queries: the schema gains no tombstone per query and
-  // the incremental-minimization cache can diff the result column.
+  // the session can compare the column with the previous query's.
   const RelationId selection = runner.TakeFinal(0);
   const RelationId result = instance->AddRelation(kResultRelation);
   instance->MutableRelationBits(result) = instance->RelationBits(selection);

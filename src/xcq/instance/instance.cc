@@ -13,7 +13,6 @@ VertexId Instance::AddVertex() {
   for (size_t r = 0; r < relations_.size(); ++r) {
     if (relation_state_[r] != kRelationDead) relations_[r].PushBack(false);
   }
-  MarkVertexDirty(id);
   InvalidateTraversal();
   return id;
 }
@@ -32,14 +31,13 @@ void Instance::SetEdges(VertexId v, std::span<const Edge> edges) {
   }
   {
     // No-op rewrites (common when kernels re-emit unchanged lists) keep
-    // the traversal cache valid and the vertex clean.
+    // the traversal cache valid.
     const std::span<const Edge> current{edges_.data() + spans_[v].offset,
                                         spans_[v].length};
     if (current.size() == edges.size() &&
         std::equal(current.begin(), current.end(), edges.begin())) {
       return;
     }
-    MarkVertexDirty(v);
     InvalidateTraversal();
   }
   live_edge_count_ -= spans_[v].length;
@@ -75,7 +73,6 @@ VertexId Instance::CloneVertex(VertexId v) {
       relations_[r].PushBack(relations_[r].Test(v));
     }
   }
-  MarkVertexDirty(id);
   InvalidateTraversal();
   return id;
 }
@@ -354,13 +351,9 @@ size_t Instance::MemoryFootprint() const {
   for (const DynamicBitset& column : relations_) {
     bytes += column.words().capacity() * sizeof(uint64_t);
   }
-  // The incremental-minimization cache and the traversal cache live
-  // inside the instance and are real heap; count them so the server's
-  // capacity accounting stays honest.
-  bytes += minimize_cache_.MemoryFootprint();
+  // The traversal cache lives inside the instance and is real heap;
+  // count it so the server's capacity accounting stays honest.
   bytes += traversal_.MemoryFootprint();
-  bytes += dirty_flag_.capacity() +
-           dirty_list_.capacity() * sizeof(VertexId);
   return bytes;
 }
 

@@ -22,7 +22,6 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -34,44 +33,6 @@ namespace xcq {
 
 using VertexId = uint32_t;
 inline constexpr VertexId kNoVertex = UINT32_MAX;
-
-/// \brief Persistent hash-cons state for incremental re-minimization
-/// (`MinimizeInPlace` in compress/minimize.h).
-///
-/// The full `Minimize` pass re-hashes every reachable vertex on every
-/// call. This cache keeps the hash-cons table alive *inside the
-/// instance* between passes: `table` maps a vertex-signature hash to the
-/// canonical vertex carrying it, and `vertex_hash` remembers each
-/// vertex's signature at insertion time (0 = not in the table) so stale
-/// entries can be evicted without recomputing old signatures.
-/// Signatures are derived from live relation *names* (not ids), so the
-/// cache survives schema tombstone churn from per-query temporaries.
-///
-/// The cache is a plain value: copying an instance copies the cache,
-/// which remains valid for the copy. `valid` is false until the first
-/// seeding pass; `schema_fingerprint` detects live-relation-set changes
-/// that invalidate every stored signature.
-struct MinimizeCache {
-  bool valid = false;
-  uint64_t schema_fingerprint = 0;
-  std::vector<uint64_t> vertex_hash;
-  std::unordered_multimap<uint64_t, VertexId> table;
-
-  void Invalidate() {
-    valid = false;
-    schema_fingerprint = 0;
-    vertex_hash.clear();
-    table.clear();
-  }
-
-  /// Rough heap footprint in bytes (counted by Instance::MemoryFootprint).
-  size_t MemoryFootprint() const {
-    return vertex_hash.capacity() * sizeof(uint64_t) +
-           table.size() * (sizeof(std::pair<uint64_t, VertexId>) +
-                           2 * sizeof(void*)) +
-           table.bucket_count() * sizeof(void*);
-  }
-};
 
 /// \brief A run of `count` consecutive edges to the same child.
 struct Edge {
@@ -178,11 +139,9 @@ class Instance {
   }
 
   /// Mutable access for in-place child rewrites (length is fixed).
-  /// Conservatively marks `v` dirty when dirty tracking is on and
-  /// conservatively invalidates the traversal cache — callers take this
+  /// Conservatively invalidates the traversal cache — callers take this
   /// span to rewrite edges.
   std::span<Edge> MutableChildren(VertexId v) {
-    MarkVertexDirty(v);
     InvalidateTraversal();
     return {edges_.data() + spans_[v].offset, spans_[v].length};
   }
@@ -232,10 +191,9 @@ class Instance {
   //
   // Per-op query temporaries used to be named relations, interned into
   // the schema per evaluation and tombstoned right after — churn that
-  // grew the schema, invalidated minimize-cache fingerprints, and
-  // allocated a fresh column per op. The pool keeps a bounded set of
-  // *anonymous* columns resident inside the instance instead: checked
-  // out zeroed per op, returned at its last use, excluded from
+  // grew the schema and allocated a fresh column per op. The pool keeps
+  // a bounded set of *anonymous* columns resident inside the instance
+  // instead: checked out zeroed per op, returned at its last use, excluded from
   // LiveRelations / serialization / merges / signatures, but grown and
   // split-copied exactly like live columns while checked out (splits
   // must keep every in-flight selection consistent).
@@ -309,46 +267,6 @@ class Instance {
     return EnsureTraversal().reachable_edges;
   }
 
-  // --- Dirty-vertex tracking (incremental re-minimization) -----------------
-  //
-  // When tracking is on, every structural change records the touched
-  // vertex: `CloneVertex`/`AddVertex` mark the new vertex, `SetEdges`
-  // marks on content change, `MutableChildren` marks conservatively.
-  // Callers mark relation-membership changes themselves (relation
-  // columns are rewritten wholesale, so the instance cannot attribute
-  // them). `MinimizeInPlace` consumes the set via TakeDirtyVertices().
-
-  /// Turns dirty tracking on or off. The accumulated set is preserved
-  /// across toggles; use TakeDirtyVertices() to drain it.
-  void SetDirtyTracking(bool enabled) { track_dirty_ = enabled; }
-  bool dirty_tracking() const { return track_dirty_; }
-
-  /// Records `v` as structurally changed (no-op when tracking is off).
-  void MarkVertexDirty(VertexId v) {
-    if (!track_dirty_) return;
-    if (dirty_flag_.size() < spans_.size()) {
-      dirty_flag_.resize(spans_.size(), 0);
-    }
-    if (v >= dirty_flag_.size() || dirty_flag_[v]) return;
-    dirty_flag_[v] = 1;
-    dirty_list_.push_back(v);
-  }
-
-  /// Returns the accumulated dirty set (deduplicated, in first-marked
-  /// order) and clears it.
-  std::vector<VertexId> TakeDirtyVertices() {
-    for (const VertexId v : dirty_list_) {
-      if (v < dirty_flag_.size()) dirty_flag_[v] = 0;
-    }
-    return std::exchange(dirty_list_, {});
-  }
-
-  size_t dirty_count() const { return dirty_list_.size(); }
-
-  /// Persistent hash-cons state for `MinimizeInPlace` (see MinimizeCache).
-  MinimizeCache& minimize_cache() { return minimize_cache_; }
-  const MinimizeCache& minimize_cache() const { return minimize_cache_; }
-
   // --- Integrity -----------------------------------------------------------
 
   /// Checks structural invariants: valid ids, RLE canonical form,
@@ -407,12 +325,6 @@ class Instance {
   mutable uint64_t traversal_builds_ = 0;
   /// Structure generation whose structural Validate() passed (0 = none).
   mutable uint64_t validated_generation_ = 0;
-
-  bool track_dirty_ = false;
-  /// Parallel to spans_ (grown lazily): 1 for vertices in dirty_list_.
-  std::vector<uint8_t> dirty_flag_;
-  std::vector<VertexId> dirty_list_;
-  MinimizeCache minimize_cache_;
 };
 
 /// \brief Appends `edge` to an RLE sequence, merging with the last run if

@@ -39,7 +39,7 @@ enum class Phase : uint8_t {
   kPruneBind,     ///< Never recorded (no prune gates); the name is frozen
                   ///< and servebench/traced_run.cc reads the phase.
   kSweep,         ///< Axis sweeps + column ops (the evaluation proper).
-  kMinimize,      ///< Post-query reclaim (incremental or full).
+  kMinimize,      ///< Post-query in-place reclaim (when it runs).
   kSerialize,     ///< Response formatting at the protocol layer.
 };
 

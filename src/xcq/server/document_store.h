@@ -26,9 +26,9 @@
 /// loaded). Footprints are refreshed after every evaluation, since
 /// splitting queries grow instances; with
 /// `SessionOptions::minimize_after_query` the refresh happens after the
-/// re-minimization pass (incremental or full), so the accounting sees
-/// the reclaimed size — including the in-instance hash-cons cache the
-/// incremental pass keeps (`MinimizeCache`), which is real heap.
+/// re-minimization pass, so the accounting sees the reclaimed size. The
+/// pass keeps no state in the instance (no hash-cons cache), so nothing
+/// beyond the instance and its traversal cache is counted.
 ///
 /// Durability (docs/SERVER.md §Persistence): with a non-empty
 /// `StoreOptions::data_dir` every document whose compressed instance

@@ -1,6 +1,6 @@
 #include "xcq/session/query_session.h"
 
-#include <algorithm>
+#include <utility>
 
 #include "xcq/algebra/compiler.h"
 #include "xcq/compress/common_extension.h"
@@ -62,8 +62,6 @@ Result<QuerySession> QuerySession::FromInstance(Instance instance,
     return Status::InvalidArgument(
         "QuerySession::FromInstance: instance has no root");
   }
-  // There is no document to re-scan, so per-query mode is meaningless.
-  options.reuse_instance = true;
   QuerySession session(std::string(), options);
   session.has_source_ = false;
   // Recover the tracked label sets from the live relations: `str:`
@@ -96,8 +94,8 @@ Status QuerySession::EnsureLabels(const std::vector<std::string>& tags,
     if (!patterns_.count(pattern)) missing_patterns.push_back(pattern);
   }
 
-  const bool fresh = !instance_.has_value() || !options_.reuse_instance;
-  if (!fresh && missing_tags.empty() && missing_patterns.empty()) {
+  if (instance_.has_value() && missing_tags.empty() &&
+      missing_patterns.empty()) {
     *seconds = timer.Seconds();
     return Status::OK();  // everything already present — no re-parse
   }
@@ -121,8 +119,9 @@ Status QuerySession::EnsureLabels(const std::vector<std::string>& tags,
 
   CompressOptions copts;
   copts.mode = LabelMode::kSchema;
-  if (fresh) {
-    // First query (or per-query mode): one scan with the full label set.
+  minimal_ = false;
+  if (!instance_.has_value()) {
+    // First query: one scan with the full label set.
     copts.tags = tags;
     copts.patterns = patterns;
     ++source_parse_count_;
@@ -130,17 +129,12 @@ Status QuerySession::EnsureLabels(const std::vector<std::string>& tags,
     instance_ = std::move(inst);
     tags_ = {tags.begin(), tags.end()};
     patterns_ = {patterns.begin(), patterns.end()};
-    if (!options_.reuse_instance) {
-      // The per-query mode never accumulates.
-      tags_.clear();
-      patterns_.clear();
-    }
     *seconds = timer.Seconds();
     return Status::OK();
   }
 
-  // Reuse mode with missing labels: distill a small instance carrying
-  // only what is missing, and merge it in (Sec. 2.3).
+  // Missing labels: distill a small instance carrying only what is
+  // missing, and merge it in (Sec. 2.3).
   copts.tags = missing_tags;
   copts.patterns = missing_patterns;
   ++source_parse_count_;
@@ -171,22 +165,15 @@ Result<QueryOutcome> QuerySession::EvaluatePlan(
     const algebra::QueryPlan& plan, obs::QueryTrace* trace,
     const QueryControl& control) {
   QueryOutcome outcome;
-  const bool incremental =
-      options_.minimize_after_query && options_.incremental_minimize;
-
-  // The incremental pass needs every structural change recorded and the
-  // result-column delta: snapshot the previous result bits, then let the
-  // instance track splits and edge rewrites through the evaluation.
+  // A failed or cancelled evaluation may leave splits or a new result
+  // behind, so the instance counts as minimal again only once this
+  // query's pass completes (or is shown unnecessary).
+  const bool was_minimal = std::exchange(minimal_, false);
+  // Empty when there is no earlier result, which no column equals.
   DynamicBitset previous_result;
-  bool had_previous = false;
-  if (incremental) {
-    instance_->SetDirtyTracking(true);
-    const RelationId prev =
-        instance_->FindRelation(engine::kResultRelation);
-    if (prev != kNoRelation) {
-      previous_result = instance_->RelationBits(prev);
-      had_previous = true;
-    }
+  if (options_.minimize_after_query && was_minimal) {
+    const RelationId prev = instance_->FindRelation(engine::kResultRelation);
+    if (prev != kNoRelation) previous_result = instance_->RelationBits(prev);
   }
 
   const engine::EvalOptions eval_options = MakeEvalOptions(control);
@@ -200,64 +187,28 @@ Result<QueryOutcome> QuerySession::EvaluatePlan(
   }
   outcome.selected_dag_nodes = SelectedDagNodeCount(*instance_, result);
   outcome.selected_tree_nodes = SelectedTreeNodeCount(*instance_, result);
-  if (options_.minimize_after_query) {
-    // Counts were taken above; the result relation survives minimization
-    // (vertices differing on it are not bisimilar), so enumeration over
-    // `instance()` stays possible — just over the re-compressed DAG.
-    obs::QueryTrace::Scope minimize_span(trace, obs::Phase::kMinimize);
-    if (incremental) {
-      MarkResultFlips(previous_result, had_previous, result);
-      InPlaceMinimizeOptions mopts;
-      mopts.cancel = control.cancel;
-      InPlaceMinimizeStats mstats;
-      // On a cancelled pass dirty tracking stays on and the cache is
-      // invalidated, so the next pass reseeds — the instance itself is
-      // already minimal-or-consistent either way.
-      XCQ_RETURN_IF_ERROR(MinimizeInPlace(&*instance_, mopts, &mstats));
-      instance_->SetDirtyTracking(false);
-      outcome.minimize_seconds = mstats.seconds;
-    } else {
-      // The full pass rebuilds into a fresh instance, so mid-pass
-      // cancellation points are unnecessary for consistency; one poll
-      // up front keeps an expired request from paying for the rebuild.
-      if (control.cancel != nullptr) {
-        XCQ_RETURN_IF_ERROR(control.cancel->Check());
-      }
-      Timer timer;
-      XCQ_ASSIGN_OR_RETURN(Instance minimal, Minimize(*instance_));
-      instance_ = std::move(minimal);
-      outcome.minimize_seconds = timer.Seconds();
-    }
-  }
-  return outcome;
-}
+  if (!options_.minimize_after_query) return outcome;
 
-void QuerySession::MarkResultFlips(const DynamicBitset& previous,
-                                   bool had_previous, RelationId result) {
-  const DynamicBitset& current = instance_->RelationBits(result);
-  if (!had_previous) {
-    // First query: the whole selection is new. (The cache is invalid
-    // before the first pass anyway, but keep the contract exact.)
-    current.ForEach([this](size_t v) {
-      instance_->MarkVertexDirty(static_cast<VertexId>(v));
-    });
-    return;
+  // Vertices that differ only in the result relation are not bisimilar,
+  // so the pass is needed exactly when the structure or that column
+  // moved since the last one; the other live relations only change
+  // when labels are merged in.
+  if (was_minimal &&
+      instance_->structure_generation() == minimal_generation_ &&
+      instance_->RelationBits(result) == previous_result) {
+    minimal_ = true;
+    return outcome;
   }
-  // Word-parallel XOR of the two columns. Bits past the previous size
-  // belong to vertices created during this evaluation, which are already
-  // dirty by construction.
-  const std::vector<uint64_t>& before = previous.words();
-  const std::vector<uint64_t>& after = current.words();
-  const size_t words = std::min(before.size(), after.size());
-  for (size_t w = 0; w < words; ++w) {
-    uint64_t diff = before[w] ^ after[w];
-    while (diff != 0) {
-      const int bit = __builtin_ctzll(diff);
-      instance_->MarkVertexDirty(
-          static_cast<VertexId>(w * 64 + static_cast<size_t>(bit)));
-      diff &= diff - 1;
-    }
-  }
+  // Counts were taken above; the result relation survives minimization,
+  // so enumeration over `instance()` stays possible — just over the
+  // re-compressed DAG.
+  obs::QueryTrace::Scope minimize_span(trace, obs::Phase::kMinimize);
+  InPlaceMinimizeStats mstats;
+  XCQ_RETURN_IF_ERROR(MinimizeInPlace(&*instance_, control.cancel, &mstats));
+  outcome.minimize_seconds = mstats.seconds;
+  minimal_ = true;
+  minimal_generation_ = instance_->structure_generation();
+  return outcome;
 }
 
 Result<QueryOutcome> QuerySession::Run(std::string_view query_text,

@@ -7,12 +7,12 @@
 ///
 /// The paper's prototype re-parses the document for every query,
 /// extracting exactly the tags and string constraints the query needs.
-/// `QuerySession` supports that mode (`reuse_instance = false`) and the
-/// mode the paper describes as the natural next step (Sec. 2.3 + Sec. 4):
-/// keep one accumulated compressed instance; when a query needs labels
-/// that are not yet present, distill a small instance carrying only the
-/// missing labels in one scan and merge it in with the common-extension
-/// (product) algorithm, then evaluate purely in main memory.
+/// `QuerySession` takes the mode the paper describes as the natural next
+/// step (Sec. 2.3 + Sec. 4): keep one accumulated compressed instance;
+/// when a query needs labels that are not yet present, distill a small
+/// instance carrying only the missing labels in one scan and merge it in
+/// with the common-extension (product) algorithm, then evaluate purely
+/// in main memory.
 ///
 /// A session can also be opened directly over a compressed instance
 /// (`FromInstance`, e.g. one reloaded from a `.xcqi` file): the source
@@ -34,21 +34,14 @@
 namespace xcq {
 
 struct SessionOptions {
-  /// Accumulate one instance across queries, merging in missing labels
-  /// via common extensions; false re-compresses per query (the paper's
-  /// prototype behaviour).
-  bool reuse_instance = true;
-  /// Re-minimize after each `Evaluate`, so splitting queries do not leave
-  /// the accumulated instance permanently grown (the reclaim measured by
-  /// bench_ablation section (c)). Result counts are taken before the
-  /// re-minimization, so outcomes are unaffected.
+  /// Re-minimize in place (`MinimizeInPlace`) after each `Evaluate`, so
+  /// splitting queries do not leave the accumulated instance permanently
+  /// grown (the reclaim measured by bench_ablation section (c)). The
+  /// pass is skipped when the query changed neither the structure nor
+  /// the result column of an instance the previous pass left minimal.
+  /// Result counts are taken before the re-minimization, so outcomes are
+  /// unaffected.
   bool minimize_after_query = false;
-  /// With `minimize_after_query`: reclaim with the *incremental* in-place
-  /// pass (`MinimizeInPlace`) — only vertices split, re-pointed, or whose
-  /// result bit flipped are re-canonicalized against the persistent
-  /// hash-cons table kept in the instance. Off = the original full
-  /// re-hash rebuild (`Minimize`) after every query.
-  bool incremental_minimize = true;
   /// Default per-query work budgets (engine/guard.h); 0 = unlimited.
   /// Applied to every evaluation unless the per-request `QueryControl`
   /// overrides them. Blow-ups convert to `kResourceExhausted` instead
@@ -83,8 +76,7 @@ struct QueryOutcome {
   /// Seconds spent parsing/merging to obtain the labeled instance.
   double label_seconds = 0.0;
   /// Seconds spent re-minimizing after the query (0 unless
-  /// `minimize_after_query` is set); covers the incremental or full
-  /// pass, whichever the options selected.
+  /// `minimize_after_query` is set and the pass ran).
   double minimize_seconds = 0.0;
   /// Phase spans of this query (parse / compile / label / sweep /
   /// minimize), recorded inline — no allocation. The serving
@@ -114,7 +106,7 @@ class QuerySession {
   /// loaded from a `.xcqi` file) with no source document behind it.
   /// The tracked tag / pattern sets are recovered from the instance's
   /// live relations; queries needing anything else fail with `kNotFound`
-  /// rather than re-parsing. `reuse_instance` is forced on.
+  /// rather than re-parsing.
   static Result<QuerySession> FromInstance(Instance instance,
                                            SessionOptions options = {});
 
@@ -147,8 +139,7 @@ class QuerySession {
       const std::vector<std::string>& query_texts,
       const QueryControl& control = {});
 
-  /// The current accumulated instance (reuse mode), or the instance of
-  /// the most recent query. Invalid before the first `Run`.
+  /// The current accumulated instance. Invalid before the first `Run`.
   const Instance& instance() const { return *instance_; }
   bool has_instance() const { return instance_.has_value(); }
 
@@ -196,13 +187,6 @@ class QuerySession {
   /// session default).
   engine::EvalOptions MakeEvalOptions(const QueryControl& control) const;
 
-  /// Marks vertices whose result-relation bit flipped between queries as
-  /// dirty (relation columns are rewritten wholesale, so the instance
-  /// cannot attribute those changes itself). `had_previous` is false on
-  /// the first query, when every set result bit is a flip.
-  void MarkResultFlips(const DynamicBitset& previous, bool had_previous,
-                       RelationId result);
-
   std::string xml_;
   SessionOptions options_;
   std::optional<Instance> instance_;
@@ -212,6 +196,12 @@ class QuerySession {
   uint64_t source_parse_count_ = 0;
   uint64_t shared_batches_ = 0;
   uint64_t shared_batch_fallbacks_ = 0;
+  /// True while the reachable part of `instance_` is the minimal
+  /// instance left by the last completed pass, unchanged since: cleared
+  /// when labels are merged in and for the span of every evaluation.
+  bool minimal_ = false;
+  /// `structure_generation()` right after that pass.
+  uint64_t minimal_generation_ = 0;
 };
 
 }  // namespace xcq

@@ -48,7 +48,7 @@ TEST(ApiSmokeTest, DocCommentExampleRuns) {
 }
 
 // Pins the second api.h example: the session layer with per-query
-// reclaim (incremental minimization is the default implementation).
+// reclaim.
 TEST(ApiSmokeTest, SessionDocCommentExampleRuns) {
   const std::string xml_text =
       "<bib>"
@@ -57,8 +57,7 @@ TEST(ApiSmokeTest, SessionDocCommentExampleRuns) {
       "</bib>";
 
   xcq::SessionOptions sopts;
-  sopts.minimize_after_query = true;  // incremental_minimize is the
-                                      // default reclaim implementation
+  sopts.minimize_after_query = true;
   auto session = xcq::QuerySession::Open(xml_text, sopts);
   ASSERT_TRUE(session.ok()) << session.status().ToString();
   auto outcome = session->Run("//book[author[\"Vianu\"]]");

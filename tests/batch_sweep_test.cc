@@ -37,8 +37,8 @@ void ExpectAggregatesAreFamilySums(const engine::EvalStats& stats) {
 }
 
 SessionOptions ServingOptions() {
-  return SessionOptions{};  // reuse_instance on, minimize off: the
-                            // daemon's serving defaults
+  return SessionOptions{};  // minimize off: the daemon's serving
+                            // defaults
 }
 
 /// Runs `queries` through a fresh batched session and a fresh

@@ -292,7 +292,6 @@ void ExpectSessionMatchesBaseline(const std::string& xml,
                                   bool minimize) {
   SessionOptions options;
   options.minimize_after_query = minimize;
-  options.incremental_minimize = minimize;
   XCQ_ASSERT_OK_AND_ASSIGN(QuerySession session,
                            QuerySession::Open(xml, options));
   std::vector<std::string> patterns;

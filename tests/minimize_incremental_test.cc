@@ -16,31 +16,7 @@ Instance CompressAllTags(const std::string& xml) {
   return std::move(result).Value();
 }
 
-TEST(DirtyTrackingTest, RecordsClonesEditsAndExplicitMarks) {
-  Instance instance = CompressAllTags("<r><a><b/><b/></a><a><b/><b/></a></r>");
-  EXPECT_FALSE(instance.dirty_tracking());
-  instance.SetDirtyTracking(true);
-
-  // An unchanged rewrite is not dirty; a changed one is.
-  std::vector<Edge> same(instance.Children(instance.root()).begin(),
-                         instance.Children(instance.root()).end());
-  instance.SetEdges(instance.root(), same);
-  EXPECT_EQ(instance.dirty_count(), 0u);
-
-  const VertexId clone = instance.CloneVertex(instance.root());
-  instance.MarkVertexDirty(clone);  // duplicate marks collapse
-  instance.MarkVertexDirty(0);
-  std::vector<VertexId> dirty = instance.TakeDirtyVertices();
-  EXPECT_EQ(dirty.size(), 2u);
-  EXPECT_EQ(instance.dirty_count(), 0u);
-
-  // Tracking off: nothing is recorded.
-  instance.SetDirtyTracking(false);
-  instance.CloneVertex(instance.root());
-  EXPECT_EQ(instance.dirty_count(), 0u);
-}
-
-TEST(MinimizeInPlaceTest, ReseedMatchesFullMinimize) {
+TEST(MinimizeInPlaceTest, MatchesFullMinimize) {
   // Grow an instance with a splitting query, then minimize it both ways:
   // the reachable parts must have identical sizes and both be minimal.
   Instance instance =
@@ -60,11 +36,10 @@ TEST(MinimizeInPlaceTest, ReseedMatchesFullMinimize) {
   XCQ_ASSERT_OK_AND_ASSIGN(const Instance full, Minimize(instance));
 
   InPlaceMinimizeStats mstats;
-  InPlaceMinimizeOptions options;
-  options.compact_garbage_ratio = 0;  // keep the in-place result as-is
-  XCQ_ASSERT_OK(MinimizeInPlace(&instance, options, &mstats));
-  EXPECT_TRUE(mstats.reseeded);
-  EXPECT_FALSE(mstats.skipped);
+  XCQ_ASSERT_OK(MinimizeInPlace(&instance, nullptr, &mstats));
+  EXPECT_GT(mstats.merged, 0u);
+  EXPECT_EQ(mstats.reachable_vertices, full.vertex_count());
+  EXPECT_EQ(mstats.reachable_edges, full.rle_edge_count());
 
   EXPECT_EQ(instance.ReachableCount(), full.vertex_count());
   EXPECT_EQ(instance.ReachableEdgeCount(), full.rle_edge_count());
@@ -76,48 +51,57 @@ TEST(MinimizeInPlaceTest, ReseedMatchesFullMinimize) {
   EXPECT_TRUE(equivalent);
 }
 
-TEST(MinimizeInPlaceTest, SecondCallWithNoDirtSkips) {
-  Instance instance = CompressAllTags(testing::BibExampleXml());
-  InPlaceMinimizeStats mstats;
-  XCQ_ASSERT_OK(MinimizeInPlace(&instance, {}, &mstats));
-  EXPECT_TRUE(mstats.reseeded);
-  XCQ_ASSERT_OK(MinimizeInPlace(&instance, {}, &mstats));
-  EXPECT_TRUE(mstats.skipped);
-  EXPECT_EQ(mstats.dirty, 0u);
-}
-
 TEST(MinimizeInPlaceTest, GarbageRatioTriggersCompaction) {
   Instance instance = CompressAllTags(testing::BibExampleXml());
-  XCQ_ASSERT_OK(MinimizeInPlace(&instance, {}, nullptr));  // seed cache
+  const size_t minimal = instance.vertex_count();
 
-  // Manufacture unreachable garbage: clones never linked to a parent.
-  instance.SetDirtyTracking(true);
-  for (int i = 0; i < 8; ++i) instance.CloneVertex(instance.root());
-  const size_t grown = instance.vertex_count();
-
-  InPlaceMinimizeOptions options;
-  options.compact_garbage_ratio = 0.05;
+  // Manufacture unreachable garbage: clones never linked to a parent,
+  // one more than the reachable vertices, so garbage is past half.
+  for (size_t i = 0; i <= minimal; ++i) {
+    instance.CloneVertex(instance.root());
+  }
   InPlaceMinimizeStats mstats;
-  XCQ_ASSERT_OK(MinimizeInPlace(&instance, options, &mstats));
+  XCQ_ASSERT_OK(MinimizeInPlace(&instance, nullptr, &mstats));
   EXPECT_TRUE(mstats.compacted);
-  EXPECT_LT(instance.vertex_count(), grown);
+  EXPECT_EQ(instance.vertex_count(), minimal);
   EXPECT_EQ(instance.vertex_count(), instance.ReachableCount());
+  XCQ_ASSERT_OK(instance.Validate());
+}
+
+TEST(MinimizeInPlaceTest, GarbageBelowRatioStaysInPlace) {
+  Instance instance = CompressAllTags(testing::BibExampleXml());
+  const size_t minimal = instance.vertex_count();
+
+  // Exactly half the vertex array is garbage: not past the ratio.
+  for (size_t i = 0; i < minimal; ++i) {
+    instance.CloneVertex(instance.root());
+  }
+  InPlaceMinimizeStats mstats;
+  XCQ_ASSERT_OK(MinimizeInPlace(&instance, nullptr, &mstats));
+  EXPECT_FALSE(mstats.compacted);
+  EXPECT_EQ(mstats.merged, 0u);
+  EXPECT_EQ(instance.vertex_count(), 2 * minimal);
+  EXPECT_EQ(instance.ReachableCount(), minimal);
   XCQ_ASSERT_OK(instance.Validate());
 }
 
 TEST(MinimizeInPlaceTest, RejectsEmptyInstance) {
   Instance empty;
-  EXPECT_EQ(MinimizeInPlace(&empty, {}, nullptr).code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(MinimizeInPlace(nullptr, {}, nullptr).code(),
-            StatusCode::kInvalidArgument);
+  EXPECT_EQ(MinimizeInPlace(&empty).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(MinimizeInPlace(nullptr).code(), StatusCode::kInvalidArgument);
 }
 
-/// Full-minimizes a copy of `instance` and asserts the incremental pass
-/// already left it minimal: the copy's size equals the reachable part,
-/// and the result relation selects the same DAG and tree nodes.
+/// Full-minimizes a copy of `instance` and asserts the in-place pass
+/// already left it minimal and equivalent to the copy: the copy's size
+/// equals the reachable part, and the result relation selects the same
+/// DAG and tree nodes.
 void ExpectMatchesFullMinimize(const Instance& instance) {
+  XCQ_ASSERT_OK_AND_ASSIGN(const bool minimal, IsMinimal(instance));
+  EXPECT_TRUE(minimal);
   XCQ_ASSERT_OK_AND_ASSIGN(const Instance full, Minimize(instance));
+  XCQ_ASSERT_OK_AND_ASSIGN(const bool equivalent,
+                           AreEquivalent(instance, full));
+  EXPECT_TRUE(equivalent);
   EXPECT_EQ(instance.ReachableCount(), full.vertex_count());
   EXPECT_EQ(instance.ReachableEdgeCount(), full.rle_edge_count());
   const RelationId mine = instance.FindRelation(engine::kResultRelation);
@@ -130,54 +114,33 @@ void ExpectMatchesFullMinimize(const Instance& instance) {
             SelectedTreeNodeCount(full, theirs));
 }
 
-/// The incremental session must be indistinguishable from the full-pass
-/// session, query by query: identical outcomes and identical reachable
-/// instance sizes. Every incremental pass is additionally cross-checked
-/// against a full minimize of its own instance.
+/// The reclaiming session must answer every query like the session
+/// that never reclaims, and after every query its instance must be
+/// minimal and equivalent to `Minimize` of itself.
 void RunEquivalenceSequence(const std::string& xml,
                             const std::vector<std::string>& queries) {
   SessionOptions plain;  // no reclaim: the control for outcome counts
-  SessionOptions full;
-  full.minimize_after_query = true;
-  full.incremental_minimize = false;
-  SessionOptions incremental;
-  incremental.minimize_after_query = true;
-  incremental.incremental_minimize = true;
+  SessionOptions reclaim;
+  reclaim.minimize_after_query = true;
 
   XCQ_ASSERT_OK_AND_ASSIGN(QuerySession plain_session,
                            QuerySession::Open(xml, plain));
-  XCQ_ASSERT_OK_AND_ASSIGN(QuerySession full_session,
-                           QuerySession::Open(xml, full));
-  XCQ_ASSERT_OK_AND_ASSIGN(QuerySession incremental_session,
-                           QuerySession::Open(xml, incremental));
+  XCQ_ASSERT_OK_AND_ASSIGN(QuerySession reclaim_session,
+                           QuerySession::Open(xml, reclaim));
 
   for (const std::string& query : queries) {
     SCOPED_TRACE(query);
     XCQ_ASSERT_OK_AND_ASSIGN(const QueryOutcome p, plain_session.Run(query));
-    XCQ_ASSERT_OK_AND_ASSIGN(const QueryOutcome f, full_session.Run(query));
-    XCQ_ASSERT_OK_AND_ASSIGN(const QueryOutcome i,
-                             incremental_session.Run(query));
+    XCQ_ASSERT_OK_AND_ASSIGN(const QueryOutcome r,
+                             reclaim_session.Run(query));
     // Tree-node counts are invariant under (re)compression; DAG-node
     // counts are not (a more-compressed instance selects fewer, larger
     // vertices), so the no-reclaim control only pins the former.
-    EXPECT_EQ(p.selected_tree_nodes, f.selected_tree_nodes);
-    EXPECT_EQ(f.selected_tree_nodes, i.selected_tree_nodes);
-    EXPECT_EQ(f.selected_dag_nodes, i.selected_dag_nodes);
+    EXPECT_EQ(p.selected_tree_nodes, r.selected_tree_nodes);
 
-    // Reachable structure: the minimal instance is unique, so both
-    // reclaim modes must land on the same vertex and edge counts.
-    EXPECT_EQ(incremental_session.instance().ReachableCount(),
-              full_session.instance().vertex_count());
-    EXPECT_EQ(incremental_session.instance().ReachableEdgeCount(),
-              full_session.instance().rle_edge_count());
-    XCQ_ASSERT_OK(incremental_session.instance().Validate());
-    ExpectMatchesFullMinimize(incremental_session.instance());
+    XCQ_ASSERT_OK(reclaim_session.instance().Validate());
+    ExpectMatchesFullMinimize(reclaim_session.instance());
   }
-  XCQ_ASSERT_OK_AND_ASSIGN(
-      const bool equivalent,
-      AreEquivalent(incremental_session.instance(),
-                    full_session.instance()));
-  EXPECT_TRUE(equivalent);
 }
 
 TEST(MinimizeIncrementalEquivalenceTest, RandomizedSequencesOverEveryCorpus) {
@@ -218,13 +181,12 @@ TEST(MinimizeIncrementalEquivalenceTest, RandomizedSequencesOverEveryCorpus) {
 }
 
 TEST(MinimizeIncrementalEquivalenceTest, FromInstanceSessionsReclaim) {
-  // Incremental reclaim over a .xcqi-style session: no source document,
-  // labels recovered from the instance, zero re-parses throughout.
+  // Reclaim over a .xcqi-style session: no source document, labels
+  // recovered from the instance, zero re-parses throughout.
   Instance instance =
       CompressAllTags("<r><a><b/><b/><b/></a><a><b/><b/><b/></a></r>");
   SessionOptions options;
   options.minimize_after_query = true;
-  options.incremental_minimize = true;
   XCQ_ASSERT_OK_AND_ASSIGN(
       QuerySession session,
       QuerySession::FromInstance(std::move(instance), options));
@@ -240,6 +202,51 @@ TEST(MinimizeIncrementalEquivalenceTest, FromInstanceSessionsReclaim) {
     ExpectMatchesFullMinimize(session.instance());
   }
   EXPECT_EQ(session.source_parse_count(), 0u);
+}
+
+TEST(MinimizeSessionTest, RepeatedNonSplittingQueryRunsNoPass) {
+  SessionOptions options;
+  options.minimize_after_query = true;
+  XCQ_ASSERT_OK_AND_ASSIGN(QuerySession session,
+                           QuerySession::Open(testing::BibExampleXml(),
+                                              options));
+  XCQ_ASSERT_OK_AND_ASSIGN(const QueryOutcome first, session.Run("//book"));
+  const size_t vertices = session.instance().vertex_count();
+  const uint64_t generation = session.instance().structure_generation();
+
+  XCQ_ASSERT_OK_AND_ASSIGN(const QueryOutcome again, session.Run("//book"));
+  EXPECT_EQ(again.stats.splits, 0u);
+  EXPECT_EQ(again.selected_tree_nodes, first.selected_tree_nodes);
+  EXPECT_EQ(again.minimize_seconds, 0.0);
+  EXPECT_EQ(session.instance().vertex_count(), vertices);
+  EXPECT_EQ(session.instance().structure_generation(), generation);
+}
+
+TEST(MinimizeSessionTest, ClearedResultMergesEarlierSplitCopies) {
+  SessionOptions options;
+  options.minimize_after_query = true;
+  XCQ_ASSERT_OK_AND_ASSIGN(
+      QuerySession session,
+      QuerySession::Open("<r><a><b/><b/><b/></a><a><b/><b/><b/></a></r>",
+                         options));
+  // The split b copies stay apart after the pass: only they carry the
+  // result bit.
+  XCQ_ASSERT_OK_AND_ASSIGN(const QueryOutcome split,
+                           session.Run("//b/following-sibling::b"));
+  EXPECT_GT(split.stats.splits, 0u);
+  EXPECT_GT(split.minimize_seconds, 0.0);
+  const size_t split_reachable = session.instance().ReachableCount();
+
+  // Same labels, no split, empty result: clearing the bit is the only
+  // change, and the pass must still run to fold the copies back.
+  XCQ_ASSERT_OK_AND_ASSIGN(const QueryOutcome cleared,
+                           session.Run("//b/parent::b"));
+  EXPECT_EQ(cleared.stats.splits, 0u);
+  EXPECT_EQ(cleared.selected_tree_nodes, 0u);
+  EXPECT_LT(session.instance().ReachableCount(), split_reachable);
+  XCQ_ASSERT_OK_AND_ASSIGN(const bool minimal,
+                           IsMinimal(session.instance()));
+  EXPECT_TRUE(minimal);
 }
 
 }  // namespace

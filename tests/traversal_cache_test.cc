@@ -273,14 +273,13 @@ TEST(ScratchPoolTest, LongPlanReturnsColumnsAtTheirLastUse) {
 
 /// Drives a randomized query sequence through a session and checks the
 /// cache-vs-oracle property after every query. `minimize` additionally
-/// exercises MinimizeInPlace (with its compaction fallback) between
+/// exercises MinimizeInPlace (with its compaction step) between
 /// queries.
 void RunOracleSequence(const std::string& xml,
                        const std::vector<std::string>& queries,
                        bool minimize) {
   SessionOptions options;
   options.minimize_after_query = minimize;
-  options.incremental_minimize = minimize;
   XCQ_ASSERT_OK_AND_ASSIGN(QuerySession session,
                            QuerySession::Open(xml, options));
   for (const std::string& query : queries) {
