@@ -2,7 +2,6 @@
 
 #include <unordered_map>
 
-#include "xcq/compress/minimize.h"
 #include "xcq/util/hash.h"
 #include "xcq/util/string_util.h"
 
@@ -144,7 +143,6 @@ Result<Instance> CommonExtension(const Instance& a, const Instance& b,
   }
 
   out.SetRoot(memo.at(PairKey(a.root(), b.root())));
-  if (options.minimize_result) return Minimize(out);
   return out;
 }
 

@@ -20,10 +20,6 @@
 namespace xcq {
 
 struct CommonExtensionOptions {
-  /// Re-minimize the product (the lazy product yields the least upper
-  /// bound in the bisimilarity lattice, which may not be minimal for the
-  /// union schema).
-  bool minimize_result = false;
   /// Abort with kResourceExhausted past this many product vertices.
   uint64_t max_vertices = 100'000'000;
 };
@@ -32,7 +28,9 @@ struct CommonExtensionOptions {
 ///
 /// Fails with `kIncompatible` if the instances do not describe the same
 /// tree, or if a relation name they share disagrees on any paired vertex
-/// (i.e. the shared reducts are not equivalent).
+/// (i.e. the shared reducts are not equivalent). The lazy product is
+/// the least upper bound in the bisimilarity lattice, which may not be
+/// minimal for the union schema; `Minimize` it when that matters.
 Result<Instance> CommonExtension(const Instance& a, const Instance& b,
                                  const CommonExtensionOptions& options = {});
 

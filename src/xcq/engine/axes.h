@@ -11,8 +11,8 @@
 /// at most doubling the instance (Prop. 3.2 / Thm. 3.6). `following` and
 /// `preceding` are compositions (Sec. 3.2) handled by the evaluator.
 
-#include "xcq/engine/guard.h"
 #include "xcq/instance/instance.h"
+#include "xcq/util/cancel.h"
 #include "xcq/util/result.h"
 #include "xcq/xpath/ast.h"
 
@@ -41,28 +41,27 @@ struct SweepLane {
 /// demand/resolve/rewrite phases. Every kernel decides every reachable
 /// vertex.
 ///
-/// An optional `guard` (engine/guard.h) is charged with the sweep's
-/// visit/split counts at band and phase boundaries (upward sweeps,
-/// which never mutate, charge once up front) — never inside the inner
-/// loops — and aborts the sweep with the guard's
-/// status (`kCancelled` / `kDeadlineExceeded` / `kResourceExhausted`).
-/// Every abort point sits between mutation phases, so an aborted sweep
-/// leaves the instance structurally consistent and representing the
-/// same tree (at worst with unreachable clone leftovers, exactly like
-/// the shared-batch optimistic abort).
+/// An optional `cancel` token (util/cancel.h) is polled at band and
+/// phase boundaries (upward sweeps, which never mutate, poll once up
+/// front) — never inside the inner loops — and a tripped token aborts
+/// the sweep with `kCancelled` / `kDeadlineExceeded`. Every checkpoint
+/// sits between mutation phases, so an aborted sweep leaves the
+/// instance structurally consistent and representing the same tree (at
+/// worst with unreachable clone leftovers, exactly like the
+/// shared-batch optimistic abort).
 
 /// \brief child / descendant / descendant-or-self — the Fig. 4 algorithm
 /// as a root-first height-band sweep.
 Status ApplyDownwardAxis(Instance* instance, xpath::Axis axis,
                          RelationId src, RelationId dst,
                          AxisStats* stats = nullptr,
-                         EvalGuard* guard = nullptr);
+                         const CancelToken* cancel = nullptr);
 
 /// \brief self / parent / ancestor / ancestor-or-self — one children-first
 /// pass over the post-order, never splits.
 Status ApplyUpwardAxis(Instance* instance, xpath::Axis axis, RelationId src,
                        RelationId dst, AxisStats* stats = nullptr,
-                       EvalGuard* guard = nullptr);
+                       const CancelToken* cancel = nullptr);
 
 /// \brief following-sibling / preceding-sibling — one pass over child
 /// lists, multiplicity-aware run splitting (demand/resolve/rewrite
@@ -70,7 +69,7 @@ Status ApplyUpwardAxis(Instance* instance, xpath::Axis axis, RelationId src,
 Status ApplySiblingAxis(Instance* instance, xpath::Axis axis,
                         RelationId src, RelationId dst,
                         AxisStats* stats = nullptr,
-                        EvalGuard* guard = nullptr);
+                        const CancelToken* cancel = nullptr);
 
 }  // namespace xcq::engine
 

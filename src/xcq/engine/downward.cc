@@ -33,7 +33,7 @@ using xpath::Axis;
 /// is decided.
 Status ApplyDownwardAxis(Instance* instance, Axis axis, RelationId src,
                          RelationId dst, AxisStats* stats,
-                         EvalGuard* guard) {
+                         const CancelToken* cancel) {
   if (axis != Axis::kChild && axis != Axis::kDescendant &&
       axis != Axis::kDescendantOrSelf) {
     return Status::InvalidArgument("ApplyDownwardAxis: not a downward axis");
@@ -62,7 +62,6 @@ Status ApplyDownwardAxis(Instance* instance, Axis axis, RelationId src,
   std::vector<uint8_t> dst_bit(n0, 0);
   std::vector<VertexId> counterpart(n0, kNoVertex);
   uint64_t split_count = 0;
-  uint64_t charged_splits = 0;
 
   // Push a decided vertex's out-edge demands.
   const auto push_from = [&](VertexId v, bool bit) {
@@ -75,16 +74,12 @@ Status ApplyDownwardAxis(Instance* instance, Axis axis, RelationId src,
     const std::vector<VertexId>& band = plan.bands[h];
     if (band.empty()) continue;
 
-    // Guard checkpoint between bands: clones allocated so far are
+    // Checkpoint between bands: clones allocated so far are
     // unreachable (edges re-point only in the deferred pass below) and
     // the dst column is untouched until the final bit pass, so an
     // abort here leaves the instance representing the same tree, at
     // worst with unreachable clone leftovers.
-    if (guard != nullptr) {
-      XCQ_RETURN_IF_ERROR(
-          guard->Charge(band.size(), split_count - charged_splits));
-      charged_splits = split_count;
-    }
+    if (cancel != nullptr) XCQ_RETURN_IF_ERROR(cancel->Check());
 
     // Decisions depend only on flags pushed by (finalized) higher
     // bands, so clones are allocated in band order.
@@ -112,9 +107,7 @@ Status ApplyDownwardAxis(Instance* instance, Axis axis, RelationId src,
 
   // Last checkpoint before the commit phases (re-point + bit pass):
   // past this point the sweep runs to completion.
-  if (guard != nullptr) {
-    XCQ_RETURN_IF_ERROR(guard->Charge(0, split_count - charged_splits));
-  }
+  if (cancel != nullptr) XCQ_RETURN_IF_ERROR(cancel->Check());
 
   // Deferred re-point pass, skipped when nothing split: every edge to a
   // split vertex goes to the variant its own demand selects. Edges are

@@ -50,8 +50,6 @@ class PlanRunner {
         options_(options),
         stats_(stats),
         shared_(shared),
-        guard_(options.cancel, options.max_sweep_visits,
-               options.max_split_growth),
         slots_(plans.size()) {
     for (size_t p = 0; p < plans.size(); ++p) {
       const std::vector<Op>& ops = plans[p].ops;
@@ -88,7 +86,9 @@ class PlanRunner {
     for (size_t r = 0; r < rounds; ++r) {
       // Round boundaries are always between mutation phases; the
       // splitting kernels add their own band/phase-granular checkpoints.
-      XCQ_RETURN_IF_ERROR(guard_.Poll());
+      if (options_.cancel != nullptr) {
+        XCQ_RETURN_IF_ERROR(options_.cancel->Check());
+      }
       XCQ_RETURN_IF_ERROR(RunRound(r));
     }
     return Status::OK();
@@ -337,8 +337,8 @@ class PlanRunner {
   }
 
   /// The one place a QUERY and a shared run differ: a QUERY calls the
-  /// splitting kernels of engine/axes.h under its guard; a shared run
-  /// calls the mask kernels of engine/batch.h, which report a clash
+  /// splitting kernels of engine/axes.h with its cancel token; a shared
+  /// run calls the mask kernels of engine/batch.h, which report a clash
   /// instead of splitting.
   Status Dispatch(Axis axis, std::span<const SweepLane> lanes,
                   AxisStats* kernel) {
@@ -348,13 +348,13 @@ class PlanRunner {
       switch (family) {
         case AxisFamily::kDownward:
           return ApplyDownwardAxis(instance_, axis, lane.src, lane.dst,
-                                   kernel, &guard_);
+                                   kernel, options_.cancel);
         case AxisFamily::kUpward:
           return ApplyUpwardAxis(instance_, axis, lane.src, lane.dst, kernel,
-                                 &guard_);
+                                 options_.cancel);
         case AxisFamily::kSibling:
           return ApplySiblingAxis(instance_, axis, lane.src, lane.dst,
-                                  kernel, &guard_);
+                                  kernel, options_.cancel);
       }
     }
     bool clean = true;
@@ -378,7 +378,6 @@ class PlanRunner {
   const EvalOptions& options_;
   EvalStats* stats_;
   const bool shared_;
-  EvalGuard guard_;
   std::vector<std::vector<Slot>> slots_;  ///< [plan][op]
   /// One round's axis lanes, by axis (reused across rounds).
   std::array<std::vector<SweepLane>, kAxisCount> buckets_;
@@ -443,13 +442,7 @@ SharedBatchResult EvaluateBatchShared(
     const EvalOptions& options, EvalStats* stats) {
   Timer timer;
   SharedBatchResult result;
-  // Work budgets are *per query* and shared sweeps have no per-query
-  // attribution, so a budgeted evaluation takes the per-query path —
-  // where the budgets are enforced exactly.
-  if (options.max_sweep_visits != 0 || options.max_split_growth != 0 ||
-      !CheckRunnable(instance, plans).ok()) {
-    return result;
-  }
+  if (!CheckRunnable(instance, plans).ok()) return result;
   PlanRunner runner(instance, plans, options, stats, /*shared=*/true);
   if (runner.Run().ok()) {
     result.engaged = true;

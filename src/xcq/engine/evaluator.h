@@ -36,17 +36,12 @@ struct EvalOptions {
   /// Relation holding the query context (the paper's user-defined initial
   /// selection); empty means {root}.
   std::string context_relation;
-  /// Cooperative cancellation (docs/INTERNALS.md §10). Polled between
-  /// ops and between kernel mutation phases; a tripped token aborts the
-  /// evaluation with `kCancelled` / `kDeadlineExceeded`, leaving the
-  /// instance representing the same tree. Borrowed; may be null.
+  /// Cooperative cancellation (docs/SERVER.md §Deadlines). Polled
+  /// between ops and between kernel mutation phases; a tripped token
+  /// aborts the evaluation with `kCancelled` / `kDeadlineExceeded`,
+  /// leaving the instance representing the same tree. Borrowed; may be
+  /// null.
   const CancelToken* cancel = nullptr;
-  /// Per-evaluation work budgets; 0 = unlimited. When the cumulative
-  /// vertices visited (resp. vertices cloned) by this evaluation's
-  /// sweeps exceeds the cap, the evaluation aborts with a clean
-  /// `kResourceExhausted` at the next checkpoint.
-  uint64_t max_sweep_visits = 0;
-  uint64_t max_split_growth = 0;
 };
 
 /// \brief The three sweep-kernel families, the `axis=` label of the
@@ -162,12 +157,12 @@ struct SharedBatchResult {
 /// between queries and lockstep does not. The mask kernels abort on a
 /// *clash* — a vertex one query demands both selected and unselected,
 /// exactly a split the per-query kernel would perform — before writing
-/// anything. Never fails: a clash, a missing context relation, a work
-/// budget (budgets are per query) or a tripped cancel reports
-/// `engaged = false` with the instance untouched, so the caller can
-/// fall back to per-query evaluation, which also surfaces any real
-/// error. Answers from an engaged run are bit-identical to per-query
-/// evaluation; a warmed instance (split fixpoint reached) never clashes.
+/// anything. Never fails: a clash, a missing context relation or a
+/// tripped cancel reports `engaged = false` with the instance
+/// untouched, so the caller can fall back to per-query evaluation,
+/// which also surfaces any real error. Answers from an engaged run are
+/// bit-identical to per-query evaluation; a warmed instance (split
+/// fixpoint reached) never clashes.
 /// `stats` receives the batch-wide sweep counters (one sweep per chunk)
 /// and `seconds`.
 SharedBatchResult EvaluateBatchShared(

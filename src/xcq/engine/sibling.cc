@@ -83,7 +83,7 @@ void FinishBackwardList(std::vector<Edge>* rewritten) {
 ///     original (RLE lists are canonical).
 Status ApplySiblingAxis(Instance* instance, Axis axis, RelationId src,
                         RelationId dst, AxisStats* stats,
-                        EvalGuard* guard) {
+                        const CancelToken* cancel) {
   if (axis != Axis::kFollowingSibling && axis != Axis::kPrecedingSibling) {
     return Status::InvalidArgument("ApplySiblingAxis: not a sibling axis");
   }
@@ -107,12 +107,10 @@ Status ApplySiblingAxis(Instance* instance, Axis axis, RelationId src,
   }
   demand[instance->root()] |= 1;
 
-  // Guard checkpoint between demand and resolve: nothing has mutated
+  // Checkpoint between demand and resolve: nothing has mutated
   // yet (demand writes only the side flags), so an abort here leaves
   // the instance untouched.
-  if (guard != nullptr) {
-    XCQ_RETURN_IF_ERROR(guard->Charge(plan.order.size(), 0));
-  }
+  if (cancel != nullptr) XCQ_RETURN_IF_ERROR(cancel->Check());
 
   // Resolve phase: allocate clones in plan order (deterministic).
   std::vector<uint8_t> dst_bit(n0, 0);
@@ -126,13 +124,11 @@ Status ApplySiblingAxis(Instance* instance, Axis axis, RelationId src,
   }
   const uint64_t split_count = instance->vertex_count() - n0;
 
-  // Guard checkpoint between resolve and rewrite: the clones allocated
+  // Checkpoint between resolve and rewrite: the clones allocated
   // above are unreachable until the rewrite re-points parents at them,
   // so an abort here leaves only clone leftovers. Past this point the
   // sweep runs to completion.
-  if (guard != nullptr) {
-    XCQ_RETURN_IF_ERROR(guard->Charge(0, split_count));
-  }
+  if (cancel != nullptr) XCQ_RETURN_IF_ERROR(cancel->Check());
 
   // Rewrite phase, in plan order. A clone shares its original's list,
   // differing only in the dst bit.

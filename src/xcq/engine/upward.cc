@@ -16,7 +16,8 @@ using xpath::Axis;
 /// pass only writes reachable vertices, which keeps unreachable split
 /// leftovers silent.
 Status ApplyUpwardAxis(Instance* instance, Axis axis, RelationId src,
-                       RelationId dst, AxisStats* stats, EvalGuard* guard) {
+                       RelationId dst, AxisStats* stats,
+                       const CancelToken* cancel) {
   if (!xpath::IsUpwardAxis(axis)) {
     return Status::InvalidArgument("ApplyUpwardAxis: not an upward axis");
   }
@@ -32,10 +33,10 @@ Status ApplyUpwardAxis(Instance* instance, Axis axis, RelationId src,
   const bool ancestor = axis != Axis::kParent;
 
   // Upward sweeps only read the DAG and set bits of the zeroed dst
-  // column, so a single guard charge up front suffices — an abort here
+  // column, so a single checkpoint up front suffices — an abort here
   // costs at most one flat pass of overshoot.
   const std::vector<VertexId>& order = instance->EnsureTraversal().order;
-  if (guard != nullptr) XCQ_RETURN_IF_ERROR(guard->Charge(order.size(), 0));
+  if (cancel != nullptr) XCQ_RETURN_IF_ERROR(cancel->Check());
 
   for (const VertexId v : order) {
     for (const Edge& e : instance->Children(v)) {

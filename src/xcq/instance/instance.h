@@ -146,8 +146,6 @@ class Instance {
     return {edges_.data() + spans_[v].offset, spans_[v].length};
   }
 
-  bool IsLeaf(VertexId v) const { return spans_[v].length == 0; }
-
   /// Number of RLE edges currently owned by vertices (|E| of the paper).
   uint64_t rle_edge_count() const { return live_edge_count_; }
 

@@ -534,6 +534,7 @@ PipelinedHandler::FeedResult PipelinedHandler::Dispatch(
         QueryJob job;
         job.document = req.name;
         job.queries = payload->batch_queries;
+        job.batch = true;
         job.token = payload->token;
         lines = BuildBatchReply(self->store_, req.name,
                                 payload->batch_queries,

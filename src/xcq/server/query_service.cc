@@ -143,12 +143,12 @@ QueryResponse ExecuteJob(DocumentStore* store, const QueryJob& job) {
                        store->Acquire(job.document));
   QueryControl control;
   control.cancel = job.token.get();
-  if (job.queries.size() == 1) {
-    XCQ_ASSIGN_OR_RETURN(const QueryOutcome outcome,
-                         doc->Query(job.queries.front(), control));
-    return std::vector<QueryOutcome>{outcome};
+  if (job.batch || job.queries.size() > 1) {
+    return doc->Batch(job.queries, control);
   }
-  return doc->Batch(job.queries, control);
+  XCQ_ASSIGN_OR_RETURN(const QueryOutcome outcome,
+                       doc->Query(job.queries.front(), control));
+  return std::vector<QueryOutcome>{outcome};
 }
 
 }  // namespace

@@ -77,6 +77,9 @@ struct ServiceOptions {
 struct QueryJob {
   std::string document;
   std::vector<std::string> queries;
+  /// Runs as a BATCH (`StoredDocument::Batch`, counted in `batches=`)
+  /// even with one query; a job of several queries always does.
+  bool batch = false;
   /// Cancellation / deadline state threaded into the evaluation as
   /// `QueryControl::cancel`; null = unrestricted. Shared so the front
   /// end can still cancel after handing the job off.

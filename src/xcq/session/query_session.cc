@@ -148,19 +148,6 @@ Status QuerySession::EnsureLabels(const std::vector<std::string>& tags,
   return Status::OK();
 }
 
-engine::EvalOptions QuerySession::MakeEvalOptions(
-    const QueryControl& control) const {
-  engine::EvalOptions eval_options;
-  eval_options.cancel = control.cancel;
-  eval_options.max_sweep_visits = control.max_sweep_visits != 0
-                                      ? control.max_sweep_visits
-                                      : options_.max_sweep_visits;
-  eval_options.max_split_growth = control.max_split_growth != 0
-                                      ? control.max_split_growth
-                                      : options_.max_split_growth;
-  return eval_options;
-}
-
 Result<QueryOutcome> QuerySession::EvaluatePlan(
     const algebra::QueryPlan& plan, obs::QueryTrace* trace,
     const QueryControl& control) {
@@ -176,7 +163,8 @@ Result<QueryOutcome> QuerySession::EvaluatePlan(
     if (prev != kNoRelation) previous_result = instance_->RelationBits(prev);
   }
 
-  const engine::EvalOptions eval_options = MakeEvalOptions(control);
+  engine::EvalOptions eval_options;
+  eval_options.cancel = control.cancel;
   RelationId result = kNoRelation;
   {
     obs::QueryTrace::Scope sweep_span(trace, obs::Phase::kSweep);
@@ -213,38 +201,18 @@ Result<QueryOutcome> QuerySession::EvaluatePlan(
 
 Result<QueryOutcome> QuerySession::Run(std::string_view query_text,
                                        const QueryControl& control) {
-  // A request that expired while queued should not pay for parsing or
-  // a document scan; the engine re-polls throughout the evaluation.
-  if (control.cancel != nullptr) {
-    XCQ_RETURN_IF_ERROR(control.cancel->Check());
-  }
-  obs::QueryTrace trace;
-  obs::QueryTrace::Scope parse_span(&trace, obs::Phase::kParse);
-  XCQ_ASSIGN_OR_RETURN(const xpath::Query query,
-                       xpath::ParseQuery(query_text));
-  parse_span.Close();
-  obs::QueryTrace::Scope compile_span(&trace, obs::Phase::kCompile);
-  XCQ_ASSIGN_OR_RETURN(const algebra::QueryPlan plan,
-                       algebra::Compile(query));
-  compile_span.Close();
-  const xpath::QueryRequirements reqs = CollectRequirements(query);
-
-  double label_seconds = 0.0;
-  {
-    obs::QueryTrace::Scope label_span(&trace, obs::Phase::kLabel);
-    XCQ_RETURN_IF_ERROR(
-        EnsureLabels(reqs.tags, reqs.patterns, &label_seconds));
-  }
-  XCQ_ASSIGN_OR_RETURN(QueryOutcome outcome,
-                       EvaluatePlan(plan, &trace, control));
-  outcome.label_seconds = label_seconds;
-  outcome.trace = trace;
-  return outcome;
+  // A batch of one never attempts shared sweeps (that needs two plans),
+  // so it takes exactly the per-query EvaluatePlan path.
+  XCQ_ASSIGN_OR_RETURN(std::vector<QueryOutcome> outcomes,
+                       RunBatch({std::string(query_text)}, control));
+  return std::move(outcomes.front());
 }
 
 Result<std::vector<QueryOutcome>> QuerySession::RunBatch(
     const std::vector<std::string>& query_texts,
     const QueryControl& control) {
+  // A request that expired while queued should not pay for parsing or
+  // a document scan; the engine re-polls throughout the evaluation.
   if (control.cancel != nullptr) {
     XCQ_RETURN_IF_ERROR(control.cancel->Check());
   }
@@ -286,7 +254,8 @@ Result<std::vector<QueryOutcome>> QuerySession::RunBatch(
   // instance mutations between queries; the attempt itself aborts —
   // leaving the instance untouched — if any query demands a split.
   if (plans.size() >= 2 && !options_.minimize_after_query) {
-    const engine::EvalOptions eval_options = MakeEvalOptions(control);
+    engine::EvalOptions eval_options;
+    eval_options.cancel = control.cancel;
     engine::EvalStats shared_stats;
     const double shared_start = traces.front().Elapsed();
     engine::SharedBatchResult shared = engine::EvaluateBatchShared(

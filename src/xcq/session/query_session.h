@@ -42,27 +42,16 @@ struct SessionOptions {
   /// Result counts are taken before the re-minimization, so outcomes are
   /// unaffected.
   bool minimize_after_query = false;
-  /// Default per-query work budgets (engine/guard.h); 0 = unlimited.
-  /// Applied to every evaluation unless the per-request `QueryControl`
-  /// overrides them. Blow-ups convert to `kResourceExhausted` instead
-  /// of unbounded latency.
-  uint64_t max_sweep_visits = 0;
-  uint64_t max_split_growth = 0;
 };
 
-/// \brief Per-request execution controls threaded from the serving
-/// layer: cooperative cancellation (deadline / client disconnect) and
-/// work-budget overrides. All fields optional; a default-constructed
-/// control runs unrestricted (minus the session's default budgets).
+/// \brief Per-request execution control threaded from the serving
+/// layer: cooperative cancellation (deadline / client disconnect). A
+/// default-constructed control runs unrestricted.
 struct QueryControl {
   /// Borrowed cancellation token; polled at phase and band boundaries
   /// throughout parsing, labeling, evaluation, and minimization. Null =
   /// never cancelled.
   const CancelToken* cancel = nullptr;
-  /// Overrides `SessionOptions::max_sweep_visits` when non-zero.
-  uint64_t max_sweep_visits = 0;
-  /// Overrides `SessionOptions::max_split_growth` when non-zero.
-  uint64_t max_split_growth = 0;
 };
 
 /// \brief Result summary of one query execution.
@@ -110,11 +99,11 @@ class QuerySession {
   static Result<QuerySession> FromInstance(Instance instance,
                                            SessionOptions options = {});
 
-  /// Parses, compiles, and evaluates `query_text`; returns the outcome.
-  /// The result selection also remains available as the
-  /// `engine::kResultRelation` relation of `instance()`. A cancelled or
-  /// budget-exhausted run fails with `kCancelled` / `kDeadlineExceeded` /
-  /// `kResourceExhausted` and leaves the instance structurally
+  /// Parses, compiles, and evaluates `query_text` — a `RunBatch` of
+  /// one — and returns its outcome. The result selection also remains
+  /// available as the `engine::kResultRelation` relation of
+  /// `instance()`. A cancelled run fails with `kCancelled` /
+  /// `kDeadlineExceeded` and leaves the instance structurally
   /// consistent (same represented tree; at most some unmerged splits,
   /// reclaimed by the next minimization) — the session stays usable.
   Result<QueryOutcome> Run(std::string_view query_text,
@@ -175,17 +164,12 @@ class QuerySession {
                       const std::vector<std::string>& patterns,
                       double* seconds);
 
-  /// Evaluates one compiled plan on the ensured instance; shared by Run
-  /// and RunBatch. Records sweep / minimize spans on
-  /// `trace` (null = no tracing).
+  /// Evaluates one compiled plan on the ensured instance: every query of
+  /// a batch that does not share sweeps. Records sweep / minimize spans
+  /// on `trace` (null = no tracing).
   Result<QueryOutcome> EvaluatePlan(const algebra::QueryPlan& plan,
                                     obs::QueryTrace* trace,
                                     const QueryControl& control);
-
-  /// Engine options for one evaluation under `control`: cancellation
-  /// and the resolved work budgets (per-request override wins over the
-  /// session default).
-  engine::EvalOptions MakeEvalOptions(const QueryControl& control) const;
 
   std::string xml_;
   SessionOptions options_;

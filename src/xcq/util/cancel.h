@@ -15,7 +15,7 @@
 /// layer that polls is responsible for leaving its data structures
 /// consistent before returning, which is why the engine only polls
 /// *between* mutation phases (band/phase/round boundaries; see
-/// docs/INTERNALS.md §10).
+/// docs/SERVER.md §Deadlines).
 ///
 /// Tokens are written from one thread (cancel) and read from many
 /// (worker threads); all members are atomics with relaxed ordering —

@@ -437,16 +437,14 @@ TEST(CommonExtensionTest, SharedRelationDisagreementRejected) {
             StatusCode::kIncompatible);
 }
 
-TEST(CommonExtensionTest, MinimizeResultOption) {
+TEST(CommonExtensionTest, MinimizedProductIsMinimal) {
   const std::string xml = RandomXml(66, 150, 2);
   CompressOptions bare;
   bare.mode = LabelMode::kNone;
   XCQ_ASSERT_OK_AND_ASSIGN(Instance a, CompressXml(xml, bare));
   XCQ_ASSERT_OK_AND_ASSIGN(Instance b, CompressXml(xml, bare));
-  CommonExtensionOptions options;
-  options.minimize_result = true;
-  XCQ_ASSERT_OK_AND_ASSIGN(Instance merged,
-                           CommonExtension(a, b, options));
+  XCQ_ASSERT_OK_AND_ASSIGN(const Instance product, CommonExtension(a, b));
+  XCQ_ASSERT_OK_AND_ASSIGN(Instance merged, Minimize(product));
   XCQ_ASSERT_OK_AND_ASSIGN(const bool minimal, IsMinimal(merged));
   EXPECT_TRUE(minimal);
   // Same labelings on both sides: the product is just the input again.

@@ -8,9 +8,7 @@
 //  * the service never runs a dead request: expired work is shed at
 //    dequeue (and displaced from a full queue) while in-deadline
 //    requests keep answering correctly;
-//  * a client disconnect cancels its queued and in-flight requests;
-//  * work budgets convert blow-ups into deterministic
-//    `kResourceExhausted` failures, not unbounded latency.
+//  * a client disconnect cancels its queued and in-flight requests.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -223,52 +221,6 @@ TEST(DeadlineTest, MidFlightDeadlineUnwindsHeavyEvaluation) {
       << result.status().ToString();
   // The session survives and answers correctly afterwards.
   XCQ_ASSERT_OK(session.Run("//t0").status());
-}
-
-// --- Work budgets -----------------------------------------------------------
-
-TEST(BudgetTest, SweepVisitBudgetIsDeterministic) {
-  SessionOptions options = TortureOptions();
-  options.max_sweep_visits = 16;  // far below any real sweep on 1500 nodes
-
-  Status first;
-  for (int round = 0; round < 2; ++round) {
-    XCQ_ASSERT_OK_AND_ASSIGN(QuerySession session,
-                             QuerySession::Open(SmallXml(), options));
-    const Result<QueryOutcome> result = session.Run("//t0/descendant::t2");
-    ASSERT_FALSE(result.ok());
-    EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted)
-        << result.status().ToString();
-    if (round == 0) {
-      first = result.status();
-    } else {
-      // Bit-identical failure across runs: same code, same message.
-      EXPECT_EQ(result.status().ToString(), first.ToString());
-    }
-  }
-}
-
-TEST(BudgetTest, PerRequestBudgetOverridesSessionDefault) {
-  SessionOptions options = TortureOptions();
-  options.max_sweep_visits = 16;
-  XCQ_ASSERT_OK_AND_ASSIGN(QuerySession session,
-                           QuerySession::Open(SmallXml(), options));
-  // A generous per-request override lifts the choking session default.
-  QueryControl control;
-  control.max_sweep_visits = uint64_t{1} << 40;
-  XCQ_ASSERT_OK_AND_ASSIGN(const QueryOutcome outcome,
-                           session.Run("//t0/descendant::t2", control));
-
-  XCQ_ASSERT_OK_AND_ASSIGN(QuerySession oracle,
-                           QuerySession::Open(SmallXml(), TortureOptions()));
-  XCQ_ASSERT_OK_AND_ASSIGN(const QueryOutcome expected,
-                           oracle.Run("//t0/descendant::t2"));
-  EXPECT_EQ(outcome.selected_tree_nodes, expected.selected_tree_nodes);
-
-  // And with no override the default still bites.
-  const Result<QueryOutcome> choked = session.Run("//t1/t2");
-  ASSERT_FALSE(choked.ok());
-  EXPECT_EQ(choked.status().code(), StatusCode::kResourceExhausted);
 }
 
 // --- Shedding in the service ------------------------------------------------

@@ -13,6 +13,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -405,6 +406,32 @@ TEST(ProtocolTest, PipelinedConversation) {
   EXPECT_EQ(output[8].rfind("bib bytes=", 0), 0u) << output[8];
   EXPECT_EQ(output[9], "OK evicted bib");
   EXPECT_EQ(output[10], "OK bye");
+  std::remove(xml_path.c_str());
+}
+
+// A BATCH of one query is still a BATCH: STATS `batches=` and the
+// per-document batch counter move, while sharing (two plans or more)
+// is never attempted.
+TEST(ProtocolTest, BatchOfOneCountsAsBatch) {
+  const std::string xml_path = ::testing::TempDir() + "/batch_of_one.xml";
+  XCQ_ASSERT_OK(xml::WriteStringToFile(xml_path, testing::BibExampleXml()));
+
+  DocumentStore store;
+  QueryService service(&store, ServiceOptions{1});
+  const std::vector<std::string> output = testing::Converse(
+      &store, &service,
+      {"LOAD d " + xml_path, "BATCH d 1", "//paper", "STATS", "METRICS"});
+
+  ASSERT_GE(output.size(), 5u);
+  EXPECT_EQ(output[1], "OK 1");
+  EXPECT_NE(output[2].find("tree=2"), std::string::npos) << output[2];
+  EXPECT_EQ(output[3], "OK 1");
+  EXPECT_NE(output[4].find(" queries=1 batches=1 shared=0 "),
+            std::string::npos)
+      << output[4];
+  EXPECT_NE(std::find(output.begin(), output.end(),
+                      "xcq_document_batches_total{document=\"d\"} 1"),
+            output.end());
   std::remove(xml_path.c_str());
 }
 
