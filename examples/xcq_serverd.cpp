@@ -44,15 +44,18 @@
 //                       more queries answers `ERR InvalidArgument`
 //                       without consuming the body (default 100000)
 //   --data-dir=PATH     spill directory for durable documents: every
-//                       loaded document is persisted there (checksummed
-//                       .xcqi + manifest) and a restart with the same
-//                       directory answers queries without re-LOADing
-//                       (docs/SERVER.md §Persistence). Default: off,
+//                       loaded document is persisted there as one
+//                       checksummed <escaped-name>.xcqi file (the
+//                       directory is the catalog) and a restart with the
+//                       same directory answers queries without
+//                       re-LOADing (docs/SERVER.md §Persistence). A data
+//                       dir of the older MANIFEST layout starts cold:
+//                       LOAD the documents again. Default: off,
 //                       memory-only.
-//   --warm-start=MODE   on (default) registers every manifest entry as
-//                       a warm document at startup; off starts cold but
-//                       keeps the spill catalog intact. Only meaningful
-//                       with --data-dir.
+//   --warm-start=MODE   on (default) registers every spill in the data
+//                       dir as a warm document at startup; off starts
+//                       cold but leaves the spills in place. Only
+//                       meaningful with --data-dir.
 //
 // Protocol (line-oriented; try it with `nc 127.0.0.1 7878`):
 //

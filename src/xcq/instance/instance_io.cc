@@ -200,24 +200,15 @@ std::string SerializeInstanceChecksummed(const Instance& instance) {
   return out;
 }
 
-Result<Instance> DeserializeInstance(std::string_view bytes) {
-  if (bytes.size() >= kFooterSize &&
-      std::memcmp(bytes.data() + bytes.size() - 4, kFooterMagic, 4) == 0) {
-    uint32_t crc = 0;
-    uint64_t payload_size = 0;
-    std::memcpy(&crc, bytes.data() + bytes.size() - kFooterSize, 4);
-    std::memcpy(&payload_size, bytes.data() + bytes.size() - kFooterSize + 4,
-                8);
-    if (payload_size != bytes.size() - kFooterSize) {
-      return Status::Corruption(
-          "spill footer payload size mismatch (torn write)");
-    }
-    const std::string_view payload = bytes.substr(0, payload_size);
-    if (Crc32(payload) != crc) {
-      return Status::Corruption("spill payload CRC mismatch");
-    }
-    bytes = payload;
-  }
+namespace {
+
+bool HasFooter(std::string_view bytes) {
+  return bytes.size() >= kFooterSize &&
+         std::memcmp(bytes.data() + bytes.size() - 4, kFooterMagic, 4) == 0;
+}
+
+/// Decodes and validates a footer-less payload.
+Result<Instance> DecodePayload(std::string_view bytes) {
   Reader reader(bytes);
   std::string_view magic;
   if (!reader.GetBytes(4, &magic)) return reader.error();
@@ -313,6 +304,33 @@ Result<Instance> DeserializeInstance(std::string_view bytes) {
   }
   XCQ_RETURN_IF_ERROR(instance.Validate());
   return instance;
+}
+
+}  // namespace
+
+Result<Instance> DeserializeInstance(std::string_view bytes) {
+  return HasFooter(bytes) ? DeserializeInstanceChecksummed(bytes)
+                          : DecodePayload(bytes);
+}
+
+Result<Instance> DeserializeInstanceChecksummed(std::string_view bytes) {
+  if (!HasFooter(bytes)) {
+    return Status::Corruption(
+        "spill has no checksum footer (torn write or footer-less file)");
+  }
+  uint32_t crc = 0;
+  uint64_t payload_size = 0;
+  std::memcpy(&crc, bytes.data() + bytes.size() - kFooterSize, 4);
+  std::memcpy(&payload_size, bytes.data() + bytes.size() - kFooterSize + 4, 8);
+  if (payload_size != bytes.size() - kFooterSize) {
+    return Status::Corruption(
+        "spill footer payload size mismatch (torn write)");
+  }
+  const std::string_view payload = bytes.substr(0, payload_size);
+  if (Crc32(payload) != crc) {
+    return Status::Corruption("spill payload CRC mismatch");
+  }
+  return DecodePayload(payload);
 }
 
 Status AtomicWriteFile(const std::string& path, std::string_view bytes) {

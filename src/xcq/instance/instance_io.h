@@ -28,6 +28,9 @@
 /// `DeserializeInstance` accepts both forms: bytes ending in the footer
 /// magic are checksum-verified first, anything else takes the legacy
 /// footer-less path, so pre-footer `.xcqi` files keep loading.
+/// `DeserializeInstanceChecksummed` requires the footer: the durable
+/// store reads spills through it, so a spill cut back to a bare payload
+/// is a corruption, not a legacy file.
 ///
 /// `LoadInstance` validates everything (ids, acyclicity, RLE form, no
 /// relation bit past the last vertex) before returning, so corrupt files
@@ -55,6 +58,10 @@ std::string SerializeInstanceChecksummed(const Instance& instance);
 /// \brief Parses bytes produced by either Serialize variant. A present
 /// footer is verified (size + CRC) before the payload is interpreted.
 Result<Instance> DeserializeInstance(std::string_view bytes);
+
+/// \brief Parses bytes produced by `SerializeInstanceChecksummed` only:
+/// a missing footer is `kCorruption`, like a size or CRC mismatch.
+Result<Instance> DeserializeInstanceChecksummed(std::string_view bytes);
 
 /// \brief Crash-safe whole-file write: `bytes` goes to `path + ".tmp"`,
 /// is fsync'd, and is atomically renamed over `path` (the containing

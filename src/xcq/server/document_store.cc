@@ -239,21 +239,19 @@ std::string FormatDocumentInfo(const DocumentInfo& info) {
 
 namespace {
 
-/// Manifest header: format magic + version, own line.
-constexpr std::string_view kManifestHeader = "XCQM 1";
-constexpr std::string_view kManifestName = "MANIFEST";
+constexpr std::string_view kSpillSuffix = ".xcqi";
+constexpr std::string_view kTmpSuffix = ".tmp";
 
-/// Percent-encodes `s` so it is safe both as a file-name stem and as a
-/// space-separated manifest token. Conservative: everything outside
-/// [A-Za-z0-9._-] is escaped.
-std::string EscapeToken(std::string_view s) {
+/// A document name as a spill-file stem: every byte outside
+/// [a-z0-9_-] is percent-encoded (upper-case hex). The mapping is
+/// injective even on a case-insensitive filesystem, and a stem never
+/// contains '.', so `<stem>.xcqi` parses back unambiguously.
+std::string EscapeName(std::string_view name) {
   std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    const bool plain = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                       (c >= '0' && c <= '9') || c == '.' || c == '_' ||
-                       c == '-';
-    if (plain) {
+  out.reserve(name.size());
+  for (const char c : name) {
+    if ((c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c == '_' ||
+        c == '-') {
       out.push_back(c);
     } else {
       static const char* kHex = "0123456789ABCDEF";
@@ -265,55 +263,37 @@ std::string EscapeToken(std::string_view s) {
   return out;
 }
 
-bool UnescapeToken(std::string_view s, std::string* out) {
-  out->clear();
-  out->reserve(s.size());
-  for (size_t i = 0; i < s.size(); ++i) {
-    if (s[i] != '%') {
-      out->push_back(s[i]);
+/// The name whose canonical escape is `stem`; false for any stem
+/// `EscapeName` never produces (empty, lower-case or malformed hex, an
+/// escaped plain byte, a raw '.' or upper-case letter).
+bool UnescapeStem(std::string_view stem, std::string* name) {
+  name->clear();
+  for (size_t i = 0; i < stem.size(); ++i) {
+    if (stem[i] != '%') {
+      name->push_back(stem[i]);
       continue;
     }
-    if (i + 2 >= s.size()) return false;
+    if (i + 2 >= stem.size()) return false;
     auto hex = [](char c) -> int {
       if (c >= '0' && c <= '9') return c - '0';
       if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-      if (c >= 'a' && c <= 'f') return c - 'a' + 10;
       return -1;
     };
-    const int hi = hex(s[i + 1]);
-    const int lo = hex(s[i + 2]);
+    const int hi = hex(stem[i + 1]);
+    const int lo = hex(stem[i + 2]);
     if (hi < 0 || lo < 0) return false;
-    out->push_back(static_cast<char>((hi << 4) | lo));
+    name->push_back(static_cast<char>((hi << 4) | lo));
     i += 2;
   }
-  return true;
+  return !name->empty() && EscapeName(*name) == stem;
 }
 
-std::vector<std::string_view> SplitTokens(std::string_view line) {
-  std::vector<std::string_view> tokens;
-  size_t pos = 0;
-  while (pos < line.size()) {
-    const size_t space = line.find(' ', pos);
-    const size_t end = space == std::string_view::npos ? line.size() : space;
-    if (end > pos) tokens.push_back(line.substr(pos, end - pos));
-    pos = end + 1;
-  }
-  return tokens;
-}
-
-bool ParseU64Token(std::string_view token, uint64_t* out) {
-  if (token.empty() || token.size() > 20) return false;
-  uint64_t value = 0;
-  for (const char c : token) {
-    if (c < '0' || c > '9') return false;
-    const auto digit = static_cast<uint64_t>(c - '0');
-    // A wrapped value would look valid and then fail the size check as
-    // a spurious corruption (or regress the generation counter).
-    if (value > (UINT64_MAX - digit) / 10) return false;
-    value = value * 10 + digit;
-  }
-  *out = value;
-  return true;
+/// Makes a preceding unlink in `dir` durable.
+void SyncDir(const std::string& dir) {
+  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (fd < 0) return;
+  ::fsync(fd);
+  ::close(fd);
 }
 
 /// Whole-file read that distinguishes a verified-missing file
@@ -362,287 +342,108 @@ Status SpillManager::Init(const std::string& data_dir, RecoveryStats* stats) {
     return Status::IoError(
         StrFormat("data dir '%s' is not a directory", data_dir.c_str()));
   }
-
-  std::lock_guard<std::mutex> lock(mu_);
-  records_.clear();
-  const std::string manifest_path =
-      data_dir + "/" + std::string(kManifestName);
-  bool catalog_trusted = true;  // cleanup may delete unreferenced files
-  if (::access(manifest_path.c_str(), F_OK) == 0) {
-    Result<std::string> text = xml::ReadFileToString(manifest_path);
-    if (!text.ok()) {
-      ++stats->errors;
-      std::fprintf(stderr, "xcq: recovery: manifest unreadable: %s\n",
-                   text.status().ToString().c_str());
-      catalog_trusted = false;
-    } else {
-      size_t line_no = 0;
-      size_t pos = 0;
-      bool header_ok = false;
-      while (pos <= text->size()) {
-        const size_t nl = text->find('\n', pos);
-        // A manifest is rewritten atomically and always ends in '\n';
-        // a final fragment without one is a torn line — skip it.
-        const bool torn = nl == std::string::npos;
-        const std::string_view line =
-            std::string_view(*text).substr(
-                pos, torn ? text->size() - pos : nl - pos);
-        pos = torn ? text->size() + 1 : nl + 1;
-        if (line.empty() && torn) break;  // text ended cleanly in '\n'
-        ++line_no;
-        if (line.empty()) continue;
-        if (line_no == 1) {
-          if (!torn && line == kManifestHeader) {
-            header_ok = true;
-            continue;
-          }
-          ++stats->errors;
-          std::fprintf(stderr,
-                       "xcq: recovery: manifest header unrecognized; "
-                       "starting cold\n");
-          catalog_trusted = false;
-          break;
-        }
-        if (!header_ok) break;
-        std::string reason;
-        SpillRecord rec;
-        std::string name;
-        const std::vector<std::string_view> tokens = SplitTokens(line);
-        uint64_t bytes = 0;
-        uint64_t crc = 0;
-        if (torn) {
-          reason = "torn line";
-        } else if (tokens.size() != 7 || tokens[0] != "doc") {
-          reason = "malformed line";
-        } else if (!UnescapeToken(tokens[1], &name) || name.empty()) {
-          reason = "bad document name";
-        } else if (tokens[2].find('/') != std::string_view::npos ||
-                   tokens[2].empty()) {
-          reason = "bad spill file name";
-        } else if (!ParseU64Token(tokens[3], &bytes) ||
-                   !ParseU64Token(tokens[4], &crc) || crc > UINT32_MAX ||
-                   !ParseU64Token(tokens[5], &rec.generation)) {
-          reason = "bad numeric field";
-        }
-        if (!reason.empty()) {
-          ++stats->errors;
-          std::fprintf(stderr,
-                       "xcq: recovery: manifest line %zu skipped (%s)\n",
-                       line_no, reason.c_str());
-          continue;
-        }
-        rec.file = std::string(tokens[2]);
-        rec.bytes = bytes;
-        rec.crc = static_cast<uint32_t>(crc);
-        if (tokens[6] != "-") {
-          size_t lp = 0;
-          const std::string_view packed = tokens[6];
-          while (lp <= packed.size()) {
-            const size_t comma = packed.find(',', lp);
-            const size_t end =
-                comma == std::string_view::npos ? packed.size() : comma;
-            std::string label;
-            if (end > lp && UnescapeToken(packed.substr(lp, end - lp),
-                                          &label)) {
-              rec.labels.push_back(std::move(label));
-            }
-            if (comma == std::string_view::npos) break;
-            lp = comma + 1;
-          }
-        }
-        next_generation_ = std::max(next_generation_, rec.generation + 1);
-        // Duplicate names: last entry wins (a rewritten manifest never
-        // has duplicates; tolerating them keeps recovery total).
-        records_[name] = std::move(rec);
-      }
-      if (!header_ok) catalog_trusted = false;
-    }
-  }
-
-  // Clean torn temp files always; clean unreferenced spills only when
-  // the manifest was trusted (they are then crash leftovers from the
-  // window between a spill rename and the manifest rewrite).
   DIR* dir = ::opendir(data_dir.c_str());
-  if (dir != nullptr) {
-    std::vector<std::string> referenced;
-    for (const auto& [name, rec] : records_) referenced.push_back(rec.file);
-    while (struct dirent* entry = ::readdir(dir)) {
-      const std::string_view file = entry->d_name;
-      if (file == "." || file == ".." || file == kManifestName) continue;
-      const bool tmp = file.size() > 4 &&
-                       file.substr(file.size() - 4) == ".tmp";
-      const bool spill = file.size() > 5 &&
-                         file.substr(file.size() - 5) == ".xcqi";
-      const bool orphan =
-          spill && catalog_trusted &&
-          std::find(referenced.begin(), referenced.end(), file) ==
-              referenced.end();
-      if (tmp || orphan) {
-        ::unlink((data_dir + "/" + std::string(file)).c_str());
-      }
-    }
-    ::closedir(dir);
+  if (dir == nullptr) {
+    return Status::IoError(StrFormat("cannot list data dir '%s': %s",
+                                     data_dir.c_str(), std::strerror(errno)));
   }
-
+  std::lock_guard<std::mutex> lock(mu_);
+  while (const struct dirent* entry = ::readdir(dir)) {
+    const std::string_view file = entry->d_name;
+    if (file == "." || file == "..") continue;
+    const std::string path = data_dir + "/" + std::string(file);
+    if (file.ends_with(kTmpSuffix)) {  // a write torn before its rename
+      ::unlink(path.c_str());
+      continue;
+    }
+    std::string name;
+    if (file.ends_with(kSpillSuffix) &&
+        UnescapeStem(file.substr(0, file.size() - kSpillSuffix.size()),
+                     &name) &&
+        ::stat(path.c_str(), &st) == 0 && S_ISREG(st.st_mode)) {
+      spills_[name] = Spill{static_cast<size_t>(st.st_size), ++writes_};
+      continue;
+    }
+    // Never deleted: it may be a file of an older data-dir layout, or
+    // of something else entirely.
+    ++stats->errors;
+    std::fprintf(stderr, "xcq: recovery: '%s' is not a spill; left in place\n",
+                 path.c_str());
+  }
+  ::closedir(dir);
   dir_ = data_dir;
   return Status::OK();
 }
 
-Result<SpillRecord> SpillManager::Write(const std::string& name,
-                                        const Instance& instance) {
+std::string SpillManager::PathFor(const std::string& name) const {
+  return dir_ + "/" + EscapeName(name) + std::string(kSpillSuffix);
+}
+
+Status SpillManager::Write(const std::string& name,
+                           const Instance& instance) {
   if (!enabled()) {
     return Status::InvalidArgument("spill manager is disabled");
   }
   // Serialize outside the manager lock: callers hold their document
-  // lock, so the instance cannot mutate underneath us.
-  std::string bytes = SerializeInstanceChecksummed(instance);
-  std::vector<std::string> labels;
-  for (const RelationId r : instance.LiveRelations()) {
-    labels.push_back(instance.schema().Name(r));
-  }
+  // lock, so the instance cannot mutate underneath us. The write itself
+  // runs under it: two documents of one name share the temp path.
+  const std::string bytes = SerializeInstanceChecksummed(instance);
   std::lock_guard<std::mutex> lock(mu_);
-  SpillRecord rec;
-  rec.generation = next_generation_++;
-  rec.file = EscapeToken(name) + ".g" + std::to_string(rec.generation) +
-             ".xcqi";
-  rec.bytes = bytes.size();
-  rec.crc = Crc32(bytes);
-  rec.labels = std::move(labels);
-  XCQ_RETURN_IF_ERROR(AtomicWriteFile(dir_ + "/" + rec.file, bytes));
-  std::string superseded;
-  const auto it = records_.find(name);
-  if (it != records_.end() && it->second.file != rec.file) {
-    superseded = it->second.file;
-  }
-  records_[name] = rec;
-  // Crash order: the new spill is durable before the manifest points at
-  // it, and the old generation is deleted only after the manifest no
-  // longer references it — every crash point leaves a consistent view.
-  XCQ_RETURN_IF_ERROR(RewriteManifestLocked());
-  if (!superseded.empty()) {
-    ::unlink((dir_ + "/" + superseded).c_str());
-  }
-  return rec;
+  XCQ_RETURN_IF_ERROR(AtomicWriteFile(PathFor(name), bytes));
+  spills_[name] = Spill{bytes.size(), ++writes_};
+  return Status::OK();
 }
 
-Result<Instance> SpillManager::Read(const std::string& name,
-                                    uint64_t* generation) const {
-  SpillRecord rec;
-  if (!Lookup(name, &rec)) {
-    return Status::NotFound(
-        StrFormat("no spill for document '%s'", name.c_str()));
-  }
-  for (;;) {
-    if (generation != nullptr) *generation = rec.generation;
-    Status failure = Status::OK();
-    const Result<std::string> bytes = ReadSpillBytes(dir_ + "/" + rec.file);
-    if (!bytes.ok()) {
-      failure = bytes.status();
-    } else if (bytes->size() != rec.bytes) {
-      failure = Status::Corruption(
-          StrFormat("spill '%s' is %zu bytes, manifest says %zu",
-                    rec.file.c_str(), bytes->size(), rec.bytes));
-    } else if (Crc32(*bytes) != rec.crc) {
-      failure = Status::Corruption(StrFormat(
-          "spill '%s' CRC does not match the manifest", rec.file.c_str()));
-    } else {
-      Result<Instance> instance = DeserializeInstance(*bytes);
-      if (instance.ok()) return instance;
-      failure = instance.status();
-    }
-    // A concurrent respill (demotion, PERSIST, label growth) may have
-    // superseded `rec` — Write unlinks the old generation's file right
-    // after the manifest rename, so a reader holding the stale record
-    // sees ENOENT. If the catalog moved on, the failure was against
-    // stale state: retry against the fresh record. Generations strictly
-    // increase, so every retry consumes a completed Write — progress.
-    SpillRecord fresh;
-    if (Lookup(name, &fresh) && fresh.generation != rec.generation) {
-      rec = std::move(fresh);
-      continue;
-    }
-    return failure;
-  }
+Result<Instance> SpillManager::Read(const std::string& name) const {
+  XCQ_ASSIGN_OR_RETURN(const std::string bytes, ReadSpillBytes(PathFor(name)));
+  return DeserializeInstanceChecksummed(bytes);
 }
 
 bool SpillManager::Remove(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
-  const auto it = records_.find(name);
-  if (it == records_.end()) return false;
-  return RemoveEntryLocked(it);
-}
-
-bool SpillManager::RemoveIfGeneration(const std::string& name,
-                                      uint64_t generation) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = records_.find(name);
-  if (it == records_.end() || it->second.generation != generation) {
-    return false;  // superseded (or gone) — the newer spill must survive
-  }
-  return RemoveEntryLocked(it);
-}
-
-bool SpillManager::RemoveEntryLocked(
-    std::map<std::string, SpillRecord>::iterator it) {
-  const std::string file = it->second.file;
-  records_.erase(it);
-  // Manifest first, file second: a crash in between leaves an orphan
-  // spill, which the next recovery scan cleans up. Rewrite failure is
-  // tolerated — a stale entry pointing at a deleted file degrades to a
-  // cold miss at the next fault-in, never to wrong data.
-  const Status status = RewriteManifestLocked();
-  if (!status.ok()) {
-    std::fprintf(stderr, "xcq: manifest rewrite after removal failed: %s\n",
-                 status.ToString().c_str());
-  }
-  ::unlink((dir_ + "/" + file).c_str());
+  const auto it = spills_.find(name);
+  if (it == spills_.end()) return false;
+  RemoveLocked(it);
   return true;
 }
 
-bool SpillManager::Lookup(const std::string& name, SpillRecord* out) const {
+void SpillManager::RemoveIfUnchanged(const std::string& name,
+                                     uint64_t write_count) {
   std::lock_guard<std::mutex> lock(mu_);
-  const auto it = records_.find(name);
-  if (it == records_.end()) return false;
-  *out = it->second;
-  return true;
+  const auto it = spills_.find(name);
+  // A spill rewritten since `write_count` is newer and must survive.
+  if (it != spills_.end() && it->second.write_count == write_count) {
+    RemoveLocked(it);
+  }
+}
+
+void SpillManager::RemoveLocked(std::map<std::string, Spill>::iterator it) {
+  ::unlink(PathFor(it->first).c_str());
+  SyncDir(dir_);
+  spills_.erase(it);
+}
+
+std::optional<SpillManager::Spill> SpillManager::Lookup(
+    const std::string& name) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto it = spills_.find(name);
+  if (it == spills_.end()) return std::nullopt;
+  return it->second;
 }
 
 std::vector<std::string> SpillManager::Names() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::string> names;
-  names.reserve(records_.size());
-  for (const auto& [name, rec] : records_) names.push_back(name);
+  names.reserve(spills_.size());
+  for (const auto& [name, spill] : spills_) names.push_back(name);
   return names;
 }
 
 size_t SpillManager::TotalBytes() const {
   std::lock_guard<std::mutex> lock(mu_);
   size_t total = 0;
-  for (const auto& [name, rec] : records_) total += rec.bytes;
+  for (const auto& [name, spill] : spills_) total += spill.bytes;
   return total;
-}
-
-Status SpillManager::RewriteManifestLocked() {
-  std::string out(kManifestHeader);
-  out.push_back('\n');
-  for (const auto& [name, rec] : records_) {
-    out.append("doc ");
-    out.append(EscapeToken(name));
-    out.push_back(' ');
-    out.append(rec.file);
-    out.append(StrFormat(" %zu %u %llu ", rec.bytes, rec.crc,
-                         static_cast<unsigned long long>(rec.generation)));
-    if (rec.labels.empty()) {
-      out.push_back('-');
-    } else {
-      for (size_t i = 0; i < rec.labels.size(); ++i) {
-        if (i > 0) out.push_back(',');
-        out.append(EscapeToken(rec.labels[i]));
-      }
-    }
-    out.push_back('\n');
-  }
-  return AtomicWriteFile(dir_ + "/" + std::string(kManifestName), out);
 }
 
 // --- StoredDocument --------------------------------------------------------
@@ -664,18 +465,17 @@ struct StoredDocument::Handles {
 };
 
 StoredDocument::StoredDocument(QuerySession session, std::string name,
-                               obs::Registry* registry)
+                               DocumentStore* owner)
     : session_(std::move(session)),
       name_(std::move(name)),
-      registry_(registry) {
+      owner_(owner),
+      handles_(std::make_unique<Handles>()) {
   RefreshFootprintLocked();  // single-threaded here: no lock needed yet
-  if (registry_ == nullptr) return;
   // Resolve every handle once; the per-query metrics cost is then only
   // relaxed atomic adds. The full series catalog is documented in
   // docs/OBSERVABILITY.md; the per-family counters and per-document
   // gauges come from kAxisCounters and kDocumentFields.
-  obs::Registry& r = *registry_;
-  handles_ = std::make_unique<Handles>();
+  obs::Registry& r = *owner_->registry();
   Handles& h = *handles_;
   h.queries = r.GetCounter("xcq_document_queries_total", DocLabels(name_),
                            "Queries evaluated against the document");
@@ -739,7 +539,7 @@ Result<QueryOutcome> StoredDocument::Query(std::string_view query_text,
   if (outcome.ok()) {
     RecordOutcomeLocked(*outcome, elapsed);
     MaybeSpillLocked(/*include_structure=*/false);
-  } else if (handles_ != nullptr) {
+  } else {
     handles_->query_errors->Increment();
   }
   return outcome;
@@ -769,17 +569,14 @@ Result<std::vector<QueryOutcome>> StoredDocument::Batch(
     for (const QueryOutcome& outcome : *outcomes) {
       RecordOutcomeLocked(outcome, share);
     }
-    if (handles_ != nullptr) {
-      handles_->batches->Increment();
-      const uint64_t shared_delta =
-          session_.shared_batch_count() - shared_before;
-      if (shared_delta > 0) {
-        handles_->batches_shared->Increment(
-            static_cast<double>(shared_delta));
-      }
+    handles_->batches->Increment();
+    const uint64_t shared_delta =
+        session_.shared_batch_count() - shared_before;
+    if (shared_delta > 0) {
+      handles_->batches_shared->Increment(static_cast<double>(shared_delta));
     }
     MaybeSpillLocked(/*include_structure=*/false);
-  } else if (handles_ != nullptr) {
+  } else {
     handles_->query_errors->Increment(
         static_cast<double>(query_texts.size()));
   }
@@ -797,8 +594,7 @@ void StoredDocument::MarkSpilledLocked() {
 }
 
 void StoredDocument::MaybeSpillLocked(bool include_structure) {
-  if (owner_ == nullptr || !owner_->spills_.enabled()) return;
-  if (!session_.has_instance()) return;
+  if (!owner_->spills_.enabled() || !session_.has_instance()) return;
   if (spilled_ && TrackedLabelsLocked() == spilled_labels_ &&
       (!include_structure ||
        session_.instance().structure_generation() == spilled_generation_)) {
@@ -824,7 +620,7 @@ void StoredDocument::PersistIfDirty() {
 
 Status StoredDocument::ForcePersist() {
   std::lock_guard<std::mutex> lock(mu_);
-  if (owner_ == nullptr || !owner_->spills_.enabled()) {
+  if (!owner_->spills_.enabled()) {
     return Status::InvalidArgument(
         "persistence is disabled; start the server with --data-dir");
   }
@@ -855,12 +651,9 @@ void StoredDocument::RecordOutcomeLocked(const QueryOutcome& outcome,
     for (size_t row = 0; row < std::size(kAxisCounters); ++row) {
       kAxisCounters[row].add(&sweep_totals_[f], delta);
       const double value = kAxisCounters[row].get(delta);
-      if (handles_ != nullptr && value > 0.0) {
-        handles_->axis[f][row]->Increment(value);
-      }
+      if (value > 0.0) handles_->axis[f][row]->Increment(value);
     }
   }
-  if (handles_ == nullptr) return;
   handles_->queries->Increment();
   handles_->latency->Observe(elapsed_seconds);
   for (size_t p = 0; p < obs::kPhaseCount; ++p) {
@@ -904,22 +697,19 @@ DocumentInfo StoredDocument::Info(std::string name) const {
     info.share_rate = static_cast<double>(session_.shared_batch_count()) /
                       static_cast<double>(batches_served_);
   }
-  if (registry_ != nullptr) {
-    const double uptime = registry_->UptimeSeconds();
-    if (uptime > 0.0) {
-      info.qps = static_cast<double>(queries_served_) / uptime;
-    }
-    const obs::Histogram::Snapshot snap = handles_->latency->Snap();
-    const std::vector<double>& bounds = handles_->latency->bounds();
-    info.p50_ms = obs::Histogram::Quantile(snap, bounds, 0.50) * 1e3;
-    info.p95_ms = obs::Histogram::Quantile(snap, bounds, 0.95) * 1e3;
-    info.p99_ms = obs::Histogram::Quantile(snap, bounds, 0.99) * 1e3;
+  const double uptime = owner_->registry()->UptimeSeconds();
+  if (uptime > 0.0) {
+    info.qps = static_cast<double>(queries_served_) / uptime;
   }
+  const obs::Histogram::Snapshot snap = handles_->latency->Snap();
+  const std::vector<double>& bounds = handles_->latency->bounds();
+  info.p50_ms = obs::Histogram::Quantile(snap, bounds, 0.50) * 1e3;
+  info.p95_ms = obs::Histogram::Quantile(snap, bounds, 0.95) * 1e3;
+  info.p99_ms = obs::Histogram::Quantile(snap, bounds, 0.99) * 1e3;
   return info;
 }
 
 void StoredDocument::UpdateScrapeGauges() {
-  if (handles_ == nullptr) return;
   const DocumentInfo info = Info(name_);
   for (size_t row = 0; row < std::size(kDocumentFields); ++row) {
     if (handles_->gauges[row] == nullptr) continue;
@@ -949,6 +739,8 @@ DocumentStore::DocumentStore(StoreOptions options)
           "Durable document spills written to the data dir (eager LOAD, "
           "label growth, PERSIST, flush; demotion or flush after a "
           "structural change)")),
+      // HELP lines are frozen (docs/OBSERVABILITY.md), so two keep
+      // naming the manifest the data dir no longer has.
       spill_errors_total_(registry_.GetCounter(
           "xcq_store_spill_errors_total", {},
           "Spill or manifest writes that failed")),
@@ -1009,9 +801,7 @@ DocumentStore::DocumentStore(StoreOptions options)
 Status DocumentStore::LoadXml(const std::string& name, std::string xml) {
   XCQ_ASSIGN_OR_RETURN(QuerySession session,
                        QuerySession::Open(std::move(xml), options_.session));
-  auto doc =
-      std::make_shared<StoredDocument>(std::move(session), name, &registry_);
-  doc->owner_ = this;
+  auto doc = std::make_shared<StoredDocument>(std::move(session), name, this);
   // No instance exists before the first query of an XML-loaded document,
   // so there is nothing to spill yet; the first query writes it.
   loads_total_->Increment();
@@ -1024,9 +814,7 @@ Status DocumentStore::LoadInstance(const std::string& name,
   XCQ_ASSIGN_OR_RETURN(
       QuerySession session,
       QuerySession::FromInstance(std::move(instance), options_.session));
-  auto doc =
-      std::make_shared<StoredDocument>(std::move(session), name, &registry_);
-  doc->owner_ = this;
+  auto doc = std::make_shared<StoredDocument>(std::move(session), name, this);
   // Eager spill before publication: an instance LOAD is durable by the
   // time the reply goes out.
   doc->PersistIfDirty();
@@ -1133,10 +921,13 @@ Result<std::shared_ptr<StoredDocument>> DocumentStore::Acquire(
 Status DocumentStore::FaultInDocument(const std::string& name,
                                       const std::shared_ptr<FaultIn>& latch) {
   spill_reads_.fetch_add(1);
-  uint64_t generation = 0;
+  // Taken before the read: a LOAD or PERSIST that rewrites the spill
+  // while it is read moves the write count, and the rewritten spill
+  // must survive a failed read of its predecessor.
+  const std::optional<SpillManager::Spill> spill = spills_.Lookup(name);
   Result<QuerySession> session = Status::Internal("fault-in did not run");
   {
-    Result<Instance> instance = spills_.Read(name, &generation);
+    Result<Instance> instance = spills_.Read(name);
     if (instance.ok()) {
       session =
           QuerySession::FromInstance(std::move(*instance), options_.session);
@@ -1178,14 +969,12 @@ Status DocumentStore::FaultInDocument(const std::string& name,
         warm_.erase(wit);
       }
     }
-    // Generation-guarded: a LOAD or respill that superseded the record
-    // mid-fault-in wrote a *new* good spill — never delete that one.
-    spills_.RemoveIfGeneration(name, generation);
+    if (spill.has_value()) {
+      spills_.RemoveIfUnchanged(name, spill->write_count);
+    }
     return canonical;
   }
-  auto doc =
-      std::make_shared<StoredDocument>(std::move(*session), name, &registry_);
-  doc->owner_ = this;
+  auto doc = std::make_shared<StoredDocument>(std::move(*session), name, this);
   // The spill we just read is current — do not rewrite it on the next
   // query unless the label set actually grows.
   doc->MarkSpilledClean();
@@ -1229,8 +1018,7 @@ bool DocumentStore::Evict(const std::string& name) {
     // valid (clients may still hold the StoredDocument shared_ptr).
     // A later fault-in re-registers them with counters intact.
     registry_.RemoveLabeled("document", name);
-    SpillRecord rec;
-    if (spills_.Lookup(name, &rec)) {
+    if (spills_.Lookup(name).has_value()) {
       // Demote: keep the spill, drop residency. The next Acquire
       // faults the document back in.
       warm_.emplace(name, WarmEntry{});
@@ -1318,21 +1106,22 @@ std::vector<DocumentInfo> DocumentStore::Stats() const {
   for (auto& [name, doc] : docs) {
     DocumentInfo info = doc->Info(name);
     info.resident = true;
-    SpillRecord rec;
-    if (spills_.Lookup(name, &rec)) {
+    if (const auto spill = spills_.Lookup(name)) {
       info.warm = true;
-      info.spill_bytes = rec.bytes;
+      info.spill_bytes = spill->bytes;
     }
     infos.push_back(std::move(info));
   }
-  // Warm entries get a metadata-only row: only the fields the manifest
-  // knows are filled, everything else reads zero until a fault-in.
+  // Warm entries get a metadata-only row: only the fields the spill
+  // catalog knows are filled, everything else reads zero until a
+  // fault-in.
   for (const std::string& name : warm_only) {
     DocumentInfo info;
     info.name = name;
     info.warm = true;
-    SpillRecord rec;
-    if (spills_.Lookup(name, &rec)) info.spill_bytes = rec.bytes;
+    if (const auto spill = spills_.Lookup(name)) {
+      info.spill_bytes = spill->bytes;
+    }
     infos.push_back(std::move(info));
   }
   std::sort(infos.begin(), infos.end(),
@@ -1359,10 +1148,10 @@ size_t DocumentStore::warm_count() const {
 
 Status DocumentStore::WriteSpill(const std::string& name,
                                  const Instance& instance) {
-  const Result<SpillRecord> rec = spills_.Write(name, instance);
-  if (!rec.ok()) {
+  const Status status = spills_.Write(name, instance);
+  if (!status.ok()) {
     spill_errors_total_->Increment();
-    return rec.status();
+    return status;
   }
   spill_writes_total_->Increment();
   return Status::OK();
@@ -1394,8 +1183,7 @@ void DocumentStore::EnforceCapacityLocked(
     if (victim == docs_.end()) return;  // only `keep` is left
     evictions_total_->Increment();
     registry_.RemoveLabeled("document", victim->first);
-    SpillRecord rec;
-    if (spills_.Lookup(victim->first, &rec)) {
+    if (spills_.Lookup(victim->first).has_value()) {
       // Demote spill-backed victims to warm entries instead of
       // discarding; FinalizeDoomed refreshes the spill if stale.
       warm_.emplace(victim->first, WarmEntry{});
@@ -1408,8 +1196,7 @@ void DocumentStore::EnforceCapacityLocked(
 void DocumentStore::FinalizeDoomed(
     std::vector<std::shared_ptr<StoredDocument>>* doomed) {
   for (const std::shared_ptr<StoredDocument>& doc : *doomed) {
-    SpillRecord rec;
-    if (spills_.Lookup(doc->name_, &rec)) doc->PersistIfDirty();
+    if (spills_.Lookup(doc->name_).has_value()) doc->PersistIfDirty();
   }
   doomed->clear();  // destruction happens here, off the store lock
 }

@@ -32,27 +32,27 @@
 ///
 /// Durability (docs/SERVER.md §Persistence): with a non-empty
 /// `StoreOptions::data_dir` every document whose compressed instance
-/// exists is also spilled to disk as a checksummed `.xcqi` file, and a
-/// manifest maps names to spill files. A document is then in one of
-/// three states:
+/// exists is also spilled to disk as one checksummed file,
+/// `<escaped-name>.xcqi`. The data dir is its own catalog: no other
+/// file describes the spills. A document is then in one of three states:
 ///
 ///   resident — a `StoredDocument` in `docs_`; serves queries.
-///   warm     — no session in memory, but a spill + manifest entry; the
-///              first `Acquire()` faults it back in via `FromInstance`
-///              (zero source re-parses), single-flight per document.
+///   warm     — no session in memory, but a spill; the first `Acquire()`
+///              faults it back in via `FromInstance` (zero source
+///              re-parses), single-flight per document.
 ///   cold     — nothing; only LOAD can (re)create it.
 ///
-/// Restart replays the manifest and registers warm entries lazily, so
-/// startup is O(manifest), not O(corpus). Capacity eviction and EVICT
+/// Restart lists the data dir and registers warm entries lazily, so
+/// startup is O(files), not O(corpus). Capacity eviction and EVICT
 /// demote a spill-backed resident to warm instead of discarding it.
 /// Spills are rewritten whenever a query grows the tracked label set,
 /// so a SIGKILL loses at most the labels merged since the last spill —
 /// never the document. Demotion and `FlushSpills` also rewrite a spill
 /// whose instance structure moved since it was written (the splits of
 /// partial decompression), so the next fault-in starts at the split
-/// fixpoint instead of replaying them. All spill/manifest writes are atomic
-/// (temp + fsync + rename); recovery tolerates any torn artifact by
-/// degrading that one document to a cold miss.
+/// fixpoint instead of replaying them. Every spill write is atomic
+/// (temp + fsync + rename over the same path); a torn or corrupt spill
+/// degrades that one document to a cold miss.
 
 #include <atomic>
 #include <condition_variable>
@@ -61,6 +61,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <string_view>
@@ -100,26 +101,16 @@ struct StoreOptions {
   /// Spill directory for durable documents; "" disables durability.
   /// Created (one level) if absent. See docs/SERVER.md §Persistence.
   std::string data_dir;
-  /// Replay the manifest at construction and register recovered
-  /// documents as warm entries. With `false` the catalog is still
-  /// loaded (so later spills do not orphan prior ones) but nothing is
-  /// registered — the store starts cold.
+  /// Register the data dir's spills as warm entries at construction.
+  /// With `false` the spills are still cataloged (STATS, FORGET and
+  /// later spills see them) but none is warm — the store starts cold.
   bool warm_start = true;
-};
-
-/// \brief One durable spill as the manifest tracks it.
-struct SpillRecord {
-  std::string file;      ///< File name inside the data dir.
-  size_t bytes = 0;      ///< Size of the spill file on disk.
-  uint32_t crc = 0;      ///< CRC-32 of the whole file.
-  uint64_t generation = 0;  ///< Monotonic per-store write counter.
-  std::vector<std::string> labels;  ///< Tracked labels (informational).
 };
 
 /// \brief What the recovery scan found at startup.
 struct RecoveryStats {
-  size_t recovered = 0;  ///< Warm entries registered from the manifest.
-  size_t errors = 0;     ///< Manifest lines / artifacts skipped.
+  size_t recovered = 0;  ///< Warm entries registered from the data dir.
+  size_t errors = 0;     ///< Files in the data dir that are not spills.
   double seconds = 0.0;  ///< Wall time of the scan.
 };
 
@@ -176,52 +167,54 @@ struct DocumentInfo {
 /// appended and existing ones never move.
 std::string FormatDocumentInfo(const DocumentInfo& info);
 
-/// \brief The durable side of the store: spill files plus the manifest
-/// that catalogs them, all writes crash-safe (temp + fsync + rename).
+/// \brief The durable side of the store: one `<escaped-name>.xcqi` file
+/// per document, and the data dir is the catalog. Every write is
+/// crash-safe (temp + fsync + rename over the spill's own path).
 /// Thread-safe behind its own mutex, which is a leaf in the lock order
 /// (store lock or document lock may be held when calling in; the spill
 /// manager never calls out).
 class SpillManager {
  public:
-  /// Prepares `data_dir` (created if absent, one level) and parses the
-  /// manifest fault-tolerantly: unreadable lines are skipped and
-  /// counted in `stats->errors`, torn `.tmp` artifacts and
-  /// unreferenced spill files are cleaned up (cleanup is skipped when
-  /// the manifest itself is unusable — then nothing is trusted enough
-  /// to delete). A hard failure (directory not creatable) leaves the
+  /// What the manager knows of one spill; kept in memory only.
+  struct Spill {
+    size_t bytes = 0;  ///< Size of the spill file on disk.
+    /// The manager's write counter when this spill was last written or
+    /// registered: a later value means a newer spill.
+    uint64_t write_count = 0;
+  };
+
+  /// Prepares `data_dir` (created if absent, one level) and reads it
+  /// once: `*.tmp` files (torn writes) are unlinked, every `*.xcqi`
+  /// whose stem is the canonical escape of a name is registered, and
+  /// anything else is counted in `stats->errors` and left in place. A
+  /// hard failure (directory not creatable or not listable) leaves the
   /// manager disabled.
   Status Init(const std::string& data_dir, RecoveryStats* stats);
 
   bool enabled() const { return !dir_.empty(); }
 
-  /// Serializes `instance` and atomically writes it as `name`'s spill
-  /// under a fresh generation, rewrites the manifest, then removes the
-  /// superseded generation's file.
-  Result<SpillRecord> Write(const std::string& name,
-                            const Instance& instance);
+  /// Serializes `instance` and atomically writes it as `name`'s spill;
+  /// the rename over the spill's path is the commit point.
+  Status Write(const std::string& name, const Instance& instance);
 
-  /// Reads and fully verifies `name`'s spill (size + CRC against the
-  /// manifest, then footer + structural validation). A read that races
-  /// a respill (Write unlinks the superseded generation's file) retries
-  /// against the fresh catalog record. `generation`, when non-null,
-  /// receives the generation of the record the final attempt used
-  /// (0 when no record existed) so callers can make removal decisions
-  /// race-free via `RemoveIfGeneration`. Failure codes: `kCorruption`
-  /// for verified mismatches, `kNotFound` for an absent record or a
-  /// verified-missing file, `kIoError` for transient read failures
-  /// (fd pressure and the like — the spill is presumed intact).
-  Result<Instance> Read(const std::string& name,
-                        uint64_t* generation = nullptr) const;
+  /// Reads `name`'s spill and decodes it with the checksum footer
+  /// required (footer size + CRC, then structural validation). A write
+  /// racing the read renames over the path, so the read sees either the
+  /// complete old or the complete new file. Failure codes: `kCorruption`
+  /// for verified mismatches, `kNotFound` for a missing file, `kIoError`
+  /// for transient read failures (fd pressure and the like — the spill
+  /// is presumed intact).
+  Result<Instance> Read(const std::string& name) const;
 
-  /// Drops `name`'s spill file and manifest entry. False if absent.
+  /// Unlinks `name`'s spill and fsyncs the data dir. False if absent.
   bool Remove(const std::string& name);
 
-  /// Like `Remove`, but a no-op unless the cataloged record still has
-  /// `generation` — a concurrent Write that superseded it wrote a newer
-  /// spill, which must survive.
-  bool RemoveIfGeneration(const std::string& name, uint64_t generation);
+  /// Like `Remove`, but a no-op unless the spill's write count is still
+  /// `write_count` — a concurrent Write wrote a newer spill, which must
+  /// survive.
+  void RemoveIfUnchanged(const std::string& name, uint64_t write_count);
 
-  bool Lookup(const std::string& name, SpillRecord* out) const;
+  std::optional<Spill> Lookup(const std::string& name) const;
 
   /// Names with a durable spill, sorted.
   std::vector<std::string> Names() const;
@@ -230,32 +223,31 @@ class SpillManager {
   size_t TotalBytes() const;
 
  private:
-  Status RewriteManifestLocked();
-  /// Shared tail of Remove/RemoveIfGeneration; mu_ must be held.
-  bool RemoveEntryLocked(std::map<std::string, SpillRecord>::iterator it);
+  std::string PathFor(const std::string& name) const;
+  /// Shared tail of Remove/RemoveIfUnchanged; mu_ must be held.
+  void RemoveLocked(std::map<std::string, Spill>::iterator it);
 
   std::string dir_;  ///< "" until Init succeeds (manager disabled).
   mutable std::mutex mu_;
-  std::map<std::string, SpillRecord> records_;
-  uint64_t next_generation_ = 1;
+  std::map<std::string, Spill> spills_;
+  uint64_t writes_ = 0;  ///< Write counter; stamps `Spill::write_count`.
 };
 
 /// \brief A cached compressed document: a `QuerySession` plus serving
 /// counters, evaluated under the document's own lock.
 class StoredDocument {
  public:
-  /// `registry` may be null (no metrics; for embedders that only want
-  /// the cache). With a registry, every per-document handle is resolved
-  /// here, once — the per-query cost of metrics is then only relaxed
-  /// atomic adds on the cached handles.
+  /// Every per-document metric handle is resolved here, once, in
+  /// `owner`'s registry — the per-query cost of metrics is then only
+  /// relaxed atomic adds on the cached handles.
   StoredDocument(QuerySession session, std::string name,
-                 obs::Registry* registry);
+                 class DocumentStore* owner);
   ~StoredDocument();
 
   /// Evaluates one query (exclusive document lock). `control` carries
-  /// the request's cancellation token and budget overrides; a cancelled
-  /// evaluation fails with `kCancelled` / `kDeadlineExceeded` and leaves
-  /// the cached instance consistent — the document keeps serving.
+  /// the request's cancellation token; a cancelled evaluation fails
+  /// with `kCancelled` / `kDeadlineExceeded` and leaves the cached
+  /// instance consistent — the document keeps serving.
   Result<QueryOutcome> Query(std::string_view query_text,
                              const QueryControl& control = {});
 
@@ -270,8 +262,7 @@ class StoredDocument {
   /// Refreshes this document's scrape-time gauges (instance footprint,
   /// scratch-pool residency, cache build counts, QPS, share rate,
   /// closed-form ratios) from the current state; called by
-  /// `DocumentStore::ScrapeMetrics` right before rendering. No-op
-  /// without a registry.
+  /// `DocumentStore::ScrapeMetrics` right before rendering.
   void UpdateScrapeGauges();
 
   /// Current instance footprint in bytes (0 before the first query of an
@@ -283,8 +274,7 @@ class StoredDocument {
  private:
   friend class DocumentStore;
 
-  /// Resolved metric handles (document_store.cc); null without a
-  /// registry.
+  /// Resolved metric handles (document_store.cc).
   struct Handles;
 
   /// Recomputes the cached footprint; mu_ must be held.
@@ -293,8 +283,8 @@ class StoredDocument {
   /// Rewrites this document's spill when the tracked label set grew
   /// since the last spill (or none was written yet) and, with
   /// `include_structure`, when the instance's structure generation
-  /// moved since then; mu_ must be held. No-op without an owning store,
-  /// without durability, or before the session has built an instance.
+  /// moved since then; mu_ must be held. No-op without durability or
+  /// before the session has built an instance.
   /// Write failures are logged once per document and serving continues
   /// (durability degrades, availability does not).
   void MaybeSpillLocked(bool include_structure);
@@ -333,10 +323,10 @@ class StoredDocument {
   mutable std::mutex mu_;
   QuerySession session_;
   std::string name_;
-  obs::Registry* registry_;  ///< Null = metrics disabled.
+  /// The owning store: its registry holds the metric handles, its
+  /// spill manager the spill.
+  class DocumentStore* owner_;
   std::unique_ptr<Handles> handles_;
-  /// The owning store, for spill writes; null for store-less embedders.
-  class DocumentStore* owner_ = nullptr;
   bool spilled_ = false;          ///< A spill of this session exists.
   size_t spilled_labels_ = 0;     ///< Tracked label count at last spill.
   /// Instance::structure_generation() at last spill.
@@ -410,8 +400,8 @@ class DocumentStore {
   /// is off or the document has no compiled instance yet.
   Status Persist(const std::string& name);
 
-  /// Removes `name` everywhere: residency, warm entry, spill file, and
-  /// manifest entry (FORGET verb). False if nothing existed.
+  /// Removes `name` everywhere: residency, warm entry and spill file
+  /// (FORGET verb). False if nothing existed.
   bool Forget(const std::string& name);
 
   /// Rewrites every resident document's spill that is stale in labels

@@ -388,20 +388,13 @@ std::vector<std::string> BuildForgetReply(DocumentStore* store,
 }
 
 PipelinedHandler::PipelinedHandler(DocumentStore* store, QueryService* service,
-                                   ReplySink sink, Limits limits, Hooks hooks,
-                                   HandlerOptions options)
+                                   ReplySink sink, HandlerOptions options)
     : store_(store),
       service_(service),
       sink_(std::move(sink)),
-      limits_(limits),
-      hooks_(hooks),
       options_(options) {
-  if (limits_.max_inflight < 1) limits_.max_inflight = 1;
+  if (options_.max_inflight < 1) options_.max_inflight = 1;
 }
-
-PipelinedHandler::PipelinedHandler(DocumentStore* store, QueryService* service,
-                                   ReplySink sink)
-    : PipelinedHandler(store, service, std::move(sink), Limits{}, Hooks{}) {}
 
 void PipelinedHandler::Complete(uint64_t seq, std::vector<std::string> lines) {
   {
@@ -499,7 +492,7 @@ PipelinedHandler::FeedResult PipelinedHandler::Dispatch(
     if (token == nullptr) token = std::make_shared<CancelToken>();
   }
 
-  if (inflight_.load(std::memory_order_relaxed) >= limits_.max_inflight) {
+  if (inflight_.load(std::memory_order_relaxed) >= options_.max_inflight) {
     deferred_ =
         Deferred{std::move(request), std::move(batch_queries), std::move(token)};
     return FeedResult::kStalled;
@@ -597,7 +590,7 @@ PipelinedHandler::FeedResult PipelinedHandler::Dispatch(
     return FeedResult::kStalled;
   }
   ++next_seq_;
-  if (hooks_.requests != nullptr) hooks_.requests->Increment();
+  if (options_.requests != nullptr) options_.requests->Increment();
   return FeedResult::kOk;
 }
 

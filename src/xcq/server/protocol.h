@@ -31,7 +31,7 @@
 ///   PERSIST <name>          force a durable spill write now (requires
 ///                           `--data-dir`; see docs/SERVER.md)
 ///   FORGET <name>           remove a document everywhere: residency,
-///                           warm entry, spill file, manifest entry
+///                           warm entry, spill file
 ///   QUIT                    close the conversation
 ///
 /// Blank (or whitespace-only) lines *between* requests are keep-alive
@@ -103,8 +103,12 @@ struct Request {
                             ///  (the handler's default deadline applies).
 };
 
-/// \brief Conversation-level knobs of a `PipelinedHandler`.
+/// \brief Configuration of one `PipelinedHandler` conversation.
 struct HandlerOptions {
+  /// Outstanding (dispatched, not yet completed) requests allowed on
+  /// the connection before `Feed` stalls it (`ServerOptions::
+  /// max_inflight_per_connection`); values below 1 act as 1.
+  size_t max_inflight = 32;
   /// Deadline applied to QUERY/BATCH requests that carry no `TIMEOUT`
   /// clause (daemon `--default-deadline-ms`); 0 = no default deadline.
   uint64_t default_deadline_ms = 0;
@@ -113,6 +117,8 @@ struct HandlerOptions {
   /// without consuming any body lines (same contract as a count the
   /// parser itself rejects).
   size_t max_batch = 100000;
+  /// Incremented once per dispatched request; null = not counted.
+  obs::Counter* requests = nullptr;
 };
 
 /// \brief Parses one request line; `kInvalidArgument` on malformed input
@@ -263,24 +269,8 @@ class PipelinedHandler
   using ReplySink =
       std::function<void(uint64_t seq, std::string bytes, bool close_after)>;
 
-  struct Limits {
-    /// Outstanding (dispatched, not yet completed) requests allowed on
-    /// this connection before `Feed` stalls it.
-    size_t max_inflight = 32;
-  };
-  struct Hooks {
-    /// Incremented once per dispatched request (optional).
-    obs::Counter* requests = nullptr;
-  };
-
   PipelinedHandler(DocumentStore* store, QueryService* service,
-                   ReplySink sink, Limits limits, Hooks hooks,
-                   HandlerOptions options = {});
-  /// Default limits, no hooks. (A separate overload: the nested
-  /// structs' member initializers cannot serve as `= {}` default
-  /// arguments while the enclosing class is incomplete.)
-  PipelinedHandler(DocumentStore* store, QueryService* service,
-                   ReplySink sink);
+                   ReplySink sink, HandlerOptions options = {});
 
   enum class FeedResult {
     kOk,       ///< Line consumed; keep feeding.
@@ -352,8 +342,6 @@ class PipelinedHandler
   DocumentStore* store_;
   QueryService* service_;
   ReplySink sink_;
-  Limits limits_;
-  Hooks hooks_;
   HandlerOptions options_;
   /// Tokens of dispatched-but-uncompleted QUERY/BATCH requests, by
   /// sequence number. Guarded by `tokens_mu_`: inserted on the loop

@@ -341,9 +341,9 @@ void TcpServer::AcceptNew() {
         [this, id](uint64_t seq, std::string bytes, bool close_after) {
           PostCompletion(Completion{id, seq, std::move(bytes), close_after});
         },
-        PipelinedHandler::Limits{options_.max_inflight_per_connection},
-        PipelinedHandler::Hooks{pipelined_requests_total_},
-        HandlerOptions{options_.default_deadline_ms, options_.max_batch});
+        HandlerOptions{options_.max_inflight_per_connection,
+                       options_.default_deadline_ms, options_.max_batch,
+                       pipelined_requests_total_});
 
     epoll_event ev{};
     ev.events = EPOLLIN | EPOLLRDHUP | EPOLLET;

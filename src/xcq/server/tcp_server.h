@@ -71,8 +71,8 @@ struct ServerOptions {
   /// the store memory-only.
   std::string data_dir;
   /// Register spilled documents as warm entries on startup
-  /// (`--warm-start=on|off`). Off still loads the manifest (so spills
-  /// are never orphaned) but answers NotFound until an explicit LOAD.
+  /// (`--warm-start=on|off`). Off still catalogs the spills (STATS and
+  /// FORGET see them) but answers NotFound until an explicit LOAD.
   bool warm_start = true;
   /// Session behaviour for every stored document.
   SessionOptions session;

@@ -7,15 +7,17 @@
 //    deliberately skips FlushSpills) followed by a restart on the same
 //    --data-dir answers every query bit-identically to the first
 //    process, with ZERO re-parses of any source document.
-//  * Restart cost is O(manifest): warm entries are metadata until the
-//    first Acquire faults them in, and N concurrent acquires of one
-//    warm document do exactly one spill read (single-flight).
-//  * Every corruption we can inject — truncated manifest line, torn
-//    spill, flipped CRC byte, missing file, zero-byte file, duplicate
-//    manifest entries, stray .tmp artifacts — degrades that one
-//    document to a cold miss with a canonical kCorruption (or a skipped
-//    manifest entry), never a crash, never a wrong answer, and never
-//    any effect on the other documents.
+//  * The data dir is the catalog: one `<escaped-name>.xcqi` per
+//    document and nothing else. Restart cost is O(files): warm entries
+//    are metadata until the first Acquire faults them in, and N
+//    concurrent acquires of one warm document do exactly one spill read
+//    (single-flight).
+//  * Every corruption we can inject — torn spill, flipped CRC byte,
+//    footer-less spill, missing file, zero-byte file, stray .tmp
+//    artifacts — degrades that one document to a cold miss with a
+//    canonical kCorruption, never a crash, never a wrong answer, and
+//    never any effect on the other documents. Files the store did not
+//    write (an older data-dir layout) are counted and left in place.
 
 #include <dirent.h>
 #include <sys/stat.h>
@@ -26,7 +28,6 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -76,21 +77,25 @@ bool FileExists(const std::string& path) {
 }
 
 /// The spill file of `name` inside `dir` (files are
-/// `<escaped-name>.g<generation>.xcqi`); "" when none exists.
+/// `<escaped-name>.xcqi`; the names used with this helper are lower-case
+/// letters and digits, which escape to themselves); "" when none exists.
 std::string SpillPathFor(const std::string& dir, const std::string& name) {
+  const std::string path = dir + "/" + name + ".xcqi";
+  return FileExists(path) ? path : "";
+}
+
+/// Every file in `dir`, sorted.
+std::vector<std::string> ListDir(const std::string& dir) {
+  std::vector<std::string> files;
   DIR* d = ::opendir(dir.c_str());
-  if (d == nullptr) return "";
-  std::string found;
-  while (dirent* entry = ::readdir(d)) {
+  if (d == nullptr) return files;
+  while (const dirent* entry = ::readdir(d)) {
     const std::string file = entry->d_name;
-    if (file.rfind(name + ".g", 0) == 0 &&
-        file.size() > 5 && file.substr(file.size() - 5) == ".xcqi") {
-      found = dir + "/" + file;
-      break;
-    }
+    if (file != "." && file != "..") files.push_back(file);
   }
   ::closedir(d);
-  return found;
+  std::sort(files.begin(), files.end());
+  return files;
 }
 
 uint64_t QueryTreeCount(DocumentStore* store, const std::string& name,
@@ -162,6 +167,9 @@ TEST(DurabilityTest, WarmRestartAnswersIdenticallyWithZeroReparses) {
     expected = SeedCorpus(&store);
     // Hard stop: the destructor writes nothing.
   }
+  // One spill per document is the whole catalog.
+  EXPECT_EQ(ListDir(dir), (std::vector<std::string>{
+                              "alpha.xcqi", "beta.xcqi", "gamma.xcqi"}));
   DocumentStore restarted(DurableOptions(dir));
   XCQ_ASSERT_OK(restarted.durability_status());
   EXPECT_EQ(restarted.recovery_stats().recovered, 3u);
@@ -224,44 +232,6 @@ TEST(DurabilityTest, RestartPropertyLoopOverRandomCorpora) {
   }
 }
 
-TEST(DurabilityTest, TruncatedManifestLineSkipsOnlyThatDocument) {
-  const std::string dir = FreshDataDir("tornline");
-  auto expected = [&] {
-    DocumentStore store(DurableOptions(dir));
-    return SeedCorpus(&store);
-  }();
-  // Tear the manifest mid-way through its final line (a crash inside a
-  // non-atomic editor, a bad disk — the parser must not care).
-  const std::string manifest_path = dir + "/MANIFEST";
-  std::string manifest = ReadRawFile(manifest_path);
-  ASSERT_FALSE(manifest.empty());
-  ASSERT_EQ(manifest.back(), '\n');
-  manifest.pop_back();
-  const size_t cut = manifest.find_last_of('\n');
-  ASSERT_NE(cut, std::string::npos);
-  // The torn doc is whichever entry the final line names.
-  const std::string torn_line = manifest.substr(cut + 1);
-  const size_t name_start = torn_line.find(' ') + 1;
-  const std::string torn_doc = torn_line.substr(
-      name_start, torn_line.find(' ', name_start) - name_start);
-  WriteRawFile(manifest_path,
-               manifest.substr(0, cut + 1 + torn_line.size() / 2));
-
-  DocumentStore restarted(DurableOptions(dir));
-  XCQ_ASSERT_OK(restarted.durability_status());
-  EXPECT_EQ(restarted.recovery_stats().recovered, 2u);
-  EXPECT_GE(restarted.recovery_stats().errors, 1u);
-  EXPECT_EQ(restarted.warm_count(), 2u);
-  const auto missing = restarted.Acquire(torn_doc);
-  ASSERT_FALSE(missing.ok());
-  EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
-  for (const auto& [name, qa] : expected) {
-    if (name == torn_doc) continue;
-    SCOPED_TRACE(name);
-    EXPECT_EQ(QueryTreeCount(&restarted, name, qa.first), qa.second);
-  }
-}
-
 TEST(DurabilityTest, FlippedSpillByteIsIsolatedColdMiss) {
   const std::string dir = FreshDataDir("crcflip");
   auto expected = [&] {
@@ -309,11 +279,14 @@ TEST(DurabilityTest, MissingSpillFileIsIsolatedColdMiss) {
     DocumentStore store(DurableOptions(dir));
     return SeedCorpus(&store);
   }();
+  // The file vanishes after the restarted store registered it warm: a
+  // spill missing at startup is simply not cataloged.
+  DocumentStore restarted(DurableOptions(dir));
+  ASSERT_EQ(restarted.warm_count(), 3u);
   const std::string spill = SpillPathFor(dir, "gamma");
   ASSERT_FALSE(spill.empty());
   ASSERT_EQ(::unlink(spill.c_str()), 0);
 
-  DocumentStore restarted(DurableOptions(dir));
   const auto acquired = restarted.Acquire("gamma");
   ASSERT_FALSE(acquired.ok());
   EXPECT_EQ(acquired.status().code(), StatusCode::kCorruption);
@@ -353,7 +326,7 @@ TEST(DurabilityTest, TransientReadFailureKeepsWarmEntryAndRetries) {
             std::string::npos)
       << acquired.status().ToString();
   // A transient failure must not destroy durable state: the entry is
-  // still warm and its manifest record and spill bytes are untouched.
+  // still warm and its spill bytes are untouched.
   EXPECT_EQ(restarted.warm_count(), 1u);
   EXPECT_TRUE(InfoFor(&restarted, "alpha").warm);
   EXPECT_TRUE(FileExists(hidden));
@@ -387,42 +360,32 @@ TEST(DurabilityTest, ZeroByteSpillIsIsolatedColdMiss) {
   }
 }
 
-TEST(DurabilityTest, OverflowedManifestNumberIsRejectedNotWrapped) {
-  const std::string dir = FreshDataDir("overflow");
+TEST(DurabilityTest, FooterlessSpillIsIsolatedColdMiss) {
+  const std::string dir = FreshDataDir("footerless");
   auto expected = [&] {
     DocumentStore store(DurableOptions(dir));
     return SeedCorpus(&store);
   }();
-  // Rewrite alpha's bytes field as a 20-digit value above 2^64-1.
-  // Without an overflow check it wraps silently — a wrapped size later
-  // fails the fault-in size check as a spurious corruption, a wrapped
-  // generation regresses the collision-avoidance counter. With one the
-  // line is skipped at recovery like any other malformed line.
-  const std::string manifest_path = dir + "/MANIFEST";
-  std::string manifest = ReadRawFile(manifest_path);
-  const size_t line_start = manifest.find("doc alpha ");
-  ASSERT_NE(line_start, std::string::npos);
-  const size_t line_end = manifest.find('\n', line_start);
-  ASSERT_NE(line_end, std::string::npos);
-  std::istringstream line(
-      manifest.substr(line_start, line_end - line_start));
-  std::vector<std::string> tokens;
-  std::string token;
-  while (line >> token) tokens.push_back(token);
-  ASSERT_EQ(tokens.size(), 7u);  // doc name file bytes crc gen labels
-  tokens[3] = "99999999999999999999";
-  std::string rebuilt;
-  for (size_t i = 0; i < tokens.size(); ++i) {
-    if (i > 0) rebuilt += ' ';
-    rebuilt += tokens[i];
-  }
-  manifest.replace(line_start, line_end - line_start, rebuilt);
-  WriteRawFile(manifest_path, manifest);
+  // Cut the spill back to its payload: a complete, valid footer-less
+  // image, which LOAD would accept as a legacy .xcqi. A spill must carry
+  // its footer, so this is a torn write.
+  const std::string spill = SpillPathFor(dir, "alpha");
+  ASSERT_FALSE(spill.empty());
+  const std::string bytes = ReadRawFile(spill);
+  constexpr size_t kFooterBytes = 16;
+  ASSERT_GT(bytes.size(), kFooterBytes);
+  const std::string payload = bytes.substr(0, bytes.size() - kFooterBytes);
+  XCQ_ASSERT_OK(DeserializeInstance(payload).status());
+  WriteRawFile(spill, payload);
 
   DocumentStore restarted(DurableOptions(dir));
-  XCQ_ASSERT_OK(restarted.durability_status());
-  EXPECT_GE(restarted.recovery_stats().errors, 1u);
-  EXPECT_EQ(restarted.warm_count(), 2u);
+  EXPECT_EQ(restarted.warm_count(), 3u);
+  const auto acquired = restarted.Acquire("alpha");
+  ASSERT_FALSE(acquired.ok());
+  EXPECT_EQ(acquired.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(acquired.status().message().find("unrecoverable"),
+            std::string::npos)
+      << acquired.status().ToString();
   EXPECT_EQ(restarted.Acquire("alpha").status().code(),
             StatusCode::kNotFound);
   for (const std::string name : {"beta", "gamma"}) {
@@ -432,29 +395,62 @@ TEST(DurabilityTest, OverflowedManifestNumberIsRejectedNotWrapped) {
   }
 }
 
-TEST(DurabilityTest, DuplicateManifestEntriesLastOneWins) {
-  const std::string dir = FreshDataDir("dupes");
-  auto expected = [&] {
-    DocumentStore store(DurableOptions(dir));
-    return SeedCorpus(&store);
-  }();
-  // Re-append every "doc" line: a manifest that crashed between append
-  // and compaction in some future append-mode implementation. Last
-  // entry wins; nothing doubles.
-  const std::string manifest_path = dir + "/MANIFEST";
-  const std::string manifest = ReadRawFile(manifest_path);
-  std::string doubled = manifest;
-  const size_t first_doc = manifest.find("doc ");
-  ASSERT_NE(first_doc, std::string::npos);
-  doubled += manifest.substr(first_doc);
-  WriteRawFile(manifest_path, doubled);
+TEST(DurabilityTest, PreviousLayoutDataDirStartsColdAndKeepsFiles) {
+  // The layout before the data dir became its own catalog: a MANIFEST
+  // naming generation-numbered spill files.
+  const std::string dir = FreshDataDir("oldlayout");
+  const std::string spill_bytes =
+      SerializeInstanceChecksummed(CompressedBib());
+  WriteRawFile(dir + "/alpha.g1.xcqi", spill_bytes);
+  WriteRawFile(dir + "/MANIFEST",
+               "XCQM 1\ndoc alpha alpha.g1.xcqi " +
+                   std::to_string(spill_bytes.size()) + " " +
+                   std::to_string(Crc32(spill_bytes)) + " 1 -\n");
 
+  {
+    DocumentStore store(DurableOptions(dir));
+    XCQ_ASSERT_OK(store.durability_status());
+    EXPECT_EQ(store.warm_count(), 0u);
+    EXPECT_EQ(store.recovery_stats().recovered, 0u);
+    EXPECT_GE(store.recovery_stats().errors, 1u);
+    EXPECT_EQ(store.Acquire("alpha").status().code(),
+              StatusCode::kNotFound);
+    // LOAD again is the way forward; it writes the new layout beside
+    // the old files.
+    XCQ_ASSERT_OK(store.LoadInstance("alpha", CompressedBib()));
+  }
+  EXPECT_EQ(ReadRawFile(dir + "/alpha.g1.xcqi"), spill_bytes);
+  EXPECT_TRUE(FileExists(dir + "/MANIFEST"));
   DocumentStore restarted(DurableOptions(dir));
-  XCQ_ASSERT_OK(restarted.durability_status());
-  EXPECT_EQ(restarted.warm_count(), 3u);
-  for (const auto& [name, qa] : expected) {
+  EXPECT_EQ(restarted.warm_count(), 1u);
+  EXPECT_GE(restarted.recovery_stats().errors, 1u);
+  EXPECT_NE(QueryTreeCount(&restarted, "alpha", "//book[author[\"Vianu\"]]"),
+            ~uint64_t{0});
+  EXPECT_TRUE(FileExists(dir + "/alpha.g1.xcqi"));
+  EXPECT_TRUE(FileExists(dir + "/MANIFEST"));
+}
+
+TEST(DurabilityTest, EscapedNamesRestartAsDistinctDocuments) {
+  // Names that differ only in case, or hold bytes no file name should
+  // (dots, slashes, spaces), still get one spill each and come back
+  // under their own names.
+  const std::string dir = FreshDataDir("escaped");
+  const std::vector<std::string> names = {"Bib", "bib", "bib.g1", "a/b c",
+                                          "%41"};
+  {
+    DocumentStore store(DurableOptions(dir));
+    for (const std::string& name : names) {
+      XCQ_ASSERT_OK(store.LoadInstance(name, CompressedBib()));
+    }
+  }
+  EXPECT_EQ(ListDir(dir).size(), names.size());
+  DocumentStore restarted(DurableOptions(dir));
+  EXPECT_EQ(restarted.recovery_stats().errors, 0u);
+  EXPECT_EQ(restarted.warm_count(), names.size());
+  for (const std::string& name : names) {
     SCOPED_TRACE(name);
-    EXPECT_EQ(QueryTreeCount(&restarted, name, qa.first), qa.second);
+    EXPECT_NE(QueryTreeCount(&restarted, name, "//paper/author"),
+              ~uint64_t{0});
   }
 }
 
@@ -466,37 +462,18 @@ TEST(DurabilityTest, StrayTmpArtifactsAreCleanedUp) {
   }();
   // A crash between temp-write and rename leaves .tmp files behind.
   WriteRawFile(dir + "/MANIFEST.tmp", "XCQM 1\ndoc half-written");
-  WriteRawFile(dir + "/alpha.g99.xcqi.tmp", "torn spill bytes");
+  WriteRawFile(dir + "/alpha.xcqi.tmp", "torn spill bytes");
 
   DocumentStore restarted(DurableOptions(dir));
   XCQ_ASSERT_OK(restarted.durability_status());
   EXPECT_EQ(restarted.warm_count(), 3u);
   EXPECT_FALSE(FileExists(dir + "/MANIFEST.tmp"));
-  EXPECT_FALSE(FileExists(dir + "/alpha.g99.xcqi.tmp"));
+  EXPECT_FALSE(FileExists(dir + "/alpha.xcqi.tmp"));
+  EXPECT_EQ(restarted.recovery_stats().errors, 0u);
   for (const auto& [name, qa] : expected) {
     SCOPED_TRACE(name);
     EXPECT_EQ(QueryTreeCount(&restarted, name, qa.first), qa.second);
   }
-}
-
-TEST(DurabilityTest, CorruptManifestHeaderDisablesCleanupNotServing) {
-  const std::string dir = FreshDataDir("badheader");
-  {
-    DocumentStore store(DurableOptions(dir));
-    SeedCorpus(&store);
-  }
-  const std::string spill = SpillPathFor(dir, "alpha");
-  ASSERT_FALSE(spill.empty());
-  WriteRawFile(dir + "/MANIFEST", "garbage header\n");
-
-  // Nothing recovers (the catalog is untrusted) — but the spill FILES
-  // must survive: a corrupt manifest must never cascade into deleting
-  // good data.
-  DocumentStore restarted(DurableOptions(dir));
-  XCQ_ASSERT_OK(restarted.durability_status());
-  EXPECT_EQ(restarted.warm_count(), 0u);
-  EXPECT_GE(restarted.recovery_stats().errors, 1u);
-  EXPECT_TRUE(FileExists(spill));
 }
 
 TEST(DurabilityTest, ConcurrentAcquireIsSingleFlight) {
@@ -532,10 +509,9 @@ TEST(DurabilityTest, ConcurrentAcquireIsSingleFlight) {
 }
 
 TEST(DurabilityTest, ConcurrentRespillAndFaultInNeverLoseTheDocument) {
-  // The respill ↔ fault-in race: PERSIST (or a demotion refresh) writes
-  // generation N+1 and unlinks generation N's file while a fault-in
-  // that looked the record up before the catalog update is still trying
-  // to read it. The reader must retry against the fresh record — the
+  // The respill ↔ fault-in race: PERSIST (or a demotion refresh)
+  // renames a new spill over the one a fault-in is reading. The reader
+  // holds either the complete old or the complete new file — the
   // document must never degrade to cold, and its durable copy must
   // survive the churn.
   const std::string dir = FreshDataDir("respillrace");
@@ -585,7 +561,7 @@ TEST(DurabilityTest, EvictDemotesToWarmAndFaultsBack) {
   EXPECT_EQ(store.document_count(), 1u);
 }
 
-TEST(DurabilityTest, ForgetRemovesResidencySpillAndManifest) {
+TEST(DurabilityTest, ForgetRemovesResidencyAndSpill) {
   const std::string dir = FreshDataDir("forget");
   {
     DocumentStore store(DurableOptions(dir));

@@ -256,7 +256,6 @@ std::vector<std::string> Converse(server::DocumentStore* store,
         log->replies.emplace(seq, std::move(bytes));
         log->cv.notify_all();
       },
-      server::PipelinedHandler::Limits{}, server::PipelinedHandler::Hooks{},
       options);
   const auto await_all = [&] {
     std::unique_lock<std::mutex> lock(log->mu);
