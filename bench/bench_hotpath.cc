@@ -77,7 +77,7 @@ std::vector<std::string> ServingMix(std::string_view corpus_name) {
 
 /// Drives the mix until one full pass performs no splits (the fixpoint
 /// every later pass stays at), then one settle pass so every traversal
-/// cache section (heights, path counts) and the scratch pool are
+/// cache section (order, path counts) and the scratch pool are
 /// populated. Dies if the fixpoint is not reached — that would break
 /// the steady-state premise of everything measured after.
 void Warmup(QuerySession* session, const std::vector<std::string>& mix) {

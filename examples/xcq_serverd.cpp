@@ -50,12 +50,9 @@
 //                       same directory answers queries without
 //                       re-LOADing (docs/SERVER.md §Persistence). A data
 //                       dir of the older MANIFEST layout starts cold:
-//                       LOAD the documents again. Default: off,
+//                       LOAD the documents again. Every spill found at
+//                       startup is a warm document. Default: off,
 //                       memory-only.
-//   --warm-start=MODE   on (default) registers every spill in the data
-//                       dir as a warm document at startup; off starts
-//                       cold but leaves the spills in place. Only
-//                       meaningful with --data-dir.
 //
 // Protocol (line-oriented; try it with `nc 127.0.0.1 7878`):
 //
@@ -106,7 +103,7 @@ int Usage(const char* argv0) {
                "[--max-connections=N] [--idle-timeout=SEC] "
                "[--write-timeout=SEC] [--queue-depth=N] "
                "[--default-deadline-ms=N] [--max-batch=N] "
-               "[--data-dir=PATH] [--warm-start=on|off]\n",
+               "[--data-dir=PATH]\n",
                argv0);
   return 2;
 }
@@ -194,10 +191,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "bad --data-dir: %s\n", argv[i]);
         return 2;
       }
-    } else if (arg == "--warm-start=on") {
-      options.warm_start = true;
-    } else if (arg == "--warm-start=off") {
-      options.warm_start = false;
     } else if (arg.rfind("--preload=", 0) == 0) {
       const std::string_view spec = arg.substr(10);
       const size_t eq = spec.find('=');

@@ -36,22 +36,22 @@ struct SweepLane {
 };
 
 /// Each axis family has one single-threaded kernel (docs/INTERNALS.md
-/// §8.5): downward axes sweep root-first height bands, upward axes make
-/// one children-first pass over the cached post-order, sibling axes run
-/// demand/resolve/rewrite phases. Every kernel decides every reachable
-/// vertex.
+/// §8.5): downward axes make one parents-first pass over the cached
+/// post-order walked backwards, upward axes one children-first pass
+/// over it, sibling axes run demand/resolve/rewrite phases. Every
+/// kernel decides every reachable vertex.
 ///
-/// An optional `cancel` token (util/cancel.h) is polled at band and
-/// phase boundaries (upward sweeps, which never mutate, poll once up
-/// front) — never inside the inner loops — and a tripped token aborts
-/// the sweep with `kCancelled` / `kDeadlineExceeded`. Every checkpoint
-/// sits between mutation phases, so an aborted sweep leaves the
-/// instance structurally consistent and representing the same tree (at
-/// worst with unreachable clone leftovers, exactly like the
-/// shared-batch optimistic abort).
+/// An optional `cancel` token (util/cancel.h) is polled every 4096
+/// decided vertices and before the commit phases of a downward sweep,
+/// at the phase boundaries of a sibling sweep, and once up front by an
+/// upward sweep (which never mutates); a tripped token aborts the sweep
+/// with `kCancelled` / `kDeadlineExceeded`. No checkpoint sits inside a
+/// commit phase, so an aborted sweep leaves the instance structurally
+/// consistent and representing the same tree (at worst with unreachable
+/// clone leftovers, exactly like the shared-batch optimistic abort).
 
 /// \brief child / descendant / descendant-or-self — the Fig. 4 algorithm
-/// as a root-first height-band sweep.
+/// as one parents-first sweep over the reversed cached post-order.
 Status ApplyDownwardAxis(Instance* instance, xpath::Axis axis,
                          RelationId src, RelationId dst,
                          AxisStats* stats = nullptr,

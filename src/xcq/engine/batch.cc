@@ -75,7 +75,7 @@ bool SharedDownward(Instance* instance, Axis axis,
                     std::span<const SweepLane> lanes) {
   const bool inherit = axis != Axis::kChild;
   const bool or_self = axis == Axis::kDescendantOrSelf;
-  const TraversalCache& t = instance->EnsureTraversal(true);
+  const TraversalCache& t = instance->EnsureTraversal();
   const size_t n = instance->vertex_count();
   const uint64_t full = AllLanes(lanes);
   const std::vector<uint64_t> src_mask = SourceMasks(*instance, lanes);
@@ -87,21 +87,21 @@ bool SharedDownward(Instance* instance, Axis axis,
   std::vector<uint64_t> dst_mask(n, 0);
   const VertexId root = instance->root();
 
-  for (size_t h = t.bands.size(); h-- > 0;) {
-    for (const VertexId w : t.bands[h]) {
-      uint64_t d1 = demand1[w];
-      uint64_t d0 = demand0[w];
-      if (w == root) d0 = full;  // the root is entered by no edge
-      const uint64_t os = or_self ? src_mask[w] : 0;
-      if ((d1 & d0 & ~os) != 0) return false;
-      const uint64_t mine = os | d1;
-      dst_mask[w] = mine;
-      const uint64_t out1 = src_mask[w] | (inherit ? mine : uint64_t{0});
-      const uint64_t out0 = full & ~out1;
-      for (const Edge& e : instance->Children(w)) {
-        demand1[e.child] |= out1;
-        demand0[e.child] |= out0;
-      }
+  // Parents first: reverse post-order.
+  for (auto it = t.order.rbegin(); it != t.order.rend(); ++it) {
+    const VertexId w = *it;
+    uint64_t d1 = demand1[w];
+    uint64_t d0 = demand0[w];
+    if (w == root) d0 = full;  // the root is entered by no edge
+    const uint64_t os = or_self ? src_mask[w] : 0;
+    if ((d1 & d0 & ~os) != 0) return false;
+    const uint64_t mine = os | d1;
+    dst_mask[w] = mine;
+    const uint64_t out1 = src_mask[w] | (inherit ? mine : uint64_t{0});
+    const uint64_t out0 = full & ~out1;
+    for (const Edge& e : instance->Children(w)) {
+      demand1[e.child] |= out1;
+      demand0[e.child] |= out0;
     }
   }
   CommitMasks(instance, lanes, t.order, dst_mask);

@@ -35,9 +35,9 @@ inline constexpr size_t kMaskLanes = 64;
 void SharedUpward(Instance* instance, xpath::Axis axis,
                   std::span<const SweepLane> lanes);
 
-/// \brief child / descendant / descendant-or-self: a root-first band
-/// sweep accumulating per-lane demand masks. Returns false at the first
-/// clash, with every `dst` untouched.
+/// \brief child / descendant / descendant-or-self: one parents-first
+/// pass over the reversed cached post-order accumulating per-lane demand
+/// masks. Returns false at the first clash, with every `dst` untouched.
 bool SharedDownward(Instance* instance, xpath::Axis axis,
                     std::span<const SweepLane> lanes);
 

@@ -8,17 +8,19 @@ namespace xcq::engine {
 
 using xpath::Axis;
 
-/// Height-band form of the paper's Fig. 4 (docs/INTERNALS.md §8.5).
+/// Reverse post-order form of the paper's Fig. 4 (docs/INTERNALS.md
+/// §8.5).
 ///
-/// `height(v)` (longest path to a leaf) strictly decreases along every
-/// edge, so bands are processed root-first: when band h starts, every
-/// vertex of height > h carries its final `dst` bit and has *pushed*
-/// what each of its edges demands of its child — src(p) ∨ inherit·dst(p)
-/// — into the child's demand flags (an OR, hence order-free). A band
-/// vertex folds its flags with or-self·src(w): one demanded bit → take
-/// it and push onward; both → split, the original keeping 0 and the
-/// clone (which pushes with bit 1) taking 1. Each vertex is decided
-/// once and cloned at most once, so the instance at most doubles.
+/// The cached DFS post-order lists every reachable child before each of
+/// its parents, so walked back to front it is a topological order:
+/// when w's turn comes, every reachable parent of w carries its final
+/// `dst` bit and has *pushed* what each of its edges demands of its
+/// child — src(p) ∨ inherit·dst(p) — into w's demand flags (an OR,
+/// hence order-free). w folds its flags with or-self·src(w): one
+/// demanded bit → take it and push onward; both → split, the original
+/// keeping 0 and the clone (which pushes with bit 1) taking 1. Each
+/// vertex is decided once and cloned at most once, so the instance at
+/// most doubles.
 ///
 /// Edges are re-pointed to the right variant in ONE deferred pass at
 /// the end — every edge's demand is recomputable from its (by then
@@ -48,8 +50,7 @@ Status ApplyDownwardAxis(Instance* instance, Axis axis, RelationId src,
   // the cache for *later* readers, but no rebuild can happen while this
   // kernel runs (nothing here re-reads the cache), so the snapshot
   // stays intact.
-  const TraversalCache& plan =
-      instance->EnsureTraversal(/*need_heights=*/true);
+  const TraversalCache& plan = instance->EnsureTraversal();
   const size_t n0 = instance->vertex_count();
   const DynamicBitset& src_bits = instance->RelationBits(src);
 
@@ -70,38 +71,35 @@ Status ApplyDownwardAxis(Instance* instance, Axis axis, RelationId src,
   };
 
   const VertexId root = instance->root();
-  for (size_t h = plan.bands.size(); h-- > 0;) {
-    const std::vector<VertexId>& band = plan.bands[h];
-    if (band.empty()) continue;
-
-    // Checkpoint between bands: clones allocated so far are
-    // unreachable (edges re-point only in the deferred pass below) and
-    // the dst column is untouched until the final bit pass, so an
+  uint64_t decided = 0;
+  // Parents first; clones are allocated in this order.
+  for (auto it = plan.order.rbegin(); it != plan.order.rend(); ++it) {
+    const VertexId w = *it;
+    // Checkpoint every 4096 decided vertices: clones allocated so far
+    // are unreachable (edges re-point only in the deferred pass below)
+    // and the dst column is untouched until the final bit pass, so an
     // abort here leaves the instance representing the same tree, at
     // worst with unreachable clone leftovers.
-    if (cancel != nullptr) XCQ_RETURN_IF_ERROR(cancel->Check());
-
-    // Decisions depend only on flags pushed by (finalized) higher
-    // bands, so clones are allocated in band order.
-    for (const VertexId w : band) {
-      uint8_t d = demand[w];
-      // Only the root receives no demands (every other reachable
-      // vertex is entered by a reachable parent's edge).
-      if (d == 0 && w == root) d = 1;
-      if (or_self && src_bits.Test(w)) d = 2;  // every occurrence selected
-      if (d == 3) {
-        // The original keeps 0; the clone (same child list) takes 1.
-        push_from(w, false);
-        const VertexId clone = instance->CloneVertex(w);
-        counterpart[w] = clone;
-        dst_bit.push_back(1);  // dst_bit[clone]
-        ++split_count;
-        if (stats != nullptr) ++stats->splits;
-        push_from(clone, true);
-      } else {
-        dst_bit[w] = d == 2 ? 1 : 0;
-        push_from(w, dst_bit[w] != 0);
-      }
+    if (cancel != nullptr && ++decided % 4096 == 0) {
+      XCQ_RETURN_IF_ERROR(cancel->Check());
+    }
+    uint8_t d = demand[w];
+    // Only the root receives no demands (every other reachable vertex
+    // is entered by a reachable parent's edge).
+    if (d == 0 && w == root) d = 1;
+    if (or_self && src_bits.Test(w)) d = 2;  // every occurrence selected
+    if (d == 3) {
+      // The original keeps 0; the clone (same child list) takes 1.
+      push_from(w, false);
+      const VertexId clone = instance->CloneVertex(w);
+      counterpart[w] = clone;
+      dst_bit.push_back(1);  // dst_bit[clone]
+      ++split_count;
+      if (stats != nullptr) ++stats->splits;
+      push_from(clone, true);
+    } else {
+      dst_bit[w] = d == 2 ? 1 : 0;
+      push_from(w, dst_bit[w] != 0);
     }
   }
 

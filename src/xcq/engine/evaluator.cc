@@ -85,7 +85,7 @@ class PlanRunner {
     }
     for (size_t r = 0; r < rounds; ++r) {
       // Round boundaries are always between mutation phases; the
-      // splitting kernels add their own band/phase-granular checkpoints.
+      // splitting kernels add their own vertex-count/phase checkpoints.
       if (options_.cancel != nullptr) {
         XCQ_RETURN_IF_ERROR(options_.cancel->Check());
       }

@@ -214,7 +214,7 @@ std::vector<VertexId> Instance::TopologicalOrder() const {
 }
 
 const TraversalCache& Instance::EnsureTraversal(
-    bool need_heights, bool need_path_counts) const {
+    bool need_path_counts) const {
   if (traversal_.generation != structure_generation_) {
     traversal_.order = PostOrder();
     uint64_t edges = 0;
@@ -222,32 +222,9 @@ const TraversalCache& Instance::EnsureTraversal(
       edges += Children(v).size();
     }
     traversal_.reachable_edges = edges;
-    traversal_.has_heights = false;
     traversal_.has_path_counts = false;
     traversal_.generation = structure_generation_;
     ++traversal_builds_;
-  }
-  if (need_heights && !traversal_.has_heights) {
-    const size_t n = vertex_count();
-    traversal_.height.assign(n, TraversalCache::kNoHeight);
-    uint32_t max_height = 0;
-    for (const VertexId v : traversal_.order) {
-      uint32_t h = 0;
-      for (const Edge& e : Children(v)) {
-        // Children precede parents in post-order, so their height is
-        // final; reachable vertices only reach reachable children.
-        const uint32_t below = traversal_.height[e.child] + 1;
-        if (below > h) h = below;
-      }
-      traversal_.height[v] = h;
-      if (h > max_height) max_height = h;
-    }
-    traversal_.bands.assign(traversal_.order.empty() ? 0 : max_height + 1,
-                            {});
-    for (const VertexId v : traversal_.order) {
-      traversal_.bands[traversal_.height[v]].push_back(v);
-    }
-    traversal_.has_heights = true;
   }
   if (need_path_counts && !traversal_.has_path_counts) {
     traversal_.path_counts.assign(vertex_count(), 0);

@@ -47,35 +47,29 @@ struct Edge {
 ///
 /// Every axis sweep, reachability count, and path-count decode starts
 /// from the same derived data: the DFS post-order over the reachable
-/// DAG, per-vertex heights with their height bands, and per-vertex
-/// root-path counts. Before this cache each operator recomputed them
-/// with a private `PostOrder()` walk — per *op*, which dominates short
-/// queries. The cache computes each section once per structural
-/// generation: any mutation of vertices, edges, or the root bumps
-/// `Instance::structure_generation()` and the next `EnsureTraversal`
-/// rebuilds. Relation-column writes (selections) do not invalidate.
+/// DAG and per-vertex root-path counts. Before this cache each operator
+/// recomputed them with a private `PostOrder()` walk — per *op*, which
+/// dominates short queries. The cache computes each section once per
+/// structural generation: any mutation of vertices, edges, or the root
+/// bumps `Instance::structure_generation()` and the next
+/// `EnsureTraversal` rebuilds. Relation-column writes (selections) do
+/// not invalidate.
 ///
-/// Sections are filled on demand: `order` + `reachable_edges` always,
-/// heights/bands and path counts only when a caller asks (each costs
-/// one extra pass over the order). References returned by
-/// `EnsureTraversal` are stable until the next rebuild — callers that
-/// mutate the instance while iterating must copy first (the kernels
-/// snapshot by holding the reference across a generation they know is
-/// stale only for *later* readers; see docs/INTERNALS.md §8.5).
+/// `order` serves both sweep directions: children-first kernels walk it
+/// front to back, parents-first kernels (downward axes, path counts)
+/// back to front — the reverse of a DFS post-order of a DAG is a
+/// topological order. `order` + `reachable_edges` are always filled,
+/// path counts only when a caller asks (one extra pass over the order).
+/// References returned by `EnsureTraversal` are stable until the next
+/// rebuild — callers that mutate the instance while iterating must copy
+/// first (the kernels snapshot by holding the reference across a
+/// generation they know is stale only for *later* readers; see
+/// docs/INTERNALS.md §8.5).
 struct TraversalCache {
-  static constexpr uint32_t kNoHeight = UINT32_MAX;
-
   /// Reachable vertices, children before parents (DFS post-order).
   std::vector<VertexId> order;
   /// RLE edges over the reachable vertices.
   uint64_t reachable_edges = 0;
-
-  /// height[v] = longest path to a leaf for reachable v; kNoHeight for
-  /// unreachable ids. Leaves are 0; the root is the unique maximum.
-  bool has_heights = false;
-  std::vector<uint32_t> height;
-  /// bands[h] = reachable vertices of height h, in post-order position.
-  std::vector<std::vector<VertexId>> bands;
 
   /// path_counts[v] = number of root paths to v (saturating), the
   /// decoding weights of Sec. 2.1; 0 for unreachable ids.
@@ -86,14 +80,8 @@ struct TraversalCache {
   uint64_t generation = 0;
 
   size_t MemoryFootprint() const {
-    size_t bytes = order.capacity() * sizeof(VertexId) +
-                   height.capacity() * sizeof(uint32_t) +
-                   path_counts.capacity() * sizeof(uint64_t) +
-                   bands.capacity() * sizeof(std::vector<VertexId>);
-    for (const std::vector<VertexId>& band : bands) {
-      bytes += band.capacity() * sizeof(VertexId);
-    }
-    return bytes;
+    return order.capacity() * sizeof(VertexId) +
+           path_counts.capacity() * sizeof(uint64_t);
   }
 };
 
@@ -223,15 +211,14 @@ class Instance {
   // --- Traversal helpers ---------------------------------------------------
 
   /// The memoized traversal (see TraversalCache), rebuilt if the
-  /// structure changed since the last call; heights/bands and path
-  /// counts are filled only when requested. The returned reference is
+  /// structure changed since the last call; path counts are filled only
+  /// when requested. The returned reference is
   /// stable until the next structural mutation *followed by* another
   /// EnsureTraversal call — callers that mutate while iterating must
   /// copy the sections they need first. Not thread-safe while it
   /// (re)builds: like all Instance mutation, first access after a
   /// structural change requires exclusive access.
-  const TraversalCache& EnsureTraversal(bool need_heights = false,
-                                        bool need_path_counts = false) const;
+  const TraversalCache& EnsureTraversal(bool need_path_counts = false) const;
 
   /// Monotone counter bumped by every structural mutation; the cache is
   /// current iff EnsureTraversal().generation equals this.

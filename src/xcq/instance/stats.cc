@@ -51,12 +51,12 @@ std::vector<uint64_t> PathCounts(const Instance& instance) {
   // Path counts depend only on structure, so they live in the traversal
   // cache; this returns a copy for callers that hold the vector across
   // mutations. Hot paths (SelectedTreeNodeCount below) read in place.
-  return instance.EnsureTraversal(false, true).path_counts;
+  return instance.EnsureTraversal(/*need_path_counts=*/true).path_counts;
 }
 
 uint64_t SelectedTreeNodeCount(const Instance& instance, RelationId r) {
   const std::vector<uint64_t>& paths =
-      instance.EnsureTraversal(false, true).path_counts;
+      instance.EnsureTraversal(/*need_path_counts=*/true).path_counts;
   uint64_t total = 0;
   instance.RelationBits(r).ForEach([&](size_t v) {
     total = SaturatingAdd(total, paths[v]);
@@ -66,19 +66,12 @@ uint64_t SelectedTreeNodeCount(const Instance& instance, RelationId r) {
 
 uint64_t SelectedDagNodeCount(const Instance& instance, RelationId r) {
   const std::vector<uint64_t>& paths =
-      instance.EnsureTraversal(false, true).path_counts;
+      instance.EnsureTraversal(/*need_path_counts=*/true).path_counts;
   uint64_t total = 0;
   instance.RelationBits(r).ForEach([&](size_t v) {
     if (paths[v] > 0) ++total;
   });
   return total;
-}
-
-size_t DagDepth(const Instance& instance) {
-  if (instance.vertex_count() == 0 || instance.root() == kNoVertex) return 0;
-  // Cached heights count edges from the deepest leaf (leaf = 0); depth
-  // here counts vertices on that path, hence the +1.
-  return instance.EnsureTraversal(true).height[instance.root()] + 1;
 }
 
 CompressionStats ComputeCompressionStats(const Instance& instance) {

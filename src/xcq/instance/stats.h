@@ -47,9 +47,6 @@ uint64_t SelectedTreeNodeCount(const Instance& instance, RelationId r);
 /// leftovers are excluded, matching what decompression would see.
 uint64_t SelectedDagNodeCount(const Instance& instance, RelationId r);
 
-/// \brief Longest root-to-leaf path in the DAG (root = 1).
-size_t DagDepth(const Instance& instance);
-
 /// \brief Compression summary for one instance (one row of Fig. 6).
 struct CompressionStats {
   uint64_t tree_nodes = 0;      ///< |V^T|

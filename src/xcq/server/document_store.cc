@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -372,6 +373,19 @@ Status SpillManager::Init(const std::string& data_dir, RecoveryStats* stats) {
   }
   ::closedir(dir);
   dir_ = data_dir;
+  return Status::OK();
+}
+
+Status SpillManager::CheckName(const std::string& name) const {
+  if (!enabled()) return Status::OK();
+  const size_t file_bytes =
+      EscapeName(name).size() + kSpillSuffix.size() + kTmpSuffix.size();
+  if (file_bytes > NAME_MAX) {
+    return Status::InvalidArgument(StrFormat(
+        "document name of %zu bytes cannot spill: its temp file name "
+        "would be %zu bytes, over the %d-byte limit",
+        name.size(), file_bytes, NAME_MAX));
+  }
   return Status::OK();
 }
 
@@ -778,12 +792,7 @@ DocumentStore::DocumentStore(StoreOptions options)
     {
       ScopedTimer timer(&seconds);
       durability_status_ = spills_.Init(options_.data_dir, &recovery_);
-      if (durability_status_.ok() && options_.warm_start) {
-        for (const std::string& name : spills_.Names()) {
-          warm_.emplace(name, WarmEntry{});
-          ++recovery_.recovered;
-        }
-      }
+      recovery_.recovered = spills_.Names().size();
     }
     recovery_.seconds = seconds;
     if (!durability_status_.ok()) {
@@ -799,11 +808,15 @@ DocumentStore::DocumentStore(StoreOptions options)
 }
 
 Status DocumentStore::LoadXml(const std::string& name, std::string xml) {
+  XCQ_RETURN_IF_ERROR(spills_.CheckName(name));
   XCQ_ASSIGN_OR_RETURN(QuerySession session,
                        QuerySession::Open(std::move(xml), options_.session));
   auto doc = std::make_shared<StoredDocument>(std::move(session), name, this);
   // No instance exists before the first query of an XML-loaded document,
-  // so there is nothing to spill yet; the first query writes it.
+  // so there is nothing to spill yet; the first query writes it. The
+  // spill of a document this one replaces goes now: an EVICT or a
+  // restart would otherwise fault the old content back in.
+  spills_.Remove(name);
   loads_total_->Increment();
   InstallDocument(name, std::move(doc));
   return Status::OK();
@@ -811,6 +824,7 @@ Status DocumentStore::LoadXml(const std::string& name, std::string xml) {
 
 Status DocumentStore::LoadInstance(const std::string& name,
                                    Instance instance) {
+  XCQ_RETURN_IF_ERROR(spills_.CheckName(name));
   XCQ_ASSIGN_OR_RETURN(
       QuerySession session,
       QuerySession::FromInstance(std::move(instance), options_.session));
@@ -830,9 +844,9 @@ void DocumentStore::InstallDocument(const std::string& name,
   std::vector<std::shared_ptr<StoredDocument>> doomed;
   {
     std::unique_lock<std::shared_mutex> lock(mu_);
-    // A fresh LOAD supersedes any warm entry (and orphans an in-flight
-    // fault-in, which detects the latch mismatch and discards itself).
-    warm_.erase(name);
+    // A fresh LOAD orphans an in-flight fault-in, which detects the
+    // latch mismatch and discards itself.
+    faulting_.erase(name);
     docs_[name] = std::move(doc);
     EnforceCapacityLocked(name, &doomed);
   }
@@ -887,17 +901,18 @@ Result<std::shared_ptr<StoredDocument>> DocumentStore::Acquire(
         it->second->last_used_.store(++clock_);
         return it->second;
       }
-      const auto wit = warm_.find(name);
-      if (wit == warm_.end()) {
+      const auto fit = faulting_.find(name);
+      if (fit != faulting_.end()) {
+        latch = fit->second;
+      } else if (spills_.Lookup(name).has_value()) {
+        latch = std::make_shared<FaultIn>();
+        faulting_.emplace(name, latch);
+        loader = true;
+      } else {
         load_misses_total_->Increment();
         return Status::NotFound(
             StrFormat("no document named '%s' is loaded", name.c_str()));
       }
-      if (wit->second.inflight == nullptr) {
-        wit->second.inflight = std::make_shared<FaultIn>();
-        loader = true;
-      }
-      latch = wit->second.inflight;
     }
     if (loader) {
       const Status status = FaultInDocument(name, latch);
@@ -916,6 +931,13 @@ Result<std::shared_ptr<StoredDocument>> DocumentStore::Acquire(
     latch->cv.wait(flock, [&latch] { return latch->done; });
     if (!latch->status.ok()) return latch->status;
   }
+}
+
+void DocumentStore::ReleaseLatch(const std::string& name,
+                                 const std::shared_ptr<FaultIn>& latch) {
+  std::unique_lock<std::shared_mutex> lock(mu_);
+  const auto fit = faulting_.find(name);
+  if (fit != faulting_.end() && fit->second == latch) faulting_.erase(fit);
 }
 
 Status DocumentStore::FaultInDocument(const std::string& name,
@@ -940,38 +962,29 @@ Status DocumentStore::FaultInDocument(const std::string& name,
     // Only a *verified* permanent failure — CRC/size/structural mismatch
     // (kCorruption) or a spill file that is provably gone (kNotFound) —
     // may destroy durable state. Anything else (fd pressure, ENOMEM,
-    // permissions) is transient: keep the warm entry and the spill,
-    // hand every waiter a retryable error, and let the next Acquire
-    // start a fresh fault-in.
+    // permissions) is transient: keep the spill (the document stays
+    // warm), hand every waiter a retryable error, and let the next
+    // Acquire start a fresh fault-in.
     const StatusCode code = session.status().code();
     if (code != StatusCode::kCorruption && code != StatusCode::kNotFound) {
       const Status retryable = Status::IoError(
           StrFormat("warm document '%s' fault-in failed, will retry: %s",
                     name.c_str(), session.status().message().c_str()));
       std::fprintf(stderr, "xcq: %s\n", retryable.ToString().c_str());
-      std::unique_lock<std::shared_mutex> lock(mu_);
-      const auto wit = warm_.find(name);
-      if (wit != warm_.end() && wit->second.inflight == latch) {
-        wit->second.inflight = nullptr;
-      }
+      ReleaseLatch(name, latch);
       return retryable;
     }
-    // The canonical cold-miss degradation: drop the entry and its
-    // artifacts, log one line, fail this document only.
+    // The canonical cold-miss degradation: drop the spill, log one
+    // line, fail this document only. The spill goes before the latch,
+    // so no second fault-in can start on the corrupt file.
     const Status canonical = Status::Corruption(
         StrFormat("warm document '%s' unrecoverable: %s", name.c_str(),
                   session.status().message().c_str()));
     std::fprintf(stderr, "xcq: %s\n", canonical.ToString().c_str());
-    {
-      std::unique_lock<std::shared_mutex> lock(mu_);
-      const auto wit = warm_.find(name);
-      if (wit != warm_.end() && wit->second.inflight == latch) {
-        warm_.erase(wit);
-      }
-    }
     if (spill.has_value()) {
       spills_.RemoveIfUnchanged(name, spill->write_count);
     }
+    ReleaseLatch(name, latch);
     return canonical;
   }
   auto doc = std::make_shared<StoredDocument>(std::move(*session), name, this);
@@ -982,13 +995,13 @@ Status DocumentStore::FaultInDocument(const std::string& name,
   std::vector<std::shared_ptr<StoredDocument>> doomed;
   {
     std::unique_lock<std::shared_mutex> lock(mu_);
-    const auto wit = warm_.find(name);
-    if (wit == warm_.end() || wit->second.inflight != latch) {
+    const auto fit = faulting_.find(name);
+    if (fit == faulting_.end() || fit->second != latch) {
       // Superseded by a LOAD or FORGET while the spill was being read;
       // discard our result — waiters re-resolve against current state.
       return Status::OK();
     }
-    warm_.erase(wit);
+    faulting_.erase(fit);
     docs_[name] = std::move(doc);
     warm_hits_total_->Increment();
     EnforceCapacityLocked(name, &doomed);
@@ -1009,7 +1022,7 @@ bool DocumentStore::Evict(const std::string& name) {
     const auto it = docs_.find(name);
     if (it == docs_.end()) {
       // Warm-only names have no residency to drop; they stay warm.
-      return warm_.count(name) > 0;
+      return spills_.Lookup(name).has_value();
     }
     doomed = std::move(it->second);
     docs_.erase(it);
@@ -1018,12 +1031,9 @@ bool DocumentStore::Evict(const std::string& name) {
     // valid (clients may still hold the StoredDocument shared_ptr).
     // A later fault-in re-registers them with counters intact.
     registry_.RemoveLabeled("document", name);
-    if (spills_.Lookup(name).has_value()) {
-      // Demote: keep the spill, drop residency. The next Acquire
-      // faults the document back in.
-      warm_.emplace(name, WarmEntry{});
-      demoted = true;
-    }
+    // Demote: keep the spill, drop residency. The next Acquire faults
+    // the document back in.
+    demoted = spills_.Lookup(name).has_value();
   }
   // Final spill refresh off the store lock: if queries grew the label
   // set or split vertices since the last spill, capture that before the
@@ -1045,7 +1055,7 @@ Status DocumentStore::Persist(const std::string& name) {
     const auto it = docs_.find(name);
     if (it != docs_.end()) {
       doc = it->second;
-    } else if (warm_.count(name) > 0) {
+    } else if (spills_.Lookup(name).has_value()) {
       return Status::OK();  // warm = already durable; no-op
     }
   }
@@ -1057,8 +1067,10 @@ Status DocumentStore::Persist(const std::string& name) {
 }
 
 bool DocumentStore::Forget(const std::string& name) {
+  // The spill goes first: once it is gone no new fault-in can start,
+  // and one already reading it is superseded below.
+  bool existed = spills_.Remove(name);
   std::shared_ptr<StoredDocument> doomed;
-  bool existed = false;
   {
     std::unique_lock<std::shared_mutex> lock(mu_);
     const auto it = docs_.find(name);
@@ -1068,9 +1080,8 @@ bool DocumentStore::Forget(const std::string& name) {
       registry_.RemoveLabeled("document", name);
       existed = true;
     }
-    existed = warm_.erase(name) > 0 || existed;
+    faulting_.erase(name);
   }
-  existed = spills_.Remove(name) || existed;
   if (existed) evictions_total_->Increment();
   return existed;
 }
@@ -1098,8 +1109,9 @@ std::vector<DocumentInfo> DocumentStore::Stats() const {
     std::shared_lock<std::shared_mutex> lock(mu_);
     docs.reserve(docs_.size());
     for (const auto& [name, doc] : docs_) docs.emplace_back(name, doc);
-    warm_only.reserve(warm_.size());
-    for (const auto& [name, entry] : warm_) warm_only.push_back(name);
+    for (std::string& name : spills_.Names()) {
+      if (docs_.count(name) == 0) warm_only.push_back(std::move(name));
+    }
   }
   std::vector<DocumentInfo> infos;
   infos.reserve(docs.size() + warm_only.size());
@@ -1143,7 +1155,11 @@ size_t DocumentStore::document_count() const {
 
 size_t DocumentStore::warm_count() const {
   std::shared_lock<std::shared_mutex> lock(mu_);
-  return warm_.size();
+  size_t warm = 0;
+  for (const std::string& name : spills_.Names()) {
+    if (docs_.count(name) == 0) ++warm;
+  }
+  return warm;
 }
 
 Status DocumentStore::WriteSpill(const std::string& name,
@@ -1182,12 +1198,9 @@ void DocumentStore::EnforceCapacityLocked(
     }
     if (victim == docs_.end()) return;  // only `keep` is left
     evictions_total_->Increment();
+    // A spill-backed victim stays warm; FinalizeDoomed refreshes its
+    // spill if stale.
     registry_.RemoveLabeled("document", victim->first);
-    if (spills_.Lookup(victim->first).has_value()) {
-      // Demote spill-backed victims to warm entries instead of
-      // discarding; FinalizeDoomed refreshes the spill if stale.
-      warm_.emplace(victim->first, WarmEntry{});
-    }
     doomed->push_back(std::move(victim->second));
     docs_.erase(victim);
   }

@@ -42,8 +42,9 @@
 ///              re-parses), single-flight per document.
 ///   cold     — nothing; only LOAD can (re)create it.
 ///
-/// Restart lists the data dir and registers warm entries lazily, so
-/// startup is O(files), not O(corpus). Capacity eviction and EVICT
+/// Warm is derived, never stored: the spill catalog minus the resident
+/// set. Restart lists the data dir, so startup is O(files), not
+/// O(corpus), and every spill found is warm. Capacity eviction and EVICT
 /// demote a spill-backed resident to warm instead of discarding it.
 /// Spills are rewritten whenever a query grows the tracked label set,
 /// so a SIGKILL loses at most the labels merged since the last spill —
@@ -101,15 +102,11 @@ struct StoreOptions {
   /// Spill directory for durable documents; "" disables durability.
   /// Created (one level) if absent. See docs/SERVER.md §Persistence.
   std::string data_dir;
-  /// Register the data dir's spills as warm entries at construction.
-  /// With `false` the spills are still cataloged (STATS, FORGET and
-  /// later spills see them) but none is warm — the store starts cold.
-  bool warm_start = true;
 };
 
 /// \brief What the recovery scan found at startup.
 struct RecoveryStats {
-  size_t recovered = 0;  ///< Warm entries registered from the data dir.
+  size_t recovered = 0;  ///< Spills found in the data dir (all warm).
   size_t errors = 0;     ///< Files in the data dir that are not spills.
   double seconds = 0.0;  ///< Wall time of the scan.
 };
@@ -192,6 +189,11 @@ class SpillManager {
   Status Init(const std::string& data_dir, RecoveryStats* stats);
 
   bool enabled() const { return !dir_.empty(); }
+
+  /// `kInvalidArgument` when `name`'s temp spill file name
+  /// (`<escaped-name>.xcqi.tmp`) is longer than NAME_MAX, so the name
+  /// could never spill; OK otherwise, and always OK while disabled.
+  Status CheckName(const std::string& name) const;
 
   /// Serializes `instance` and atomically writes it as `name`'s spill;
   /// the rename over the spill's path is the commit point.
@@ -352,7 +354,9 @@ class DocumentStore {
 
   /// Compresses `xml` under `name` (replacing any previous document of
   /// that name). The text is retained so later queries can merge missing
-  /// labels in.
+  /// labels in. On a durable store a name too long to spill
+  /// (`SpillManager::CheckName`) fails with `kInvalidArgument` before
+  /// anything is installed; LoadInstance likewise.
   Status LoadXml(const std::string& name, std::string xml);
 
   /// Caches an already-built instance under `name` with no source text
@@ -369,21 +373,22 @@ class DocumentStore {
   std::shared_ptr<StoredDocument> Find(const std::string& name);
 
   /// The document for serving: a resident hit is as cheap as `Find`; a
-  /// warm entry is faulted back in from its spill via `FromInstance`
+  /// warm document is faulted back in from its spill via `FromInstance`
   /// (single-flight — N concurrent acquires of one warm document do one
   /// spill read, everyone else blocks on the loader). A spill that
   /// fails *verification* (CRC/size/structural mismatch, or a file that
-  /// is provably gone) degrades to a cold miss: the entry and its
-  /// artifacts are dropped, one canonical line is logged, and every
-  /// waiter gets the same `kCorruption` status — other documents are
-  /// unaffected. A *transient* read failure (fd pressure, ENOMEM)
-  /// never destroys durable state: the warm entry and spill stay, and
-  /// waiters get a retryable `kIoError` — the next Acquire starts a
-  /// fresh fault-in. `kNotFound` for names that are neither.
+  /// is provably gone) degrades to a cold miss: the spill is removed
+  /// before the latch is released, one canonical line is logged, and
+  /// every waiter gets the same `kCorruption` status — other documents
+  /// are unaffected. A *transient* read failure (fd pressure, ENOMEM)
+  /// never destroys durable state: the spill stays, so the document
+  /// stays warm, and waiters get a retryable `kIoError` — the next
+  /// Acquire starts a fresh fault-in. `kNotFound` for names that are
+  /// neither.
   Result<std::shared_ptr<StoredDocument>> Acquire(const std::string& name);
 
   /// Drops `name`'s residency. With durability, a spill-backed document
-  /// is *demoted* to a warm entry (its spill is refreshed if the label
+  /// is *demoted* to warm (its spill is refreshed if the label
   /// set grew or the structure moved since the last write) and the next
   /// Acquire faults it back in; without, this is a full drop as before.
   /// False if the name is neither resident nor warm (warm-only names
@@ -400,8 +405,8 @@ class DocumentStore {
   /// is off or the document has no compiled instance yet.
   Status Persist(const std::string& name);
 
-  /// Removes `name` everywhere: residency, warm entry and spill file
-  /// (FORGET verb). False if nothing existed.
+  /// Removes `name` everywhere: spill file first, then residency and
+  /// any in-flight fault-in (FORGET verb). False if nothing existed.
   bool Forget(const std::string& name);
 
   /// Rewrites every resident document's spill that is stale in labels
@@ -456,18 +461,12 @@ class DocumentStore {
     bool done = false;
     Status status;
   };
-  /// A warm (spill-backed, non-resident) entry: presence marks the
-  /// state, `inflight` is non-null while a fault-in runs. The spill
-  /// metadata itself lives in the SpillManager's catalog.
-  struct WarmEntry {
-    std::shared_ptr<FaultIn> inflight;
-  };
 
   /// Must hold `mu_` exclusively. Evicts LRU entries (excluding `keep`)
   /// until the footprint fits `capacity_bytes`. Spill-backed victims
-  /// are demoted to warm entries. Victims are moved into `doomed`
-  /// instead of destroyed, so the caller can release `mu_` before the
-  /// (potentially large) frees run — via `FinalizeDoomed`, which also
+  /// become warm. Victims are moved into `doomed` instead of destroyed,
+  /// so the caller can release `mu_` before the (potentially large)
+  /// frees run — via `FinalizeDoomed`, which also
   /// refreshes stale spills of demoted documents first.
   void EnforceCapacityLocked(const std::string& keep,
                              std::vector<std::shared_ptr<StoredDocument>>*
@@ -477,18 +476,22 @@ class DocumentStore {
   void FinalizeDoomed(std::vector<std::shared_ptr<StoredDocument>>* doomed);
   size_t TotalBytesLocked() const;
 
-  /// Registers `doc` under `name` (exclusive lock inside), displacing
-  /// any warm entry, and enforces capacity. Shared tail of the Load*
+  /// Registers `doc` under `name` (exclusive lock inside), superseding
+  /// any in-flight fault-in, and enforces capacity. Shared tail of the Load*
   /// paths and the fault-in.
   void InstallDocument(const std::string& name,
                        std::shared_ptr<StoredDocument> doc);
 
   /// The loader side of Acquire: reads the spill, rebuilds the session,
   /// installs the document. `latch` is this fault-in's single-flight
-  /// latch; a warm entry whose latch no longer matches was superseded
-  /// (LOAD/FORGET raced) and the result is quietly discarded.
+  /// latch; when `faulting_` no longer maps the name to it, a LOAD or
+  /// FORGET superseded the fault-in and its result is quietly discarded.
   Status FaultInDocument(const std::string& name,
                          const std::shared_ptr<FaultIn>& latch);
+
+  /// Drops `name`'s in-flight entry if it is still `latch`.
+  void ReleaseLatch(const std::string& name,
+                    const std::shared_ptr<FaultIn>& latch);
 
   /// Spill write + metrics, called from StoredDocument under its lock.
   Status WriteSpill(const std::string& name, const Instance& instance);
@@ -520,8 +523,8 @@ class DocumentStore {
   mutable std::shared_mutex mu_;
   /// Ordered so STATS is stable.
   std::map<std::string, std::shared_ptr<StoredDocument>> docs_;
-  /// Warm entries; disjoint from `docs_` keys by invariant.
-  std::map<std::string, WarmEntry> warm_;
+  /// Latches of the fault-ins in flight; disjoint from `docs_` keys.
+  std::map<std::string, std::shared_ptr<FaultIn>> faulting_;
   std::atomic<uint64_t> clock_{0};
 };
 

@@ -75,8 +75,7 @@ bool TcpServer::ConnFinished(const Conn& conn) {
 TcpServer::TcpServer(ServerOptions options)
     : options_(std::move(options)),
       store_(StoreOptions{options_.capacity_bytes, options_.session,
-                          options_.trace, options_.data_dir,
-                          options_.warm_start}),
+                          options_.trace, options_.data_dir}),
       service_(&store_,
                ServiceOptions{options_.worker_threads, options_.queue_depth}) {
   obs::Registry* registry = store_.registry();

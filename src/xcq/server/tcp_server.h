@@ -70,10 +70,6 @@ struct ServerOptions {
   /// Spill directory for durable documents (`--data-dir`); empty keeps
   /// the store memory-only.
   std::string data_dir;
-  /// Register spilled documents as warm entries on startup
-  /// (`--warm-start=on|off`). Off still catalogs the spills (STATS and
-  /// FORGET see them) but answers NotFound until an explicit LOAD.
-  bool warm_start = true;
   /// Session behaviour for every stored document.
   SessionOptions session;
   /// Per-query trace logging (`--trace=off|slow:<ms>|all`).

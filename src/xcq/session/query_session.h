@@ -48,7 +48,7 @@ struct SessionOptions {
 /// layer: cooperative cancellation (deadline / client disconnect). A
 /// default-constructed control runs unrestricted.
 struct QueryControl {
-  /// Borrowed cancellation token; polled at phase and band boundaries
+  /// Borrowed cancellation token; polled at safe checkpoints
   /// throughout parsing, labeling, evaluation, and minimization. Null =
   /// never cancelled.
   const CancelToken* cancel = nullptr;

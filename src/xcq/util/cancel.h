@@ -13,9 +13,9 @@
 /// `Check()` returns OK, `kCancelled`, or `kDeadlineExceeded` — and
 /// unwind with that status. The token itself does no unwinding: every
 /// layer that polls is responsible for leaving its data structures
-/// consistent before returning, which is why the engine only polls
-/// *between* mutation phases (band/phase/round boundaries; see
-/// docs/SERVER.md §Deadlines).
+/// consistent before returning, which is why the engine never polls
+/// inside a commit phase (it polls every 4096 vertices of a downward
+/// sweep and at phase/round boundaries; see docs/SERVER.md §Deadlines).
 ///
 /// Tokens are written from one thread (cancel) and read from many
 /// (worker threads); all members are atomics with relaxed ordering —
@@ -77,7 +77,7 @@ class CancelToken {
 
   /// The poll. OK while the request should keep running; otherwise the
   /// canonical `kCancelled` / `kDeadlineExceeded` error. Cheap enough
-  /// for per-band granularity: one relaxed load in the common
+  /// to poll every few thousand vertices: one relaxed load in the common
   /// no-deadline case, plus one clock read when a deadline is armed.
   Status Check() const {
     checks_.fetch_add(1, std::memory_order_relaxed);

@@ -623,29 +623,64 @@ TEST(DurabilityTest, CapacityEvictionDemotesInsteadOfDiscarding) {
             want);
 }
 
-TEST(DurabilityTest, WarmStartOffStartsColdButKeepsSpills) {
-  const std::string dir = FreshDataDir("coldstart");
-  auto expected = [&] {
-    DocumentStore store(DurableOptions(dir));
-    return SeedCorpus(&store);
-  }();
-  StoreOptions cold = DurableOptions(dir);
-  cold.warm_start = false;
+TEST(DurabilityTest, NameTooLongToSpillIsRejectedBeforeInstall) {
+  // An upper-case letter escapes to three bytes, so 82 of them make a
+  // 246-byte stem whose temp file `<stem>.xcqi.tmp` is exactly NAME_MAX
+  // (255) bytes; 83 make one that no spill write could ever create.
+  const std::string dir = FreshDataDir("longname");
+  const std::string xml_path = ::testing::TempDir() + "/longname.xml";
+  XCQ_ASSERT_OK(xml::WriteStringToFile(xml_path, testing::BibExampleXml()));
+  const std::string fits(82, 'A');
+  const std::string too_long(83, 'A');
+  std::string fits_stem;
+  for (size_t i = 0; i < fits.size(); ++i) fits_stem += "%41";
+
+  DocumentStore store(DurableOptions(dir));
+  server::QueryService service(&store, server::ServiceOptions{1});
+  const std::vector<std::string> output = testing::Converse(
+      &store, &service,
+      {"LOAD " + fits + " " + xml_path, "QUERY " + fits + " //paper/author",
+       "LOAD " + too_long + " " + xml_path, "STATS"});
+  ASSERT_EQ(output.size(), 5u);
+  EXPECT_EQ(output[0].rfind("OK loaded " + fits + " ", 0), 0u) << output[0];
+  EXPECT_EQ(output[1].rfind("OK dag=", 0), 0u) << output[1];
+  EXPECT_EQ(output[2].rfind("ERR InvalidArgument", 0), 0u) << output[2];
+  EXPECT_EQ(output[3], "OK 1");
+  EXPECT_EQ(output[4].rfind(fits + " ", 0), 0u) << output[4];
+  EXPECT_NE(output[4].find(" warm=1 "), std::string::npos) << output[4];
+  EXPECT_EQ(ListDir(dir), std::vector<std::string>{fits_stem + ".xcqi"});
+  EXPECT_EQ(store.Acquire(too_long).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(store.LoadInstance(too_long, CompressedBib()).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(store.Stats().size(), 1u);
+
+  // A memory-only store never spills, so it takes any name.
+  DocumentStore memory_only;
+  XCQ_EXPECT_OK(memory_only.LoadXml(too_long, testing::BibExampleXml()));
+  EXPECT_NE(QueryTreeCount(&memory_only, too_long, "//paper/author"),
+            ~uint64_t{0});
+  std::remove(xml_path.c_str());
+}
+
+TEST(DurabilityTest, XmlReloadDropsTheReplacedSpill) {
+  // An XML LOAD has nothing to spill before its first query, so the
+  // replaced document's spill must not survive it: EVICT and restart
+  // then answer NotFound instead of the old content.
+  const std::string dir = FreshDataDir("reload");
   {
-    DocumentStore store(cold);
-    XCQ_ASSERT_OK(store.durability_status());
-    EXPECT_EQ(store.warm_count(), 0u);
-    EXPECT_EQ(store.recovery_stats().recovered, 0u);
-    EXPECT_EQ(store.Acquire("alpha").status().code(),
-              StatusCode::kNotFound);
+    DocumentStore store(DurableOptions(dir));
+    XCQ_ASSERT_OK(store.LoadXml("d", "<r><a/><a/><a/></r>"));
+    EXPECT_EQ(QueryTreeCount(&store, "d", "//a"), 3u);
+    ASSERT_NE(SpillPathFor(dir, "d"), "");
+    XCQ_ASSERT_OK(store.LoadXml("d", "<r><b/></r>"));
+    EXPECT_EQ(SpillPathFor(dir, "d"), "");
+    EXPECT_TRUE(store.Evict("d"));
+    EXPECT_EQ(store.Acquire("d").status().code(), StatusCode::kNotFound);
+    XCQ_ASSERT_OK(store.LoadXml("d", "<r><b/></r>"));
+    EXPECT_EQ(QueryTreeCount(&store, "d", "//a"), 0u);
   }
-  // The catalog survived the cold pass: warm-start again and serve.
-  DocumentStore warmed(DurableOptions(dir));
-  EXPECT_EQ(warmed.warm_count(), 3u);
-  for (const auto& [name, qa] : expected) {
-    SCOPED_TRACE(name);
-    EXPECT_EQ(QueryTreeCount(&warmed, name, qa.first), qa.second);
-  }
+  DocumentStore restarted(DurableOptions(dir));
+  EXPECT_EQ(QueryTreeCount(&restarted, "d", "//a"), 0u);
 }
 
 TEST(DurabilityTest, NoDataDirIsMemoryOnlyAsBefore) {

@@ -69,7 +69,6 @@ TEST(InstanceTest, Fig2StructureAndCounts) {
   // Tree: bib + book + 2 papers + (1+3) + 2*(1+1) = 12 nodes.
   EXPECT_EQ(TreeNodeCount(inst), 12u);
   EXPECT_EQ(TreeEdgeCount(inst), 11u);
-  EXPECT_EQ(DagDepth(inst), 3u);
 }
 
 TEST(InstanceTest, PathCounts) {

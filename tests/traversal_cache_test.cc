@@ -1,8 +1,8 @@
 // The Instance traversal cache (docs/INTERNALS.md §8) and the resident
 // scratch-relation pool.
 //
-// The cache memoizes the post-order / heights / path counts every sweep
-// and decode starts from; a wrong invalidation would silently corrupt
+// The cache memoizes the post-order and path counts every sweep and
+// decode starts from; a wrong invalidation would silently corrupt
 // query answers, so the property tested throughout is: after ANY
 // mutation sequence, the cached order equals a fresh `PostOrder()`
 // oracle walk (and the derived sections equal recomputations). The
@@ -32,7 +32,7 @@ Instance CompressAllTags(const std::string& xml) {
 /// Asserts every cached section against independent recomputation.
 void ExpectCacheMatchesOracle(const Instance& instance) {
   const std::vector<VertexId> oracle = instance.PostOrder();
-  const TraversalCache& t = instance.EnsureTraversal(true, true);
+  const TraversalCache& t = instance.EnsureTraversal(/*need_path_counts=*/true);
   ASSERT_EQ(t.order, oracle);
   EXPECT_EQ(instance.ReachableCount(), oracle.size());
 
@@ -41,22 +41,17 @@ void ExpectCacheMatchesOracle(const Instance& instance) {
   EXPECT_EQ(t.reachable_edges, edges);
   EXPECT_EQ(instance.ReachableEdgeCount(), edges);
 
-  // Heights: children-first recomputation; bands partition the order.
-  std::vector<uint32_t> height(instance.vertex_count(),
-                               TraversalCache::kNoHeight);
-  size_t banded = 0;
-  for (const VertexId v : oracle) {
-    uint32_t h = 0;
-    for (const Edge& e : instance.Children(v)) {
-      h = std::max(h, height[e.child] + 1);
+  // Every child of a reachable vertex sits earlier in the order, so
+  // the reverse order is parents-first: the property the downward
+  // kernels and the path-count pass walk it back to front for.
+  std::vector<size_t> position(instance.vertex_count(), oracle.size());
+  for (size_t i = 0; i < t.order.size(); ++i) position[t.order[i]] = i;
+  for (size_t i = 0; i < t.order.size(); ++i) {
+    for (const Edge& e : instance.Children(t.order[i])) {
+      ASSERT_LT(position[e.child], i)
+          << "child " << e.child << " of " << t.order[i];
     }
-    height[v] = h;
   }
-  for (const VertexId v : oracle) {
-    ASSERT_EQ(t.height[v], height[v]) << "vertex " << v;
-  }
-  for (const std::vector<VertexId>& band : t.bands) banded += band.size();
-  EXPECT_EQ(banded, oracle.size());
 
   // Path counts against the stats.h decode (which itself reads the
   // cache, so recompute by hand from the topological order).
@@ -76,8 +71,8 @@ void ExpectCacheMatchesOracle(const Instance& instance) {
 TEST(TraversalCacheTest, RepeatedReadsDoNotRebuild) {
   const Instance instance = CompressAllTags(testing::BibExampleXml());
   const uint64_t builds_before = instance.traversal_builds();
-  instance.EnsureTraversal(true, true);
-  instance.EnsureTraversal(true, true);
+  instance.EnsureTraversal(/*need_path_counts=*/true);
+  instance.EnsureTraversal(/*need_path_counts=*/true);
   instance.EnsureTraversal();
   EXPECT_EQ(instance.traversal_builds(), builds_before + 1);
   EXPECT_TRUE(instance.traversal_cache_valid());
@@ -118,7 +113,7 @@ TEST(TraversalCacheTest, StructuralMutationsInvalidate) {
 
 TEST(TraversalCacheTest, NonStructuralChangesKeepCacheValid) {
   Instance instance = CompressAllTags(testing::BibExampleXml());
-  instance.EnsureTraversal(true, true);
+  instance.EnsureTraversal(/*need_path_counts=*/true);
   const uint64_t builds = instance.traversal_builds();
 
   // Relation membership and schema changes are not structural.
