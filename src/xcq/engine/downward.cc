@@ -11,8 +11,8 @@ using xpath::Axis;
 /// Reverse post-order form of the paper's Fig. 4 (docs/INTERNALS.md
 /// §8.5).
 ///
-/// The cached DFS post-order lists every reachable child before each of
-/// its parents, so walked back to front it is a topological order:
+/// The cached order lists every reachable child before each of its
+/// parents, so walked back to front it is a topological order:
 /// when w's turn comes, every reachable parent of w carries its final
 /// `dst` bit and has *pushed* what each of its edges demands of its
 /// child — src(p) ∨ inherit·dst(p) — into w's demand flags (an OR,

@@ -1,11 +1,91 @@
 #include "xcq/instance/instance.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "xcq/instance/stats.h"
 #include "xcq/util/string_util.h"
 
 namespace xcq {
+
+Result<Instance> Instance::FromPostOrder(std::span<const uint32_t> offsets,
+                                         std::span<const uint32_t> children,
+                                         std::span<const RunCount> counts) {
+  const size_t edge_count = children.size();
+  if (offsets.empty() || offsets.front() != 0 ||
+      offsets.back() != edge_count) {
+    return Status::Corruption(StrFormat(
+        "edge offsets do not run from 0 to the edge count %zu", edge_count));
+  }
+  const size_t n = offsets.size() - 1;
+  if (n >= kNoVertex) {
+    return Status::Corruption("vertex count exceeds the 32-bit id space");
+  }
+  Instance instance;
+  instance.spans_.resize(n);
+  instance.edges_.reserve(edge_count);
+  std::vector<uint8_t> has_parent(n, 0);
+  for (VertexId v = 0; v < n; ++v) {
+    const uint32_t begin = offsets[v];
+    const uint32_t end = offsets[v + 1];
+    if (end < begin || end > edge_count) {
+      return Status::Corruption(
+          StrFormat("vertex %u edge offsets are not monotone", v));
+    }
+    VertexId previous = kNoVertex;
+    for (uint32_t i = begin; i < end; ++i) {
+      const VertexId child = children[i];
+      // Children below parents is the post-order numbering; it proves
+      // acyclicity and range in the same comparison.
+      if (child >= v) {
+        return Status::Corruption(StrFormat(
+            "vertex %u has child %u, which is not below it", v, child));
+      }
+      if (child == previous) {
+        return Status::Corruption(
+            StrFormat("vertex %u has adjacent runs of the same child "
+                      "(not RLE-canonical)",
+                      v));
+      }
+      has_parent[child] = 1;
+      instance.edges_.push_back(Edge{child, 1});  // `counts` patches below
+      previous = child;
+    }
+    instance.spans_[v] = EdgeSpan{begin, end - begin};
+  }
+  for (size_t k = 0; k < counts.size(); ++k) {
+    const RunCount& run = counts[k];
+    if (run.edge >= edge_count || (k > 0 && run.edge <= counts[k - 1].edge)) {
+      return Status::Corruption(StrFormat(
+          "run count of edge %u is out of range or out of order", run.edge));
+    }
+    // Listing a count of 1 is not canonical, and 0 is no run at all.
+    if (run.count < 2) {
+      return Status::Corruption(
+          StrFormat("run count %llu of edge %u is below 2",
+                    static_cast<unsigned long long>(run.count), run.edge));
+    }
+    instance.edges_[run.edge].count = run.count;
+  }
+  for (VertexId v = 0; v + 1 < n; ++v) {
+    if (has_parent[v] == 0) {
+      return Status::Corruption(
+          StrFormat("vertex %u is unreachable from the root", v));
+    }
+  }
+  instance.live_edge_count_ = edge_count;
+  if (n > 0) instance.root_ = static_cast<VertexId>(n - 1);
+  // Every check Validate makes on the structure has passed, and with
+  // parents above children and none unreachable, 0..V-1 is the
+  // children-first order a walk would produce.
+  instance.validated_generation_ = instance.structure_generation_;
+  TraversalCache& t = instance.traversal_;
+  t.order.resize(n);
+  std::iota(t.order.begin(), t.order.end(), VertexId{0});
+  t.reachable_edges = edge_count;
+  t.generation = instance.structure_generation_;
+  return instance;
+}
 
 VertexId Instance::AddVertex() {
   const VertexId id = static_cast<VertexId>(spans_.size());

@@ -46,7 +46,7 @@ struct Edge {
 /// `Instance` and rebuilt lazily (docs/INTERNALS.md §8).
 ///
 /// Every axis sweep, reachability count, and path-count decode starts
-/// from the same derived data: the DFS post-order over the reachable
+/// from the same derived data: a children-first order of the reachable
 /// DAG and per-vertex root-path counts. Before this cache each operator
 /// recomputed them with a private `PostOrder()` walk — per *op*, which
 /// dominates short queries. The cache computes each section once per
@@ -57,8 +57,13 @@ struct Edge {
 ///
 /// `order` serves both sweep directions: children-first kernels walk it
 /// front to back, parents-first kernels (downward axes, path counts)
-/// back to front — the reverse of a DFS post-order of a DAG is a
-/// topological order. `order` + `reachable_edges` are always filled,
+/// back to front. Its contract is children first: every child of a
+/// reachable vertex sits before it, so the reverse is a topological
+/// order, and that is the only property a kernel relies on. A walk
+/// fills it with the DFS post-order; an instance decoded from a spill
+/// (`Instance::FromPostOrder`) adopts the file order 0..V-1 instead,
+/// which for every spill the writer produces is that same post-order.
+/// `order` + `reachable_edges` are always filled,
 /// path counts only when a caller asks (one extra pass over the order).
 /// References returned by `EnsureTraversal` are stable until the next
 /// rebuild — callers that mutate the instance while iterating must copy
@@ -66,7 +71,7 @@ struct Edge {
 /// generation they know is stale only for *later* readers; see
 /// docs/INTERNALS.md §8.5).
 struct TraversalCache {
-  /// Reachable vertices, children before parents (DFS post-order).
+  /// Reachable vertices, children before parents (see above).
   std::vector<VertexId> order;
   /// RLE edges over the reachable vertices.
   uint64_t reachable_edges = 0;
@@ -98,6 +103,29 @@ struct ScratchPoolStats {
 class Instance {
  public:
   Instance() = default;
+
+  /// A run whose count is not 1, by its index into the child array.
+  struct RunCount {
+    uint32_t edge = 0;
+    uint64_t count = 0;
+  };
+
+  /// Builds an instance from flat post-order arrays, the layout of the
+  /// spill format (instance_io.h): vertex v's child runs are
+  /// `children[offsets[v], offsets[v + 1])`, each of count 1 unless
+  /// `counts` (ascending by edge) says otherwise, and the root is the
+  /// last vertex. One linear pass checks the structure: offsets rise
+  /// from 0 to `children.size()`, every child id is below its parent's
+  /// (which rules out cycles, self-loops and out-of-range ids), runs are
+  /// RLE-canonical, every listed count is at least 2 on an edge that
+  /// exists, and every vertex but the root has a parent, so all are
+  /// reachable. Any failure is `kCorruption`. The result has no
+  /// relations yet; its structure counts as validated and its traversal
+  /// cache already holds the order 0..V-1, so neither `Validate` nor the
+  /// first `EnsureTraversal` walks it.
+  static Result<Instance> FromPostOrder(std::span<const uint32_t> offsets,
+                                        std::span<const uint32_t> children,
+                                        std::span<const RunCount> counts);
 
   // --- Vertices and edges -------------------------------------------------
 
@@ -233,8 +261,8 @@ class Instance {
   /// warmup a steady-state query must not move this counter.
   uint64_t traversal_builds() const { return traversal_builds_; }
 
-  /// Reachable vertices, parents before children (reverse DFS
-  /// post-order). Served from the traversal cache (copied).
+  /// Reachable vertices, parents before children (the cached order,
+  /// reversed and copied).
   std::vector<VertexId> TopologicalOrder() const;
 
   /// Reachable vertices, children before parents (DFS post-order).

@@ -7,6 +7,7 @@
 #include <array>
 #include <cerrno>
 #include <cstring>
+#include <memory>
 
 #include "xcq/util/string_util.h"
 #include "xcq/xml/sax_parser.h"
@@ -16,15 +17,14 @@ namespace xcq {
 namespace {
 
 constexpr char kMagic[4] = {'X', 'C', 'Q', 'I'};
-constexpr uint32_t kVersion = 1;
 
 /// End-of-file magic of the checksum footer. Distinct from the header
 /// magic so a truncated-to-prefix file can never look footered.
 constexpr char kFooterMagic[4] = {'X', 'C', 'Q', 'F'};
 /// u32 crc | u64 payload_size | kFooterMagic.
 constexpr size_t kFooterSize = 4 + 8 + 4;
-
-constexpr size_t kMaxVarintBytes = 10;
+/// Bytes of one entry of the run-count exception list.
+constexpr size_t kCountEntrySize = 4 + 8;
 
 /// Slicing-by-8 tables for the reflected IEEE polynomial: kCrc[0] is
 /// the classic bytewise table, kCrc[k][i] the CRC of byte i followed by
@@ -49,93 +49,157 @@ CrcTables MakeCrcTables() {
   return tables;
 }
 
-/// Little-endian 32-bit load, independent of host byte order.
+// Little-endian loads and stores, independent of host byte order (the
+// compiler turns each into one move on a little-endian host).
+
 uint32_t LoadLe32(const unsigned char* p) {
   return uint32_t{p[0]} | uint32_t{p[1]} << 8 | uint32_t{p[2]} << 16 |
          uint32_t{p[3]} << 24;
 }
 
-void PutVarint(std::string* out, uint64_t v) {
-  while (v >= 0x80) {
-    out->push_back(static_cast<char>((v & 0x7F) | 0x80));
-    v >>= 7;
-  }
-  out->push_back(static_cast<char>(v));
+uint64_t LoadLe64(const unsigned char* p) {
+  return uint64_t{LoadLe32(p)} | uint64_t{LoadLe32(p + 4)} << 32;
 }
 
-void PutU32(std::string* out, uint32_t v) {
+void StoreLe32(char* p, uint32_t v) {
+  for (int i = 0; i < 4; ++i) p[i] = static_cast<char>(v >> (8 * i));
+}
+
+void StoreLe64(char* p, uint64_t v) {
+  StoreLe32(p, static_cast<uint32_t>(v));
+  StoreLe32(p + 4, static_cast<uint32_t>(v >> 32));
+}
+
+void PutLe32(std::string* out, uint32_t v) {
   char buf[4];
-  std::memcpy(buf, &v, 4);
+  StoreLe32(buf, v);
   out->append(buf, 4);
 }
 
-void PutU64(std::string* out, uint64_t v) {
-  char buf[8];
-  std::memcpy(buf, &v, 8);
-  out->append(buf, 8);
+/// Grows `out` by `n` bytes and returns where they start.
+char* Extend(std::string* out, size_t n) {
+  const size_t at = out->size();
+  out->resize(at + n);
+  return out->data() + at;
 }
 
-/// Cursor over an instance payload. Getters return false on running
-/// out of input (or a malformed varint) and leave the reason in
-/// error(); the caller turns it into one kCorruption status.
-class Reader {
+/// Bounds-checked cursor over the payload's fixed-width fields. A
+/// failed take consumes nothing; the CRC has already passed, so running
+/// short means the counts in the payload disagree with its size.
+class Cursor {
  public:
-  explicit Reader(std::string_view bytes) : bytes_(bytes) {}
+  explicit Cursor(std::string_view bytes) : bytes_(bytes) {}
 
-  /// One bounds computation per value: a varint is at most
-  /// kMaxVarintBytes long, and the last of those may only carry bit 63.
-  bool GetVarint(uint64_t* out) {
-    if (pos_ < bytes_.size() &&
-        static_cast<unsigned char>(bytes_[pos_]) < 0x80) {
-      *out = static_cast<unsigned char>(bytes_[pos_++]);
-      return true;
-    }
-    const auto* const start =
+  /// The next `n` bytes, or nullptr when fewer are left.
+  const unsigned char* Take(uint64_t n) {
+    if (n > bytes_.size() - pos_) return nullptr;
+    const auto* p =
         reinterpret_cast<const unsigned char*>(bytes_.data()) + pos_;
-    const auto* const end =
-        start + std::min<size_t>(bytes_.size() - pos_, kMaxVarintBytes);
-    uint64_t value = 0;
-    int shift = 0;
-    for (const unsigned char* p = start; p < end; shift += 7) {
-      const uint64_t byte = *p++;
-      if (shift == 63 && byte > 1) return Fail("varint overflow");
-      value |= (byte & 0x7F) << shift;
-      if (byte < 0x80) {
-        pos_ += static_cast<size_t>(p - start);
-        *out = value;
-        return true;
-      }
-    }
-    return Fail("truncated varint");
-  }
-
-  bool GetU32(uint32_t* out) {
-    std::string_view bytes;
-    if (!GetBytes(4, &bytes)) return false;
-    std::memcpy(out, bytes.data(), 4);
-    return true;
-  }
-
-  bool GetBytes(size_t n, std::string_view* out) {
-    if (n > bytes_.size() - pos_) return Fail("truncated bytes");
-    *out = bytes_.substr(pos_, n);
     pos_ += n;
+    return p;
+  }
+
+  bool TakeU32(uint32_t* out) {
+    const unsigned char* p = Take(4);
+    if (p == nullptr) return false;
+    *out = LoadLe32(p);
     return true;
   }
 
   size_t remaining() const { return bytes_.size() - pos_; }
-  Status error() const { return Status::Corruption(error_); }
 
  private:
-  bool Fail(const char* why) {
-    error_ = why;
-    return false;
-  }
-
   std::string_view bytes_;
   size_t pos_ = 0;
-  const char* error_ = "";
 };
+
+Status Truncated() {
+  return Status::Corruption("truncated instance data");
+}
+
+/// Decodes a footer-verified payload whose header has been checked.
+Result<Instance> DecodePayload(std::string_view payload) {
+  Cursor in(payload.substr(kInstanceHeaderSize));
+  uint32_t vertex_count = 0;
+  uint32_t edge_count = 0;
+  uint32_t relation_count = 0;
+  if (!in.TakeU32(&vertex_count) || !in.TakeU32(&edge_count) ||
+      !in.TakeU32(&relation_count)) {
+    return Truncated();
+  }
+  if (vertex_count == kNoVertex) {
+    return Status::Corruption("vertex count exceeds the 32-bit id space");
+  }
+  if (relation_count > 1u << 20) {
+    return Status::Corruption("implausible relation count");
+  }
+  std::vector<std::string> names;
+  names.reserve(std::min<size_t>(relation_count, in.remaining() / 4));
+  for (uint32_t r = 0; r < relation_count; ++r) {
+    uint32_t len = 0;
+    if (!in.TakeU32(&len)) return Truncated();
+    if (len == 0) return Status::Corruption("empty relation name");
+    if (len > 1u << 16) return Status::Corruption("relation name too long");
+    const unsigned char* name = in.Take(len);
+    if (name == nullptr) return Truncated();
+    names.emplace_back(reinterpret_cast<const char*>(name), len);
+  }
+
+  // Every array is bounds-checked before it is allocated, so a corrupt
+  // count cannot allocate more than a small multiple of the input.
+  const unsigned char* raw_offsets = in.Take((uint64_t{vertex_count} + 1) * 4);
+  const unsigned char* raw_children = in.Take(uint64_t{edge_count} * 4);
+  uint32_t count_entries = 0;
+  if (raw_offsets == nullptr || raw_children == nullptr ||
+      !in.TakeU32(&count_entries)) {
+    return Truncated();
+  }
+  const unsigned char* raw_counts =
+      in.Take(uint64_t{count_entries} * kCountEntrySize);
+  if (raw_counts == nullptr) return Truncated();
+  std::vector<uint32_t> offsets(size_t{vertex_count} + 1);
+  for (size_t i = 0; i < offsets.size(); ++i) {
+    offsets[i] = LoadLe32(raw_offsets + 4 * i);
+  }
+  std::vector<uint32_t> children(edge_count);
+  for (size_t i = 0; i < children.size(); ++i) {
+    children[i] = LoadLe32(raw_children + 4 * i);
+  }
+  std::vector<Instance::RunCount> counts(count_entries);
+  for (size_t k = 0; k < counts.size(); ++k) {
+    const unsigned char* entry = raw_counts + k * kCountEntrySize;
+    counts[k] = {LoadLe32(entry), LoadLe64(entry + 4)};
+  }
+  XCQ_ASSIGN_OR_RETURN(Instance instance,
+                       Instance::FromPostOrder(offsets, children, counts));
+
+  // The writer never sets a bit past the last vertex, so one there
+  // means the file is corrupt.
+  const size_t words = (size_t{vertex_count} + 63) / 64;
+  const uint64_t past_end =
+      vertex_count % 64 == 0 ? 0 : ~uint64_t{0} << (vertex_count % 64);
+  for (const std::string& name : names) {
+    const unsigned char* column = in.Take(uint64_t{words} * 8);
+    if (column == nullptr) return Truncated();
+    if (instance.FindRelation(name) != kNoRelation) {
+      return Status::Corruption(
+          StrFormat("duplicate relation '%s'", name.c_str()));
+    }
+    DynamicBitset& bits =
+        instance.MutableRelationBits(instance.AddRelation(name));
+    for (size_t w = 0; w < words; ++w) {
+      const uint64_t word = LoadLe64(column + w * 8);
+      if (w + 1 == words && (word & past_end) != 0) {
+        return Status::Corruption("relation bits set past the last vertex");
+      }
+      bits.OrWord(w, word);
+    }
+  }
+  if (in.remaining() != 0) {
+    return Status::Corruption("trailing bytes after instance data");
+  }
+  return instance;
+}
 
 }  // namespace
 
@@ -156,179 +220,122 @@ uint32_t Crc32(std::string_view bytes) {
   return c ^ 0xFFFFFFFFu;
 }
 
-std::string SerializeInstance(const Instance& instance) {
-  std::string out;
-  out.append(kMagic, 4);
-  PutU32(&out, kVersion);
-  PutVarint(&out, instance.vertex_count());
-  PutVarint(&out, instance.root() == kNoVertex ? 0 : instance.root() + 1);
-
-  const std::vector<RelationId> live = instance.LiveRelations();
-  PutVarint(&out, live.size());
-  for (RelationId r : live) {
-    const std::string& name = instance.schema().Name(r);
-    PutVarint(&out, name.size());
-    out.append(name);
+uint32_t InstanceFormatVersion(std::string_view header) {
+  if (header.size() < kInstanceHeaderSize ||
+      std::memcmp(header.data(), kMagic, 4) != 0) {
+    return 0;
   }
-
-  for (VertexId v = 0; v < instance.vertex_count(); ++v) {
-    const std::span<const Edge> children = instance.Children(v);
-    PutVarint(&out, children.size());
-    for (const Edge& e : children) {
-      PutVarint(&out, e.child);
-      PutVarint(&out, e.count);
-    }
-  }
-
-  const size_t words = (instance.vertex_count() + 63) / 64;
-  for (RelationId r : live) {
-    const DynamicBitset& bits = instance.RelationBits(r);
-    for (size_t w = 0; w < words; ++w) {
-      PutU64(&out, w < bits.words().size() ? bits.words()[w] : 0);
-    }
-  }
-  return out;
+  return LoadLe32(reinterpret_cast<const unsigned char*>(header.data()) + 4);
 }
 
 std::string SerializeInstanceChecksummed(const Instance& instance) {
-  std::string out = SerializeInstance(instance);
+  // The cached order is children first, and so is the file: position
+  // in it becomes the vertex id, and unreachable vertices get none.
+  const TraversalCache& traversal = instance.EnsureTraversal();
+  const std::vector<VertexId>& order = traversal.order;
+  const auto vertex_count = static_cast<uint32_t>(order.size());
+  const auto edge_count = static_cast<uint32_t>(traversal.reachable_edges);
+  std::vector<VertexId> new_id(instance.vertex_count(), kNoVertex);
+  for (uint32_t i = 0; i < vertex_count; ++i) new_id[order[i]] = i;
+
+  const std::vector<RelationId> live = instance.LiveRelations();
+  const size_t words = (size_t{vertex_count} + 63) / 64;
+  std::string out;
+  // Room for every run to carry a count entry: pages past the ones
+  // written are never touched, and the string never reallocates.
+  out.reserve(64 + 4 * (size_t{vertex_count} + 1) +
+              (4 + kCountEntrySize) * size_t{edge_count} +
+              8 * words * live.size() + kFooterSize);
+  out.append(kMagic, 4);
+  PutLe32(&out, kInstanceFormatVersion);
+  PutLe32(&out, vertex_count);
+  PutLe32(&out, edge_count);
+  PutLe32(&out, static_cast<uint32_t>(live.size()));
+  for (const RelationId r : live) {
+    const std::string& name = instance.schema().Name(r);
+    PutLe32(&out, static_cast<uint32_t>(name.size()));
+    out.append(name);
+  }
+
+  // Offsets, child ids and the runs whose count is not 1 are written
+  // in one pass. Every run's count entry is stored at `next`, which
+  // moves past it only when the count is not 1: no branch on a count.
+  char* const offsets = Extend(&out, 4 * (size_t{vertex_count} + 1) +
+                                         4 * size_t{edge_count} + 4);
+  char* const children = offsets + 4 * (size_t{vertex_count} + 1);
+  const auto entries = std::make_unique_for_overwrite<char[]>(
+      kCountEntrySize * (size_t{edge_count} + 1));
+  char* next = entries.get();
+  uint32_t edge = 0;
+  for (uint32_t i = 0; i < vertex_count; ++i) {
+    StoreLe32(offsets + 4 * size_t{i}, edge);
+    for (const Edge& e : instance.Children(order[i])) {
+      StoreLe32(children + 4 * size_t{edge}, new_id[e.child]);
+      StoreLe32(next, edge);
+      StoreLe64(next + 4, e.count);
+      next += e.count != 1 ? kCountEntrySize : 0;
+      ++edge;
+    }
+  }
+  StoreLe32(offsets + 4 * size_t{vertex_count}, edge);
+  const size_t entry_bytes = static_cast<size_t>(next - entries.get());
+  StoreLe32(children + 4 * size_t{edge},
+            static_cast<uint32_t>(entry_bytes / kCountEntrySize));
+  out.append(entries.get(), entry_bytes);
+
+  std::vector<uint64_t> column(words);
+  for (const RelationId r : live) {
+    std::fill(column.begin(), column.end(), 0);
+    instance.RelationBits(r).ForEach([&](size_t v) {
+      const VertexId id = new_id[v];
+      if (id != kNoVertex) column[id >> 6] |= uint64_t{1} << (id & 63);
+    });
+    char* word = Extend(&out, 8 * words);
+    for (const uint64_t bits : column) {
+      StoreLe64(word, bits);
+      word += 8;
+    }
+  }
+
   const uint32_t crc = Crc32(out);
   const uint64_t payload_size = out.size();
-  PutU32(&out, crc);
-  PutU64(&out, payload_size);
-  out.append(kFooterMagic, 4);
+  char* const footer = Extend(&out, kFooterSize);
+  StoreLe32(footer, crc);
+  StoreLe64(footer + 4, payload_size);
+  std::memcpy(footer + 12, kFooterMagic, 4);
   return out;
 }
 
-namespace {
-
-bool HasFooter(std::string_view bytes) {
-  return bytes.size() >= kFooterSize &&
-         std::memcmp(bytes.data() + bytes.size() - 4, kFooterMagic, 4) == 0;
-}
-
-/// Decodes and validates a footer-less payload.
-Result<Instance> DecodePayload(std::string_view bytes) {
-  Reader reader(bytes);
-  std::string_view magic;
-  if (!reader.GetBytes(4, &magic)) return reader.error();
-  if (std::memcmp(magic.data(), kMagic, 4) != 0) {
+Result<Instance> DeserializeInstance(std::string_view bytes) {
+  // The header goes first so that a file of another version says so,
+  // whether or not it carries a footer.
+  if (bytes.size() < kInstanceHeaderSize) {
+    return Status::Corruption("truncated instance header");
+  }
+  const uint32_t version = InstanceFormatVersion(bytes);
+  if (version == 0) {
     return Status::Corruption("bad magic; not an xcq instance file");
   }
-  uint32_t version = 0;
-  if (!reader.GetU32(&version)) return reader.error();
-  if (version != kVersion) {
+  if (version != kInstanceFormatVersion) {
     return Status::Corruption(
         StrFormat("unsupported instance format version %u", version));
   }
-
-  uint64_t vertex_count = 0;
-  uint64_t root_plus1 = 0;
-  if (!reader.GetVarint(&vertex_count) || !reader.GetVarint(&root_plus1)) {
-    return reader.error();
-  }
-  if (vertex_count > UINT32_MAX) {
-    return Status::Corruption("vertex count exceeds 32-bit id space");
-  }
-  if (root_plus1 > vertex_count) {
-    return Status::Corruption("root vertex out of range");
-  }
-
-  uint64_t relation_count = 0;
-  if (!reader.GetVarint(&relation_count)) return reader.error();
-  if (relation_count > 1u << 20) {
-    return Status::Corruption("implausible relation count");
-  }
-  std::vector<std::string> names;
-  names.reserve(relation_count);
-  for (uint64_t i = 0; i < relation_count; ++i) {
-    uint64_t len = 0;
-    if (!reader.GetVarint(&len)) return reader.error();
-    if (len > 1u << 16) return Status::Corruption("relation name too long");
-    std::string_view name;
-    if (!reader.GetBytes(len, &name)) return reader.error();
-    names.emplace_back(name);
-  }
-
-  Instance instance;
-  for (uint64_t v = 0; v < vertex_count; ++v) instance.AddVertex();
-  std::vector<Edge> edges;
-  for (uint64_t v = 0; v < vertex_count; ++v) {
-    uint64_t runs = 0;
-    if (!reader.GetVarint(&runs)) return reader.error();
-    // Every run takes at least two bytes; bounding by the input left
-    // keeps a corrupt count from allocating.
-    if (runs > reader.remaining() / 2) {
-      return Status::Corruption("implausible edge run count");
-    }
-    edges.resize(runs);
-    for (Edge& edge : edges) {
-      uint64_t child = 0;
-      uint64_t count = 0;
-      if (!reader.GetVarint(&child) || !reader.GetVarint(&count)) {
-        return reader.error();
-      }
-      if (child >= vertex_count) {
-        return Status::Corruption("edge child out of range");
-      }
-      if (count == 0) return Status::Corruption("zero edge multiplicity");
-      edge = Edge{static_cast<VertexId>(child), count};
-    }
-    instance.SetEdges(static_cast<VertexId>(v), edges);
-  }
-  if (root_plus1 > 0) {
-    instance.SetRoot(static_cast<VertexId>(root_plus1 - 1));
-  }
-
-  // Columns load a word at a time. SerializeInstance never sets a bit
-  // past the last vertex, so one there means the file is corrupt.
-  const size_t words = (vertex_count + 63) / 64;
-  const uint64_t past_end =
-      vertex_count % 64 == 0 ? 0 : ~uint64_t{0} << (vertex_count % 64);
-  for (const std::string& name : names) {
-    std::string_view column;
-    if (!reader.GetBytes(words * 8, &column)) return reader.error();
-    DynamicBitset& bits =
-        instance.MutableRelationBits(instance.AddRelation(name));
-    for (size_t w = 0; w < words; ++w) {
-      uint64_t word = 0;
-      std::memcpy(&word, column.data() + w * 8, 8);
-      if (w + 1 == words && (word & past_end) != 0) {
-        return Status::Corruption("relation bits set past the last vertex");
-      }
-      bits.OrWord(w, word);
-    }
-  }
-  if (reader.remaining() != 0) {
-    return Status::Corruption("trailing bytes after instance data");
-  }
-  XCQ_RETURN_IF_ERROR(instance.Validate());
-  return instance;
-}
-
-}  // namespace
-
-Result<Instance> DeserializeInstance(std::string_view bytes) {
-  return HasFooter(bytes) ? DeserializeInstanceChecksummed(bytes)
-                          : DecodePayload(bytes);
-}
-
-Result<Instance> DeserializeInstanceChecksummed(std::string_view bytes) {
-  if (!HasFooter(bytes)) {
+  if (bytes.size() < kInstanceHeaderSize + kFooterSize ||
+      std::memcmp(bytes.data() + bytes.size() - 4, kFooterMagic, 4) != 0) {
     return Status::Corruption(
-        "spill has no checksum footer (torn write or footer-less file)");
+        "instance has no checksum footer (torn write)");
   }
-  uint32_t crc = 0;
-  uint64_t payload_size = 0;
-  std::memcpy(&crc, bytes.data() + bytes.size() - kFooterSize, 4);
-  std::memcpy(&payload_size, bytes.data() + bytes.size() - kFooterSize + 4, 8);
+  const auto* footer = reinterpret_cast<const unsigned char*>(bytes.data()) +
+                       bytes.size() - kFooterSize;
+  const uint32_t crc = LoadLe32(footer);
+  const uint64_t payload_size = LoadLe64(footer + 4);
   if (payload_size != bytes.size() - kFooterSize) {
     return Status::Corruption(
-        "spill footer payload size mismatch (torn write)");
+        "instance footer payload size mismatch (torn write)");
   }
   const std::string_view payload = bytes.substr(0, payload_size);
   if (Crc32(payload) != crc) {
-    return Status::Corruption("spill payload CRC mismatch");
+    return Status::Corruption("instance payload CRC mismatch");
   }
   return DecodePayload(payload);
 }

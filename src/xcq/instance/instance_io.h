@@ -7,34 +7,31 @@
 /// The paper's motivating use is to keep skeletons of very large
 /// documents resident in main memory; persisting the compressed instance
 /// lets an application parse + compress once and reload the (small) DAG
-/// afterwards. The format is a varint-compressed dump whose fixed-width
-/// fields (u32 version, bitset words, footer) are written in host byte
-/// order — `.xcqi` files are a same-host cache, not an interchange
-/// format, and do not port between hosts of different endianness:
+/// afterwards. `.xcqi` is a same-host cache, not an interchange format:
+/// an older format version is refused, not converted.
 ///
-///   magic "XCQI" | u32 version | varint vertex_count | varint root
-///   | varint relation_count | (name_len name_bytes)*      -- live schema
-///   | per vertex: varint run_count, (varint child, varint count)*
-///   | per relation: bitset words
+/// Format version 2 is flat fixed-width arrays, every integer little
+/// endian. Vertices are renumbered in DFS post-order from the root, so
+/// every child id is below its parent's and the root is the last
+/// vertex; vertices the root cannot reach (split leftovers) are not
+/// written. With V vertices, E RLE edges and R live relations:
 ///
-/// Files written since the durable store landed carry a 16-byte
-/// trailing footer so a half-written or bit-flipped spill is detected
-/// before any of it is interpreted:
+///   "XCQI" | u32 version = 2 | u32 V | u32 E
+///   | u32 R | (u32 name_len, name bytes) * R   -- the live schema
+///   | u32 offsets[V + 1]                       -- v's runs: [offsets[v],
+///                                              --   offsets[v + 1])
+///   | u32 child[E]                             -- child id of each run
+///   | u32 X | (u32 run, u64 count) * X         -- runs whose count is
+///                                              --   not 1, ascending
+///   | per relation: u64 words[ceil(V / 64)]    -- bit i = vertex i
+///   | u32 crc32(payload) | u64 payload_size | "XCQF"   -- the footer
 ///
-///   u32 crc32(payload) | u64 payload_size | end magic "XCQF"
-///
-/// (footer integers host-endian, matching the rest of the format).
-///
-/// `DeserializeInstance` accepts both forms: bytes ending in the footer
-/// magic are checksum-verified first, anything else takes the legacy
-/// footer-less path, so pre-footer `.xcqi` files keep loading.
-/// `DeserializeInstanceChecksummed` requires the footer: the durable
-/// store reads spills through it, so a spill cut back to a bare payload
-/// is a corruption, not a legacy file.
-///
-/// `LoadInstance` validates everything (ids, acyclicity, RLE form, no
-/// relation bit past the last vertex) before returning, so corrupt files
-/// surface as `StatusCode::kCorruption`.
+/// The footer detects a half-written or bit-flipped file before any of
+/// it is interpreted. Decoding is bulk copies plus one linear pass
+/// (`Instance::FromPostOrder`) that checks what `Instance::Validate`
+/// would and leaves the instance validated with its traversal cache
+/// filled. Every failure, a wrong version included, is
+/// `StatusCode::kCorruption`.
 
 #include <string>
 
@@ -47,21 +44,26 @@ namespace xcq {
 /// bytes per step (slicing-by-8); the value is the standard bytewise one.
 uint32_t Crc32(std::string_view bytes);
 
-/// \brief Serializes `instance` (live relations only) to bytes, without
-/// a checksum footer. This is the legacy on-disk form; prefer
-/// `SerializeInstanceChecksummed` for anything that touches a disk.
-std::string SerializeInstance(const Instance& instance);
+/// \brief The format version `DeserializeInstance` reads and
+/// `SerializeInstanceChecksummed` writes.
+inline constexpr uint32_t kInstanceFormatVersion = 2;
 
-/// \brief Serializes `instance` and appends the CRC footer.
+/// \brief Bytes of the `.xcqi` header: the magic and the u32 version.
+inline constexpr size_t kInstanceHeaderSize = 8;
+
+/// \brief The format version in `header`, the first bytes of an `.xcqi`
+/// image; 0 when they are not a complete header starting with the magic.
+uint32_t InstanceFormatVersion(std::string_view header);
+
+/// \brief Serializes the reachable part of `instance` (live relations
+/// only) and appends the CRC footer. Reads the traversal cache, so it
+/// has `Instance::EnsureTraversal`'s thread-safety contract.
 std::string SerializeInstanceChecksummed(const Instance& instance);
 
-/// \brief Parses bytes produced by either Serialize variant. A present
-/// footer is verified (size + CRC) before the payload is interpreted.
+/// \brief Parses bytes produced by `SerializeInstanceChecksummed`. The
+/// header's version is checked first, then the footer (size + CRC),
+/// then the payload.
 Result<Instance> DeserializeInstance(std::string_view bytes);
-
-/// \brief Parses bytes produced by `SerializeInstanceChecksummed` only:
-/// a missing footer is `kCorruption`, like a size or CRC mismatch.
-Result<Instance> DeserializeInstanceChecksummed(std::string_view bytes);
 
 /// \brief Crash-safe whole-file write: `bytes` goes to `path + ".tmp"`,
 /// is fsync'd, and is atomically renamed over `path` (the containing
@@ -72,7 +74,7 @@ Status AtomicWriteFile(const std::string& path, std::string_view bytes);
 /// \brief Serializes to a file: checksummed format, atomic write.
 Status SaveInstance(const Instance& instance, const std::string& path);
 
-/// \brief Loads and validates an instance file (either format).
+/// \brief Loads and validates an instance file.
 Result<Instance> LoadInstance(const std::string& path);
 
 }  // namespace xcq

@@ -329,6 +329,21 @@ Result<std::string> ReadSpillBytes(const std::string& path) {
   return out;
 }
 
+/// Up to the first `n` bytes of `path`; fewer when the file is shorter
+/// or unreadable.
+std::string ReadPrefix(const std::string& path, size_t n) {
+  std::string out(n, '\0');
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return {};
+  ssize_t got = 0;
+  do {
+    got = ::pread(fd, out.data(), n, 0);
+  } while (got < 0 && errno == EINTR);
+  ::close(fd);
+  out.resize(got > 0 ? static_cast<size_t>(got) : 0);
+  return out;
+}
+
 }  // namespace
 
 // --- SpillManager ----------------------------------------------------------
@@ -362,13 +377,23 @@ Status SpillManager::Init(const std::string& data_dir, RecoveryStats* stats) {
         UnescapeStem(file.substr(0, file.size() - kSpillSuffix.size()),
                      &name) &&
         ::stat(path.c_str(), &st) == 0 && S_ISREG(st.st_mode)) {
-      spills_[name] = Spill{static_cast<size_t>(st.st_size), ++writes_};
-      continue;
+      // A spill whose header names another format version is durable
+      // data this build cannot read: registered, its first fault-in
+      // would delete it as corrupt. A file without a readable header (a
+      // torn or zero-byte spill) is registered; the fault-in catches it.
+      const uint32_t version =
+          InstanceFormatVersion(ReadPrefix(path, kInstanceHeaderSize));
+      if (version == 0 || version == kInstanceFormatVersion) {
+        spills_[name] = Spill{static_cast<size_t>(st.st_size), ++writes_};
+        continue;
+      }
     }
-    // Never deleted: it may be a file of an older data-dir layout, or
-    // of something else entirely.
+    // Never deleted: it may be a file of an older data-dir layout or
+    // spill format, or of something else entirely.
     ++stats->errors;
-    std::fprintf(stderr, "xcq: recovery: '%s' is not a spill; left in place\n",
+    std::fprintf(stderr,
+                 "xcq: recovery: '%s' is not a spill this build reads; left "
+                 "in place\n",
                  path.c_str());
   }
   ::closedir(dir);
@@ -410,7 +435,7 @@ Status SpillManager::Write(const std::string& name,
 
 Result<Instance> SpillManager::Read(const std::string& name) const {
   XCQ_ASSIGN_OR_RETURN(const std::string bytes, ReadSpillBytes(PathFor(name)));
-  return DeserializeInstanceChecksummed(bytes);
+  return DeserializeInstance(bytes);
 }
 
 bool SpillManager::Remove(const std::string& name) {
@@ -770,7 +795,8 @@ DocumentStore::DocumentStore(StoreOptions options)
           "Warm documents registered by the startup recovery scan")),
       recovery_errors_total_(registry_.GetCounter(
           "xcq_store_recovery_errors_total", {},
-          "Manifest lines or spill artifacts skipped during recovery")),
+          "Data-dir files left unread by recovery (not a spill, or a spill "
+          "of another format version)")),
       documents_gauge_(registry_.GetGauge("xcq_store_documents", {},
                                           "Documents currently cached")),
       warm_documents_gauge_(registry_.GetGauge(

@@ -182,8 +182,10 @@ class SpillManager {
 
   /// Prepares `data_dir` (created if absent, one level) and reads it
   /// once: `*.tmp` files (torn writes) are unlinked, every `*.xcqi`
-  /// whose stem is the canonical escape of a name is registered, and
-  /// anything else is counted in `stats->errors` and left in place. A
+  /// whose stem is the canonical escape of a name is registered unless
+  /// its 8-byte header names another format version, and anything else
+  /// (such a spill included) is counted in `stats->errors` and left in
+  /// place. A
   /// hard failure (directory not creatable or not listable) leaves the
   /// manager disabled.
   Status Init(const std::string& data_dir, RecoveryStats* stats);
@@ -199,8 +201,8 @@ class SpillManager {
   /// the rename over the spill's path is the commit point.
   Status Write(const std::string& name, const Instance& instance);
 
-  /// Reads `name`'s spill and decodes it with the checksum footer
-  /// required (footer size + CRC, then structural validation). A write
+  /// Reads `name`'s spill and decodes it (`DeserializeInstance`:
+  /// version, footer size + CRC, then structural validation). A write
   /// racing the read renames over the path, so the read sees either the
   /// complete old or the complete new file. Failure codes: `kCorruption`
   /// for verified mismatches, `kNotFound` for a missing file, `kIoError`

@@ -16,8 +16,9 @@
 //    footer-less spill, missing file, zero-byte file, stray .tmp
 //    artifacts — degrades that one document to a cold miss with a
 //    canonical kCorruption, never a crash, never a wrong answer, and
-//    never any effect on the other documents. Files the store did not
-//    write (an older data-dir layout) are counted and left in place.
+//    never any effect on the other documents. Files the store cannot
+//    read (an older data-dir layout, a spill of format 1) are counted
+//    and left in place.
 
 #include <dirent.h>
 #include <sys/stat.h>
@@ -366,16 +367,17 @@ TEST(DurabilityTest, FooterlessSpillIsIsolatedColdMiss) {
     DocumentStore store(DurableOptions(dir));
     return SeedCorpus(&store);
   }();
-  // Cut the spill back to its payload: a complete, valid footer-less
-  // image, which LOAD would accept as a legacy .xcqi. A spill must carry
-  // its footer, so this is a torn write.
+  // Cut the spill back to its payload: every byte of a complete image
+  // but the footer. A spill must carry its footer, so this is a torn
+  // write.
   const std::string spill = SpillPathFor(dir, "alpha");
   ASSERT_FALSE(spill.empty());
   const std::string bytes = ReadRawFile(spill);
   constexpr size_t kFooterBytes = 16;
   ASSERT_GT(bytes.size(), kFooterBytes);
   const std::string payload = bytes.substr(0, bytes.size() - kFooterBytes);
-  XCQ_ASSERT_OK(DeserializeInstance(payload).status());
+  EXPECT_EQ(DeserializeInstance(payload).status().code(),
+            StatusCode::kCorruption);
   WriteRawFile(spill, payload);
 
   DocumentStore restarted(DurableOptions(dir));
@@ -428,6 +430,35 @@ TEST(DurabilityTest, PreviousLayoutDataDirStartsColdAndKeepsFiles) {
             ~uint64_t{0});
   EXPECT_TRUE(FileExists(dir + "/alpha.g1.xcqi"));
   EXPECT_TRUE(FileExists(dir + "/MANIFEST"));
+}
+
+TEST(DurabilityTest, FormatOneSpillStartsColdAndIsLeftInPlace) {
+  // A data dir written before spill format 2: its spill is durable data
+  // this build cannot read. Registering it would let the first fault-in
+  // delete it as corrupt; instead it is counted and kept.
+  const std::string dir = FreshDataDir("formatone");
+  const std::string fixture =
+      std::string(XCQ_TEST_DATA_DIR) + "/v1_bib_footered.xcqi";
+  const std::string v1_bytes = ReadRawFile(fixture);
+  ASSERT_EQ(InstanceFormatVersion(v1_bytes), 1u);
+  WriteRawFile(dir + "/bib.xcqi", v1_bytes);
+
+  DocumentStore store(DurableOptions(dir));
+  XCQ_ASSERT_OK(store.durability_status());
+  EXPECT_EQ(store.warm_count(), 0u);
+  EXPECT_EQ(store.recovery_stats().recovered, 0u);
+  EXPECT_EQ(store.recovery_stats().errors, 1u);
+  EXPECT_EQ(
+      store.registry()->CounterValue("xcq_store_recovery_errors_total", {}),
+      1.0);
+  EXPECT_EQ(store.Acquire("bib").status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(ReadRawFile(dir + "/bib.xcqi"), v1_bytes);
+
+  // LOAD of a format-1 file names the version it refuses.
+  const Status loaded = store.LoadFile("old", fixture);
+  EXPECT_EQ(loaded.code(), StatusCode::kCorruption);
+  EXPECT_EQ(loaded.message(), "unsupported instance format version 1");
+  EXPECT_EQ(store.document_count(), 0u);
 }
 
 TEST(DurabilityTest, EscapedNamesRestartAsDistinctDocuments) {
@@ -763,8 +794,10 @@ TEST(DurabilityTest, DemotionRespillsSplitInstanceSoFaultInSplitsNothing) {
     EXPECT_EQ(again.Value().stats.splits, 0u);
     EXPECT_EQ(again.Value().selected_tree_nodes, want);
   }
+  // The spill is decoded straight into a validated instance with its
+  // traversal cached: the fault-in and its first query walk nothing.
   const DocumentInfo info = InfoFor(&store, "bib");
-  EXPECT_EQ(info.traversal_builds, 1u);
+  EXPECT_EQ(info.traversal_builds, 0u);
   EXPECT_EQ(info.summary_builds, 0u);  // frozen: there is no summary
 
   // At the fixpoint a demotion has nothing new to write: no fsync per

@@ -15,28 +15,66 @@
 namespace xcq {
 namespace {
 
-/// Varint encoder mirroring the writer's, for hand-crafting streams.
-void PutVarint(std::string* out, uint64_t v) {
-  while (v >= 0x80) {
-    out->push_back(static_cast<char>((v & 0x7F) | 0x80));
-    v >>= 7;
-  }
-  out->push_back(static_cast<char>(v));
-}
-
 void PutU32(std::string* out, uint32_t v) {
-  out->append(reinterpret_cast<const char*>(&v), 4);
+  for (int i = 0; i < 4; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
 }
 
-/// Header for a hand-crafted instance stream: magic, version, counts,
-/// no relations.
-std::string Header(uint64_t vertex_count, uint64_t root_plus1) {
-  std::string out("XCQI");
-  PutU32(&out, 1);
-  PutVarint(&out, vertex_count);
-  PutVarint(&out, root_plus1);
-  PutVarint(&out, 0);  // relation count
+void PutU64(std::string* out, uint64_t v) {
+  PutU32(out, static_cast<uint32_t>(v));
+  PutU32(out, static_cast<uint32_t>(v >> 32));
+}
+
+/// Appends the 16-byte footer (CRC, payload size, end magic) to a
+/// payload, so a hand-built stream gets past the checksum and the
+/// structural checks are what fire.
+std::string WithFooter(const std::string& payload) {
+  std::string out = payload;
+  PutU32(&out, Crc32(payload));
+  PutU64(&out, payload.size());
+  out += "XCQF";
   return out;
+}
+
+/// The payload without its footer.
+std::string PayloadOf(const std::string& file) {
+  return file.substr(0, file.size() - 16);
+}
+
+/// A hand-crafted format-2 file: header, no relations unless
+/// `relation_words` names one relation ("a") and its column, the
+/// arrays, and a valid footer.
+std::string Spill(const std::vector<uint32_t>& offsets,
+                  const std::vector<uint32_t>& children,
+                  const std::vector<std::pair<uint32_t, uint64_t>>& counts = {},
+                  const std::vector<uint64_t>& relation_words = {}) {
+  std::string out("XCQI");
+  PutU32(&out, 2);
+  PutU32(&out, static_cast<uint32_t>(offsets.size() - 1));  // V
+  PutU32(&out, static_cast<uint32_t>(children.size()));     // E
+  PutU32(&out, relation_words.empty() ? 0 : 1);
+  if (!relation_words.empty()) {
+    PutU32(&out, 1);
+    out += "a";
+  }
+  for (const uint32_t offset : offsets) PutU32(&out, offset);
+  for (const uint32_t child : children) PutU32(&out, child);
+  PutU32(&out, static_cast<uint32_t>(counts.size()));
+  for (const auto& [index, count] : counts) {
+    PutU32(&out, index);
+    PutU64(&out, count);
+  }
+  for (const uint64_t word : relation_words) PutU64(&out, word);
+  return WithFooter(out);
+}
+
+/// Asserts that `bytes` decode to kCorruption whose message holds
+/// `fragment`.
+void ExpectCorruption(std::string_view bytes, std::string_view fragment) {
+  const auto result = DeserializeInstance(bytes);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(result.status().message().find(fragment), std::string::npos)
+      << result.status().ToString();
 }
 
 Instance CompressedBib() {
@@ -51,14 +89,18 @@ Instance CompressedBib() {
 
 TEST(InstanceIoTest, RoundTripPreservesStructureAndLabels) {
   const Instance original = CompressedBib();
-  const std::string bytes = SerializeInstance(original);
+  const std::string bytes = SerializeInstanceChecksummed(original);
 
   XCQ_ASSERT_OK_AND_ASSIGN(const Instance reloaded,
                            DeserializeInstance(bytes));
   XCQ_ASSERT_OK(reloaded.Validate());
-  EXPECT_EQ(reloaded.vertex_count(), original.vertex_count());
-  EXPECT_EQ(reloaded.rle_edge_count(), original.rle_edge_count());
-  EXPECT_EQ(reloaded.root(), original.root());
+  XCQ_ASSERT_OK_AND_ASSIGN(const bool equivalent,
+                           AreEquivalent(original, reloaded));
+  EXPECT_TRUE(equivalent);
+  EXPECT_EQ(reloaded.vertex_count(), original.ReachableCount());
+  EXPECT_EQ(reloaded.rle_edge_count(), original.ReachableEdgeCount());
+  // Vertices are renumbered in post-order: the root comes last.
+  EXPECT_EQ(reloaded.root(), reloaded.vertex_count() - 1);
   EXPECT_EQ(TreeNodeCount(reloaded), TreeNodeCount(original));
   EXPECT_EQ(reloaded.schema().LiveNames(), original.schema().LiveNames());
   for (const RelationId r : original.LiveRelations()) {
@@ -68,6 +110,38 @@ TEST(InstanceIoTest, RoundTripPreservesStructureAndLabels) {
     EXPECT_EQ(reloaded.RelationBits(r2).Count(),
               original.RelationBits(r).Count());
   }
+}
+
+TEST(InstanceIoTest, DecodedInstanceIsValidatedWithItsTraversalCached) {
+  XCQ_ASSERT_OK_AND_ASSIGN(
+      const Instance decoded,
+      DeserializeInstance(SerializeInstanceChecksummed(CompressedBib())));
+  EXPECT_TRUE(decoded.traversal_cache_valid());
+  XCQ_ASSERT_OK(decoded.Validate());
+  const TraversalCache& t = decoded.EnsureTraversal();
+  EXPECT_EQ(decoded.traversal_builds(), 0u);
+  ASSERT_EQ(t.order.size(), decoded.vertex_count());
+  for (VertexId v = 0; v < decoded.vertex_count(); ++v) {
+    EXPECT_EQ(t.order[v], v);
+    for (const Edge& e : decoded.Children(v)) EXPECT_LT(e.child, v);
+  }
+  EXPECT_EQ(t.reachable_edges, decoded.rle_edge_count());
+}
+
+TEST(InstanceIoTest, WriterDropsUnreachableVertices) {
+  // A split leaves the original vertex behind once nothing points at
+  // it any more; the spill holds only what the root reaches.
+  Instance instance = CompressedBib();
+  const VertexId root = instance.root();
+  const VertexId clone = instance.CloneVertex(root);
+  instance.SetRoot(clone);
+  instance.CloneVertex(clone);  // never linked
+  ASSERT_EQ(instance.ReachableCount() + 2, instance.vertex_count());
+  XCQ_ASSERT_OK_AND_ASSIGN(
+      const Instance decoded,
+      DeserializeInstance(SerializeInstanceChecksummed(instance)));
+  EXPECT_EQ(decoded.vertex_count(), instance.ReachableCount());
+  EXPECT_EQ(TreeNodeCount(decoded), TreeNodeCount(instance));
 }
 
 TEST(InstanceIoTest, RoundTripAnswersQueriesIdentically) {
@@ -84,7 +158,7 @@ TEST(InstanceIoTest, RoundTripAnswersQueriesIdentically) {
       QuerySession::Open(testing::BibExampleXml()));
   XCQ_ASSERT_OK_AND_ASSIGN(
       const Instance reloaded,
-      DeserializeInstance(SerializeInstance(CompressedBib())));
+      DeserializeInstance(SerializeInstanceChecksummed(CompressedBib())));
   XCQ_ASSERT_OK_AND_ASSIGN(QuerySession loaded,
                            QuerySession::FromInstance(reloaded));
   EXPECT_FALSE(loaded.has_source());
@@ -103,7 +177,8 @@ TEST(InstanceIoTest, FromInstanceMissingLabelIsNotFoundNotReparse) {
   XCQ_ASSERT_OK_AND_ASSIGN(
       QuerySession loaded,
       QuerySession::FromInstance(
-          DeserializeInstance(SerializeInstance(CompressedBib())).Value()));
+          DeserializeInstance(SerializeInstanceChecksummed(CompressedBib()))
+              .Value()));
   // "year" was never compressed in; with no source text the session must
   // refuse rather than silently answer from an absent relation.
   const Status status = loaded.Run("//paper[year]").status();
@@ -113,7 +188,7 @@ TEST(InstanceIoTest, FromInstanceMissingLabelIsNotFoundNotReparse) {
 }
 
 TEST(InstanceIoTest, TruncatedAtEveryPrefixIsCorruption) {
-  const std::string bytes = SerializeInstance(CompressedBib());
+  const std::string bytes = SerializeInstanceChecksummed(CompressedBib());
   ASSERT_GT(bytes.size(), 8u);
   for (size_t len = 0; len < bytes.size(); ++len) {
     const auto truncated = DeserializeInstance(
@@ -125,102 +200,98 @@ TEST(InstanceIoTest, TruncatedAtEveryPrefixIsCorruption) {
 }
 
 TEST(InstanceIoTest, BadMagicIsCorruption) {
-  std::string bytes = SerializeInstance(CompressedBib());
+  std::string bytes = SerializeInstanceChecksummed(CompressedBib());
   bytes[0] = 'Y';
-  const auto result = DeserializeInstance(bytes);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kCorruption);
-  EXPECT_NE(result.status().message().find("magic"), std::string::npos);
+  ExpectCorruption(bytes, "magic");
 }
 
 TEST(InstanceIoTest, UnsupportedVersionIsCorruption) {
-  std::string bytes = SerializeInstance(CompressedBib());
+  std::string bytes = SerializeInstanceChecksummed(CompressedBib());
   bytes[4] = 99;  // version lives right after the 4-byte magic
-  const auto result = DeserializeInstance(bytes);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kCorruption);
+  ExpectCorruption(bytes, "unsupported instance format version 99");
 }
 
 TEST(InstanceIoTest, TrailingBytesAreCorruption) {
-  std::string bytes = SerializeInstance(CompressedBib());
-  bytes += "junk";
-  const auto result = DeserializeInstance(bytes);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kCorruption);
+  // Behind a valid footer, so the payload parse is what finds them.
+  const std::string bytes = SerializeInstanceChecksummed(CompressedBib());
+  ExpectCorruption(WithFooter(PayloadOf(bytes) + "junk"), "trailing bytes");
 }
 
-TEST(InstanceIoTest, CyclicChildReferencesAreCorruption) {
-  // A serialized cycle (v0 → v1 → v0) deserializes structurally but must
-  // be rejected by validation: instances are DAGs.
-  std::string bytes = Header(/*vertex_count=*/2, /*root_plus1=*/1);
-  PutVarint(&bytes, 1);  // v0: one run
-  PutVarint(&bytes, 1);  //   child v1
-  PutVarint(&bytes, 1);  //   count 1
-  PutVarint(&bytes, 1);  // v1: one run
-  PutVarint(&bytes, 0);  //   child v0 — closes the cycle
-  PutVarint(&bytes, 1);  //   count 1
-  const auto result = DeserializeInstance(bytes);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kCorruption);
+TEST(InstanceIoTest, HandBuiltSpillDecodes) {
+  // The control for the corruption cases below: v0 a leaf, v1 the root
+  // with one run of three edges to v0.
+  XCQ_ASSERT_OK_AND_ASSIGN(const Instance instance,
+                           DeserializeInstance(Spill({0, 0, 1}, {0}, {{0, 3}})));
+  EXPECT_EQ(instance.root(), 1u);
+  ASSERT_EQ(instance.Children(1).size(), 1u);
+  EXPECT_EQ(instance.Children(1)[0], (Edge{0, 3}));
+  EXPECT_EQ(TreeNodeCount(instance), 4u);
+}
+
+TEST(InstanceIoTest, CycleIsCorruption) {
+  // v0 → v1 → v0: the first edge already points upwards.
+  ExpectCorruption(Spill({0, 1, 2}, {1, 0}), "not below it");
 }
 
 TEST(InstanceIoTest, SelfLoopIsCorruption) {
-  std::string bytes = Header(1, 1);
-  PutVarint(&bytes, 1);  // v0: one run
-  PutVarint(&bytes, 0);  //   child v0
-  PutVarint(&bytes, 1);
-  const auto result = DeserializeInstance(bytes);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kCorruption);
+  ExpectCorruption(Spill({0, 1}, {0}), "not below it");
 }
 
 TEST(InstanceIoTest, ChildOutOfRangeIsCorruption) {
-  std::string bytes = Header(1, 1);
-  PutVarint(&bytes, 1);  // v0: one run
-  PutVarint(&bytes, 7);  //   child v7 of a 1-vertex instance
-  PutVarint(&bytes, 1);
-  const auto result = DeserializeInstance(bytes);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kCorruption);
+  ExpectCorruption(Spill({0, 0, 1}, {7}), "not below it");
 }
 
-TEST(InstanceIoTest, ZeroMultiplicityIsCorruption) {
-  std::string bytes = Header(2, 1);
-  PutVarint(&bytes, 1);  // v0: one run
-  PutVarint(&bytes, 1);  //   child v1
-  PutVarint(&bytes, 0);  //   count 0 — RLE runs are >= 1
-  PutVarint(&bytes, 0);  // v1: leaf
-  const auto result = DeserializeInstance(bytes);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kCorruption);
+TEST(InstanceIoTest, UnreachableVertexIsCorruption) {
+  // v0 and v1 are leaves; the root v2 points at v1 only.
+  ExpectCorruption(Spill({0, 0, 0, 1}, {1}), "vertex 0 is unreachable");
 }
 
-TEST(InstanceIoTest, RootOutOfRangeIsCorruption) {
-  const std::string bytes = Header(1, /*root_plus1=*/5);
-  const auto result = DeserializeInstance(bytes);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kCorruption);
+TEST(InstanceIoTest, NonMonotoneOffsetsAreCorruption) {
+  // v2's span would run from edge 1 back to edge 0.
+  ExpectCorruption(Spill({0, 0, 1, 0, 2}, {0, 1}), "not monotone");
+}
+
+TEST(InstanceIoTest, OffsetsNotEndingAtEdgeCountAreCorruption) {
+  ExpectCorruption(Spill({0, 0, 0}, {0}), "edge offsets");
+}
+
+TEST(InstanceIoTest, AdjacentRunsOfOneChildAreCorruption) {
+  ExpectCorruption(Spill({0, 0, 2}, {0, 0}), "not RLE-canonical");
+}
+
+TEST(InstanceIoTest, ExceptionIndexOutOfRangeIsCorruption) {
+  ExpectCorruption(Spill({0, 0, 1}, {0}, {{1, 3}}), "out of range");
+}
+
+TEST(InstanceIoTest, ExceptionCountBelowTwoIsCorruption) {
+  // A zero-count run, and a count of 1 that the writer never lists.
+  ExpectCorruption(Spill({0, 0, 1}, {0}, {{0, 0}}), "below 2");
+  ExpectCorruption(Spill({0, 0, 1}, {0}, {{0, 1}}), "below 2");
+}
+
+TEST(InstanceIoTest, ExceptionIndicesOutOfOrderAreCorruption) {
+  ExpectCorruption(Spill({0, 0, 0, 2}, {0, 1}, {{1, 2}, {0, 2}}),
+                   "out of order");
 }
 
 TEST(InstanceIoTest, ChecksummedRoundTrip) {
   const Instance original = CompressedBib();
   const std::string bytes = SerializeInstanceChecksummed(original);
   // Footer = crc32 | payload size | "XCQF", 16 bytes past the payload.
-  ASSERT_EQ(bytes.size(), SerializeInstance(original).size() + 16);
   EXPECT_EQ(bytes.substr(bytes.size() - 4), "XCQF");
+  EXPECT_EQ(WithFooter(PayloadOf(bytes)), bytes);
   XCQ_ASSERT_OK_AND_ASSIGN(const Instance reloaded,
                            DeserializeInstance(bytes));
   XCQ_ASSERT_OK(reloaded.Validate());
-  EXPECT_EQ(reloaded.vertex_count(), original.vertex_count());
+  EXPECT_EQ(reloaded.vertex_count(), original.ReachableCount());
   EXPECT_EQ(TreeNodeCount(reloaded), TreeNodeCount(original));
 }
 
 TEST(InstanceIoTest, ChecksummedTruncatedFooterIsCorruption) {
   const std::string bytes =
       SerializeInstanceChecksummed(CompressedBib());
-  // Dropping any suffix of the footer destroys the end magic, so the
-  // stream falls back to the legacy parse — which then chokes on the
-  // partial footer as trailing bytes. Either way: kCorruption.
+  // Dropping any suffix of the footer destroys the end magic, and a
+  // file without a footer is never read.
   for (size_t drop = 1; drop <= 15; ++drop) {
     const auto result = DeserializeInstance(
         std::string_view(bytes).substr(0, bytes.size() - drop));
@@ -230,16 +301,18 @@ TEST(InstanceIoTest, ChecksummedTruncatedFooterIsCorruption) {
   }
 }
 
+TEST(InstanceIoTest, FooterlessPayloadIsCorruption) {
+  ExpectCorruption(
+      PayloadOf(SerializeInstanceChecksummed(CompressedBib())), "footer");
+}
+
 TEST(InstanceIoTest, ChecksummedPayloadFlipIsCrcMismatch) {
   std::string bytes = SerializeInstanceChecksummed(CompressedBib());
   for (const size_t pos : {size_t{9}, bytes.size() / 2, bytes.size() - 17}) {
     SCOPED_TRACE(pos);
     std::string flipped = bytes;
     flipped[pos] = static_cast<char>(flipped[pos] ^ 0x40);
-    const auto result = DeserializeInstance(flipped);
-    ASSERT_FALSE(result.ok());
-    EXPECT_EQ(result.status().code(), StatusCode::kCorruption);
-    EXPECT_NE(result.status().message().find("CRC"), std::string::npos);
+    ExpectCorruption(flipped, "CRC");
   }
 }
 
@@ -250,10 +323,7 @@ TEST(InstanceIoTest, ChecksummedTornWriteIsSizeMismatch) {
       SerializeInstanceChecksummed(CompressedBib());
   const std::string torn = bytes.substr(0, bytes.size() / 2) +
                            bytes.substr(bytes.size() - 16);
-  const auto result = DeserializeInstance(torn);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kCorruption);
-  EXPECT_NE(result.status().message().find("torn"), std::string::npos);
+  ExpectCorruption(torn, "torn");
 }
 
 TEST(InstanceIoTest, SaveInstanceWritesChecksummedFormat) {
@@ -264,6 +334,7 @@ TEST(InstanceIoTest, SaveInstanceWritesChecksummedFormat) {
   XCQ_ASSERT_OK_AND_ASSIGN(raw, xml::ReadFileToString(path));
   ASSERT_GE(raw.size(), 20u);
   EXPECT_EQ(raw.substr(raw.size() - 4), "XCQF");
+  EXPECT_EQ(InstanceFormatVersion(raw), kInstanceFormatVersion);
   // And no stray temp file from the atomic write.
   std::FILE* tmp = std::fopen((path + ".tmp").c_str(), "rb");
   EXPECT_EQ(tmp, nullptr);
@@ -271,87 +342,67 @@ TEST(InstanceIoTest, SaveInstanceWritesChecksummedFormat) {
   std::remove(path.c_str());
 }
 
-TEST(InstanceIoTest, LegacyFooterlessFixtureStillLoads) {
-  // tests/data/legacy_bib.xcqi is a checked-in bare (pre-footer) spill
-  // of the bib example. It must load forever: a --data-dir written by an
-  // older build survives the format upgrade.
-  XCQ_ASSERT_OK_AND_ASSIGN(
-      const Instance legacy,
-      LoadInstance(std::string(XCQ_TEST_DATA_DIR) + "/legacy_bib.xcqi"));
-  XCQ_ASSERT_OK(legacy.Validate());
-  XCQ_ASSERT_OK_AND_ASSIGN(QuerySession session,
-                           QuerySession::FromInstance(legacy));
-  XCQ_ASSERT_OK_AND_ASSIGN(
-      QuerySession reference,
-      QuerySession::Open(testing::BibExampleXml()));
-  XCQ_ASSERT_OK_AND_ASSIGN(const QueryOutcome want,
-                           reference.Run("//paper/author"));
-  XCQ_ASSERT_OK_AND_ASSIGN(const QueryOutcome got,
-                           session.Run("//paper/author"));
-  EXPECT_EQ(got.selected_tree_nodes, want.selected_tree_nodes);
+TEST(InstanceIoTest, FormatOneFixturesAreRejected) {
+  // tests/data/v1_legacy_bib.xcqi (no footer) and v1_bib_footered.xcqi
+  // are the bib example in the varint format 1. `.xcqi` is a same-host
+  // cache: an older format is refused by name, not misread.
+  for (const char* file : {"v1_legacy_bib.xcqi", "v1_bib_footered.xcqi"}) {
+    SCOPED_TRACE(file);
+    const auto result =
+        LoadInstance(std::string(XCQ_TEST_DATA_DIR) + "/" + file);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kCorruption);
+    EXPECT_EQ(result.status().message(),
+              "unsupported instance format version 1");
+  }
 }
 
-TEST(InstanceIoTest, FooteredFixtureLoadsAndReserializesByteForByte) {
-  // tests/data/bib_footered.xcqi is a checked-in SaveInstance output for
+TEST(InstanceIoTest, FormatTwoFixtureLoadsAndReserializesByteForByte) {
+  // tests/data/v2_bib.xcqi is a checked-in SaveInstance output for
   // CompressedBib(). The on-disk format is frozen: the file must load,
   // and the writer must reproduce it byte for byte (payload, footer CRC
-  // and size).
-  const std::string path =
-      std::string(XCQ_TEST_DATA_DIR) + "/bib_footered.xcqi";
+  // and size), from the compressed instance and from the decoded one.
+  const std::string path = std::string(XCQ_TEST_DATA_DIR) + "/v2_bib.xcqi";
   XCQ_ASSERT_OK_AND_ASSIGN(const Instance loaded, LoadInstance(path));
   XCQ_ASSERT_OK_AND_ASSIGN(const std::string fixture,
                            xml::ReadFileToString(path));
   EXPECT_EQ(SerializeInstanceChecksummed(CompressedBib()), fixture);
   EXPECT_EQ(SerializeInstanceChecksummed(loaded), fixture);
+  EXPECT_EQ(loaded.traversal_builds(), 0u);
 }
 
 TEST(InstanceIoTest, RelationBitsPastLastVertexAreCorruption) {
   // Two vertices, one relation: bits 0-1 are vertices, bit 2 is past
   // the end. The writer never sets it, so a file that does is corrupt.
-  const auto payload = [](uint64_t word) {
-    std::string out("XCQI");
-    PutU32(&out, 1);
-    PutVarint(&out, 2);  // vertex count
-    PutVarint(&out, 1);  // root = v0
-    PutVarint(&out, 1);  // one relation
-    PutVarint(&out, 1);
-    out += "a";
-    PutVarint(&out, 1);  // v0: one run
-    PutVarint(&out, 1);  //   child v1
-    PutVarint(&out, 1);  //   count 1
-    PutVarint(&out, 0);  // v1: leaf
-    out.append(reinterpret_cast<const char*>(&word), 8);
-    return out;
-  };
-  XCQ_ASSERT_OK_AND_ASSIGN(const Instance ok,
-                           DeserializeInstance(payload(0b11)));
+  XCQ_ASSERT_OK_AND_ASSIGN(
+      const Instance ok, DeserializeInstance(Spill({0, 0, 1}, {0}, {}, {0b11})));
   EXPECT_EQ(ok.RelationBits(ok.FindRelation("a")).Count(), 2u);
-  const auto result = DeserializeInstance(payload(0b111));
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kCorruption);
-  EXPECT_NE(result.status().message().find("past the last vertex"),
-            std::string::npos);
+  ExpectCorruption(Spill({0, 0, 1}, {0}, {}, {0b111}), "past the last vertex");
 }
 
 TEST(InstanceIoTest, ChecksummedRelationBitsPastLastVertexAreCorruption) {
-  // Same defect behind a valid footer: the CRC is recomputed over the
-  // damaged payload, so the structural check is what must fire.
+  // Same defect in a real spill behind a valid footer: the CRC is
+  // recomputed over the damaged payload, so the structural check is
+  // what must fire.
   const Instance bib = CompressedBib();
-  ASSERT_NE(bib.vertex_count() % 64, 0u);
-  std::string payload = SerializeInstance(bib);
+  ASSERT_NE(bib.ReachableCount() % 64, 0u);
+  std::string payload = PayloadOf(SerializeInstanceChecksummed(bib));
   // The payload ends in the last relation's last word; all-ones sets
-  // every bit past vertex_count whatever the host byte order.
+  // every bit past the vertex count.
   payload.replace(payload.size() - 8, 8, 8, '\xFF');
-  std::string file = payload;
-  PutU32(&file, Crc32(payload));
-  const uint64_t size = payload.size();
-  file.append(reinterpret_cast<const char*>(&size), 8);
-  file += "XCQF";
-  const auto result = DeserializeInstance(file);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kCorruption);
-  EXPECT_NE(result.status().message().find("past the last vertex"),
-            std::string::npos);
+  ExpectCorruption(WithFooter(payload), "past the last vertex");
+}
+
+TEST(InstanceIoTest, DuplicateRelationNameIsCorruption) {
+  // One relation "a" written twice: the count says 2, both names "a".
+  const std::string good = PayloadOf(Spill({0, 0, 1}, {0}, {}, {0b11}));
+  std::string payload = good.substr(0, 16);
+  PutU32(&payload, 2);
+  payload += good.substr(20, 5);  // u32 1, "a"
+  payload += good.substr(20, 5);
+  payload += good.substr(25);     // arrays and the first column
+  PutU64(&payload, 0b01);         // the second column
+  ExpectCorruption(WithFooter(payload), "duplicate relation");
 }
 
 TEST(InstanceIoTest, FromInstanceRejectsHandBuiltCycle) {

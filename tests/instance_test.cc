@@ -310,14 +310,15 @@ TEST(StatsTest, MemoryFootprintGrowsWithContent) {
 
 TEST(InstanceIoTest, RoundTrip) {
   const Instance original = Fig2Instance();
-  const std::string bytes = SerializeInstance(original);
+  const std::string bytes = SerializeInstanceChecksummed(original);
   XCQ_ASSERT_OK_AND_ASSIGN(Instance loaded, DeserializeInstance(bytes));
   XCQ_ASSERT_OK_AND_ASSIGN(const bool equivalent,
                            AreEquivalent(original, loaded));
   EXPECT_TRUE(equivalent);
   EXPECT_EQ(loaded.vertex_count(), original.vertex_count());
   EXPECT_EQ(loaded.rle_edge_count(), original.rle_edge_count());
-  EXPECT_EQ(loaded.root(), original.root());
+  // Renumbered in post-order, so the root is the last vertex.
+  EXPECT_EQ(loaded.root(), loaded.vertex_count() - 1);
   EXPECT_EQ(loaded.schema().live_count(),
             original.schema().live_count());
 }
@@ -338,7 +339,7 @@ TEST(InstanceIoTest, RejectsBadMagic) {
 }
 
 TEST(InstanceIoTest, RejectsTruncation) {
-  const std::string bytes = SerializeInstance(Fig2Instance());
+  const std::string bytes = SerializeInstanceChecksummed(Fig2Instance());
   for (const size_t cut : std::vector<size_t>{4, 8, 12, bytes.size() / 2,
                                               bytes.size() - 1}) {
     EXPECT_FALSE(DeserializeInstance(bytes.substr(0, cut)).ok())
@@ -347,13 +348,13 @@ TEST(InstanceIoTest, RejectsTruncation) {
 }
 
 TEST(InstanceIoTest, RejectsTrailingGarbage) {
-  const std::string bytes = SerializeInstance(Fig2Instance()) + "x";
+  const std::string bytes = SerializeInstanceChecksummed(Fig2Instance()) + "x";
   EXPECT_EQ(DeserializeInstance(bytes).status().code(),
             StatusCode::kCorruption);
 }
 
 TEST(InstanceIoTest, RejectsCorruptedEdgeTarget) {
-  std::string bytes = SerializeInstance(Fig2Instance());
+  std::string bytes = SerializeInstanceChecksummed(Fig2Instance());
   // Flip bytes until validation trips somewhere; at minimum the loader
   // must never crash and must keep returning sane statuses.
   int failures = 0;

@@ -44,7 +44,7 @@ TEST(IntegrationTest, EvaluateThenSerializeThenReevaluate) {
       engine::Evaluate(&inst, plan, engine::EvalOptions{}, nullptr));
   (void)result;
 
-  const std::string bytes = SerializeInstance(inst);
+  const std::string bytes = SerializeInstanceChecksummed(inst);
   XCQ_ASSERT_OK_AND_ASSIGN(Instance reloaded, DeserializeInstance(bytes));
 
   // Follow-up: authors of the previously selected papers.

@@ -137,6 +137,28 @@ TEST(TraversalCacheTest, NonStructuralChangesKeepCacheValid) {
   ExpectCacheMatchesOracle(instance);
 }
 
+TEST(TraversalCacheTest, DecodedSpillAdoptsFileOrderWithoutAWalk) {
+  // A decoded spill's cache holds the file order; for a spill the
+  // writer produced that is exactly the DFS post-order, so the oracle
+  // agrees with no rebuild. Splits first, so the spill drops garbage.
+  Instance instance = CompressAllTags(testing::BibExampleXml());
+  XCQ_ASSERT_OK_AND_ASSIGN(const algebra::QueryPlan plan,
+                           algebra::CompileString("//paper/author"));
+  XCQ_ASSERT_OK(engine::Evaluate(&instance, plan, {}, nullptr).status());
+  XCQ_ASSERT_OK_AND_ASSIGN(
+      Instance decoded,
+      DeserializeInstance(SerializeInstanceChecksummed(instance)));
+  EXPECT_TRUE(decoded.traversal_cache_valid());
+  ExpectCacheMatchesOracle(decoded);
+  EXPECT_EQ(decoded.traversal_builds(), 0u);
+
+  // The adopted cache invalidates like a built one.
+  decoded.CloneVertex(decoded.root());
+  EXPECT_FALSE(decoded.traversal_cache_valid());
+  ExpectCacheMatchesOracle(decoded);
+  EXPECT_EQ(decoded.traversal_builds(), 1u);
+}
+
 TEST(ScratchPoolTest, ResidentColumnsAreReusedWithoutAllocation) {
   Instance instance = CompressAllTags(testing::BibExampleXml());
   const RelationId a = instance.AcquireScratchRelation();
