@@ -40,9 +40,10 @@
 //                       misses it answers `ERR DeadlineExceeded`, and a
 //                       request whose deadline passes while queued is
 //                       shed without being evaluated (default 0 = none)
-//   --max-batch=N       cap on BATCH body sizes; a header announcing
-//                       more queries answers `ERR InvalidArgument`
-//                       without consuming the body (default 100000)
+//   --max-batch=N       cap on BATCH body sizes, 1..100000; a header
+//                       announcing more queries answers
+//                       `ERR InvalidArgument` without consuming the body
+//                       (default 100000)
 //   --data-dir=PATH     spill directory for durable documents: every
 //                       loaded document is persisted there as one
 //                       checksummed <escaped-name>.xcqi file (the
@@ -184,7 +185,8 @@ int main(int argc, char** argv) {
       options.default_deadline_ms =
           ParseCount(arg, "default-deadline-ms", 0, 3600000);
     } else if (HasFlag(arg, "max-batch")) {
-      options.max_batch = ParseCount(arg, "max-batch", 1, SIZE_MAX);
+      // The protocol parser never accepts more than 100000 queries.
+      options.max_batch = ParseCount(arg, "max-batch", 1, 100000);
     } else if (arg.rfind("--data-dir=", 0) == 0) {
       options.data_dir = std::string(arg.substr(11));
       if (options.data_dir.empty()) {

@@ -11,6 +11,9 @@
 /// at most doubling the instance (Prop. 3.2 / Thm. 3.6). `following` and
 /// `preceding` are compositions (Sec. 3.2) handled by the evaluator.
 
+#include <cstddef>
+#include <span>
+
 #include "xcq/instance/instance.h"
 #include "xcq/util/cancel.h"
 #include "xcq/util/result.h"
@@ -25,9 +28,9 @@ struct AxisStats {
 };
 
 /// \brief One lane of a sweep: plan `plan`'s op `op`, mapping selection
-/// `src` into the zeroed column `dst`. A QUERY sweeps one lane through
-/// the kernels below; a shared BATCH sweeps up to 64 through the mask
-/// kernels of engine/batch.h, where a lane's index is its mask bit.
+/// `src` into the zeroed column `dst`. A QUERY sweeps one lane, a shared
+/// BATCH up to kMaskLanes; a lane's index is its bit in the per-vertex
+/// lane masks the kernels compute.
 struct SweepLane {
   size_t plan = 0;
   size_t op = 0;
@@ -35,11 +38,25 @@ struct SweepLane {
   RelationId dst = kNoRelation;
 };
 
+/// Lanes per sweep: one bit per lane in a uint64 mask word.
+inline constexpr size_t kMaskLanes = 64;
+
+/// \brief What a kernel does where one lane demands both `dst` bits of a
+/// vertex (a *clash*).
+enum class OnClash : uint8_t {
+  /// Split the vertex (Fig. 4): the original keeps 0, a clone takes 1.
+  /// Only a one-lane sweep may split.
+  kSplit,
+  /// Return `Incompatible` with the instance and every `dst` untouched.
+  kRefuse,
+};
+
 /// Each axis family has one single-threaded kernel (docs/INTERNALS.md
-/// §8.5): downward axes make one parents-first pass over the cached
-/// post-order walked backwards, upward axes one children-first pass
-/// over it, sibling axes run demand/resolve/rewrite phases. Every
-/// kernel decides every reachable vertex.
+/// §8.5), generic over the lane count: downward axes make one
+/// parents-first pass over the cached post-order walked backwards,
+/// upward axes one children-first pass over it, sibling axes run
+/// demand/resolve/rewrite phases. Every kernel decides every reachable
+/// vertex, carrying its lanes' selections as per-vertex masks.
 ///
 /// An optional `cancel` token (util/cancel.h) is polled every 4096
 /// decided vertices and before the commit phases of a downward sweep,
@@ -48,24 +65,38 @@ struct SweepLane {
 /// with `kCancelled` / `kDeadlineExceeded`. No checkpoint sits inside a
 /// commit phase, so an aborted sweep leaves the instance structurally
 /// consistent and representing the same tree (at worst with unreachable
-/// clone leftovers, exactly like the shared-batch optimistic abort).
+/// clone leftovers) and every `dst` untouched.
 
 /// \brief child / descendant / descendant-or-self — the Fig. 4 algorithm
 /// as one parents-first sweep over the reversed cached post-order.
-Status ApplyDownwardAxis(Instance* instance, xpath::Axis axis,
-                         RelationId src, RelationId dst,
-                         AxisStats* stats = nullptr,
-                         const CancelToken* cancel = nullptr);
+Status SweepDownward(Instance* instance, xpath::Axis axis,
+                     std::span<const SweepLane> lanes, OnClash on_clash,
+                     AxisStats* stats = nullptr,
+                     const CancelToken* cancel = nullptr);
 
 /// \brief self / parent / ancestor / ancestor-or-self — one children-first
-/// pass over the post-order, never splits.
-Status ApplyUpwardAxis(Instance* instance, xpath::Axis axis, RelationId src,
-                       RelationId dst, AxisStats* stats = nullptr,
-                       const CancelToken* cancel = nullptr);
+/// pass over the post-order, never splits, so never clashes.
+Status SweepUpward(Instance* instance, xpath::Axis axis,
+                   std::span<const SweepLane> lanes,
+                   AxisStats* stats = nullptr,
+                   const CancelToken* cancel = nullptr);
 
 /// \brief following-sibling / preceding-sibling — one pass over child
 /// lists, multiplicity-aware run splitting (demand/resolve/rewrite
 /// phases).
+Status SweepSibling(Instance* instance, xpath::Axis axis,
+                    std::span<const SweepLane> lanes, OnClash on_clash,
+                    AxisStats* stats = nullptr,
+                    const CancelToken* cancel = nullptr);
+
+/// The one-lane, splitting forms of the kernels above: one QUERY step.
+Status ApplyDownwardAxis(Instance* instance, xpath::Axis axis,
+                         RelationId src, RelationId dst,
+                         AxisStats* stats = nullptr,
+                         const CancelToken* cancel = nullptr);
+Status ApplyUpwardAxis(Instance* instance, xpath::Axis axis, RelationId src,
+                       RelationId dst, AxisStats* stats = nullptr,
+                       const CancelToken* cancel = nullptr);
 Status ApplySiblingAxis(Instance* instance, xpath::Axis axis,
                         RelationId src, RelationId dst,
                         AxisStats* stats = nullptr,

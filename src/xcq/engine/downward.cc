@@ -3,28 +3,32 @@
 #include <vector>
 
 #include "xcq/engine/axes.h"
+#include "xcq/engine/lane_mask.h"
 
 namespace xcq::engine {
 
 using xpath::Axis;
 
+namespace {
+
 /// Reverse post-order form of the paper's Fig. 4 (docs/INTERNALS.md
-/// §8.5).
+/// §8.5), per lane.
 ///
 /// The cached order lists every reachable child before each of its
 /// parents, so walked back to front it is a topological order:
 /// when w's turn comes, every reachable parent of w carries its final
-/// `dst` bit and has *pushed* what each of its edges demands of its
-/// child — src(p) ∨ inherit·dst(p) — into w's demand flags (an OR,
-/// hence order-free). w folds its flags with or-self·src(w): one
-/// demanded bit → take it and push onward; both → split, the original
-/// keeping 0 and the clone (which pushes with bit 1) taking 1. Each
+/// `dst` mask and has *pushed* what each of its edges demands of its
+/// child — src(p) ∨ inherit·dst(p) selected, the complement unselected
+/// (ORs, hence order-free). w folds its demands with
+/// or-self·src(w): a lane demanding one bit takes it and pushes onward;
+/// a lane demanding both is a clash. Splitting it (one lane only), the
+/// original keeps 0 and the clone (which pushes with 1) takes 1. Each
 /// vertex is decided once and cloned at most once, so the instance at
 /// most doubles.
 ///
 /// Edges are re-pointed to the right variant in ONE deferred pass at
 /// the end — every edge's demand is recomputable from its (by then
-/// final) parent bit — which runs only if any split happened at all.
+/// final) parent mask — which runs only if any split happened at all.
 /// Nothing in between reads an edge's variant association: demands are
 /// indexed by the original vertex id, which is exactly the cell where
 /// both variants' demands must meet.
@@ -33,16 +37,10 @@ using xpath::Axis;
 /// each edge stands for a set of tree-node occurrences that share a
 /// parent variant, hence share a demanded bit. Every reachable vertex
 /// is decided.
-Status ApplyDownwardAxis(Instance* instance, Axis axis, RelationId src,
-                         RelationId dst, AxisStats* stats,
-                         const CancelToken* cancel) {
-  if (axis != Axis::kChild && axis != Axis::kDescendant &&
-      axis != Axis::kDescendantOrSelf) {
-    return Status::InvalidArgument("ApplyDownwardAxis: not a downward axis");
-  }
-  if (instance->root() == kNoVertex) {
-    return Status::InvalidArgument("ApplyDownwardAxis: empty instance");
-  }
+template <typename Mask>
+Status Downward(Instance* instance, Axis axis,
+                std::span<const SweepLane> lanes, OnClash on_clash,
+                AxisStats* stats, const CancelToken* cancel) {
   const bool inherit = axis != Axis::kChild;
   const bool or_self = axis == Axis::kDescendantOrSelf;
 
@@ -52,22 +50,28 @@ Status ApplyDownwardAxis(Instance* instance, Axis axis, RelationId src,
   // stays intact.
   const TraversalCache& plan = instance->EnsureTraversal();
   const size_t n0 = instance->vertex_count();
-  const DynamicBitset& src_bits = instance->RelationBits(src);
+  const Mask full = AllLanes<Mask>(lanes.size());
+  // src and dst masks are grown as clones are allocated, so the
+  // re-point pass reads them for clones too.
+  std::vector<Mask> src_mask = SourceMasks<Mask>(*instance, lanes);
+  std::vector<Mask> dst_mask(n0, 0);
 
-  // Demand flags per original vertex: bit 0 = some occurrence needs
-  // dst=0, bit 1 = needs dst=1. Clones are born resolved and edges are
-  // re-pointed only at the very end, so no clone ever receives flags.
-  std::vector<uint8_t> demand(n0, 0);
-  // dst bit per vertex, grown as clones are allocated; counterpart[w]
-  // is w's bit-1 clone when w split.
-  std::vector<uint8_t> dst_bit(n0, 0);
-  std::vector<VertexId> counterpart(n0, kNoVertex);
-  uint64_t split_count = 0;
+  // Demands per original vertex. Clones are born resolved and edges
+  // are re-pointed only at the very end, so no clone ever receives
+  // demands.
+  std::vector<Demand<Mask>> demand(n0);
+  // counterpart[w] is w's bit-1 clone when w split; sized at the first
+  // split.
+  std::vector<VertexId> counterpart;
 
   // Push a decided vertex's out-edge demands.
-  const auto push_from = [&](VertexId v, bool bit) {
-    const uint8_t out = src_bits.Test(v) || (inherit && bit) ? 2 : 1;
-    for (const Edge& e : instance->Children(v)) demand[e.child] |= out;
+  const auto push_from = [&](VertexId v, Mask mine) {
+    const Mask out1 =
+        static_cast<Mask>(src_mask[v] | (inherit ? mine : Mask{0}));
+    const Mask out0 = static_cast<Mask>(full & ~out1);
+    for (const Edge& e : instance->Children(v)) {
+      demand[e.child].Push(out1, out0);
+    }
   };
 
   const VertexId root = instance->root();
@@ -77,30 +81,36 @@ Status ApplyDownwardAxis(Instance* instance, Axis axis, RelationId src,
     const VertexId w = *it;
     // Checkpoint every 4096 decided vertices: clones allocated so far
     // are unreachable (edges re-point only in the deferred pass below)
-    // and the dst column is untouched until the final bit pass, so an
+    // and the dst columns are untouched until the final bit pass, so an
     // abort here leaves the instance representing the same tree, at
     // worst with unreachable clone leftovers.
     if (cancel != nullptr && ++decided % 4096 == 0) {
       XCQ_RETURN_IF_ERROR(cancel->Check());
     }
-    uint8_t d = demand[w];
     // Only the root receives no demands (every other reachable vertex
     // is entered by a reachable parent's edge).
-    if (d == 0 && w == root) d = 1;
-    if (or_self && src_bits.Test(w)) d = 2;  // every occurrence selected
-    if (d == 3) {
-      // The original keeps 0; the clone (same child list) takes 1.
-      push_from(w, false);
-      const VertexId clone = instance->CloneVertex(w);
-      counterpart[w] = clone;
-      dst_bit.push_back(1);  // dst_bit[clone]
-      ++split_count;
-      if (stats != nullptr) ++stats->splits;
-      push_from(clone, true);
-    } else {
-      dst_bit[w] = d == 2 ? 1 : 0;
-      push_from(w, dst_bit[w] != 0);
+    const Mask d1 = demand[w].one();
+    const Mask d0 = w == root ? full : demand[w].zero();
+    const Mask os = or_self ? src_mask[w] : Mask{0};  // all occurrences
+    if ((d1 & d0 & ~os) == 0) {
+      dst_mask[w] = static_cast<Mask>(os | d1);
+      push_from(w, dst_mask[w]);
+      continue;
     }
+    if (on_clash == OnClash::kRefuse) {
+      return Status::Incompatible("downward sweep clash: a split");
+    }
+    // One lane: the original keeps 0; the clone (same child list)
+    // takes 1.
+    assert(lanes.size() == 1);
+    push_from(w, 0);
+    if (counterpart.empty()) counterpart.assign(n0, kNoVertex);
+    const VertexId clone = instance->CloneVertex(w);
+    counterpart[w] = clone;
+    src_mask.push_back(src_mask[w]);  // src_mask[clone]
+    dst_mask.push_back(full);         // dst_mask[clone]
+    if (stats != nullptr) ++stats->splits;
+    push_from(clone, full);
   }
 
   // Last checkpoint before the commit phases (re-point + bit pass):
@@ -110,9 +120,9 @@ Status ApplyDownwardAxis(Instance* instance, Axis axis, RelationId src,
   // Deferred re-point pass, skipped when nothing split: every edge to a
   // split vertex goes to the variant its own demand selects. Edges are
   // committed in plan order, then clone order.
-  if (split_count > 0) {
+  if (!counterpart.empty()) {
     const auto repoint = [&](VertexId v) {
-      if (!src_bits.Test(v) && !(inherit && dst_bit[v] != 0)) return;
+      if ((src_mask[v] | (inherit ? dst_mask[v] : Mask{0})) == 0) return;
       const std::span<const Edge> children = instance->Children(v);
       for (uint32_t j = 0; j < children.size(); ++j) {
         const VertexId w = children[j].child;
@@ -120,7 +130,7 @@ Status ApplyDownwardAxis(Instance* instance, Axis axis, RelationId src,
         // A split child never has or-self·src(w) (that forces every
         // occurrence selected, i.e. no split), so the edge's variant
         // depends on the parent's demand alone.
-        assert(!(or_self && src_bits.Test(w)));
+        assert(!(or_self && src_mask[w] != 0));
         instance->MutableChildren(v)[j].child = counterpart[w];
       }
     };
@@ -131,17 +141,38 @@ Status ApplyDownwardAxis(Instance* instance, Axis axis, RelationId src,
     }
   }
 
-  for (const VertexId v : plan.order) {
-    instance->AssignBit(dst, v, dst_bit[v] != 0);
-  }
-  for (VertexId v = static_cast<VertexId>(n0);
-       v < instance->vertex_count(); ++v) {
-    instance->AssignBit(dst, v, dst_bit[v] != 0);
-  }
+  CommitMasks(instance, lanes, plan.order,
+              [&](VertexId v) { return dst_mask[v]; });
+  CommitClones(instance, lanes, n0);
   if (stats != nullptr) {
     stats->visited += plan.order.size() + (instance->vertex_count() - n0);
   }
   return Status::OK();
+}
+
+}  // namespace
+
+Status SweepDownward(Instance* instance, Axis axis,
+                     std::span<const SweepLane> lanes, OnClash on_clash,
+                     AxisStats* stats, const CancelToken* cancel) {
+  XCQ_RETURN_IF_ERROR(CheckSweep(
+      *instance,
+      axis == Axis::kChild || axis == Axis::kDescendant ||
+          axis == Axis::kDescendantOrSelf,
+      lanes, on_clash, "SweepDownward"));
+  return lanes.size() <= kNarrowMaskLanes
+             ? Downward<uint8_t>(instance, axis, lanes, on_clash, stats,
+                                 cancel)
+             : Downward<uint64_t>(instance, axis, lanes, on_clash, stats,
+                                  cancel);
+}
+
+Status ApplyDownwardAxis(Instance* instance, Axis axis, RelationId src,
+                         RelationId dst, AxisStats* stats,
+                         const CancelToken* cancel) {
+  const SweepLane lane{.src = src, .dst = dst};
+  return SweepDownward(instance, axis, {&lane, 1}, OnClash::kSplit, stats,
+                       cancel);
 }
 
 }  // namespace xcq::engine

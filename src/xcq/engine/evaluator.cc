@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "xcq/engine/axes.h"
-#include "xcq/engine/batch.h"
 #include "xcq/util/string_util.h"
 #include "xcq/util/timer.h"
 
@@ -34,22 +33,23 @@ void ReachableSizes(const Instance& instance, uint64_t* vertices,
 /// returned to the pool at its last use. A span of plans runs in
 /// lockstep — round r runs op r of every plan — so one plan is a QUERY
 /// and N plans are a shared BATCH, whose same-axis ops of a round are
-/// swept together in chunks of up to kMaskLanes lanes. Op resolution,
-/// scratch lifetimes, the following/preceding composition, the
-/// `//`-from-root closed form and the per-family counters are common
-/// to both; the modes differ only in `Dispatch`.
-/// A shared run never mutates the DAG (its kernels abort on a clash
+/// swept together in chunks of up to kMaskLanes lanes. Everything —
+/// op resolution, scratch lifetimes, the following/preceding
+/// composition, the `//`-from-root closed form, the kernels and the
+/// per-family counters — is common to both; the modes differ only in
+/// `on_clash`: a QUERY splits, a shared run refuses.
+/// A shared run never mutates the DAG (its kernels refuse a clash
 /// before writing anything), so any error it returns leaves the
 /// instance as it was.
 class PlanRunner {
  public:
   PlanRunner(Instance* instance, std::span<const algebra::QueryPlan> plans,
-             const EvalOptions& options, EvalStats* stats, bool shared)
+             const EvalOptions& options, EvalStats* stats, OnClash on_clash)
       : instance_(instance),
         plans_(plans),
         options_(options),
         stats_(stats),
-        shared_(shared),
+        on_clash_(on_clash),
         slots_(plans.size()) {
     for (size_t p = 0; p < plans.size(); ++p) {
       const std::vector<Op>& ops = plans[p].ops;
@@ -236,12 +236,8 @@ class PlanRunner {
   Status RunAxis(Axis axis, std::span<const SweepLane> lanes) {
     switch (axis) {
       case Axis::kSelf:
-        // A plain column copy — nothing to sweep.
-        for (const SweepLane& lane : lanes) {
-          instance_->MutableRelationBits(lane.dst) =
-              instance_->RelationBits(lane.src);
-        }
-        return Status::OK();
+        // A plain column copy — not counted as a sweep.
+        return SweepUpward(instance_, axis, lanes);
       case Axis::kFollowing:
       case Axis::kPreceding:
         return RunComposed(axis, lanes);
@@ -325,9 +321,6 @@ class PlanRunner {
       status = Dispatch(axis, lanes, &kernel);
     }
     if (counters != nullptr) {
-      // A mask sweep walks every reachable vertex once, whatever its
-      // width.
-      if (shared_) kernel.visited = reachable;
       stats_->splits += kernel.splits;
       counters->visited += kernel.visited;
       // Kernels count clones created mid-sweep as visits.
@@ -336,48 +329,28 @@ class PlanRunner {
     return status;
   }
 
-  /// The one place a QUERY and a shared run differ: a QUERY calls the
-  /// splitting kernels of engine/axes.h with its cancel token; a shared
-  /// run calls the mask kernels of engine/batch.h, which report a clash
-  /// instead of splitting.
+  /// The kernel of the axis family (engine/axes.h), with the run's
+  /// clash policy and cancel token.
   Status Dispatch(Axis axis, std::span<const SweepLane> lanes,
                   AxisStats* kernel) {
-    const AxisFamily family = FamilyOf(axis);
-    if (!shared_) {
-      const SweepLane& lane = lanes.front();
-      switch (family) {
-        case AxisFamily::kDownward:
-          return ApplyDownwardAxis(instance_, axis, lane.src, lane.dst,
-                                   kernel, options_.cancel);
-        case AxisFamily::kUpward:
-          return ApplyUpwardAxis(instance_, axis, lane.src, lane.dst, kernel,
-                                 options_.cancel);
-        case AxisFamily::kSibling:
-          return ApplySiblingAxis(instance_, axis, lane.src, lane.dst,
-                                  kernel, options_.cancel);
-      }
-    }
-    bool clean = true;
-    switch (family) {
+    switch (FamilyOf(axis)) {
       case AxisFamily::kDownward:
-        clean = SharedDownward(instance_, axis, lanes);
-        break;
+        return SweepDownward(instance_, axis, lanes, on_clash_, kernel,
+                             options_.cancel);
       case AxisFamily::kUpward:
-        SharedUpward(instance_, axis, lanes);
-        break;
+        return SweepUpward(instance_, axis, lanes, kernel, options_.cancel);
       case AxisFamily::kSibling:
-        clean = SharedSibling(instance_, axis, lanes);
-        break;
+        return SweepSibling(instance_, axis, lanes, on_clash_, kernel,
+                            options_.cancel);
     }
-    return clean ? Status::OK()
-                 : Status::Incompatible("shared sweep clash: a split");
+    return Status::Internal("Dispatch: unknown axis family");
   }
 
   Instance* instance_;
   std::span<const algebra::QueryPlan> plans_;
   const EvalOptions& options_;
   EvalStats* stats_;
-  const bool shared_;
+  const OnClash on_clash_;
   std::vector<std::vector<Slot>> slots_;  ///< [plan][op]
   /// One round's axis lanes, by axis (reused across rounds).
   std::array<std::vector<SweepLane>, kAxisCount> buckets_;
@@ -419,7 +392,7 @@ Result<RelationId> Evaluate(Instance* instance,
     ReachableSizes(*instance, &stats->vertices_before,
                    &stats->edges_before);
   }
-  PlanRunner runner(instance, {&plan, 1}, options, stats, /*shared=*/false);
+  PlanRunner runner(instance, {&plan, 1}, options, stats, OnClash::kSplit);
   XCQ_RETURN_IF_ERROR(runner.Run());
   // Persist the final selection under the public result name. The
   // relation is reused (not removed and re-interned) so its id stays
@@ -443,7 +416,7 @@ SharedBatchResult EvaluateBatchShared(
   Timer timer;
   SharedBatchResult result;
   if (!CheckRunnable(instance, plans).ok()) return result;
-  PlanRunner runner(instance, plans, options, stats, /*shared=*/true);
+  PlanRunner runner(instance, plans, options, stats, OnClash::kRefuse);
   if (runner.Run().ok()) {
     result.engaged = true;
     result.results.reserve(plans.size());

@@ -150,15 +150,17 @@ struct SharedBatchResult {
 /// \brief Attempts to evaluate `plans` with shared sweeps (docs/SERVER.md
 /// BATCH, docs/INTERNALS.md §8.3): the same interpreter as `Evaluate`
 /// runs the plans in lockstep, and each round's same-axis ops share one
-/// mask sweep of engine/batch.h per chunk of up to 64 queries.
+/// sweep of the family's kernel (engine/axes.h) per chunk of up to
+/// kMaskLanes queries, one lane each.
 ///
 /// The sharing is *optimistic*: it is only correct while no op mutates
 /// the DAG, because per-query evaluation orders mutations (splits)
-/// between queries and lockstep does not. The mask kernels abort on a
-/// *clash* — a vertex one query demands both selected and unselected,
-/// exactly a split the per-query kernel would perform — before writing
-/// anything. Never fails: a clash, a missing context relation or a
-/// tripped cancel reports `engaged = false` with the instance
+/// between queries and lockstep does not. So a shared sweep runs with
+/// `OnClash::kRefuse`: at a *clash* — a vertex one query demands both
+/// selected and unselected, exactly where a one-lane sweep would split
+/// — the kernel stops before writing anything. Never fails: a clash, a
+/// missing context relation or a tripped cancel (polled inside the
+/// kernels as in a QUERY) reports `engaged = false` with the instance
 /// untouched, so the caller can fall back to per-query evaluation,
 /// which also surfaces any real error. Answers from an engaged run are
 /// bit-identical to per-query evaluation; a warmed instance (split

@@ -3,6 +3,7 @@
 #include <vector>
 
 #include "xcq/engine/axes.h"
+#include "xcq/engine/lane_mask.h"
 
 namespace xcq::engine {
 
@@ -10,40 +11,33 @@ using xpath::Axis;
 
 namespace {
 
-/// Walks one child list and reports the `dst` bit each emitted run
-/// requires of its child — the shared core of the demand and rewrite
-/// passes. `emit(child, count, bit)` receives the runs of the rewritten
-/// list in assembly order (left-to-right for following-sibling,
+/// Walks one child list and reports the lanes whose `dst` each emitted
+/// run requires of its child — the shared core of the demand and
+/// rewrite phases. `emit(child, count, mask)` receives the runs of the
+/// rewritten list in assembly order (left-to-right for following-sibling,
 /// right-to-left for preceding).
-template <typename Emit>
+template <typename Mask, typename Emit>
 void WalkSiblingRuns(std::span<const Edge> runs, bool forward,
-                     const DynamicBitset& src_bits, const Emit& emit) {
-  bool seen = false;  // a source occurrence before (after) the cursor
-  const auto emit_run = [&](VertexId w, uint64_t count, bool boundary_bit,
-                            bool bulk_bit) {
-    // `boundary_bit` selects the occurrence adjacent to `seen` history
-    // (first for forward, last for backward); the remaining `count - 1`
-    // occurrences follow (precede) a same-vertex occurrence.
-    if (count == 1 || boundary_bit == bulk_bit) {
-      emit(w, count, boundary_bit);
-      return;
+                     const std::vector<Mask>& src_mask, const Emit& emit) {
+  Mask seen = 0;  // lanes with a source occurrence before (after) the cursor
+  const auto emit_run = [&](const Edge& run) {
+    // `seen` selects the occurrence adjacent to the history (first for
+    // forward, last for backward); the remaining `count - 1`
+    // occurrences follow (precede) a same-vertex occurrence, so their
+    // history also holds the run's own source lanes.
+    const Mask bulk = static_cast<Mask>(seen | src_mask[run.child]);
+    if (run.count == 1 || seen == bulk) {
+      emit(run.child, run.count, seen);
+    } else {
+      emit(run.child, 1, seen);
+      emit(run.child, run.count - 1, bulk);
     }
-    emit(w, 1, boundary_bit);
-    emit(w, count - 1, bulk_bit);
+    seen = bulk;
   };
   if (forward) {
-    for (const Edge& run : runs) {
-      const bool in_src = src_bits.Test(run.child);
-      emit_run(run.child, run.count, seen, seen || in_src);
-      seen = seen || in_src;
-    }
+    for (const Edge& run : runs) emit_run(run);
   } else {
-    for (size_t i = runs.size(); i-- > 0;) {
-      const Edge& run = runs[i];
-      const bool in_src = src_bits.Test(run.child);
-      emit_run(run.child, run.count, seen, seen || in_src);
-      seen = seen || in_src;
-    }
+    for (size_t i = runs.size(); i-- > 0;) emit_run(runs[i]);
   }
 }
 
@@ -58,8 +52,6 @@ void FinishBackwardList(std::vector<Edge>* rewritten) {
   rewritten->swap(canonical);
 }
 
-}  // namespace
-
 /// following-sibling: an occurrence is selected iff an earlier occurrence
 /// in the same (expanded) child list is in `src`; preceding-sibling is
 /// the mirror image. A run `(w, c)` with `w` in `src` straddles the
@@ -71,58 +63,64 @@ void FinishBackwardList(std::vector<Edge>* rewritten) {
 /// list can be rewritten from `src` bits alone — the only coupling
 /// between vertices is *which variants of each child exist*. Three
 /// phases (docs/INTERNALS.md §8.5):
-///  1. demand:  every list is walked; the bit each emitted run requires
-///     of its child is OR-ed into the child's demand flags.
-///  2. resolve: vertices demanded with both bits split, in plan order.
-///     The original keeps the *lower* demanded bit, the clone the other
-///     — a rule independent of discovery order.
+///  1. demand:  every list is walked; the lanes each emitted run
+///     requires selected / unselected are OR-ed into its child's
+///     demands.
+///  2. resolve: a vertex one lane demands with both bits is a clash.
+///     Splitting (one lane only), clashing vertices are cloned in plan
+///     order; the original keeps the *lower* demanded bit, the clone the
+///     other — a rule independent of discovery order.
 ///  3. rewrite: lists are walked again, now mapping each run to its
 ///     child's variant, and committed (SetEdges) in plan order. Skipped
 ///     when resolve cloned nothing: every run then maps to its own
 ///     child and is emitted whole, so each rewritten list equals the
 ///     original (RLE lists are canonical).
-Status ApplySiblingAxis(Instance* instance, Axis axis, RelationId src,
-                        RelationId dst, AxisStats* stats,
-                        const CancelToken* cancel) {
-  if (axis != Axis::kFollowingSibling && axis != Axis::kPrecedingSibling) {
-    return Status::InvalidArgument("ApplySiblingAxis: not a sibling axis");
-  }
-  if (instance->root() == kNoVertex) {
-    return Status::InvalidArgument("ApplySiblingAxis: empty instance");
-  }
+template <typename Mask>
+Status Sibling(Instance* instance, Axis axis, std::span<const SweepLane> lanes,
+               OnClash on_clash, AxisStats* stats,
+               const CancelToken* cancel) {
   const bool forward = axis == Axis::kFollowingSibling;
   // Cache reference; safe across the mutations below for the same
   // reason as in downward.cc (no mid-sweep cache re-read).
   const TraversalCache& plan = instance->EnsureTraversal();
   const size_t n0 = instance->vertex_count();
-  const DynamicBitset& src_bits = instance->RelationBits(src);
+  const Mask full = AllLanes<Mask>(lanes.size());
+  const std::vector<Mask> src_mask = SourceMasks<Mask>(*instance, lanes);
 
-  // Demand phase. Bit 0: some occurrence needs dst=0; bit 1: dst=1.
-  std::vector<uint8_t> demand(n0, 0);
+  // Demand phase.
+  std::vector<Demand<Mask>> demand(n0);
   for (const VertexId v : plan.order) {
-    WalkSiblingRuns(instance->Children(v), forward, src_bits,
-                    [&](VertexId w, uint64_t, bool bit) {
-                      demand[w] |= bit ? 2 : 1;
+    WalkSiblingRuns(instance->Children(v), forward, src_mask,
+                    [&](VertexId w, uint64_t, Mask mask) {
+                      demand[w].Push(mask, static_cast<Mask>(full & ~mask));
                     });
   }
-  demand[instance->root()] |= 1;
+  demand[instance->root()].Push(0, full);
 
   // Checkpoint between demand and resolve: nothing has mutated
-  // yet (demand writes only the side flags), so an abort here leaves
+  // yet (demand writes only the side masks), so an abort here leaves
   // the instance untouched.
   if (cancel != nullptr) XCQ_RETURN_IF_ERROR(cancel->Check());
 
   // Resolve phase: allocate clones in plan order (deterministic).
-  std::vector<uint8_t> dst_bit(n0, 0);
-  std::vector<VertexId> counterpart(n0, kNoVertex);
+  // counterpart is sized at the first split.
+  std::vector<VertexId> counterpart;
   for (const VertexId v : plan.order) {
-    dst_bit[v] = demand[v] == 2 ? 1 : 0;  // both demanded: original keeps 0
-    if (demand[v] == 3) {
-      counterpart[v] = instance->CloneVertex(v);
-      if (stats != nullptr) ++stats->splits;
+    if ((demand[v].one() & demand[v].zero()) == 0) continue;
+    if (on_clash == OnClash::kRefuse) {
+      return Status::Incompatible("sibling sweep clash: a split");
     }
+    assert(lanes.size() == 1);
+    if (counterpart.empty()) counterpart.assign(n0, kNoVertex);
+    counterpart[v] = instance->CloneVertex(v);
+    if (stats != nullptr) ++stats->splits;
   }
   const uint64_t split_count = instance->vertex_count() - n0;
+  // An original's dst mask: its demanded lanes, except that where both
+  // bits are demanded (a split) the original keeps 0.
+  const auto dst_mask = [&](VertexId v) {
+    return static_cast<Mask>(demand[v].one() & ~demand[v].zero());
+  };
 
   // Checkpoint between resolve and rewrite: the clones allocated
   // above are unreachable until the rewrite re-points parents at them,
@@ -136,10 +134,10 @@ Status ApplySiblingAxis(Instance* instance, Axis axis, RelationId src,
     std::vector<Edge> rewritten;
     for (const VertexId v : plan.order) {
       rewritten.clear();
-      WalkSiblingRuns(instance->Children(v), forward, src_bits,
-                      [&](VertexId w, uint64_t count, bool bit) {
+      WalkSiblingRuns(instance->Children(v), forward, src_mask,
+                      [&](VertexId w, uint64_t count, Mask mask) {
                         const VertexId variant =
-                            dst_bit[w] == (bit ? 1 : 0) ? w : counterpart[w];
+                            dst_mask(w) == mask ? w : counterpart[w];
                         assert(variant != kNoVertex);
                         AppendEdgeRle(&rewritten, Edge{variant, count});
                       });
@@ -150,14 +148,33 @@ Status ApplySiblingAxis(Instance* instance, Axis axis, RelationId src,
       }
     }
   }
-  for (const VertexId v : plan.order) {
-    instance->AssignBit(dst, v, dst_bit[v] != 0);
-    if (counterpart[v] != kNoVertex) {
-      instance->AssignBit(dst, counterpart[v], true);
-    }
-  }
+  CommitMasks(instance, lanes, plan.order, dst_mask);
+  CommitClones(instance, lanes, n0);
   if (stats != nullptr) stats->visited += plan.order.size() + split_count;
   return Status::OK();
+}
+
+}  // namespace
+
+Status SweepSibling(Instance* instance, Axis axis,
+                    std::span<const SweepLane> lanes, OnClash on_clash,
+                    AxisStats* stats, const CancelToken* cancel) {
+  XCQ_RETURN_IF_ERROR(CheckSweep(
+      *instance,
+      axis == Axis::kFollowingSibling || axis == Axis::kPrecedingSibling,
+      lanes, on_clash, "SweepSibling"));
+  return lanes.size() <= kNarrowMaskLanes
+             ? Sibling<uint8_t>(instance, axis, lanes, on_clash, stats, cancel)
+             : Sibling<uint64_t>(instance, axis, lanes, on_clash, stats,
+                                 cancel);
+}
+
+Status ApplySiblingAxis(Instance* instance, Axis axis, RelationId src,
+                        RelationId dst, AxisStats* stats,
+                        const CancelToken* cancel) {
+  const SweepLane lane{.src = src, .dst = dst};
+  return SweepSibling(instance, axis, {&lane, 1}, OnClash::kSplit, stats,
+                      cancel);
 }
 
 }  // namespace xcq::engine

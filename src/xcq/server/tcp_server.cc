@@ -23,6 +23,10 @@ using Clock = std::chrono::steady_clock;
 constexpr uint64_t kListenerId = 0;
 constexpr uint64_t kEventFdId = 1;
 
+/// Graceful-shutdown bound: `Stop()` force-closes connections still
+/// owing replies this long after the drain began.
+constexpr std::chrono::seconds kDrainTimeout{30};
+
 /// One best-effort blocking-ish send for the pre-admission rejection
 /// line; the socket is non-blocking, so a full buffer just drops it.
 void SendBestEffort(int fd, std::string_view data) {
@@ -605,12 +609,7 @@ void TcpServer::CheckTimers() {
 void TcpServer::BeginDrain() {
   draining_ = true;
   accept_retry_ = false;
-  drain_deadline_ =
-      Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                         std::chrono::duration<double>(
-                             options_.drain_timeout_s > 0
-                                 ? options_.drain_timeout_s
-                                 : 1e9));
+  drain_deadline_ = Clock::now() + kDrainTimeout;
   // Stop accepting immediately; pending replies still flush below.
   if (listen_fd_ >= 0) {
     ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, listen_fd_, nullptr);

@@ -31,7 +31,7 @@
 /// Timers: `idle_timeout_s` disconnects connections with no traffic and
 /// nothing owed; `write_timeout_s` disconnects peers that stop draining
 /// their replies. `Stop()` drains gracefully — in-flight requests are
-/// answered and flushed (bounded by `drain_timeout_s`), idle
+/// answered and flushed (for at most 30 s), idle
 /// connections close immediately.
 ///
 /// All evaluation still happens in the worker pool, so the expensive,
@@ -93,9 +93,6 @@ struct ServerOptions {
   /// Pause reading a connection whose unflushed output exceeds this
   /// (the slow-reader guard); resumes when the backlog flushes.
   size_t write_high_watermark = size_t{1} << 20;
-  /// Graceful-shutdown bound: Stop() force-closes connections still
-  /// owing replies after this many seconds.
-  double drain_timeout_s = 30.0;
   /// Deadline applied to QUERY/BATCH requests without a `TIMEOUT`
   /// clause (`--default-deadline-ms`); 0 = none. Expired requests
   /// answer `ERR DeadlineExceeded` — shed before evaluation when the
@@ -121,8 +118,8 @@ class TcpServer {
   Status Start();
 
   /// Graceful drain: stops accepting, closes idle connections
-  /// immediately, answers and flushes everything in flight (bounded by
-  /// `drain_timeout_s`), then joins the loop. Idempotent; also run by
+  /// immediately, answers and flushes everything in flight (for at most
+  /// 30 s), then joins the loop. Idempotent; also run by
   /// the destructor.
   void Stop();
 

@@ -1,3 +1,4 @@
+#include <span>
 #include <string>
 #include <vector>
 
@@ -479,6 +480,123 @@ TEST(AxisKernelTest, DescendantFromRootClosedFormMatchesKernel) {
     gen.seed = 17 + corpus_index++;
     ExpectClosedFormMatchesKernel(generator->Generate(gen));
   }
+}
+
+// --- one kernel, two clash policies ----------------------------------------
+
+/// Asserts that `a` and `b` hold the same vertices, child lists and
+/// relation columns.
+void ExpectSameInstance(const Instance& a, const Instance& b) {
+  testing::ExpectSameChildLists(a, b);
+  ASSERT_EQ(a.LiveRelations(), b.LiveRelations());
+  for (const RelationId r : a.LiveRelations()) {
+    EXPECT_TRUE(a.RelationBits(r) == b.RelationBits(r))
+        << "column " << a.schema().Name(r) << " differs";
+  }
+}
+
+/// A clone carries one lane's selection, so only a one-lane sweep may
+/// split; a wider one must refuse clashes instead.
+TEST(AxisKernelTest, OnlyOneLaneMaySplit) {
+  Fig2 f;
+  f.inst.SetBit(f.src, f.bib);
+  const RelationId dst2 = f.inst.AddRelation("dst2");
+  const SweepLane lanes[] = {{.src = f.src, .dst = f.dst},
+                             {.src = f.src, .dst = dst2}};
+  EXPECT_EQ(SweepDownward(&f.inst, xpath::Axis::kChild, lanes,
+                          OnClash::kSplit)
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(SweepSibling(&f.inst, xpath::Axis::kFollowingSibling, lanes,
+                         OnClash::kSplit)
+                .code(),
+            StatusCode::kInvalidArgument);
+  // child({bib}) clashes nowhere, so the refusing sweep answers.
+  XCQ_ASSERT_OK(
+      SweepDownward(&f.inst, xpath::Axis::kChild, lanes, OnClash::kRefuse));
+  EXPECT_EQ(f.DstTreeCount(), 3u);
+  EXPECT_TRUE(f.inst.RelationBits(f.dst) == f.inst.RelationBits(dst2));
+}
+
+/// A sweep that may not split refuses exactly where a splitting sweep
+/// clones: over random instances, random source columns and lane counts
+/// on both sides of the byte mask word, a refused multi-lane sweep
+/// (`Incompatible`) leaves the instance exactly as it was and happens
+/// iff some lane's one-lane splitting sweep clones a vertex; otherwise
+/// every lane's column equals that lane's splitting sweep, which then
+/// cloned nothing.
+TEST(AxisKernelTest, ClashIffSplit) {
+  const xpath::Axis kAxes[] = {
+      xpath::Axis::kChild, xpath::Axis::kDescendant,
+      xpath::Axis::kDescendantOrSelf, xpath::Axis::kFollowingSibling,
+      xpath::Axis::kPrecedingSibling};
+  const auto sweep = [](Instance* instance, xpath::Axis axis,
+                        std::span<const SweepLane> lanes, OnClash on_clash,
+                        AxisStats* stats) {
+    return FamilyOf(axis) == AxisFamily::kDownward
+               ? SweepDownward(instance, axis, lanes, on_clash, stats)
+               : SweepSibling(instance, axis, lanes, on_clash, stats);
+  };
+  Rng rng(2718);
+  uint64_t clashes = 0;
+  uint64_t clean = 0;
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    XCQ_ASSERT_OK_AND_ASSIGN(
+        const Instance base,
+        CompressXml(testing::RandomXml(seed, 60 + 40 * seed, 3), {}));
+    for (const size_t width : {size_t{1}, size_t{3}, size_t{12}}) {
+      for (const xpath::Axis axis : kAxes) {
+        SCOPED_TRACE(std::string(xpath::AxisName(axis)) + " seed " +
+                     std::to_string(seed) + " lanes " +
+                     std::to_string(width));
+        // Random source columns of one density per lane; sparse ones
+        // often sweep without a clash, dense ones rarely do.
+        Instance shared = base;
+        std::vector<SweepLane> lanes(width);
+        for (size_t q = 0; q < width; ++q) {
+          SweepLane& lane = lanes[q];
+          lane.src = shared.AddRelation("test:src" + std::to_string(q));
+          lane.dst = shared.AddRelation("test:dst" + std::to_string(q));
+          const double density = rng.Chance(0.5) ? 0.02 : 0.4;
+          for (VertexId v = 0; v < shared.vertex_count(); ++v) {
+            if (rng.Chance(density)) shared.SetBit(lane.src, v);
+          }
+        }
+        const Instance before = shared;
+
+        bool any_split = false;
+        std::vector<DynamicBitset> split_dst;
+        for (const SweepLane& lane : lanes) {
+          Instance split = before;
+          AxisStats stats;
+          XCQ_ASSERT_OK(sweep(&split, axis, {&lane, 1}, OnClash::kSplit,
+                              &stats));
+          any_split = any_split || stats.splits > 0;
+          split_dst.push_back(split.RelationBits(lane.dst));
+        }
+
+        const Status status =
+            sweep(&shared, axis, lanes, OnClash::kRefuse, nullptr);
+        if (any_split) {
+          ++clashes;
+          EXPECT_EQ(status.code(), StatusCode::kIncompatible)
+              << status.ToString();
+          ExpectSameInstance(shared, before);
+        } else {
+          ++clean;
+          XCQ_ASSERT_OK(status);
+          testing::ExpectSameChildLists(shared, before);
+          for (size_t q = 0; q < width; ++q) {
+            EXPECT_TRUE(shared.RelationBits(lanes[q].dst) == split_dst[q])
+                << "lane " << q;
+          }
+        }
+      }
+    }
+  }
+  // Both outcomes must have been exercised.
+  EXPECT_GT(clashes, 0u);
+  EXPECT_GT(clean, 0u);
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -181,6 +182,88 @@ TEST(CancellationTest, RequeryMatchesOracleOnAllCorpora) {
                                session.Run(queries[i]));
       EXPECT_EQ(requery.selected_tree_nodes, expected.selected_tree_nodes);
     }
+  }
+}
+
+/// A shared BATCH sweeps through the same kernels as a QUERY, so it
+/// polls the token inside its sweeps too: a clean run makes more polls
+/// than its entry check plus one per lockstep round, a trip at any poll
+/// (inside a kernel or not) fails the batch with kCancelled, and the
+/// batch rerun without a token shares again and answers what per-query
+/// evaluation answers.
+TEST(CancellationTest, SharedBatchSweepsPollAndUnwind) {
+  XCQ_ASSERT_OK_AND_ASSIGN(const xcq::corpus::CorpusGenerator* generator,
+                           xcq::corpus::FindCorpus("SwissProt"));
+  xcq::corpus::GenerateOptions gen;
+  gen.target_nodes = 20000;
+  gen.seed = 11;
+  const std::string xml = generator->Generate(gen);
+  const std::vector<std::string> queries = CorpusQueries("SwissProt");
+  ASSERT_EQ(queries.size(), 5u);
+  size_t rounds = 0;
+  for (const std::string& text : queries) {
+    XCQ_ASSERT_OK_AND_ASSIGN(const xpath::Query query,
+                             xpath::ParseQuery(text));
+    XCQ_ASSERT_OK_AND_ASSIGN(const algebra::QueryPlan plan,
+                             algebra::Compile(query));
+    rounds = std::max(rounds, plan.ops.size());
+  }
+
+  // Oracle: the same queries one at a time.
+  XCQ_ASSERT_OK_AND_ASSIGN(QuerySession oracle,
+                           QuerySession::Open(xml, SessionOptions{}));
+  std::vector<uint64_t> expected;
+  for (const std::string& query : queries) {
+    XCQ_ASSERT_OK_AND_ASSIGN(const QueryOutcome outcome, oracle.Run(query));
+    expected.push_back(outcome.selected_tree_nodes);
+  }
+  const auto expect_oracle = [&](const std::vector<QueryOutcome>& got) {
+    ASSERT_EQ(got.size(), expected.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].selected_tree_nodes, expected[i]) << queries[i];
+    }
+  };
+
+  // Warm to the split fixpoint, where every batch shares.
+  XCQ_ASSERT_OK_AND_ASSIGN(QuerySession session,
+                           QuerySession::Open(xml, SessionOptions{}));
+  for (int round = 0; round < 2; ++round) {
+    for (const std::string& query : queries) {
+      XCQ_ASSERT_OK(session.Run(query).status());
+    }
+  }
+
+  uint64_t total_checks = 0;
+  {
+    CancelToken token;
+    QueryControl control;
+    control.cancel = &token;
+    const uint64_t shared_before = session.shared_batch_count();
+    XCQ_ASSERT_OK_AND_ASSIGN(const std::vector<QueryOutcome> clean,
+                             session.RunBatch(queries, control));
+    ASSERT_EQ(session.shared_batch_count(), shared_before + 1)
+        << "the warm batch did not share";
+    expect_oracle(clean);
+    total_checks = token.checks();
+  }
+  EXPECT_GT(total_checks, rounds + 1) << "no poll inside the shared sweeps";
+
+  for (uint64_t trip = 1; trip <= total_checks; ++trip) {
+    SCOPED_TRACE("trip at check " + std::to_string(trip));
+    CancelToken token;
+    token.CancelAfterChecks(trip);
+    QueryControl control;
+    control.cancel = &token;
+    const Result<std::vector<QueryOutcome>> cancelled =
+        session.RunBatch(queries, control);
+    ASSERT_FALSE(cancelled.ok());
+    EXPECT_EQ(cancelled.status().code(), StatusCode::kCancelled)
+        << cancelled.status().ToString();
+    const uint64_t shared_before = session.shared_batch_count();
+    XCQ_ASSERT_OK_AND_ASSIGN(const std::vector<QueryOutcome> rerun,
+                             session.RunBatch(queries));
+    EXPECT_EQ(session.shared_batch_count(), shared_before + 1);
+    expect_oracle(rerun);
   }
 }
 
