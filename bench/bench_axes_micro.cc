@@ -1,8 +1,8 @@
 // google-benchmark microbenchmarks for the individual algebra operators
 // on compressed instances vs the uncompressed tree baseline.
 //
-// Upward axes and set operations run in place (no mutation), so they are
-// measured directly. Splitting axes mutate the instance; their loops copy
+// Upward axes run in place (no mutation), so they are measured directly,
+// on warm caches. Splitting axes mutate the instance; their loops copy
 // the pristine instance each iteration and a separate "InstanceCopy"
 // benchmark quantifies that overhead for subtraction.
 
@@ -62,6 +62,28 @@ void RunAxisBenchmark(benchmark::State& state, const char* axis_query) {
   }
 }
 
+/// Upward steps never change the DAG, so they run in place on one copy
+/// whose traversal cache and parent index the first iteration builds,
+/// as on a resident instance after warm-up. The sources span the upward
+/// sweeps' density rule (docs/INTERNALS.md §8.5): from `//text` (113 of
+/// the 2,234 vertices touched) a parent step walks its frontier, while
+/// an ancestor walk outgrows its budget and goes on over every
+/// position; `//item` (whose in-edges pass the budget) and `//*` (every
+/// node but the root) take the full pass at once.
+void RunUpwardBenchmark(benchmark::State& state, const char* source,
+                        const char* axis_query) {
+  Instance instance = MicroState::Get().instance;
+  const algebra::QueryPlan plan =
+      *algebra::CompileString(std::string(source) + axis_query);
+  uint64_t selected = 0;
+  for (auto _ : state) {
+    const RelationId result =
+        *engine::Evaluate(&instance, plan, engine::EvalOptions{}, nullptr);
+    selected += instance.RelationBits(result).Count();
+    benchmark::DoNotOptimize(selected);
+  }
+}
+
 void BM_DagChild(benchmark::State& state) {
   RunAxisBenchmark(state, "*");
 }
@@ -69,10 +91,22 @@ void BM_DagDescendant(benchmark::State& state) {
   RunAxisBenchmark(state, "descendant::*");
 }
 void BM_DagParent(benchmark::State& state) {
-  RunAxisBenchmark(state, "parent::*");
+  RunUpwardBenchmark(state, "//item/", "parent::*");
 }
 void BM_DagAncestor(benchmark::State& state) {
-  RunAxisBenchmark(state, "ancestor::*");
+  RunUpwardBenchmark(state, "//item/", "ancestor::*");
+}
+void BM_DagParentFromText(benchmark::State& state) {
+  RunUpwardBenchmark(state, "//text/", "parent::*");
+}
+void BM_DagAncestorFromText(benchmark::State& state) {
+  RunUpwardBenchmark(state, "//text/", "ancestor::*");
+}
+void BM_DagParentFromAll(benchmark::State& state) {
+  RunUpwardBenchmark(state, "//*/", "parent::*");
+}
+void BM_DagAncestorFromAll(benchmark::State& state) {
+  RunUpwardBenchmark(state, "//*/", "ancestor::*");
 }
 void BM_DagFollowingSibling(benchmark::State& state) {
   RunAxisBenchmark(state, "following-sibling::*");
@@ -84,6 +118,10 @@ BENCHMARK(BM_DagChild);
 BENCHMARK(BM_DagDescendant);
 BENCHMARK(BM_DagParent);
 BENCHMARK(BM_DagAncestor);
+BENCHMARK(BM_DagParentFromText);
+BENCHMARK(BM_DagAncestorFromText);
+BENCHMARK(BM_DagParentFromAll);
+BENCHMARK(BM_DagAncestorFromAll);
 BENCHMARK(BM_DagFollowingSibling);
 BENCHMARK(BM_DagFollowing);
 

@@ -23,7 +23,9 @@ namespace xcq::engine {
 
 /// \brief Counters exposed to the experiment harnesses.
 struct AxisStats {
-  uint64_t visited = 0;  ///< Vertices visited by the traversal.
+  /// Vertices the kernel touched: every reachable one, except in an
+  /// upward frontier walk.
+  uint64_t visited = 0;
   uint64_t splits = 0;   ///< Vertices cloned (partial decompression).
 };
 
@@ -54,9 +56,12 @@ enum class OnClash : uint8_t {
 /// Each axis family has one single-threaded kernel (docs/INTERNALS.md
 /// §8.5), generic over the lane count: downward axes make one
 /// parents-first pass over the cached post-order walked backwards,
-/// upward axes one children-first pass over it, sibling axes run
-/// demand/resolve/rewrite phases. Every kernel decides every reachable
-/// vertex, carrying its lanes' selections as per-vertex masks.
+/// sibling axes run demand/resolve/rewrite phases, and both decide every
+/// reachable vertex. Upward axes walk up from a sparse source set
+/// through the cache's parent index, touching only the sources and what
+/// lies above them, and make one children-first pass over the post-order
+/// when the sources are dense. Every kernel carries its lanes'
+/// selections as per-vertex masks.
 ///
 /// An optional `cancel` token (util/cancel.h) is polled every 4096
 /// decided vertices and before the commit phases of a downward sweep,
@@ -74,8 +79,9 @@ Status SweepDownward(Instance* instance, xpath::Axis axis,
                      AxisStats* stats = nullptr,
                      const CancelToken* cancel = nullptr);
 
-/// \brief self / parent / ancestor / ancestor-or-self — one children-first
-/// pass over the post-order, never splits, so never clashes.
+/// \brief self / parent / ancestor / ancestor-or-self — a frontier walk up
+/// from sparse sources, one children-first pass over the post-order from
+/// dense ones; never splits, so never clashes.
 Status SweepUpward(Instance* instance, xpath::Axis axis,
                    std::span<const SweepLane> lanes,
                    AxisStats* stats = nullptr,

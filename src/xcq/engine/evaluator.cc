@@ -410,14 +410,19 @@ Result<RelationId> Evaluate(Instance* instance,
   return result;
 }
 
-SharedBatchResult EvaluateBatchShared(
+Result<SharedBatchResult> EvaluateBatchShared(
     Instance* instance, const std::vector<algebra::QueryPlan>& plans,
     const EvalOptions& options, EvalStats* stats) {
   Timer timer;
   SharedBatchResult result;
   if (!CheckRunnable(instance, plans).ok()) return result;
   PlanRunner runner(instance, plans, options, stats, OnClash::kRefuse);
-  if (runner.Run().ok()) {
+  const Status status = runner.Run();
+  if (status.code() == StatusCode::kCancelled ||
+      status.code() == StatusCode::kDeadlineExceeded) {
+    return status;
+  }
+  if (status.ok()) {
     result.engaged = true;
     result.results.reserve(plans.size());
     for (size_t p = 0; p < plans.size(); ++p) {

@@ -93,8 +93,9 @@ constexpr std::string_view AxisFamilyName(AxisFamily family) {
 struct AxisFamilyStats {
   uint64_t sweeps = 0;        ///< Sweeps of this family (incl. closed forms).
   uint64_t visited = 0;       ///< Vertices the family's sweeps visited.
-  /// Visits the kernels would make; exceeds `visited` by the reachable
-  /// set of every closed form.
+  /// The reachable set of every sweep, what a full pass visits; exceeds
+  /// `visited` by every closed form and by what upward frontier walks
+  /// left alone.
   uint64_t full = 0;
   /// Sweeps answered by the `//`-from-root closed form (no kernel run);
   /// named after the frozen `pruned=` STATS key it renders as.
@@ -158,16 +159,17 @@ struct SharedBatchResult {
 /// between queries and lockstep does not. So a shared sweep runs with
 /// `OnClash::kRefuse`: at a *clash* — a vertex one query demands both
 /// selected and unselected, exactly where a one-lane sweep would split
-/// — the kernel stops before writing anything. Never fails: a clash, a
-/// missing context relation or a tripped cancel (polled inside the
-/// kernels as in a QUERY) reports `engaged = false` with the instance
+/// — the kernel stops before writing anything. A clash or a missing
+/// context relation reports `engaged = false` with the instance
 /// untouched, so the caller can fall back to per-query evaluation,
-/// which also surfaces any real error. Answers from an engaged run are
-/// bit-identical to per-query evaluation; a warmed instance (split
-/// fixpoint reached) never clashes.
+/// which also surfaces any real error. A tripped cancel (polled inside
+/// the kernels as in a QUERY) is no reason to fall back: it fails with
+/// `kCancelled` / `kDeadlineExceeded`, the instance again untouched.
+/// Answers from an engaged run are bit-identical to per-query
+/// evaluation; a warmed instance (split fixpoint reached) never clashes.
 /// `stats` receives the batch-wide sweep counters (one sweep per chunk)
 /// and `seconds`.
-SharedBatchResult EvaluateBatchShared(
+Result<SharedBatchResult> EvaluateBatchShared(
     Instance* instance, const std::vector<algebra::QueryPlan>& plans,
     const EvalOptions& options, EvalStats* stats = nullptr);
 

@@ -303,6 +303,7 @@ const TraversalCache& Instance::EnsureTraversal(
     }
     traversal_.reachable_edges = edges;
     traversal_.has_path_counts = false;
+    traversal_.has_parents = false;
     traversal_.generation = structure_generation_;
     ++traversal_builds_;
   }
@@ -325,6 +326,37 @@ const TraversalCache& Instance::EnsureTraversal(
     traversal_.has_path_counts = true;
   }
   return traversal_;
+}
+
+const TraversalCache& Instance::EnsureParentIndex() const {
+  EnsureTraversal();
+  TraversalCache& t = traversal_;
+  if (t.has_parents) return t;
+  // Children come first, so one pass can number each vertex and count
+  // it as the parent of children already numbered. The counts are
+  // prefix-summed in place, so parent_offsets[p] ends p's list, and the
+  // fill, back to front, decrements each back to its list's start and
+  // leaves every list ascending.
+  const size_t reachable = t.order.size();
+  t.position.assign(vertex_count(), TraversalCache::kNoPosition);
+  t.parent_offsets.assign(reachable + 1, 0);
+  for (size_t p = 0; p < reachable; ++p) {
+    t.position[t.order[p]] = static_cast<uint32_t>(p);
+    for (const Edge& e : Children(t.order[p])) {
+      ++t.parent_offsets[t.position[e.child]];
+    }
+  }
+  uint32_t end = 0;
+  for (uint32_t& offset : t.parent_offsets) offset = end += offset;
+  t.parents.resize(end);
+  for (size_t p = reachable; p-- > 0;) {
+    for (const Edge& e : Children(t.order[p])) {
+      t.parents[--t.parent_offsets[t.position[e.child]]] =
+          static_cast<uint32_t>(p);
+    }
+  }
+  t.has_parents = true;
+  return t;
 }
 
 Status Instance::Validate() const {

@@ -64,7 +64,9 @@ struct Edge {
 /// (`Instance::FromPostOrder`) adopts the file order 0..V-1 instead,
 /// which for every spill the writer produces is that same post-order.
 /// `order` + `reachable_edges` are always filled,
-/// path counts only when a caller asks (one extra pass over the order).
+/// path counts only when a caller asks (one extra pass over the order),
+/// the parent index only when an upward sweep asks
+/// (`Instance::EnsureParentIndex`).
 /// References returned by `EnsureTraversal` are stable until the next
 /// rebuild — callers that mutate the instance while iterating must copy
 /// first (the kernels snapshot by holding the reference across a
@@ -81,12 +83,26 @@ struct TraversalCache {
   bool has_path_counts = false;
   std::vector<uint64_t> path_counts;
 
+  /// The parent index, keyed by position in `order`: `position[v]` is
+  /// v's index in `order` (kNoPosition for unreachable ids), and the
+  /// parents of `order[p]` are at the positions
+  /// `parents[parent_offsets[p], parent_offsets[p + 1])`, ascending, one
+  /// entry per RLE edge into it.
+  bool has_parents = false;
+  std::vector<uint32_t> position;
+  std::vector<uint32_t> parent_offsets;
+  std::vector<uint32_t> parents;
+  static constexpr uint32_t kNoPosition = UINT32_MAX;
+
   /// Structure generation this cache was built at (0 = never built).
   uint64_t generation = 0;
 
   size_t MemoryFootprint() const {
     return order.capacity() * sizeof(VertexId) +
-           path_counts.capacity() * sizeof(uint64_t);
+           path_counts.capacity() * sizeof(uint64_t) +
+           (position.capacity() + parent_offsets.capacity() +
+            parents.capacity()) *
+               sizeof(uint32_t);
   }
 };
 
@@ -247,6 +263,12 @@ class Instance {
   /// (re)builds: like all Instance mutation, first access after a
   /// structural change requires exclusive access.
   const TraversalCache& EnsureTraversal(bool need_path_counts = false) const;
+
+  /// EnsureTraversal plus the parent index (TraversalCache::parents),
+  /// built from the order on the first call per structure generation.
+  /// Filling it is not a rebuild: `traversal_builds` does not move.
+  /// Same reference and thread-safety contract as EnsureTraversal.
+  const TraversalCache& EnsureParentIndex() const;
 
   /// Monotone counter bumped by every structural mutation; the cache is
   /// current iff EnsureTraversal().generation equals this.

@@ -258,8 +258,10 @@ Result<std::vector<QueryOutcome>> QuerySession::RunBatch(
     eval_options.cancel = control.cancel;
     engine::EvalStats shared_stats;
     const double shared_start = traces.front().Elapsed();
-    engine::SharedBatchResult shared = engine::EvaluateBatchShared(
-        &*instance_, plans, eval_options, &shared_stats);
+    // A cancel ends the request here; only a clash falls back.
+    XCQ_ASSIGN_OR_RETURN(engine::SharedBatchResult shared,
+                         engine::EvaluateBatchShared(
+                             &*instance_, plans, eval_options, &shared_stats));
     if (shared.engaged) {
       // Book the whole shared traversal as one sweep span on the first
       // trace (the convention for per-batch figures); on fallback the

@@ -148,8 +148,10 @@ class QuerySession {
   /// Batches served with shared sweeps / batches whose shared attempt
   /// aborted on a split demand and fell back to per-query evaluation.
   /// Batches that never attempt sharing (single query,
-  /// `minimize_after_query` on) move neither counter, so their sum is
-  /// the number of shared *attempts*, not of RunBatch calls.
+  /// `minimize_after_query` on) move neither counter, nor does an
+  /// attempt stopped by a cancel or deadline (the batch fails), so their
+  /// sum is the number of finished shared *attempts*, not of RunBatch
+  /// calls.
   uint64_t shared_batch_count() const { return shared_batches_; }
   uint64_t shared_batch_fallback_count() const {
     return shared_batch_fallbacks_;

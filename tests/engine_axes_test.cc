@@ -599,5 +599,98 @@ TEST(AxisKernelTest, ClashIffSplit) {
   EXPECT_GT(clean, 0u);
 }
 
+// --- upward sweeps against the full pass -----------------------------------
+
+/// The children-first pass every upward sweep once made over all of the
+/// reachable DAG, kept as the oracle of the frontier walk: one lane's
+/// parent / ancestor / ancestor-or-self column, from the child lists.
+DynamicBitset UpwardOracle(const Instance& instance, xpath::Axis axis,
+                           RelationId src) {
+  const std::vector<VertexId> order = instance.PostOrder();
+  std::vector<uint8_t> carry(instance.vertex_count(), 0);
+  std::vector<uint8_t> up(instance.vertex_count(), 0);
+  for (const VertexId v : order) carry[v] = instance.Test(src, v) ? 1 : 0;
+  for (const VertexId v : order) {
+    for (const Edge& e : instance.Children(v)) up[v] |= carry[e.child];
+    if (axis != xpath::Axis::kParent) carry[v] |= up[v];
+  }
+  DynamicBitset dst(instance.vertex_count());
+  for (const VertexId v : order) {
+    if (axis == xpath::Axis::kAncestorOrSelf ? carry[v] : up[v]) dst.Set(v);
+  }
+  return dst;
+}
+
+/// Every upward sweep equals the full pass, over random instances,
+/// sources on both sides of the density rule (empty, one vertex, sparse,
+/// every reachable vertex) with bits on unreachable split leftovers, and
+/// lane counts on both sides of the byte mask word. No unreachable id
+/// ever gets a `dst` bit.
+TEST(AxisKernelTest, UpwardSweepMatchesFullPass) {
+  enum Kind { kEmpty, kSingle, kSparse, kAll, kKinds };
+  const xpath::Axis kAxes[] = {xpath::Axis::kParent, xpath::Axis::kAncestor,
+                               xpath::Axis::kAncestorOrSelf};
+  Rng rng(1618);
+  uint64_t walks = 0;
+  uint64_t full_passes = 0;
+  for (uint64_t seed = 1; seed <= 10; ++seed) {
+    XCQ_ASSERT_OK_AND_ASSIGN(
+        Instance base,
+        CompressXml(testing::RandomXml(seed, 80 + 60 * seed, 3), {}));
+    // Unlinked clones: unreachable ids, as a split leaves behind.
+    const std::vector<VertexId> reachable = base.PostOrder();
+    std::vector<VertexId> leftovers;
+    for (int i = 0; i < 3; ++i) {
+      leftovers.push_back(base.CloneVertex(rng.Pick(reachable)));
+    }
+    for (const size_t width : {size_t{1}, size_t{3}, size_t{12}}) {
+      for (const xpath::Axis axis : kAxes) {
+        for (int mix = 0; mix <= kKinds; ++mix) {
+          SCOPED_TRACE(std::string(xpath::AxisName(axis)) + " seed " +
+                       std::to_string(seed) + " lanes " +
+                       std::to_string(width) + " mix " +
+                       std::to_string(mix));
+          Instance instance = base;
+          std::vector<SweepLane> lanes(width);
+          bool all_reachable = false;
+          for (size_t q = 0; q < width; ++q) {
+            SweepLane& lane = lanes[q];
+            lane.src = instance.AddRelation("test:src" + std::to_string(q));
+            lane.dst = instance.AddRelation("test:dst" + std::to_string(q));
+            // One kind for every lane, then a random kind per lane.
+            const int kind = mix < kKinds
+                                 ? mix
+                                 : static_cast<int>(rng.Uniform(0, kKinds - 1));
+            all_reachable = all_reachable || kind == kAll;
+            for (const VertexId v : reachable) {
+              if (kind == kAll || (kind == kSparse && rng.Chance(0.03))) {
+                instance.SetBit(lane.src, v);
+              }
+            }
+            if (kind == kSingle) instance.SetBit(lane.src, rng.Pick(reachable));
+            if (kind != kEmpty) instance.SetBit(lane.src, rng.Pick(leftovers));
+          }
+          AxisStats stats;
+          XCQ_ASSERT_OK(SweepUpward(&instance, axis, lanes, &stats));
+          if (stats.visited < reachable.size()) ++walks;
+          if (all_reachable) {
+            EXPECT_EQ(stats.visited, reachable.size());
+            ++full_passes;
+          }
+          for (size_t q = 0; q < width; ++q) {
+            const DynamicBitset& dst = instance.RelationBits(lanes[q].dst);
+            EXPECT_TRUE(dst == UpwardOracle(instance, axis, lanes[q].src))
+                << "lane " << q;
+            for (const VertexId v : leftovers) EXPECT_FALSE(dst.Test(v));
+          }
+        }
+      }
+    }
+  }
+  // Both forms must have run.
+  EXPECT_GT(walks, 0u);
+  EXPECT_GT(full_passes, 0u);
+}
+
 }  // namespace
 }  // namespace xcq::engine

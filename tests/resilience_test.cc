@@ -267,6 +267,39 @@ TEST(CancellationTest, SharedBatchSweepsPollAndUnwind) {
   }
 }
 
+/// A shared attempt stopped by the token ends the batch: RunBatch
+/// answers with the token's error at once. It is not a clash, so it
+/// counts no fallback and starts no per-query loop.
+TEST(CancellationTest, CancelledSharedBatchIsNoFallback) {
+  XCQ_ASSERT_OK_AND_ASSIGN(const xcq::corpus::CorpusGenerator* generator,
+                           xcq::corpus::FindCorpus("SwissProt"));
+  xcq::corpus::GenerateOptions gen;
+  gen.target_nodes = 20000;
+  gen.seed = 11;
+  const std::vector<std::string> queries = CorpusQueries("SwissProt");
+  ASSERT_EQ(queries.size(), 5u);
+  XCQ_ASSERT_OK_AND_ASSIGN(
+      QuerySession session,
+      QuerySession::Open(generator->Generate(gen), SessionOptions{}));
+  for (int round = 0; round < 2; ++round) {
+    for (const std::string& query : queries) {
+      XCQ_ASSERT_OK(session.Run(query).status());
+    }
+  }
+
+  CancelToken token;
+  token.CancelAfterChecks(5);
+  QueryControl control;
+  control.cancel = &token;
+  const Result<std::vector<QueryOutcome>> cancelled =
+      session.RunBatch(queries, control);
+  ASSERT_FALSE(cancelled.ok());
+  EXPECT_EQ(cancelled.status().code(), StatusCode::kCancelled)
+      << cancelled.status().ToString();
+  EXPECT_EQ(session.shared_batch_fallback_count(), 0u);
+  EXPECT_EQ(session.shared_batch_count(), 0u);
+}
+
 // --- Deadlines in the session ----------------------------------------------
 
 TEST(DeadlineTest, ExpiredDeadlineFailsFastAndSessionStaysUsable) {

@@ -1,8 +1,8 @@
 // The Instance traversal cache (docs/INTERNALS.md §8) and the resident
 // scratch-relation pool.
 //
-// The cache memoizes the post-order and path counts every sweep and
-// decode starts from; a wrong invalidation would silently corrupt
+// The cache memoizes the post-order, path counts and parent index every
+// sweep and decode starts from; a wrong invalidation would silently corrupt
 // query answers, so the property tested throughout is: after ANY
 // mutation sequence, the cached order equals a fresh `PostOrder()`
 // oracle walk (and the derived sections equal recomputations). The
@@ -17,6 +17,7 @@
 
 #include "test_util.h"
 #include "xcq/api.h"
+#include "xcq/engine/axes.h"
 #include "xcq/util/rng.h"
 
 namespace xcq {
@@ -27,6 +28,33 @@ Instance CompressAllTags(const std::string& xml) {
   auto result = CompressXml(xml, options);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
   return std::move(result).Value();
+}
+
+/// Asserts the parent index against the reachable edges: each reachable
+/// vertex's position in a fresh walk, and for each position the sorted
+/// positions of its parents, one per RLE edge into it.
+void ExpectParentIndexMatchesOracle(const Instance& instance) {
+  const std::vector<VertexId> oracle = instance.PostOrder();
+  const TraversalCache& t = instance.EnsureParentIndex();
+  ASSERT_TRUE(t.has_parents);
+  std::vector<uint32_t> position(instance.vertex_count(),
+                                 TraversalCache::kNoPosition);
+  for (size_t p = 0; p < oracle.size(); ++p) position[oracle[p]] = p;
+  EXPECT_EQ(t.position, position);
+  std::vector<std::vector<uint32_t>> parents(oracle.size());
+  for (size_t p = 0; p < oracle.size(); ++p) {
+    for (const Edge& e : instance.Children(oracle[p])) {
+      parents[position[e.child]].push_back(static_cast<uint32_t>(p));
+    }
+  }
+  ASSERT_EQ(t.parent_offsets.size(), oracle.size() + 1);
+  EXPECT_EQ(t.parent_offsets.back(), t.parents.size());
+  for (size_t p = 0; p < oracle.size(); ++p) {
+    const std::vector<uint32_t> cached(
+        t.parents.begin() + t.parent_offsets[p],
+        t.parents.begin() + t.parent_offsets[p + 1]);
+    EXPECT_EQ(cached, parents[p]) << "parents of " << oracle[p];
+  }
 }
 
 /// Asserts every cached section against independent recomputation.
@@ -66,6 +94,7 @@ void ExpectCacheMatchesOracle(const Instance& instance) {
     }
   }
   EXPECT_EQ(t.path_counts, paths);
+  ExpectParentIndexMatchesOracle(instance);
 }
 
 TEST(TraversalCacheTest, RepeatedReadsDoNotRebuild) {
@@ -157,6 +186,56 @@ TEST(TraversalCacheTest, DecodedSpillAdoptsFileOrderWithoutAWalk) {
   EXPECT_FALSE(decoded.traversal_cache_valid());
   ExpectCacheMatchesOracle(decoded);
   EXPECT_EQ(decoded.traversal_builds(), 1u);
+}
+
+TEST(TraversalCacheTest, StructuralMutationsDropTheParentIndex) {
+  Instance instance = CompressAllTags("<r><a><b/><b/></a><a><b/></a></r>");
+  instance.EnsureParentIndex();
+  const auto dropped = [&] { return !instance.EnsureTraversal().has_parents; };
+
+  const VertexId clone = instance.CloneVertex(instance.root());
+  EXPECT_TRUE(dropped());
+  ExpectParentIndexMatchesOracle(instance);
+
+  std::vector<Edge> edges(instance.Children(instance.root()).begin(),
+                          instance.Children(instance.root()).end());
+  edges.push_back(Edge{clone, 2});
+  instance.SetEdges(instance.root(), edges);
+  EXPECT_TRUE(dropped());
+  ExpectParentIndexMatchesOracle(instance);
+
+  instance.SetRoot(clone);
+  EXPECT_TRUE(dropped());
+  ExpectParentIndexMatchesOracle(instance);
+}
+
+TEST(TraversalCacheTest, ParentIndexIsCountedInTheFootprint) {
+  const Instance instance = CompressAllTags(testing::BibExampleXml());
+  instance.EnsureTraversal();
+  const size_t before = instance.MemoryFootprint();
+  const TraversalCache& t = instance.EnsureParentIndex();
+  EXPECT_EQ(instance.MemoryFootprint() - before,
+            (t.position.capacity() + t.parent_offsets.capacity() +
+             t.parents.capacity()) *
+                sizeof(uint32_t));
+  EXPECT_GT(t.parents.size(), 0u);
+}
+
+TEST(TraversalCacheTest, DecodedSpillBuildsParentIndexOnFirstUpwardSweep) {
+  Instance instance = CompressAllTags(testing::BibExampleXml());
+  XCQ_ASSERT_OK_AND_ASSIGN(
+      Instance decoded,
+      DeserializeInstance(SerializeInstanceChecksummed(instance)));
+  EXPECT_FALSE(decoded.EnsureTraversal().has_parents);
+  const RelationId src = decoded.FindRelation("author");
+  ASSERT_NE(src, kNoRelation);
+  const RelationId dst = decoded.AddRelation("test:dst");
+  XCQ_ASSERT_OK(
+      engine::ApplyUpwardAxis(&decoded, xpath::Axis::kAncestor, src, dst));
+  EXPECT_TRUE(decoded.EnsureTraversal().has_parents);
+  EXPECT_EQ(decoded.traversal_builds(), 0u);
+  ExpectParentIndexMatchesOracle(decoded);
+  EXPECT_EQ(decoded.traversal_builds(), 0u);
 }
 
 TEST(ScratchPoolTest, ResidentColumnsAreReusedWithoutAllocation) {
