@@ -67,9 +67,10 @@ void RunAxisBenchmark(benchmark::State& state, const char* axis_query) {
 /// as on a resident instance after warm-up. The sources span the upward
 /// sweeps' density rule (docs/INTERNALS.md §8.5): from `//text` (113 of
 /// the 2,234 vertices touched) a parent step walks its frontier, while
-/// an ancestor walk outgrows its budget and goes on over every
-/// position; `//item` (whose in-edges pass the budget) and `//*` (every
-/// node but the root) take the full pass at once.
+/// an ancestor walk outgrows its budget and pushes on over every
+/// position from there; `//item` (whose in-edges pass the budget) and
+/// `//*` (every node but the root) take the dense push from position 0
+/// at once.
 void RunUpwardBenchmark(benchmark::State& state, const char* source,
                         const char* axis_query) {
   Instance instance = MicroState::Get().instance;

@@ -31,8 +31,8 @@ struct AxisStats {
 
 /// \brief One lane of a sweep: plan `plan`'s op `op`, mapping selection
 /// `src` into the zeroed column `dst`. A QUERY sweeps one lane, a shared
-/// BATCH up to kMaskLanes; a lane's index is its bit in the per-vertex
-/// lane masks the kernels compute.
+/// BATCH up to kMaskLanes per sweep; a lane's index is its bit in the
+/// per-vertex lane masks the kernels compute.
 struct SweepLane {
   size_t plan = 0;
   size_t op = 0;
@@ -40,8 +40,8 @@ struct SweepLane {
   RelationId dst = kNoRelation;
 };
 
-/// Lanes per sweep: one bit per lane in a uint64 mask word.
-inline constexpr size_t kMaskLanes = 64;
+/// Lanes per sweep: one bit per lane in a one-byte mask.
+inline constexpr size_t kMaskLanes = 8;
 
 /// \brief What a kernel does where one lane demands both `dst` bits of a
 /// vertex (a *clash*).
@@ -59,9 +59,9 @@ enum class OnClash : uint8_t {
 /// sibling axes run demand/resolve/rewrite phases, and both decide every
 /// reachable vertex. Upward axes walk up from a sparse source set
 /// through the cache's parent index, touching only the sources and what
-/// lies above them, and make one children-first pass over the post-order
-/// when the sources are dense. Every kernel carries its lanes'
-/// selections as per-vertex masks.
+/// lies above them, and push from every post-order position, children
+/// first, when the sources are dense. Every kernel carries its lanes'
+/// selections as per-vertex one-byte masks.
 ///
 /// An optional `cancel` token (util/cancel.h) is polled every 4096
 /// decided vertices and before the commit phases of a downward sweep,
@@ -80,8 +80,8 @@ Status SweepDownward(Instance* instance, xpath::Axis axis,
                      const CancelToken* cancel = nullptr);
 
 /// \brief self / parent / ancestor / ancestor-or-self — a frontier walk up
-/// from sparse sources, one children-first pass over the post-order from
-/// dense ones; never splits, so never clashes.
+/// from sparse sources, one children-first push over every post-order
+/// position from dense ones; never splits, so never clashes.
 Status SweepUpward(Instance* instance, xpath::Axis axis,
                    std::span<const SweepLane> lanes,
                    AxisStats* stats = nullptr,
@@ -94,19 +94,6 @@ Status SweepSibling(Instance* instance, xpath::Axis axis,
                     std::span<const SweepLane> lanes, OnClash on_clash,
                     AxisStats* stats = nullptr,
                     const CancelToken* cancel = nullptr);
-
-/// The one-lane, splitting forms of the kernels above: one QUERY step.
-Status ApplyDownwardAxis(Instance* instance, xpath::Axis axis,
-                         RelationId src, RelationId dst,
-                         AxisStats* stats = nullptr,
-                         const CancelToken* cancel = nullptr);
-Status ApplyUpwardAxis(Instance* instance, xpath::Axis axis, RelationId src,
-                       RelationId dst, AxisStats* stats = nullptr,
-                       const CancelToken* cancel = nullptr);
-Status ApplySiblingAxis(Instance* instance, xpath::Axis axis,
-                        RelationId src, RelationId dst,
-                        AxisStats* stats = nullptr,
-                        const CancelToken* cancel = nullptr);
 
 }  // namespace xcq::engine
 

@@ -37,7 +37,6 @@ namespace {
 /// each edge stands for a set of tree-node occurrences that share a
 /// parent variant, hence share a demanded bit. Every reachable vertex
 /// is decided.
-template <typename Mask>
 Status Downward(Instance* instance, Axis axis,
                 std::span<const SweepLane> lanes, OnClash on_clash,
                 AxisStats* stats, const CancelToken* cancel) {
@@ -50,25 +49,25 @@ Status Downward(Instance* instance, Axis axis,
   // stays intact.
   const TraversalCache& plan = instance->EnsureTraversal();
   const size_t n0 = instance->vertex_count();
-  const Mask full = AllLanes<Mask>(lanes.size());
+  const LaneMask full = AllLanes(lanes.size());
   // src and dst masks are grown as clones are allocated, so the
   // re-point pass reads them for clones too.
-  std::vector<Mask> src_mask = SourceMasks<Mask>(*instance, lanes);
-  std::vector<Mask> dst_mask(n0, 0);
+  std::vector<LaneMask> src_mask = SourceMasks(*instance, lanes);
+  std::vector<LaneMask> dst_mask(n0, 0);
 
   // Demands per original vertex. Clones are born resolved and edges
   // are re-pointed only at the very end, so no clone ever receives
   // demands.
-  std::vector<Demand<Mask>> demand(n0);
+  std::vector<Demand> demand(n0);
   // counterpart[w] is w's bit-1 clone when w split; sized at the first
   // split.
   std::vector<VertexId> counterpart;
 
   // Push a decided vertex's out-edge demands.
-  const auto push_from = [&](VertexId v, Mask mine) {
-    const Mask out1 =
-        static_cast<Mask>(src_mask[v] | (inherit ? mine : Mask{0}));
-    const Mask out0 = static_cast<Mask>(full & ~out1);
+  const auto push_from = [&](VertexId v, LaneMask mine) {
+    const LaneMask out1 =
+        static_cast<LaneMask>(src_mask[v] | (inherit ? mine : 0));
+    const LaneMask out0 = static_cast<LaneMask>(full & ~out1);
     for (const Edge& e : instance->Children(v)) {
       demand[e.child].Push(out1, out0);
     }
@@ -89,11 +88,11 @@ Status Downward(Instance* instance, Axis axis,
     }
     // Only the root receives no demands (every other reachable vertex
     // is entered by a reachable parent's edge).
-    const Mask d1 = demand[w].one();
-    const Mask d0 = w == root ? full : demand[w].zero();
-    const Mask os = or_self ? src_mask[w] : Mask{0};  // all occurrences
+    const LaneMask d1 = demand[w].one();
+    const LaneMask d0 = w == root ? full : demand[w].zero();
+    const LaneMask os = or_self ? src_mask[w] : 0;  // all occurrences
     if ((d1 & d0 & ~os) == 0) {
-      dst_mask[w] = static_cast<Mask>(os | d1);
+      dst_mask[w] = static_cast<LaneMask>(os | d1);
       push_from(w, dst_mask[w]);
       continue;
     }
@@ -122,7 +121,7 @@ Status Downward(Instance* instance, Axis axis,
   // committed in plan order, then clone order.
   if (!counterpart.empty()) {
     const auto repoint = [&](VertexId v) {
-      if ((src_mask[v] | (inherit ? dst_mask[v] : Mask{0})) == 0) return;
+      if ((src_mask[v] | (inherit ? dst_mask[v] : 0)) == 0) return;
       const std::span<const Edge> children = instance->Children(v);
       for (uint32_t j = 0; j < children.size(); ++j) {
         const VertexId w = children[j].child;
@@ -160,19 +159,7 @@ Status SweepDownward(Instance* instance, Axis axis,
       axis == Axis::kChild || axis == Axis::kDescendant ||
           axis == Axis::kDescendantOrSelf,
       lanes, on_clash, "SweepDownward"));
-  return lanes.size() <= kNarrowMaskLanes
-             ? Downward<uint8_t>(instance, axis, lanes, on_clash, stats,
-                                 cancel)
-             : Downward<uint64_t>(instance, axis, lanes, on_clash, stats,
-                                  cancel);
-}
-
-Status ApplyDownwardAxis(Instance* instance, Axis axis, RelationId src,
-                         RelationId dst, AxisStats* stats,
-                         const CancelToken* cancel) {
-  const SweepLane lane{.src = src, .dst = dst};
-  return SweepDownward(instance, axis, {&lane, 1}, OnClash::kSplit, stats,
-                       cancel);
+  return Downward(instance, axis, lanes, on_clash, stats, cancel);
 }
 
 }  // namespace xcq::engine

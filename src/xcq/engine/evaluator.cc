@@ -33,7 +33,7 @@ void ReachableSizes(const Instance& instance, uint64_t* vertices,
 /// returned to the pool at its last use. A span of plans runs in
 /// lockstep — round r runs op r of every plan — so one plan is a QUERY
 /// and N plans are a shared BATCH, whose same-axis ops of a round are
-/// swept together in chunks of up to kMaskLanes lanes. Everything —
+/// swept together in chunks of up to kMaskLanes (8) lanes. Everything —
 /// op resolution, scratch lifetimes, the following/preceding
 /// composition, the `//`-from-root closed form, the kernels and the
 /// per-family counters — is common to both; the modes differ only in
@@ -410,30 +410,23 @@ Result<RelationId> Evaluate(Instance* instance,
   return result;
 }
 
-Result<SharedBatchResult> EvaluateBatchShared(
+Result<std::vector<RelationId>> EvaluateBatchShared(
     Instance* instance, const std::vector<algebra::QueryPlan>& plans,
     const EvalOptions& options, EvalStats* stats) {
+  XCQ_RETURN_IF_ERROR(CheckRunnable(instance, plans));
   Timer timer;
-  SharedBatchResult result;
-  if (!CheckRunnable(instance, plans).ok()) return result;
   PlanRunner runner(instance, plans, options, stats, OnClash::kRefuse);
-  const Status status = runner.Run();
-  if (status.code() == StatusCode::kCancelled ||
-      status.code() == StatusCode::kDeadlineExceeded) {
-    return status;
-  }
-  if (status.ok()) {
-    result.engaged = true;
-    result.results.reserve(plans.size());
-    for (size_t p = 0; p < plans.size(); ++p) {
-      result.results.push_back(runner.TakeFinal(p));
-    }
+  XCQ_RETURN_IF_ERROR(runner.Run());
+  std::vector<RelationId> results;
+  results.reserve(plans.size());
+  for (size_t p = 0; p < plans.size(); ++p) {
+    results.push_back(runner.TakeFinal(p));
   }
   if (stats != nullptr) {
     SumAxisFamilies(stats);
     stats->seconds = timer.Seconds();
   }
-  return result;
+  return results;
 }
 
 }  // namespace xcq::engine

@@ -138,38 +138,32 @@ Result<RelationId> Evaluate(Instance* instance,
                             const EvalOptions& options = {},
                             EvalStats* stats = nullptr);
 
-/// \brief Result of a shared-batch attempt. When `engaged`, `results`
-/// holds one *scratch* relation per plan (index-aligned) carrying that
-/// query's final selection; the caller must copy/count what it needs
-/// and return each id via `Instance::ReleaseScratchRelation`. When not
-/// engaged the instance is unchanged and `results` is empty.
-struct SharedBatchResult {
-  bool engaged = false;
-  std::vector<RelationId> results;
-};
-
 /// \brief Attempts to evaluate `plans` with shared sweeps (docs/SERVER.md
 /// BATCH, docs/INTERNALS.md §8.3): the same interpreter as `Evaluate`
 /// runs the plans in lockstep, and each round's same-axis ops share one
 /// sweep of the family's kernel (engine/axes.h) per chunk of up to
-/// kMaskLanes queries, one lane each.
+/// kMaskLanes (8) queries, one lane each.
 ///
 /// The sharing is *optimistic*: it is only correct while no op mutates
 /// the DAG, because per-query evaluation orders mutations (splits)
 /// between queries and lockstep does not. So a shared sweep runs with
 /// `OnClash::kRefuse`: at a *clash* — a vertex one query demands both
 /// selected and unselected, exactly where a one-lane sweep would split
-/// — the kernel stops before writing anything. A clash or a missing
-/// context relation reports `engaged = false` with the instance
-/// untouched, so the caller can fall back to per-query evaluation,
-/// which also surfaces any real error. A tripped cancel (polled inside
-/// the kernels as in a QUERY) is no reason to fall back: it fails with
-/// `kCancelled` / `kDeadlineExceeded`, the instance again untouched.
-/// Answers from an engaged run are bit-identical to per-query
-/// evaluation; a warmed instance (split fixpoint reached) never clashes.
-/// `stats` receives the batch-wide sweep counters (one sweep per chunk)
-/// and `seconds`.
-Result<SharedBatchResult> EvaluateBatchShared(
+/// — the kernel stops before writing anything and the run fails with
+/// its `kIncompatible`, the caller's cue to fall back to per-query
+/// evaluation. Every other failure (a tripped cancel, polled inside the
+/// kernels as in a QUERY, or a missing context relation) is the one
+/// per-query evaluation would report. Whatever the failure, the
+/// instance is left untouched.
+///
+/// On success returns one *scratch* relation per plan (index-aligned)
+/// carrying that query's final selection; the caller must copy/count
+/// what it needs and return each id via
+/// `Instance::ReleaseScratchRelation`. Answers are bit-identical to
+/// per-query evaluation; a warmed instance (split fixpoint reached)
+/// never clashes. `stats` receives the batch-wide sweep counters (one
+/// sweep per chunk) and `seconds`.
+Result<std::vector<RelationId>> EvaluateBatchShared(
     Instance* instance, const std::vector<algebra::QueryPlan>& plans,
     const EvalOptions& options, EvalStats* stats = nullptr);
 

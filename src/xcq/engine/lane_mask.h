@@ -3,16 +3,13 @@
 
 /// \file lane_mask.h
 /// The per-vertex lane masks every sweep kernel carries
-/// (docs/INTERNALS.md §8.5): bit q of a vertex's mask word belongs to
-/// lane q of the sweep. The word is `uint8_t` for up to
-/// kNarrowMaskLanes lanes, a QUERY's single lane among them, and
-/// `uint64_t` for up to kMaskLanes; each kernel picks it from the lane
-/// count.
+/// (docs/INTERNALS.md §8.5): bit q of a vertex's one-byte mask belongs
+/// to lane q of the sweep, so a sweep holds up to kMaskLanes lanes and a
+/// QUERY uses bit 0.
 
 #include <cstdint>
 #include <limits>
 #include <span>
-#include <type_traits>
 #include <vector>
 
 #include "xcq/engine/axes.h"
@@ -20,46 +17,39 @@
 
 namespace xcq::engine {
 
-/// Lane counts up to this sweep with `uint8_t` mask words.
-inline constexpr size_t kNarrowMaskLanes = 8;
+/// One bit per lane of a sweep.
+using LaneMask = uint8_t;
+static_assert(kMaskLanes == std::numeric_limits<LaneMask>::digits);
 
 /// The mask with one bit per lane.
-template <typename Mask>
-Mask AllLanes(size_t lanes) {
-  return lanes == std::numeric_limits<Mask>::digits
-             ? std::numeric_limits<Mask>::max()
-             : static_cast<Mask>((Mask{1} << lanes) - 1);
+inline LaneMask AllLanes(size_t lanes) {
+  return static_cast<LaneMask>((1u << lanes) - 1);
 }
 
 /// A vertex's demands: the lanes for which some occurrence of it must
-/// be selected (`one`) and unselected (`zero`), packed into one word of
-/// twice the mask width so a push is a single OR. Demands only grow by
-/// OR, so their final value does not depend on the order of the pushes.
-template <typename Mask>
+/// be selected (`one`) and unselected (`zero`), packed into one 16-bit
+/// word so a push is a single OR. Demands only grow by OR, so their
+/// final value does not depend on the order of the pushes.
 class Demand {
  public:
-  void Push(Mask one, Mask zero) {
-    word_ |= static_cast<Word>(Word{one} | (Word{zero} << kBits));
+  void Push(LaneMask one, LaneMask zero) {
+    word_ |= static_cast<uint16_t>(one | (zero << kMaskLanes));
   }
-  Mask one() const { return static_cast<Mask>(word_); }
-  Mask zero() const { return static_cast<Mask>(word_ >> kBits); }
+  LaneMask one() const { return static_cast<LaneMask>(word_); }
+  LaneMask zero() const { return static_cast<LaneMask>(word_ >> kMaskLanes); }
 
  private:
-  using Word =
-      std::conditional_t<sizeof(Mask) == 1, uint16_t, unsigned __int128>;
-  static constexpr int kBits = std::numeric_limits<Mask>::digits;
-  Word word_ = 0;
+  uint16_t word_ = 0;
 };
 
 /// Per-vertex mask of the lanes whose `src` selection contains v,
 /// computed from each lane's set bits. Bits of unreachable split
 /// leftovers land in the mask too; no kernel reads them.
-template <typename Mask>
-std::vector<Mask> SourceMasks(const Instance& instance,
-                              std::span<const SweepLane> lanes) {
-  std::vector<Mask> src_mask(instance.vertex_count(), 0);
+inline std::vector<LaneMask> SourceMasks(const Instance& instance,
+                                         std::span<const SweepLane> lanes) {
+  std::vector<LaneMask> src_mask(instance.vertex_count(), 0);
   for (size_t q = 0; q < lanes.size(); ++q) {
-    const Mask bit = static_cast<Mask>(Mask{1} << q);
+    const LaneMask bit = static_cast<LaneMask>(1u << q);
     instance.RelationBits(lanes[q].src).ForEach(
         [&](size_t v) { src_mask[v] |= bit; });
   }
@@ -69,9 +59,9 @@ std::vector<Mask> SourceMasks(const Instance& instance,
 /// Sets the `dst` bits of the vertices in `order` from their masks
 /// (`mask_of(v)`), one pass per lane, so a QUERY's commit is a plain
 /// loop over one column.
-template <typename MaskOf>
+template <typename GetMask>
 void CommitMasks(Instance* instance, std::span<const SweepLane> lanes,
-                 const std::vector<VertexId>& order, const MaskOf& mask_of) {
+                 const std::vector<VertexId>& order, const GetMask& mask_of) {
   for (size_t q = 0; q < lanes.size(); ++q) {
     DynamicBitset& dst = instance->MutableRelationBits(lanes[q].dst);
     for (const VertexId v : order) {

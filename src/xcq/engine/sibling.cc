@@ -16,16 +16,19 @@ namespace {
 /// rewrite phases. `emit(child, count, mask)` receives the runs of the
 /// rewritten list in assembly order (left-to-right for following-sibling,
 /// right-to-left for preceding).
-template <typename Mask, typename Emit>
+template <typename Emit>
 void WalkSiblingRuns(std::span<const Edge> runs, bool forward,
-                     const std::vector<Mask>& src_mask, const Emit& emit) {
-  Mask seen = 0;  // lanes with a source occurrence before (after) the cursor
+                     const std::vector<LaneMask>& src_mask,
+                     const Emit& emit) {
+  // Lanes with a source occurrence before (after) the cursor.
+  LaneMask seen = 0;
   const auto emit_run = [&](const Edge& run) {
     // `seen` selects the occurrence adjacent to the history (first for
     // forward, last for backward); the remaining `count - 1`
     // occurrences follow (precede) a same-vertex occurrence, so their
     // history also holds the run's own source lanes.
-    const Mask bulk = static_cast<Mask>(seen | src_mask[run.child]);
+    const LaneMask bulk =
+        static_cast<LaneMask>(seen | src_mask[run.child]);
     if (run.count == 1 || seen == bulk) {
       emit(run.child, run.count, seen);
     } else {
@@ -75,7 +78,6 @@ void FinishBackwardList(std::vector<Edge>* rewritten) {
 ///     when resolve cloned nothing: every run then maps to its own
 ///     child and is emitted whole, so each rewritten list equals the
 ///     original (RLE lists are canonical).
-template <typename Mask>
 Status Sibling(Instance* instance, Axis axis, std::span<const SweepLane> lanes,
                OnClash on_clash, AxisStats* stats,
                const CancelToken* cancel) {
@@ -84,15 +86,16 @@ Status Sibling(Instance* instance, Axis axis, std::span<const SweepLane> lanes,
   // reason as in downward.cc (no mid-sweep cache re-read).
   const TraversalCache& plan = instance->EnsureTraversal();
   const size_t n0 = instance->vertex_count();
-  const Mask full = AllLanes<Mask>(lanes.size());
-  const std::vector<Mask> src_mask = SourceMasks<Mask>(*instance, lanes);
+  const LaneMask full = AllLanes(lanes.size());
+  const std::vector<LaneMask> src_mask = SourceMasks(*instance, lanes);
 
   // Demand phase.
-  std::vector<Demand<Mask>> demand(n0);
+  std::vector<Demand> demand(n0);
   for (const VertexId v : plan.order) {
     WalkSiblingRuns(instance->Children(v), forward, src_mask,
-                    [&](VertexId w, uint64_t, Mask mask) {
-                      demand[w].Push(mask, static_cast<Mask>(full & ~mask));
+                    [&](VertexId w, uint64_t, LaneMask mask) {
+                      demand[w].Push(mask,
+                                     static_cast<LaneMask>(full & ~mask));
                     });
   }
   demand[instance->root()].Push(0, full);
@@ -119,7 +122,7 @@ Status Sibling(Instance* instance, Axis axis, std::span<const SweepLane> lanes,
   // An original's dst mask: its demanded lanes, except that where both
   // bits are demanded (a split) the original keeps 0.
   const auto dst_mask = [&](VertexId v) {
-    return static_cast<Mask>(demand[v].one() & ~demand[v].zero());
+    return static_cast<LaneMask>(demand[v].one() & ~demand[v].zero());
   };
 
   // Checkpoint between resolve and rewrite: the clones allocated
@@ -135,7 +138,7 @@ Status Sibling(Instance* instance, Axis axis, std::span<const SweepLane> lanes,
     for (const VertexId v : plan.order) {
       rewritten.clear();
       WalkSiblingRuns(instance->Children(v), forward, src_mask,
-                      [&](VertexId w, uint64_t count, Mask mask) {
+                      [&](VertexId w, uint64_t count, LaneMask mask) {
                         const VertexId variant =
                             dst_mask(w) == mask ? w : counterpart[w];
                         assert(variant != kNoVertex);
@@ -163,18 +166,7 @@ Status SweepSibling(Instance* instance, Axis axis,
       *instance,
       axis == Axis::kFollowingSibling || axis == Axis::kPrecedingSibling,
       lanes, on_clash, "SweepSibling"));
-  return lanes.size() <= kNarrowMaskLanes
-             ? Sibling<uint8_t>(instance, axis, lanes, on_clash, stats, cancel)
-             : Sibling<uint64_t>(instance, axis, lanes, on_clash, stats,
-                                 cancel);
-}
-
-Status ApplySiblingAxis(Instance* instance, Axis axis, RelationId src,
-                        RelationId dst, AxisStats* stats,
-                        const CancelToken* cancel) {
-  const SweepLane lane{.src = src, .dst = dst};
-  return SweepSibling(instance, axis, {&lane, 1}, OnClash::kSplit, stats,
-                      cancel);
+  return Sibling(instance, axis, lanes, on_clash, stats, cancel);
 }
 
 }  // namespace xcq::engine

@@ -11,20 +11,23 @@ using xpath::Axis;
 namespace {
 
 /// An upward sweep walks its frontier while the in-edges it has to push
-/// stay within this share of the reachable edges, and makes the full
-/// pass otherwise. Measured against the full pass, one lane, median of
-/// 31 alternated calls (4-vCPU VM, g++ 12.2, Release), from 86 sources
-/// per axis (label columns and random sets) over SwissProt, TreeBank at
-/// half scale, XMark, Shakespeare and DBLP:
-///  * a walked in-edge costs about 2.3-2.7 full-pass edges, so `parent`
-///    (whose in-edges are known once seeded) breaks even near 0.45; at
-///    0.2 it takes 0.22x the time (geometric mean), from every vertex
-///    0.96-1.19x (seeding stops at the budget);
+/// stay within this share of the reachable edges, and pushes from every
+/// position otherwise. Measured against that dense push, one lane,
+/// median of 31 alternated calls (4-vCPU VM, g++ 12.2, Release), from
+/// the label columns, every reachable vertex and one 5-lane set of
+/// warmed SwissProt, TreeBank at half scale, Shakespeare, XMark and DBLP
+/// instances:
+///  * `parent` (whose in-edges are known once seeded) breaks even with
+///    the push from every vertex at shares of 0.22-0.45; walks within
+///    0.2 take 0.08-0.16x its time (geometric mean per corpus), 0.97x
+///    at worst;
 ///  * an ancestor walk learns its closure only as it goes: walks that
-///    finish take 0.10x, walks that outgrow the budget and go on over
-///    every position 0.94x (worst 1.5x). Shares of 0.1 and 0.3 left
-///    those about the same, but 0.1 sends TreeBank's Q1 parent steps
-///    (shares 0.09-0.13) to the full pass: 1.47 -> 2.02 ms.
+///    finish take 0.03-0.38x (0.99x at worst), and those that outgrow
+///    the budget push on from where they stopped, so nothing walked is
+///    redone.
+/// 0.1 would send TreeBank's Q1 parent steps (shares 0.09-0.13) to the
+/// push, which takes TreeBank parent steps of shares 0.12-0.18 1.7-3.4x
+/// as long as their walks.
 constexpr double kFrontierEdgeShare = 0.2;
 
 /// Upward axes never split (Prop. 3.3): whether some tree node below a
@@ -37,81 +40,63 @@ constexpr double kFrontierEdgeShare = 0.2;
 /// in `src` too. Only reachable vertices are written, which keeps
 /// unreachable split leftovers silent.
 ///
-/// This is the full form, for dense sources: a pull over every reachable
-/// vertex and edge, front to back along the cached post-order.
-template <typename Mask>
-void FullPass(Instance* instance, Axis axis, std::span<const SweepLane> lanes,
-              const std::vector<VertexId>& order) {
-  const bool ancestor = axis != Axis::kParent;
-  // carry[v]: the lanes v hands to its parents — src(v), and for the
-  // ancestor axes also up(v), so one load per edge covers both.
-  std::vector<Mask> carry = SourceMasks<Mask>(*instance, lanes);
-  std::vector<Mask> up_mask(instance->vertex_count(), 0);
-  for (const VertexId v : order) {
-    Mask m = 0;
-    for (const Edge& e : instance->Children(v)) m |= carry[e.child];
-    up_mask[v] = m;
-    if (ancestor) carry[v] |= m;
-  }
-  // ancestor-or-self is exactly the carry.
-  const std::vector<Mask>& dst_mask =
-      axis == Axis::kAncestorOrSelf ? carry : up_mask;
-  CommitMasks(instance, lanes, order, [&](VertexId v) { return dst_mask[v]; });
-}
-
-/// One upward sweep; returns the vertices it decided. Seeds the reachable
-/// sources by post-order position, summing their in-edges; past
-/// kFrontierEdgeShare of the reachable edges it runs FullPass instead.
-/// Otherwise it walks the frontier from them: a bitset over positions,
-/// ascending, so every child of a vertex has pushed before the vertex is
-/// reached. Each walked vertex ORs what it carries into its parents and
-/// marks them: into the frontier for the ancestor axes, into a bitset of
-/// its own for `parent`, whose targets push nothing. Only marked
-/// vertices (and, for ancestor-or-self, the sources) are committed. An
-/// ancestor walk also adds the in-edges of every vertex it reaches from
-/// below; past the same share it goes on over every remaining position.
-template <typename Mask>
+/// One upward sweep; returns the vertices it decided. Everything is
+/// indexed by post-order position, ascending, so every child of a vertex
+/// has pushed before the vertex is reached: each vertex ORs what it
+/// carries (its `src` lanes, plus its ancestor lanes for the ancestor
+/// axes) into its parents. Seeding puts every reachable source into
+/// `carry` and sums their in-edges. Within kFrontierEdgeShare of the
+/// reachable edges it walks the frontier from them: a bitset over
+/// positions, each walked vertex marking its parents, into the frontier
+/// for the ancestor axes and into a bitset of its own for `parent`,
+/// whose targets push nothing. Only marked vertices (and, for
+/// ancestor-or-self, the sources) are committed. An ancestor walk also
+/// adds the in-edges of every vertex it reaches from below. Once seeding
+/// or the walk passes the share, the sweep is dense: it pushes from
+/// every position, from 0 or from where the walk stopped, without the
+/// bitset.
 uint64_t Upward(Instance* instance, Axis axis,
                 std::span<const SweepLane> lanes, const TraversalCache& t) {
   const bool ancestor = axis != Axis::kParent;
   const size_t reachable = t.order.size();
   const uint64_t budget = static_cast<uint64_t>(
       kFrontierEdgeShare * static_cast<double>(t.reachable_edges));
+  std::vector<LaneMask> carry(reachable, 0);
+  std::vector<LaneMask> up_mask(reachable, 0);
+  // Raw views for the hot loops: a byte store may alias any vector's
+  // members, which would reload them on every edge.
+  const uint32_t* const position = t.position.data();
+  const uint32_t* const offsets = t.parent_offsets.data();
+  const uint32_t* const parents = t.parents.data();
+  LaneMask* const carried = carry.data();
+  LaneMask* const up = up_mask.data();
   uint64_t in_edges = 0;
-  const auto in_degree = [&](size_t p) {
-    return t.parent_offsets[p + 1] - t.parent_offsets[p];
-  };
-  // Indexed by position, like everything below.
-  std::vector<Mask> carry(reachable, 0);
   DynamicBitset frontier(reachable);
-  for (size_t q = 0; q < lanes.size() && in_edges <= budget; ++q) {
-    const Mask bit = static_cast<Mask>(Mask{1} << q);
+  for (size_t q = 0; q < lanes.size(); ++q) {
+    const LaneMask bit = static_cast<LaneMask>(1u << q);
     const std::vector<uint64_t>& src =
         instance->RelationBits(lanes[q].src).words();
-    for (size_t w = 0; w < src.size() && in_edges <= budget; ++w) {
+    for (size_t w = 0; w < src.size(); ++w) {
       for (uint64_t bits = src[w]; bits != 0; bits &= bits - 1) {
         const uint32_t p =
-            t.position[w * 64 + static_cast<size_t>(std::countr_zero(bits))];
+            position[w * 64 + static_cast<size_t>(std::countr_zero(bits))];
         if (p == TraversalCache::kNoPosition) continue;
-        if (carry[p] == 0) {
-          in_edges += in_degree(p);
+        // Past the budget the sweep is dense and the frontier unused.
+        if (carried[p] == 0 && in_edges <= budget) {
+          in_edges += offsets[p + 1] - offsets[p];
           frontier.Set(p);
         }
-        carry[p] |= bit;
+        carried[p] |= bit;
       }
     }
   }
-  if (in_edges > budget) {
-    FullPass<Mask>(instance, axis, lanes, t.order);
-    return reachable;
-  }
 
-  std::vector<Mask> up_mask(reachable, 0);
   DynamicBitset parents_only(ancestor ? 0 : reachable);
   DynamicBitset& marked = ancestor ? frontier : parents_only;
   const std::vector<uint64_t>& words = frontier.words();
-  size_t outgrown_at = reachable;
-  for (size_t w = 0; w < words.size() && outgrown_at == reachable; ++w) {
+  // Where the dense push starts; `reachable` while the sweep walks.
+  size_t dense_from = in_edges > budget ? 0 : reachable;
+  for (size_t w = 0; w < words.size() && dense_from == reachable; ++w) {
     // Marks only land above the vertex being walked, so re-reading the
     // word picks up those in it.
     uint64_t walked = 0;
@@ -119,36 +104,34 @@ uint64_t Upward(Instance* instance, Axis axis,
       walked |= left & (~left + 1);
       const size_t p = w * 64 + static_cast<size_t>(std::countr_zero(left));
       if (ancestor) {
-        if (carry[p] == 0 && (in_edges += in_degree(p)) > budget) {
-          outgrown_at = p;
+        if (carried[p] == 0 &&
+            (in_edges += offsets[p + 1] - offsets[p]) > budget) {
+          dense_from = p;
           break;
         }
-        carry[p] |= up_mask[p];
+        carried[p] |= up[p];
       }
-      const Mask m = carry[p];
-      for (uint32_t i = t.parent_offsets[p]; i < t.parent_offsets[p + 1];
-           ++i) {
-        up_mask[t.parents[i]] |= m;
-        marked.Set(t.parents[i]);
+      const LaneMask m = carried[p];
+      for (uint32_t i = offsets[p], end = offsets[p + 1]; i < end; ++i) {
+        up[parents[i]] |= m;
+        marked.Set(parents[i]);
       }
     }
   }
-  if (outgrown_at < reachable) {
-    // Every position below is decided, so the walk goes on over every
-    // position from there, without the bitset: cheaper than restarting
-    // with FullPass, which would redo the walked part.
-    for (size_t p = outgrown_at; p < reachable; ++p) {
-      const Mask m = carry[p] |= up_mask[p];
+  if (dense_from < reachable) {
+    // Every position below is decided, so the push goes on from there:
+    // a stopped walk keeps what it walked.
+    for (size_t p = dense_from; p < reachable; ++p) {
+      const LaneMask m = ancestor ? (carried[p] |= up[p]) : carried[p];
       if (m == 0) continue;
-      for (uint32_t i = t.parent_offsets[p]; i < t.parent_offsets[p + 1];
-           ++i) {
-        up_mask[t.parents[i]] |= m;
+      for (uint32_t i = offsets[p], end = offsets[p + 1]; i < end; ++i) {
+        up[parents[i]] |= m;
       }
     }
     marked.SetAll();
   }
   // ancestor-or-self is exactly the carry.
-  const std::vector<Mask>& dst_mask =
+  const std::vector<LaneMask>& dst_mask =
       axis == Axis::kAncestorOrSelf ? carry : up_mask;
   for (size_t q = 0; q < lanes.size(); ++q) {
     DynamicBitset& dst = instance->MutableRelationBits(lanes[q].dst);
@@ -179,18 +162,9 @@ Status SweepUpward(Instance* instance, Axis axis,
   // costs at most one flat pass of overshoot.
   const TraversalCache& t = instance->EnsureParentIndex();
   if (cancel != nullptr) XCQ_RETURN_IF_ERROR(cancel->Check());
-  const uint64_t visited = lanes.size() <= kNarrowMaskLanes
-                               ? Upward<uint8_t>(instance, axis, lanes, t)
-                               : Upward<uint64_t>(instance, axis, lanes, t);
+  const uint64_t visited = Upward(instance, axis, lanes, t);
   if (stats != nullptr) stats->visited += visited;
   return Status::OK();
-}
-
-Status ApplyUpwardAxis(Instance* instance, Axis axis, RelationId src,
-                       RelationId dst, AxisStats* stats,
-                       const CancelToken* cancel) {
-  const SweepLane lane{.src = src, .dst = dst};
-  return SweepUpward(instance, axis, {&lane, 1}, stats, cancel);
 }
 
 }  // namespace xcq::engine

@@ -258,11 +258,10 @@ Result<std::vector<QueryOutcome>> QuerySession::RunBatch(
     eval_options.cancel = control.cancel;
     engine::EvalStats shared_stats;
     const double shared_start = traces.front().Elapsed();
-    // A cancel ends the request here; only a clash falls back.
-    XCQ_ASSIGN_OR_RETURN(engine::SharedBatchResult shared,
-                         engine::EvaluateBatchShared(
-                             &*instance_, plans, eval_options, &shared_stats));
-    if (shared.engaged) {
+    Result<std::vector<RelationId>> shared = engine::EvaluateBatchShared(
+        &*instance_, plans, eval_options, &shared_stats);
+    if (shared.ok()) {
+      const std::vector<RelationId>& results = *shared;
       // Book the whole shared traversal as one sweep span on the first
       // trace (the convention for per-batch figures); on fallback the
       // per-query EvaluatePlan spans cover it instead.
@@ -285,17 +284,17 @@ Result<std::vector<QueryOutcome>> QuerySession::RunBatch(
         outcome.stats.seconds =
             shared_stats.seconds / static_cast<double>(plans.size());
         outcome.selected_dag_nodes =
-            SelectedDagNodeCount(*instance_, shared.results[i]);
+            SelectedDagNodeCount(*instance_, results[i]);
         outcome.selected_tree_nodes =
-            SelectedTreeNodeCount(*instance_, shared.results[i]);
+            SelectedTreeNodeCount(*instance_, results[i]);
       }
       // Net observable effect of the per-query loop: the public result
       // relation holds the last query's selection.
       const RelationId result =
           instance_->AddRelation(engine::kResultRelation);
       instance_->MutableRelationBits(result) =
-          instance_->RelationBits(shared.results.back());
-      for (const RelationId id : shared.results) {
+          instance_->RelationBits(results.back());
+      for (const RelationId id : results) {
         instance_->ReleaseScratchRelation(id);
       }
       outcomes.front().label_seconds = label_seconds;
@@ -303,6 +302,11 @@ Result<std::vector<QueryOutcome>> QuerySession::RunBatch(
         outcomes[i].trace = std::move(traces[i]);
       }
       return outcomes;
+    }
+    // Only a clash falls back; a cancel or any other error ends the
+    // request.
+    if (shared.status().code() != StatusCode::kIncompatible) {
+      return shared.status();
     }
     ++shared_batch_fallbacks_;
   }

@@ -120,7 +120,9 @@ class QuerySession {
   /// same-axis ops of different queries are grouped into one
   /// multi-source traversal instead of one sweep per query. Answers are
   /// bit-identical to per-query evaluation — sharing engages only while
-  /// no query would split the DAG and falls back (per batch) otherwise.
+  /// no query would split the DAG and falls back (per batch) when the
+  /// attempt reports that clash as `kIncompatible`. Any other failure of
+  /// the attempt (a cancel or deadline among them) fails the batch.
   /// With `minimize_after_query` on the batch always runs per query:
   /// re-minimization between members re-orders mutations that sharing
   /// elides.
@@ -149,7 +151,7 @@ class QuerySession {
   /// aborted on a split demand and fell back to per-query evaluation.
   /// Batches that never attempt sharing (single query,
   /// `minimize_after_query` on) move neither counter, nor does an
-  /// attempt stopped by a cancel or deadline (the batch fails), so their
+  /// attempt that fails other than by a clash (the batch fails), so their
   /// sum is the number of finished shared *attempts*, not of RunBatch
   /// calls.
   uint64_t shared_batch_count() const { return shared_batches_; }

@@ -229,9 +229,10 @@ TEST(BatchSweepTest, MixedLengthPlansShareInLockstep) {
   EXPECT_EQ(shared, 1u);
 }
 
-TEST(BatchSweepTest, WideBatchSweepsInChunksOf64) {
+TEST(BatchSweepTest, WideBatchSweepsInChunksOf8) {
   // 70 queries put more lanes on one axis than a mask holds: every
-  // round's buckets sweep as a 64-lane chunk plus a 6-lane one.
+  // round's buckets sweep in chunks of up to 8 lanes, so a bucket of all
+  // 70 takes eight full chunks and one of 6 (70 = 8×8 + 6).
   const std::vector<std::string> mix = {
       "/*",
       "//*",

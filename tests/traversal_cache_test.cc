@@ -230,8 +230,9 @@ TEST(TraversalCacheTest, DecodedSpillBuildsParentIndexOnFirstUpwardSweep) {
   const RelationId src = decoded.FindRelation("author");
   ASSERT_NE(src, kNoRelation);
   const RelationId dst = decoded.AddRelation("test:dst");
+  const engine::SweepLane lane{.src = src, .dst = dst};
   XCQ_ASSERT_OK(
-      engine::ApplyUpwardAxis(&decoded, xpath::Axis::kAncestor, src, dst));
+      engine::SweepUpward(&decoded, xpath::Axis::kAncestor, {&lane, 1}));
   EXPECT_TRUE(decoded.EnsureTraversal().has_parents);
   EXPECT_EQ(decoded.traversal_builds(), 0u);
   ExpectParentIndexMatchesOracle(decoded);
