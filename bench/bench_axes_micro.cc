@@ -2,9 +2,12 @@
 // on compressed instances vs the uncompressed tree baseline.
 //
 // Upward axes run in place (no mutation), so they are measured directly,
-// on warm caches. Splitting axes mutate the instance; their loops copy
-// the pristine instance each iteration and a separate "InstanceCopy"
-// benchmark quantifies that overhead for subtraction.
+// on warm caches. Splitting axes mutate the instance; their cold rows
+// copy the pristine instance each iteration (and rebuild its traversal
+// cache and parent index after the split), and a separate
+// "InstanceCopy" benchmark quantifies the copy for subtraction. Their
+// "From" rows run in place on an instance warmed to its split fixpoint,
+// as on a resident instance after warm-up.
 
 #include <benchmark/benchmark.h>
 
@@ -85,11 +88,48 @@ void RunUpwardBenchmark(benchmark::State& state, const char* source,
   }
 }
 
+/// Downward steps split only until the instance reaches the split
+/// fixpoint of their query; the warm-up runs the query twice, so the
+/// timed sweeps split nothing and run in place like upward ones. The
+/// sources span the downward sweeps' density rule (docs/INTERNALS.md
+/// §8.5): from the root (`/*`, 2 of the 2,234 vertices decided) a child
+/// step walks its frontier, while from `//item` and from `//*` (every
+/// node but the root) the sources' out-edges pass the budget and the
+/// sweep pulls every position.
+void RunDownwardBenchmark(benchmark::State& state, const char* source,
+                          const char* axis_query) {
+  Instance instance = MicroState::Get().instance;
+  const algebra::QueryPlan plan =
+      *algebra::CompileString(std::string(source) + axis_query);
+  for (int warm = 0; warm < 2; ++warm) {
+    (void)*engine::Evaluate(&instance, plan, engine::EvalOptions{}, nullptr);
+  }
+  uint64_t selected = 0;
+  for (auto _ : state) {
+    const RelationId result =
+        *engine::Evaluate(&instance, plan, engine::EvalOptions{}, nullptr);
+    selected += instance.RelationBits(result).Count();
+    benchmark::DoNotOptimize(selected);
+  }
+}
+
 void BM_DagChild(benchmark::State& state) {
   RunAxisBenchmark(state, "*");
 }
 void BM_DagDescendant(benchmark::State& state) {
   RunAxisBenchmark(state, "descendant::*");
+}
+void BM_DagChildFromRoot(benchmark::State& state) {
+  RunDownwardBenchmark(state, "/", "*");
+}
+void BM_DagChildFromItem(benchmark::State& state) {
+  RunDownwardBenchmark(state, "//item/", "*");
+}
+void BM_DagChildFromAll(benchmark::State& state) {
+  RunDownwardBenchmark(state, "//*/", "*");
+}
+void BM_DagDescendantFromItem(benchmark::State& state) {
+  RunDownwardBenchmark(state, "//item/", "descendant::*");
 }
 void BM_DagParent(benchmark::State& state) {
   RunUpwardBenchmark(state, "//item/", "parent::*");
@@ -117,6 +157,10 @@ void BM_DagFollowing(benchmark::State& state) {
 }
 BENCHMARK(BM_DagChild);
 BENCHMARK(BM_DagDescendant);
+BENCHMARK(BM_DagChildFromRoot);
+BENCHMARK(BM_DagChildFromItem);
+BENCHMARK(BM_DagChildFromAll);
+BENCHMARK(BM_DagDescendantFromItem);
 BENCHMARK(BM_DagParent);
 BENCHMARK(BM_DagAncestor);
 BENCHMARK(BM_DagParentFromText);

@@ -23,8 +23,8 @@ namespace xcq::engine {
 
 /// \brief Counters exposed to the experiment harnesses.
 struct AxisStats {
-  /// Vertices the kernel touched: every reachable one, except in an
-  /// upward frontier walk.
+  /// Vertices the kernel decided, clones included: every reachable one,
+  /// except in an upward or downward frontier walk.
   uint64_t visited = 0;
   uint64_t splits = 0;   ///< Vertices cloned (partial decompression).
 };
@@ -54,17 +54,19 @@ enum class OnClash : uint8_t {
 };
 
 /// Each axis family has one single-threaded kernel (docs/INTERNALS.md
-/// §8.5), generic over the lane count: downward axes make one
-/// parents-first pass over the cached post-order walked backwards,
-/// sibling axes run demand/resolve/rewrite phases, and both decide every
-/// reachable vertex. Upward axes walk up from a sparse source set
-/// through the cache's parent index, touching only the sources and what
-/// lies above them, and push from every post-order position, children
-/// first, when the sources are dense. Every kernel carries its lanes'
-/// selections as per-vertex one-byte masks.
+/// §8.5), generic over the lane count. Upward and downward axes are
+/// keyed by post-order position and read the cache's parent index: from
+/// a sparse source set they walk the frontier, upward through the
+/// sources' parents, downward through the children of every vertex
+/// that selects some lane, touching only what the walk reaches; past
+/// the frontier budget (lane_mask.h) they pass over every position,
+/// upward pushing children first, downward pulling parents first.
+/// Sibling axes run demand/resolve/rewrite phases and decide every
+/// reachable vertex. Every kernel carries its lanes' selections as
+/// per-vertex one-byte masks.
 ///
 /// An optional `cancel` token (util/cancel.h) is polled every 4096
-/// decided vertices and before the commit phases of a downward sweep,
+/// decided positions and before the commit phases of a downward sweep,
 /// at the phase boundaries of a sibling sweep, and once up front by an
 /// upward sweep (which never mutates); a tripped token aborts the sweep
 /// with `kCancelled` / `kDeadlineExceeded`. No checkpoint sits inside a
@@ -73,7 +75,9 @@ enum class OnClash : uint8_t {
 /// clone leftovers) and every `dst` untouched.
 
 /// \brief child / descendant / descendant-or-self — the Fig. 4 algorithm
-/// as one parents-first sweep over the reversed cached post-order.
+/// as a parents-first pull over the parent index: a frontier walk down
+/// from sparse sources, a pull at every post-order position from dense
+/// ones. Splits (one lane only) allocate clones parents first.
 Status SweepDownward(Instance* instance, xpath::Axis axis,
                      std::span<const SweepLane> lanes, OnClash on_clash,
                      AxisStats* stats = nullptr,

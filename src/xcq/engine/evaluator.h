@@ -94,8 +94,8 @@ struct AxisFamilyStats {
   uint64_t sweeps = 0;        ///< Sweeps of this family (incl. closed forms).
   uint64_t visited = 0;       ///< Vertices the family's sweeps visited.
   /// The reachable set of every sweep, what a full pass visits; exceeds
-  /// `visited` by every closed form and by what upward frontier walks
-  /// left alone.
+  /// `visited` by every closed form and by what frontier walks left
+  /// alone.
   uint64_t full = 0;
   /// Sweeps answered by the `//`-from-root closed form (no kernel run);
   /// named after the frozen `pruned=` STATS key it renders as.

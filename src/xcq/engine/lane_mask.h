@@ -5,8 +5,11 @@
 /// The per-vertex lane masks every sweep kernel carries
 /// (docs/INTERNALS.md §8.5): bit q of a vertex's one-byte mask belongs
 /// to lane q of the sweep, so a sweep holds up to kMaskLanes lanes and a
-/// QUERY uses bit 0.
+/// QUERY uses bit 0. Also what the position-keyed kernels (upward and
+/// downward) share: the frontier budget, seeding by position and the
+/// commit from positions.
 
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <span>
@@ -26,47 +29,82 @@ inline LaneMask AllLanes(size_t lanes) {
   return static_cast<LaneMask>((1u << lanes) - 1);
 }
 
-/// A vertex's demands: the lanes for which some occurrence of it must
-/// be selected (`one`) and unselected (`zero`), packed into one 16-bit
-/// word so a push is a single OR. Demands only grow by OR, so their
-/// final value does not depend on the order of the pushes.
-class Demand {
- public:
-  void Push(LaneMask one, LaneMask zero) {
-    word_ |= static_cast<uint16_t>(one | (zero << kMaskLanes));
-  }
-  LaneMask one() const { return static_cast<LaneMask>(word_); }
-  LaneMask zero() const { return static_cast<LaneMask>(word_ >> kMaskLanes); }
+/// A sweep walks its frontier while the edges the walk has to cross stay
+/// within this share of the reachable edges (`FrontierBudget`), and
+/// passes over every position otherwise: an upward sweep pushes, a
+/// downward one pulls. Measured on a 4-vCPU VM (g++ 12.2, Release):
+///  * upward, against the dense push, one lane, median of 31 alternated
+///    calls from the label columns, every reachable vertex and one
+///    5-lane set of warmed SwissProt, TreeBank at half scale,
+///    Shakespeare, XMark and DBLP instances. `parent` (whose in-edges
+///    are known once seeded) breaks even with the push from every vertex
+///    at shares of 0.22-0.45; walks within 0.2 take 0.08-0.16x its time
+///    (geometric mean per corpus), 0.97x at worst. An ancestor walk
+///    learns its closure only as it goes: walks that finish take
+///    0.03-0.38x (0.99x at worst), and those that outgrow the budget
+///    push on from where they stopped, so nothing walked is redone.
+///  * downward, where a walk counts the out-edges it pushes and the
+///    in-edges it pulls, and decides a position at several times the
+///    dense pull's cost. With one budget for both families, one round of
+///    the five navigate_mixed queries (median of 31) and one shared
+///    RunBatch per batch_shared document, summed (median of 15), three
+///    alternated processes each: 0.2 took 6.40-6.64 and 8.04-8.25 ms,
+///    0.3 6.66-6.93 and 8.07-8.31 ms, 0.1 6.86-7.04 and 9.12-9.43 ms,
+///    0.05 7.01-7.31 and 9.36-9.73 ms.
+/// 0.1 would also send TreeBank's Q1 parent steps (shares 0.09-0.13) to
+/// the push, which takes TreeBank parent steps of shares 0.12-0.18
+/// 1.7-3.4x as long as their walks.
+inline constexpr double kFrontierEdgeShare = 0.2;
 
- private:
-  uint16_t word_ = 0;
-};
-
-/// Per-vertex mask of the lanes whose `src` selection contains v,
-/// computed from each lane's set bits. Bits of unreachable split
-/// leftovers land in the mask too; no kernel reads them.
-inline std::vector<LaneMask> SourceMasks(const Instance& instance,
-                                         std::span<const SweepLane> lanes) {
-  std::vector<LaneMask> src_mask(instance.vertex_count(), 0);
-  for (size_t q = 0; q < lanes.size(); ++q) {
-    const LaneMask bit = static_cast<LaneMask>(1u << q);
-    instance.RelationBits(lanes[q].src).ForEach(
-        [&](size_t v) { src_mask[v] |= bit; });
-  }
-  return src_mask;
+/// The edges a frontier walk over `t` may cross before the sweep turns
+/// dense.
+inline uint64_t FrontierBudget(const TraversalCache& t) {
+  return static_cast<uint64_t>(kFrontierEdgeShare *
+                               static_cast<double>(t.reachable_edges));
 }
 
-/// Sets the `dst` bits of the vertices in `order` from their masks
-/// (`mask_of(v)`), one pass per lane, so a QUERY's commit is a plain
-/// loop over one column.
-template <typename GetMask>
-void CommitMasks(Instance* instance, std::span<const SweepLane> lanes,
-                 const std::vector<VertexId>& order, const GetMask& mask_of) {
+/// Seeds `mask`, one byte per position of `t`'s post-order, with the
+/// lanes whose `src` holds the vertex there, and calls `first(p)` when
+/// position p gets its first lane. Bits of unreachable ids (split
+/// leftovers) have no position and are skipped. `t` must carry the
+/// parent index.
+template <typename OnFirst>
+void SeedPositions(const Instance& instance, std::span<const SweepLane> lanes,
+                   const TraversalCache& t, LaneMask* mask,
+                   const OnFirst& first) {
+  const uint32_t* const position = t.position.data();
+  for (size_t q = 0; q < lanes.size(); ++q) {
+    const LaneMask bit = static_cast<LaneMask>(1u << q);
+    const std::vector<uint64_t>& src =
+        instance.RelationBits(lanes[q].src).words();
+    for (size_t w = 0; w < src.size(); ++w) {
+      for (uint64_t bits = src[w]; bits != 0; bits &= bits - 1) {
+        const uint32_t p =
+            position[w * 64 + static_cast<size_t>(std::countr_zero(bits))];
+        if (p == TraversalCache::kNoPosition) continue;
+        if (mask[p] == 0) first(p);
+        mask[p] |= bit;
+      }
+    }
+  }
+}
+
+/// Sets the `dst` bits of the vertices at the `decided` positions of
+/// `order` from their masks, one pass per lane, so a QUERY's commit is
+/// a plain loop over one column. Every decided position ORs its bit,
+/// set or not: a branch on the mask would mispredict on every other
+/// vertex of a mixed selection.
+inline void CommitPositions(Instance* instance,
+                            std::span<const SweepLane> lanes,
+                            const std::vector<VertexId>& order,
+                            const DynamicBitset& decided,
+                            const LaneMask* mask) {
   for (size_t q = 0; q < lanes.size(); ++q) {
     DynamicBitset& dst = instance->MutableRelationBits(lanes[q].dst);
-    for (const VertexId v : order) {
-      if ((mask_of(v) >> q) & 1) dst.Set(v);
-    }
+    decided.ForEach([&](size_t p) {
+      const VertexId v = order[p];
+      dst.OrWord(v >> 6, uint64_t{(mask[p] >> q) & 1u} << (v & 63));
+    });
   }
 }
 

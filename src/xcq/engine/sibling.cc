@@ -1,5 +1,7 @@
 #include <algorithm>
 #include <cassert>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "xcq/engine/axes.h"
@@ -10,6 +12,50 @@ namespace xcq::engine {
 using xpath::Axis;
 
 namespace {
+
+/// A vertex's demands: the lanes for which some occurrence of it must
+/// be selected (`one`) and unselected (`zero`), packed into one 16-bit
+/// word so a push is a single OR. Demands only grow by OR, so their
+/// final value does not depend on the order of the pushes.
+class Demand {
+ public:
+  void Push(LaneMask one, LaneMask zero) {
+    word_ |= static_cast<uint16_t>(one | (zero << kMaskLanes));
+  }
+  LaneMask one() const { return static_cast<LaneMask>(word_); }
+  LaneMask zero() const { return static_cast<LaneMask>(word_ >> kMaskLanes); }
+
+ private:
+  uint16_t word_ = 0;
+};
+
+/// Per-vertex mask of the lanes whose `src` selection contains v,
+/// computed from each lane's set bits. Bits of unreachable split
+/// leftovers land in the mask too; no phase reads them.
+std::vector<LaneMask> SourceMasks(const Instance& instance,
+                                  std::span<const SweepLane> lanes) {
+  std::vector<LaneMask> src_mask(instance.vertex_count(), 0);
+  for (size_t q = 0; q < lanes.size(); ++q) {
+    const LaneMask bit = static_cast<LaneMask>(1u << q);
+    instance.RelationBits(lanes[q].src).ForEach(
+        [&](size_t v) { src_mask[v] |= bit; });
+  }
+  return src_mask;
+}
+
+/// Sets the `dst` bits of the vertices in `order` from their masks
+/// (`mask_of(v)`), one pass per lane, so a QUERY's commit is a plain
+/// loop over one column.
+template <typename GetMask>
+void CommitMasks(Instance* instance, std::span<const SweepLane> lanes,
+                 const std::vector<VertexId>& order, const GetMask& mask_of) {
+  for (size_t q = 0; q < lanes.size(); ++q) {
+    DynamicBitset& dst = instance->MutableRelationBits(lanes[q].dst);
+    for (const VertexId v : order) {
+      if ((mask_of(v) >> q) & 1) dst.Set(v);
+    }
+  }
+}
 
 /// Walks one child list and reports the lanes whose `dst` each emitted
 /// run requires of its child — the shared core of the demand and

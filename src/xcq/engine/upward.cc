@@ -10,26 +10,6 @@ using xpath::Axis;
 
 namespace {
 
-/// An upward sweep walks its frontier while the in-edges it has to push
-/// stay within this share of the reachable edges, and pushes from every
-/// position otherwise. Measured against that dense push, one lane,
-/// median of 31 alternated calls (4-vCPU VM, g++ 12.2, Release), from
-/// the label columns, every reachable vertex and one 5-lane set of
-/// warmed SwissProt, TreeBank at half scale, Shakespeare, XMark and DBLP
-/// instances:
-///  * `parent` (whose in-edges are known once seeded) breaks even with
-///    the push from every vertex at shares of 0.22-0.45; walks within
-///    0.2 take 0.08-0.16x its time (geometric mean per corpus), 0.97x
-///    at worst;
-///  * an ancestor walk learns its closure only as it goes: walks that
-///    finish take 0.03-0.38x (0.99x at worst), and those that outgrow
-///    the budget push on from where they stopped, so nothing walked is
-///    redone.
-/// 0.1 would send TreeBank's Q1 parent steps (shares 0.09-0.13) to the
-/// push, which takes TreeBank parent steps of shares 0.12-0.18 1.7-3.4x
-/// as long as their walks.
-constexpr double kFrontierEdgeShare = 0.2;
-
 /// Upward axes never split (Prop. 3.3): whether some tree node below a
 /// shared vertex is selected is a property of the vertex itself (the
 /// whole point of bisimulation-based sharing is that the subtree below a
@@ -45,51 +25,38 @@ constexpr double kFrontierEdgeShare = 0.2;
 /// has pushed before the vertex is reached: each vertex ORs what it
 /// carries (its `src` lanes, plus its ancestor lanes for the ancestor
 /// axes) into its parents. Seeding puts every reachable source into
-/// `carry` and sums their in-edges. Within kFrontierEdgeShare of the
-/// reachable edges it walks the frontier from them: a bitset over
+/// `carry` and sums their in-edges. Within the frontier budget
+/// (lane_mask.h) it walks the frontier from them: a bitset over
 /// positions, each walked vertex marking its parents, into the frontier
 /// for the ancestor axes and into a bitset of its own for `parent`,
 /// whose targets push nothing. Only marked vertices (and, for
 /// ancestor-or-self, the sources) are committed. An ancestor walk also
 /// adds the in-edges of every vertex it reaches from below. Once seeding
-/// or the walk passes the share, the sweep is dense: it pushes from
+/// or the walk passes the budget, the sweep is dense: it pushes from
 /// every position, from 0 or from where the walk stopped, without the
 /// bitset.
 uint64_t Upward(Instance* instance, Axis axis,
                 std::span<const SweepLane> lanes, const TraversalCache& t) {
   const bool ancestor = axis != Axis::kParent;
   const size_t reachable = t.order.size();
-  const uint64_t budget = static_cast<uint64_t>(
-      kFrontierEdgeShare * static_cast<double>(t.reachable_edges));
+  const uint64_t budget = FrontierBudget(t);
   std::vector<LaneMask> carry(reachable, 0);
   std::vector<LaneMask> up_mask(reachable, 0);
   // Raw views for the hot loops: a byte store may alias any vector's
   // members, which would reload them on every edge.
-  const uint32_t* const position = t.position.data();
   const uint32_t* const offsets = t.parent_offsets.data();
   const uint32_t* const parents = t.parents.data();
   LaneMask* const carried = carry.data();
   LaneMask* const up = up_mask.data();
   uint64_t in_edges = 0;
   DynamicBitset frontier(reachable);
-  for (size_t q = 0; q < lanes.size(); ++q) {
-    const LaneMask bit = static_cast<LaneMask>(1u << q);
-    const std::vector<uint64_t>& src =
-        instance->RelationBits(lanes[q].src).words();
-    for (size_t w = 0; w < src.size(); ++w) {
-      for (uint64_t bits = src[w]; bits != 0; bits &= bits - 1) {
-        const uint32_t p =
-            position[w * 64 + static_cast<size_t>(std::countr_zero(bits))];
-        if (p == TraversalCache::kNoPosition) continue;
-        // Past the budget the sweep is dense and the frontier unused.
-        if (carried[p] == 0 && in_edges <= budget) {
-          in_edges += offsets[p + 1] - offsets[p];
-          frontier.Set(p);
-        }
-        carried[p] |= bit;
-      }
+  SeedPositions(*instance, lanes, t, carried, [&](uint32_t p) {
+    // Past the budget the sweep is dense and the frontier unused.
+    if (in_edges <= budget) {
+      in_edges += offsets[p + 1] - offsets[p];
+      frontier.Set(p);
     }
-  }
+  });
 
   DynamicBitset parents_only(ancestor ? 0 : reachable);
   DynamicBitset& marked = ancestor ? frontier : parents_only;
@@ -133,12 +100,7 @@ uint64_t Upward(Instance* instance, Axis axis,
   // ancestor-or-self is exactly the carry.
   const std::vector<LaneMask>& dst_mask =
       axis == Axis::kAncestorOrSelf ? carry : up_mask;
-  for (size_t q = 0; q < lanes.size(); ++q) {
-    DynamicBitset& dst = instance->MutableRelationBits(lanes[q].dst);
-    marked.ForEach([&](size_t p) {
-      if ((dst_mask[p] >> q) & 1) dst.Set(t.order[p]);
-    });
-  }
+  CommitPositions(instance, lanes, t.order, marked, dst_mask.data());
   if (!ancestor) frontier |= parents_only;
   return frontier.Count();
 }

@@ -65,7 +65,7 @@ struct Edge {
 /// which for every spill the writer produces is that same post-order.
 /// `order` + `reachable_edges` are always filled,
 /// path counts only when a caller asks (one extra pass over the order),
-/// the parent index only when an upward sweep asks
+/// the parent index only when an upward or downward sweep asks
 /// (`Instance::EnsureParentIndex`).
 /// References returned by `EnsureTraversal` are stable until the next
 /// rebuild — callers that mutate the instance while iterating must copy

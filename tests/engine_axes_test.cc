@@ -7,6 +7,7 @@
 #include "test_util.h"
 #include "xcq/api.h"
 #include "xcq/engine/axes.h"
+#include "xcq/engine/lane_mask.h"
 
 namespace xcq::engine {
 namespace {
@@ -732,6 +733,193 @@ TEST(AxisKernelTest, UpwardSweepMatchesFullPass) {
   // Both forms must have run.
   EXPECT_GT(walks, 0u);
   EXPECT_GT(dense_pushes, 0u);
+}
+
+// --- downward sweeps against the push --------------------------------------
+
+/// The vertex-keyed push every downward sweep once made over all of the
+/// reachable DAG, kept as the oracle of the pull, the walk and the dense
+/// pull: one lane, splitting. Parents first, each decided vertex pushes
+/// what its edges demand of its children (src ∨ inherit·dst selected,
+/// the complement unselected); a vertex demanded both ways splits, the
+/// original keeping 0 and its clone, allocated there, taking 1; edges
+/// re-point to the variant they demand in one deferred pass, in post
+/// order and then clone order.
+void DownwardPushOracle(Instance* instance, xpath::Axis axis,
+                        RelationId src_relation, RelationId dst_relation) {
+  const bool inherit = axis != xpath::Axis::kChild;
+  const bool or_self = axis == xpath::Axis::kDescendantOrSelf;
+  const std::vector<VertexId> order = instance->PostOrder();
+  const size_t n0 = instance->vertex_count();
+  std::vector<uint8_t> src(n0, 0);
+  std::vector<uint8_t> dst(n0, 0);
+  std::vector<uint8_t> one(n0, 0);
+  std::vector<uint8_t> zero(n0, 0);
+  std::vector<VertexId> counterpart(n0, kNoVertex);
+  for (VertexId v = 0; v < n0; ++v) src[v] = instance->Test(src_relation, v);
+  const auto push_from = [&](VertexId v, uint8_t mine) {
+    const uint8_t out1 = src[v] | (inherit ? mine : 0);
+    for (const Edge& e : instance->Children(v)) {
+      one[e.child] |= out1;
+      zero[e.child] |= out1 ^ 1;
+    }
+  };
+  zero[instance->root()] = 1;
+  for (auto it = order.rbegin(); it != order.rend(); ++it) {
+    const VertexId w = *it;
+    const uint8_t os = or_self ? src[w] : 0;
+    if (!(one[w] & zero[w]) || os) {
+      dst[w] = os | one[w];
+      push_from(w, dst[w]);
+      continue;
+    }
+    push_from(w, 0);
+    const VertexId clone = instance->CloneVertex(w);
+    counterpart[w] = clone;
+    src.push_back(src[w]);
+    dst.push_back(1);
+    push_from(clone, 1);
+  }
+  std::vector<VertexId> repoint_order = order;
+  for (VertexId v = static_cast<VertexId>(n0); v < instance->vertex_count();
+       ++v) {
+    repoint_order.push_back(v);
+  }
+  for (const VertexId v : repoint_order) {
+    if (!(src[v] | (inherit ? dst[v] : 0))) continue;
+    const std::span<Edge> children = instance->MutableChildren(v);
+    for (Edge& e : children) {
+      if (counterpart[e.child] != kNoVertex) e.child = counterpart[e.child];
+    }
+  }
+  for (const VertexId v : repoint_order) {
+    if (dst[v]) instance->SetBit(dst_relation, v);
+  }
+}
+
+/// Every downward sweep equals the push, over random instances, sources
+/// on both sides of the frontier budget (empty, one vertex, sparse,
+/// every reachable vertex) with bits on unreachable split leftovers, and
+/// lane counts up to a full byte mask (8, every bit in use). A one-lane
+/// sweep splits exactly as the push does: the same clone ids, child
+/// lists and columns. A wider sweep refuses iff some lane's push splits,
+/// leaving the instance untouched, and otherwise answers each lane's
+/// column. Walks (visited below the reachable set) and dense pulls must
+/// both run, and so must a descendant walk from the root, whose closure
+/// outgrows the budget.
+TEST(AxisKernelTest, DownwardSweepMatchesPushOracle) {
+  enum Kind { kEmpty, kSingle, kSparse, kAll, kKinds };
+  const xpath::Axis kAxes[] = {xpath::Axis::kChild, xpath::Axis::kDescendant,
+                               xpath::Axis::kDescendantOrSelf};
+  Rng rng(2236);
+  uint64_t walks = 0;
+  uint64_t dense_pulls = 0;
+  uint64_t splits = 0;
+  uint64_t refusals = 0;
+  for (uint64_t seed = 1; seed <= 10; ++seed) {
+    XCQ_ASSERT_OK_AND_ASSIGN(
+        Instance base,
+        CompressXml(testing::RandomXml(seed, 80 + 60 * seed, 3), {}));
+    // Unlinked clones: unreachable ids, as a split leaves behind.
+    const std::vector<VertexId> reachable = base.PostOrder();
+    std::vector<VertexId> leftovers;
+    for (int i = 0; i < 3; ++i) {
+      leftovers.push_back(base.CloneVertex(rng.Pick(reachable)));
+    }
+    for (const size_t width : {size_t{1}, size_t{3}, size_t{8}}) {
+      for (const xpath::Axis axis : kAxes) {
+        for (int mix = 0; mix <= kKinds; ++mix) {
+          SCOPED_TRACE(std::string(xpath::AxisName(axis)) + " seed " +
+                       std::to_string(seed) + " lanes " +
+                       std::to_string(width) + " mix " +
+                       std::to_string(mix));
+          Instance instance = base;
+          std::vector<SweepLane> lanes(width);
+          for (size_t q = 0; q < width; ++q) {
+            SweepLane& lane = lanes[q];
+            lane.src = instance.AddRelation("test:src" + std::to_string(q));
+            lane.dst = instance.AddRelation("test:dst" + std::to_string(q));
+            // One kind for every lane, then a random kind per lane.
+            const int kind = mix < kKinds
+                                 ? mix
+                                 : static_cast<int>(rng.Uniform(0, kKinds - 1));
+            for (const VertexId v : reachable) {
+              if (kind == kAll || (kind == kSparse && rng.Chance(0.03))) {
+                instance.SetBit(lane.src, v);
+              }
+            }
+            if (kind == kSingle) instance.SetBit(lane.src, rng.Pick(reachable));
+            if (kind != kEmpty) instance.SetBit(lane.src, rng.Pick(leftovers));
+          }
+          const Instance before = instance;
+
+          std::vector<Instance> pushed;
+          bool any_split = false;
+          for (const SweepLane& lane : lanes) {
+            pushed.push_back(before);
+            DownwardPushOracle(&pushed.back(), axis, lane.src, lane.dst);
+            any_split = any_split ||
+                        pushed.back().vertex_count() > before.vertex_count();
+          }
+
+          AxisStats stats;
+          const Status status =
+              SweepDownward(&instance, axis, lanes,
+                            width == 1 ? OnClash::kSplit : OnClash::kRefuse,
+                            &stats);
+          if (width > 1 && any_split) {
+            ++refusals;
+            EXPECT_EQ(status.code(), StatusCode::kIncompatible)
+                << status.ToString();
+            ExpectSameInstance(instance, before);
+            continue;
+          }
+          XCQ_ASSERT_OK(status);
+          splits += stats.splits;
+          // A dense pull decides every reachable position (and every
+          // clone it allocates); a walk only the sources and what lies
+          // below its pushers.
+          if (stats.visited < reachable.size() + stats.splits) {
+            ++walks;
+          } else {
+            ++dense_pulls;
+          }
+          if (width == 1) {
+            ExpectSameInstance(instance, pushed.front());
+            continue;
+          }
+          testing::ExpectSameChildLists(instance, before);
+          for (size_t q = 0; q < width; ++q) {
+            EXPECT_TRUE(instance.RelationBits(lanes[q].dst) ==
+                        pushed[q].RelationBits(lanes[q].dst))
+                << "lane " << q;
+          }
+        }
+      }
+    }
+
+    // descendant from the root: seeding pushes only the root's edges,
+    // well within the budget, and the walk then reaches every vertex.
+    SCOPED_TRACE("descendant from the root, seed " + std::to_string(seed));
+    Instance from_root = base;
+    const SweepLane lane{.src = from_root.AddRelation("test:src"),
+                         .dst = from_root.AddRelation("test:dst")};
+    from_root.SetBit(lane.src, from_root.root());
+    ASSERT_LE(from_root.Children(from_root.root()).size(),
+              FrontierBudget(from_root.EnsureParentIndex()));
+    Instance pushed = from_root;
+    DownwardPushOracle(&pushed, xpath::Axis::kDescendant, lane.src, lane.dst);
+    AxisStats stats;
+    XCQ_ASSERT_OK(SweepDownward(&from_root, xpath::Axis::kDescendant,
+                                {&lane, 1}, OnClash::kSplit, &stats));
+    EXPECT_EQ(stats.visited, reachable.size());
+    ExpectSameInstance(from_root, pushed);
+  }
+  // Every outcome must have been exercised.
+  EXPECT_GT(walks, 0u);
+  EXPECT_GT(dense_pulls, 0u);
+  EXPECT_GT(splits, 0u);
+  EXPECT_GT(refusals, 0u);
 }
 
 }  // namespace

@@ -30,6 +30,7 @@
 
 #include "test_util.h"
 #include "xcq/api.h"
+#include "xcq/engine/axes.h"
 
 namespace xcq::server {
 namespace {
@@ -298,6 +299,63 @@ TEST(CancellationTest, CancelledSharedBatchIsNoFallback) {
       << cancelled.status().ToString();
   EXPECT_EQ(session.shared_batch_fallback_count(), 0u);
   EXPECT_EQ(session.shared_batch_count(), 0u);
+}
+
+/// A downward sweep polls its token every 4096 decided positions, inside
+/// a frontier walk too. The instance: a chain of 5,000 vertices and
+/// 60,000 leaves under the root, so descendant from the chain's head
+/// walks the chain (about 10,000 edges, within the budget of a fifth of
+/// the 65,000) and decides 5,000 positions. A trip at the walk's poll or at
+/// the pre-commit poll aborts with kCancelled and leaves the instance
+/// as it was; the sweep then runs clean.
+TEST(CancellationTest, TripInsideDownwardWalkLeavesInstanceIntact) {
+  constexpr VertexId kChain = 5000;
+  constexpr VertexId kLeaves = 60000;
+  Instance instance;
+  for (VertexId v = 0; v < kChain + kLeaves + 1; ++v) instance.AddVertex();
+  std::vector<Edge> root_edges = {{0, 1}};
+  for (VertexId v = 0; v + 1 < kChain; ++v) {
+    const Edge next{v + 1, 1};
+    instance.SetEdges(v, {&next, 1});
+  }
+  for (VertexId v = kChain; v < kChain + kLeaves; ++v) {
+    root_edges.push_back({v, 1});
+  }
+  const VertexId root = kChain + kLeaves;
+  instance.SetEdges(root, root_edges);
+  instance.SetRoot(root);
+  const engine::SweepLane lane{.src = instance.AddRelation("src"),
+                               .dst = instance.AddRelation("dst")};
+  instance.SetBit(lane.src, 0);
+  const Instance before = instance;
+
+  const auto sweep = [&](Instance* target, const CancelToken* token,
+                         engine::AxisStats* stats) {
+    return engine::SweepDownward(target, xpath::Axis::kDescendant,
+                                 {&lane, 1}, engine::OnClash::kSplit, stats,
+                                 token);
+  };
+  {
+    Instance clean = before;
+    CancelToken token;
+    engine::AxisStats stats;
+    XCQ_ASSERT_OK(sweep(&clean, &token, &stats));
+    EXPECT_EQ(stats.visited, kChain) << "the sweep did not walk the chain";
+    EXPECT_EQ(token.checks(), 2u) << "one poll in the walk, one pre-commit";
+  }
+  for (const uint64_t trip : {1, 2}) {
+    SCOPED_TRACE("trip at check " + std::to_string(trip));
+    CancelToken token;
+    token.CancelAfterChecks(trip);
+    const Status cancelled = sweep(&instance, &token, nullptr);
+    EXPECT_EQ(cancelled.code(), StatusCode::kCancelled)
+        << cancelled.ToString();
+    testing::ExpectSameChildLists(instance, before);
+    EXPECT_EQ(instance.RelationBits(lane.dst).Count(), 0u);
+  }
+  XCQ_ASSERT_OK(sweep(&instance, nullptr, nullptr));
+  EXPECT_EQ(instance.RelationBits(lane.dst).Count(), kChain - 1);
+  EXPECT_FALSE(instance.Test(lane.dst, 0));
 }
 
 // --- Deadlines in the session ----------------------------------------------
